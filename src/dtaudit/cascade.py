@@ -8,7 +8,6 @@ the semiglobal continuity (bounded-input deviation) property.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +22,8 @@ __all__ = [
     "InputSequence",
     "Trajectory",
     "DivergenceError",
+    "rollout",
+    "grid_rollouts",
     "simulate_cascade",
     "simulate_driven",
     "check_interconnection_bound",
@@ -101,40 +102,87 @@ class Trajectory:
     def state(self, k: int) -> np.ndarray:
         return self.states[k - self.k0]
 
-    def to_csv(self, path) -> None:
-        dim = self.states.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "t"] + [f"x{i}" for i in range(dim)] + ["norm"])
-            for i, (row, nrm) in enumerate(zip(self.states, self.norms)):
-                k = self.k0 + i
-                writer.writerow([k, repr(k * self.T)] + [repr(v) for v in row] + [repr(nrm)])
-
 
 def _check_period(sys, T: float) -> None:
     if not (0.0 < T <= sys.T_max):
         raise ValueError(f"T={T} outside admissible range (0, {sys.T_max}]")
 
 
+def rollout(step, T: float, k0: int, Y0, steps: int, inputs=None):
+    """Iterate a row-independent batched map from index k0.
+
+    `step(T, k, Y)` maps (rows, dim) states to the next ones; with a
+    (steps, batch, dim_z) `inputs` array it is `step(T, k, Y, U)`, U the
+    stepped rows of inputs[k - k0]. Returns the (steps+1, batch, dim)
+    states and, per row, the step i at which it first turned non-finite
+    (-1 if never); that row is not stepped again and reads NaN after i.
+    """
+    Y = np.array(Y0, dtype=float, ndmin=2)
+    batch, dim = Y.shape
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if inputs is not None:
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.shape[:2] != (steps, batch):
+            raise ValueError(f"inputs must have shape ({steps}, {batch}, dim_z)")
+    states = np.full((steps + 1, batch, dim), np.nan)
+    states[0] = Y
+    first_bad = np.full(batch, -1)
+    live = slice(None)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(steps):
+            args = (T, k0 + i, Y) if inputs is None else (T, k0 + i, Y, inputs[i, live])
+            Y = np.asarray(step(*args), dtype=float).reshape(len(Y), dim)
+            states[i + 1, live] = Y
+            finite = np.isfinite(Y)
+            if not finite.all():
+                ok = finite.all(axis=1)
+                rows = np.arange(batch)[live]
+                first_bad[rows[~ok]] = i + 1
+                live, Y = rows[ok], Y[ok]
+                if not len(live):
+                    break
+    return states, first_bad
+
+
+def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf):
+    """Yield (T, k0, states): Y0 rolled out over `horizon` seconds once per
+    sorted period and start index (`_k_probes(T)` unless k0_set is given)."""
+    for T in sorted(float(t) for t in T_list):
+        if not (0.0 < T <= T_max):
+            raise ValueError(f"T={T} outside admissible range (0, {T_max}]")
+        for k0 in (_k_probes(T) if k0_set is None else k0_set):
+            yield T, k0, rollout(step, T, k0, Y0, horizon_index(horizon, T))[0]
+
+
+def _stacked_step(sys: CascadeSystem):
+    """Batched step of the stacked state (x, z) of a cascade."""
+    dx, dz = sys.dim_x, sys.dim_z
+
+    def step(T, k, Y):
+        X, Z = Y[:, :dx], Y[:, dx:]
+        Xn = np.asarray(sys.f(T, k, X, Z), dtype=float)
+        Zn = np.asarray(sys.g(T, k, Z), dtype=float)
+        return np.concatenate([Xn.reshape(len(Y), dx), Zn.reshape(len(Y), dz)], axis=1)
+
+    return step
+
+
+def _raise_if_diverged(first_bad: int, k0: int) -> None:
+    if first_bad >= 0:
+        raise DivergenceError(f"non-finite state at k={k0 + first_bad}", k0 + first_bad)
+
+
 def simulate_cascade(sys: CascadeSystem, T: float, k0: int, x0, z0,
                      steps: int) -> tuple[Trajectory, Trajectory]:
     """Iterate both maps; z runs autonomously, x is driven by z."""
     _check_period(sys, T)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    x = np.asarray(x0, dtype=float).reshape(sys.dim_x)
-    z = np.asarray(z0, dtype=float).reshape(sys.dim_z)
-    xs, zs = [x], [z]
-    for i in range(steps):
-        k = k0 + i
-        x_next = np.asarray(sys.f(T, k, x, z), dtype=float).reshape(sys.dim_x)
-        z_next = np.asarray(sys.g(T, k, z), dtype=float).reshape(sys.dim_z)
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(z_next))):
-            raise DivergenceError(f"non-finite state at k={k + 1}", k + 1)
-        xs.append(x_next)
-        zs.append(z_next)
-        x, z = x_next, z_next
-    return Trajectory(T, k0, np.array(xs)), Trajectory(T, k0, np.array(zs))
+    y0 = np.concatenate([np.asarray(x0, dtype=float).reshape(sys.dim_x),
+                         np.asarray(z0, dtype=float).reshape(sys.dim_z)])
+    states, first_bad = rollout(_stacked_step(sys), T, k0, y0, steps)
+    _raise_if_diverged(int(first_bad[0]), k0)
+    return (Trajectory(T, k0, states[:, 0, : sys.dim_x]),
+            Trajectory(T, k0, states[:, 0, sys.dim_x:]))
 
 
 def simulate_driven(sys: CascadeSystem, T: float, k0: int, x0,
@@ -149,15 +197,11 @@ def simulate_driven(sys: CascadeSystem, T: float, k0: int, x0,
     if steps > 0 and (omega.start > k0 or available < steps):
         raise ValueError(f"input covers [{omega.start}, {omega.start + len(omega)}), "
                          f"need [{k0}, {k0 + steps})")
-    x = np.asarray(x0, dtype=float).reshape(sys.dim_x)
-    xs = [x]
-    for i in range(steps):
-        k = k0 + i
-        x = np.asarray(sys.f(T, k, x, omega.at(k)), dtype=float).reshape(sys.dim_x)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite state at k={k + 1}", k + 1)
-        xs.append(x)
-    return Trajectory(T, k0, np.array(xs))
+    inputs = omega.values[k0 - omega.start:][:steps, None]
+    states, first_bad = rollout(sys.f, T, k0, np.asarray(x0, dtype=float).reshape(sys.dim_x),
+                                steps, inputs)
+    _raise_if_diverged(int(first_bad[0]), k0)
+    return Trajectory(T, k0, states[:, 0])
 
 
 def _k_probes(T: float):
@@ -326,26 +370,30 @@ def usc_probe(sys: CascadeSystem, Delta: float, eta: float, eps: float, L: float
     for mu in sorted((float(m) for m in mu_grid), reverse=True):
         if mu <= 0.0:
             raise ValueError("mu grid must be positive")
-        if _usc_holds(sys, eta, eps, L, T_list, mu, x0s):
+        if _usc_holds(sys, eps, L, T_list, mu, x0s):
             return mu
     return 0.0
 
 
-def _usc_holds(sys, eta, eps, L, T_list, mu, x0s) -> bool:
+def _usc_holds(sys, eps, L, T_list, mu, x0s) -> bool:
+    # one rollout per (T, k0): for each x0 the zero-input reference row,
+    # then one row per input family; the first failing row decides
+    n = len(x0s)
     for T in sorted(float(t) for t in T_list):
+        _check_period(sys, T)
         ell = horizon_index(L, T)
         for k0 in _k_probes(T):
-            inputs = _probe_inputs(sys.dim_z, mu, ell)
-            for x0 in x0s:
-                ref = simulate_driven(
-                    sys, T, k0, x0,
-                    InputSequence(k0, np.zeros((max(ell, 1), sys.dim_z))), steps=ell)
-                for vals in inputs:
-                    try:
-                        drv = simulate_driven(sys, T, k0, x0, InputSequence(k0, vals), steps=ell)
-                    except DivergenceError:
-                        return False
-                    dev = np.max(np.linalg.norm(drv.states - ref.states, axis=1))
-                    if dev > eps + _SLACK:
-                        return False
+            inputs = [np.zeros((ell, sys.dim_z))] + _probe_inputs(sys.dim_z, mu, ell)
+            m = len(inputs)
+            U = np.tile(np.stack(inputs, axis=1), (1, n, 1))
+            states, first_bad = rollout(sys.f, T, k0, np.repeat(x0s, m, axis=0), ell, U)
+            states = states.reshape(ell + 1, n, m, sys.dim_x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dev = np.max(np.linalg.norm(states - states[:, :, :1], axis=-1), axis=0)
+            fail = (first_bad.reshape(n, m) >= 0) | (dev > eps + _SLACK)
+            if fail.any():
+                r = int(np.argmax(fail.ravel()))
+                if r % m == 0:
+                    _raise_if_diverged(int(first_bad[r]), k0)
+                return False
     return True

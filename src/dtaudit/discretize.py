@@ -8,8 +8,6 @@ the model families relate on a box.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -171,13 +169,6 @@ class ConsistencyReport:
         if any(e < 0 for e in self.max_errors):
             raise ValueError("max_errors must be nonnegative")
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["T", "max_error", "error_over_T"])
-            for T, e in zip(self.T_samples, self.max_errors):
-                writer.writerow([repr(T), repr(e), repr(e / T)])
-
     def to_json(self) -> dict:
         return {
             "T_samples": list(self.T_samples),
@@ -185,11 +176,6 @@ class ConsistencyReport:
             "slope": self.slope,
             "K_est": self.K_est,
         }
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _default_k_set(T: float):

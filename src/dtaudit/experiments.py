@@ -18,15 +18,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import (CascadeSystem, Trajectory, _k_probes,
-                      check_interconnection_bound, usc_probe)
+from .cascade import (CascadeSystem, Trajectory, _k_probes, _stacked_step,
+                      check_interconnection_bound, grid_rollouts, rollout,
+                      usc_probe)
 from .discretize import (VectorField, consistency_order, euler_map,
                          exact_proxy_map, modified_euler_map, ParameterizedMap)
 from .numerics import (ClassKFunction, fit_kl_envelope, horizon_index,
                        kl_compose)
-from .stability import (CertificateParams, LyapunovCandidate,
-                        build_ugb_certificate, check_boundedness,
-                        check_summability, falsify_spuas, audit_lyapunov)
+from .stability import (CertificateParams, LyapunovCandidate, audit_lyapunov,
+                        boundedness_escape, build_ugb_certificate,
+                        check_summability, spuas_escape)
+# perfbench/layers.py wraps the sweeps under these names on this module
+from .stability import check_boundedness, falsify_spuas  # noqa: F401
 from .unicycle import (_chain_grid, _refs_from_config, audit_lyapunov_chain,
                        check_pe, closed_loop_euler_cascade,
                        compute_case_constants, demo_gains, demo_references,
@@ -158,20 +161,13 @@ def _run_example1(params: dict, seed: int, jobs: int) -> ExperimentResult:
     x0 = rng.standard_normal((int(p["n_states"]), 2))
     x0 = x0 * rng.uniform(0.1, 10.0, size=(len(x0), 1))
 
-    def simulate_batch(T):
-        steps = min(horizon_index(float(p["decay_horizon_s"]), T), 2000)
-        states = np.empty((steps + 1,) + x0.shape)
-        states[0] = x0
-        y = x0
-        for k in range(steps):
-            y = np.asarray(emap.step(T, k, y), dtype=float)
-            states[k + 1] = y
-        return T, states
-
+    horizon = float(p["decay_horizon_s"])
+    batches = _map_ordered(
+        lambda T: rollout(emap.step, T, 0, x0, min(horizon_index(horizon, T), 2000))[0],
+        T_decay, jobs)
+    trajs = [Trajectory(T, 0, states[:, j]) for T, states in zip(T_decay, batches)
+             for j in range(len(x0))]
     lam = float(p["decay_rate"])
-    trajs = []
-    for T, states in _map_ordered(simulate_batch, T_decay, jobs):
-        trajs.extend(Trajectory(T, 0, states[:, j]) for j in range(len(x0)))
     beta = fit_kl_envelope(trajs, lam_grid=[lam])
     b = float(beta.params["M"])
     worst = 0.0
@@ -516,20 +512,9 @@ _THEOREM_DEFAULTS = {
 }
 
 
-def _simulate_map_trajs(step, grid_pts, T_list, horizon_s, k0s=None):
-    # start-index probes must match the falsifiers' sweep
-    trajs = []
-    for T in T_list:
-        steps = horizon_index(horizon_s, T)
-        for k0 in (_k_probes(T) if k0s is None else k0s):
-            states = np.empty((steps + 1,) + grid_pts.shape)
-            states[0] = grid_pts
-            y = grid_pts
-            for k in range(steps):
-                y = np.asarray(step(T, k0 + k, y), dtype=float)
-                states[k + 1] = y
-            trajs.extend(Trajectory(T, k0, states[:, j]) for j in range(len(grid_pts)))
-    return trajs
+def _run_trajs(runs):
+    return [Trajectory(T, k0, states[:, j]) for T, k0, states in runs
+            for j in range(states.shape[1])]
 
 
 def _run_theorem_demo(params: dict, seed: int, jobs: int) -> ExperimentResult:
@@ -549,37 +534,19 @@ def _run_theorem_demo(params: dict, seed: int, jobs: int) -> ExperimentResult:
                                 {"violated_flag": consts.first_violated(),
                                  "constants": consts.to_json()}, {}, {})
 
-    def zstep(TT, k, z):
-        return sysm.g(TT, k, np.asarray(z, dtype=float))
-
-    zmap = ParameterizedMap(1, sysm.T_max, zstep, "custom")
-
     def xstep(TT, k, x):
-        x = np.asarray(x, dtype=float)
-        return sysm.f(TT, k, x, np.zeros(x.shape[:-1] + (1,)))
-
-    xmap = ParameterizedMap(2, sysm.T_max, xstep, "custom")
-
-    def cascade_step(TT, k, y):
-        y = np.asarray(y, dtype=float)
-        xn = np.asarray(sysm.f(TT, k, y[..., :2], y[..., 2:]), dtype=float)
-        zn = np.asarray(sysm.g(TT, k, y[..., 2:]), dtype=float)
-        return np.concatenate([xn, zn], axis=-1)
+        return sysm.f(TT, k, x, np.zeros((len(x), 1)))
 
     n_ball = int(p["n_ball"])
 
-    def h_driving_decay():
-        grid = sample_ball(Delta_z, 1, 17)
-        trajs = _simulate_map_trajs(zmap.step, grid, T_list, horizon_s)
+    def decay(step, grid):
+        runs = list(grid_rollouts(step, grid, T_list, horizon_s))
+        trajs = _run_trajs(runs)
         beta = fit_kl_envelope(trajs)
-        verdict = falsify_spuas(zmap, beta, Delta_z, 0.0, T_list, grid, horizon_s)
-        return {"beta": beta.to_json(), "verdict": verdict.to_json()}, beta, verdict
+        return runs, trajs, beta, spuas_escape(runs, beta, 0.0)
 
-    def h_unforced_decay():
-        grid = sample_ball(Delta, 2, n_ball)
-        trajs = _simulate_map_trajs(xmap.step, grid, T_list, horizon_s)
-        beta = fit_kl_envelope(trajs)
-        verdict = falsify_spuas(xmap, beta, Delta, 0.0, T_list, grid, horizon_s)
+    def h_decay(step, grid):
+        _, _, beta, verdict = decay(step, grid)
         return {"beta": beta.to_json(), "verdict": verdict.to_json()}, beta, verdict
 
     def h_small_inputs():
@@ -669,7 +636,7 @@ def _run_theorem_demo(params: dict, seed: int, jobs: int) -> ExperimentResult:
                                               k_set=k_cert)
 
         z_grid = sample_ball(Delta_z, 1, 17)
-        z_trajs = _simulate_map_trajs(zmap.step, z_grid, [T], horizon_s, k0s=[0])
+        z_trajs = _run_trajs(grid_rollouts(sysm.g, z_grid, [T], horizon_s, k0_set=[0]))
         budget = 0.0
         for traj in z_trajs:
             if traj.norms[0] <= 0.0:
@@ -686,22 +653,16 @@ def _run_theorem_demo(params: dict, seed: int, jobs: int) -> ExperimentResult:
         return payload, (verdict, summable), None
 
     def c_cascade_decay():
-        grid = sample_ball(Delta, 3, n_ball)
-        trajs = _simulate_map_trajs(cascade_step, grid, T_list, horizon_s)
-        beta = fit_kl_envelope(trajs)
-        verdict = falsify_spuas(sysm, beta, Delta, 0.0, T_list, grid, horizon_s)
-        kappa = 0.0
-        for traj in trajs:
-            if traj.norms[0] > 0.0:
-                kappa = max(kappa, float(np.max(traj.norms)) / traj.norms[0])
-        bounded = check_boundedness(sysm, ClassKFunction.linear(kappa * (1.0 + 1e-9)),
-                                    0.0, Delta, T_list, grid, horizon_s)
+        runs, trajs, beta, verdict = decay(_stacked_step(sysm), sample_ball(Delta, 3, n_ball))
+        kappa = max((float(np.max(t.norms)) / t.norms[0] for t in trajs if t.norms[0] > 0.0),
+                    default=0.0)
+        bounded = boundedness_escape(runs, ClassKFunction.linear(kappa * (1.0 + 1e-9)), 0.0)
         payload = {"beta": beta.to_json(), "kappa_gain": kappa * (1.0 + 1e-9),
                    "verdict": verdict.to_json(), "bounded": bounded.to_json()}
         return payload, (beta, verdict, bounded), None
 
-    tasks = [("driving_decay", h_driving_decay),
-             ("unforced_decay", h_unforced_decay),
+    tasks = [("driving_decay", lambda: h_decay(sysm.g, sample_ball(Delta_z, 1, 17))),
+             ("unforced_decay", lambda: h_decay(xstep, sample_ball(Delta, 2, n_ball))),
              ("small_inputs", h_small_inputs),
              ("interconnection", h_interconnection),
              ("growth_certificate", h_growth_certificate),

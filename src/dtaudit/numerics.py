@@ -407,7 +407,7 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
     M_grid = np.asarray(_DEFAULT_M_GRID if M_grid is None else M_grid, dtype=float)
     lam_grid = np.asarray(_DEFAULT_LAM_GRID if lam_grid is None else lam_grid, dtype=float)
 
-    taus, lognorms, sample_ids = [], [], []
+    taus, lognorms, owners = [], [], []  # owners: (trajectory, absolute k of each sample)
     for ti, traj in enumerate(trajs):
         norms = np.asarray(traj.norms, dtype=float)
         s0 = norms[0]
@@ -420,7 +420,7 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
             continue
         taus.append(ks[active] * traj.T)
         lognorms.append(np.log(norms[active] - slack) - np.log(s0))
-        sample_ids.extend((ti, int(k) + traj.k0) for k in ks[active])
+        owners.append((ti, ks[active] + traj.k0))
     if not taus:  # every sample sits below nu: the loosest admissible envelope
         return KLBound.exponential(float(M_grid[0]), float(np.max(lam_grid)))
 
@@ -435,8 +435,11 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
         # witness: first sample beating even the loosest envelope (M_max, lam_min)
         loose = logn + float(np.min(lam_grid)) * tau - np.max(logM)
         bad = np.nonzero(loose > 1e-12)[0]
-        witness = sample_ids[int(bad[0]) if len(bad) else int(np.argmax(loose))]
-        raise EnvelopeFalsified(witness)
+        flat = int(bad[0]) if len(bad) else int(np.argmax(loose))
+        ends = np.cumsum([len(t) for t in taus])
+        pos = int(np.searchsorted(ends, flat, side="right"))
+        ti, ks_abs = owners[pos]
+        raise EnvelopeFalsified((ti, int(ks_abs[flat - (ends[pos] - len(ks_abs))])))
     mi = int(np.argmax(feasible.any(axis=1)))
     li = int(np.max(np.nonzero(feasible[mi])[0]))
     return KLBound.exponential(float(M_grid[mi]), float(lam_grid[li]))

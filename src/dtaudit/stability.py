@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import CascadeSystem, Trajectory, _k_probes
+from .cascade import (CascadeSystem, Trajectory, _k_probes, _stacked_step,
+                      grid_rollouts)
 from .discretize import ParameterizedMap
-from .numerics import ClassKFunction, KLBound, horizon_index
+from .numerics import ClassKFunction, KLBound
 from .verdict import StabilityVerdict, Witness
 
 __all__ = [
@@ -29,6 +30,8 @@ __all__ = [
     "PreconditionError",
     "falsify_spuas",
     "check_boundedness",
+    "spuas_escape",
+    "boundedness_escape",
     "audit_lyapunov",
     "check_summability",
     "build_ugb_certificate",
@@ -109,53 +112,59 @@ def _resolve_grid(grid, radius: float, dim: int) -> np.ndarray:
 def _system_stepper(system):
     """Uniform batched stepper and dimension for cascades and plain maps."""
     if isinstance(system, CascadeSystem):
-        dx, dz = system.dim_x, system.dim_z
-
-        def step(T, k, Y):
-            X, Z = Y[:, :dx], Y[:, dx:]
-            Xn = np.asarray(system.f(T, k, X, Z), dtype=float)
-            Zn = np.asarray(system.g(T, k, Z), dtype=float)
-            return np.concatenate([Xn.reshape(len(Y), dx), Zn.reshape(len(Y), dz)], axis=1)
-
-        return step, dx + dz, system.T_max
+        return _stacked_step(system), system.dim_x + system.dim_z, system.T_max
     if isinstance(system, ParameterizedMap):
-        return (lambda T, k, Y: np.asarray(system.step(T, k, Y), dtype=float)), system.dim, system.T_max
+        return system.step, system.dim, system.T_max
     raise TypeError("system must be a CascadeSystem or a ParameterizedMap")
 
 
-def _sweep_trajectories(system, Delta, T_list, grid, horizon, bound_fn, detail_pass,
-                        k0_set=None):
-    """Shared falsification loop: batched simulation against a per-step bound.
-
-    bound_fn(norms0, t_rel) gives each trajectory's admissible norm at
-    elapsed time t_rel. Non-finite states count as violations.
-    """
+def _grid_rollouts(system, Delta, T_list, grid, horizon, k0_set=None):
     step, dim, T_max = _system_stepper(system)
-    Y0 = _resolve_grid(grid, Delta, dim)
+    return grid_rollouts(step, _resolve_grid(grid, Delta, dim), T_list, horizon, k0_set, T_max)
+
+
+def _first_escape(runs, bound_fn, detail_pass):
+    """First (T, k0, step, row) whose norm leaves the per-step bound.
+
+    `runs` yields (T, k0, states) rollouts; bound_fn(norms0, t_rel) gives
+    each trajectory's admissible norm at elapsed time t_rel. Non-finite
+    states count as violations.
+    """
     worst = 0.0
-    for T in sorted(float(t) for t in T_list):
-        if not (0.0 < T <= T_max):
-            raise ValueError(f"T={T} outside admissible range (0, {T_max}]")
-        steps = horizon_index(horizon, T)
-        for k0 in (_k_probes(T) if k0_set is None else k0_set):
-            Y = Y0.copy()
-            norms0 = np.linalg.norm(Y0, axis=1)
-            for i in range(steps + 1):
-                norms = np.linalg.norm(Y, axis=1)
-                bound = np.asarray(bound_fn(norms0, i * T), dtype=float)
-                ok = norms <= bound + _SLACK
-                if not np.all(ok):
-                    j = int(np.argmax(~ok))
-                    return StabilityVerdict.falsify(
-                        Witness.of(T, k0, Y0[j], k0 + i, float(norms[j]), float(bound[j])),
-                        "trajectory norm escaped the claimed bound",
-                    )
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(bound > 0, norms / bound, np.where(norms > _SLACK, np.inf, 0.0))
-                worst = max(worst, float(np.max(ratio)))
-                if i < steps:
-                    Y = step(T, k0 + i, Y)
+    for T, k0, states in runs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(states, axis=-1)
+        t_rel = (np.arange(len(states)) * T)[:, None]
+        bound = np.broadcast_to(np.asarray(bound_fn(norms[0][None, :], t_rel), dtype=float),
+                                norms.shape)
+        ok = norms <= bound + _SLACK
+        if not np.all(ok):
+            i, j = np.unravel_index(int(np.argmax(~ok)), ok.shape)
+            return StabilityVerdict.falsify(
+                Witness.of(T, k0, states[0, j], k0 + int(i), float(norms[i, j]), float(bound[i, j])),
+                "trajectory norm escaped the claimed bound",
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(bound > 0, norms / bound, np.where(norms > _SLACK, np.inf, 0.0))
+        worst = max(worst, float(np.max(ratio)))
     return StabilityVerdict.ok(detail_pass, worst_ratio=worst)
+
+
+def spuas_escape(runs, beta: KLBound, nu: float, comparator: str = "max") -> StabilityVerdict:
+    """The `falsify_spuas` check on (T, k0, states) rollouts already made."""
+    if comparator == "max":
+        bound_fn = lambda s0, t: np.maximum(beta(s0, t), nu)
+    elif comparator == "additive":
+        bound_fn = lambda s0, t: np.asarray(beta(s0, t), dtype=float) + nu
+    else:
+        raise ValueError("comparator must be 'max' or 'additive'")
+    return _first_escape(runs, bound_fn, "decay envelope holds on the sampled grid")
+
+
+def boundedness_escape(runs, kappa: ClassKFunction, c: float) -> StabilityVerdict:
+    """The `check_boundedness` check on (T, k0, states) rollouts already made."""
+    return _first_escape(runs, lambda s0, t: np.asarray(kappa(s0), dtype=float) + c,
+                         "norm bound holds on the sampled grid")
 
 
 def falsify_spuas(system, beta: KLBound, Delta: float, nu: float, T_list, grid,
@@ -171,15 +180,8 @@ def falsify_spuas(system, beta: KLBound, Delta: float, nu: float, T_list, grid,
     """
     if not (Delta > nu >= 0.0):
         raise ValueError("need Delta > nu >= 0")
-    if comparator not in ("max", "additive"):
-        raise ValueError("comparator must be 'max' or 'additive'")
-
-    if comparator == "max":
-        bound_fn = lambda s0, t: np.maximum(beta(s0, t), nu)
-    else:
-        bound_fn = lambda s0, t: np.asarray(beta(s0, t), dtype=float) + nu
-    return _sweep_trajectories(system, Delta, T_list, grid, horizon, bound_fn,
-                               "decay envelope holds on the sampled grid", k0_set)
+    return spuas_escape(_grid_rollouts(system, Delta, T_list, grid, horizon, k0_set),
+                        beta, nu, comparator)
 
 
 def check_boundedness(system, kappa: ClassKFunction, c: float, Delta: float,
@@ -187,9 +189,8 @@ def check_boundedness(system, kappa: ClassKFunction, c: float, Delta: float,
     """Check |y(k)| <= kappa(|y0|) + c along all sampled trajectories."""
     if not (Delta > 0.0 and c >= 0.0):
         raise ValueError("need Delta > 0 and c >= 0")
-    bound_fn = lambda s0, t: np.asarray(kappa(s0), dtype=float) + c
-    return _sweep_trajectories(system, Delta, T_list, grid, horizon, bound_fn,
-                               "norm bound holds on the sampled grid", k0_set)
+    return boundedness_escape(_grid_rollouts(system, Delta, T_list, grid, horizon, k0_set),
+                              kappa, c)
 
 
 def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: float,

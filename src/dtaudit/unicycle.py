@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cascade import CascadeSystem, DivergenceError, simulate_cascade
+from .cascade import CascadeSystem, _stacked_step, rollout
 from .discretize import ParameterizedMap, VectorField, euler_map, exact_proxy_map
 from ._integrate import IntegrationError
 from .numerics import horizon_index
@@ -752,16 +752,11 @@ def run_comparison_experiment(config: dict | None = None) -> dict:
 
 
 def _simulate_variant(refs, gains, T, x0, steps, plant, bad_norm):
+    """States before the first divergent step (norm above `bad_norm` or not
+    finite), the divergence flag and that step."""
     if plant == "euler":
-        sysm = closed_loop_euler_cascade(refs, gains)
-        try:
-            tx, tz = simulate_cascade(sysm, T, 0, x0[:2], x0[2:], steps)
-            states = np.concatenate([tx.states, tz.states], axis=1)
-        except DivergenceError as err:
-            redo = err.k - 1
-            tx, tz = simulate_cascade(sysm, T, 0, x0[:2], x0[2:], redo)
-            states = np.concatenate([tx.states, tz.states], axis=1)
-            return states, True, err.k
+        step = _stacked_step(closed_loop_euler_cascade(refs, gains))
+        states = rollout(step, T, 0, x0, steps)[0][:, 0]
     else:
         pmap = exact_proxy_map(error_dynamics_field(refs), controller_callable(refs, gains))
         rows = [x0]
@@ -770,14 +765,16 @@ def _simulate_variant(refs, gains, T, x0, steps, plant, bad_norm):
             try:
                 s = np.asarray(pmap.step(T, k, s), dtype=float)
             except IntegrationError:
-                return np.array(rows), True, k + 1
-            if not np.all(np.isfinite(s)):
-                return np.array(rows), True, k + 1
+                s = np.full_like(x0, np.nan)  # a failed step diverges
             rows.append(s)
+            if not np.all(np.isfinite(s)):
+                break
         states = np.array(rows)
-    norms = np.linalg.norm(states, axis=1)
-    if np.any(norms > bad_norm):
-        return states, True, int(np.argmax(norms > bad_norm))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~(np.linalg.norm(states, axis=1) <= bad_norm)
+    if np.any(bad):
+        first_bad = int(np.argmax(bad))
+        return states[:first_bad], True, first_bad
     return states, False, None
 
 

@@ -14,11 +14,16 @@ from dtaudit import (
     InputSequence,
     Trajectory,
     check_interconnection_bound,
+    closed_loop_euler_cascade,
     estimate_usc_constants,
     simulate_cascade,
     simulate_driven,
     usc_probe,
+    validated_gains,
+    validated_references,
 )
+from dtaudit.cascade import _k_probes, _probe_inputs, rollout
+from dtaudit.numerics import horizon_index
 
 
 def linear_cascade(a=1.0, b=1.0):
@@ -52,6 +57,63 @@ def test_simulate_cascade_divergence_reports_first_bad_index():
     with pytest.raises(DivergenceError) as err:
         simulate_cascade(blow, 0.5, 0, [1.0], [1.0], 10)
     assert err.value.k == 2  # 1e200 is finite, 1e400 is not
+
+
+def _squaring_cascade():
+    """Row-independent driven map whose rows with |x0| >= 2 overflow."""
+
+    def f(T, k, x, z):
+        x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+        x0, x1 = x[..., 0], x[..., 1]
+        return np.stack([0.5 * x0 * x0 - 0.3 * x1 + z[..., 0],
+                         0.9 * x1 + T * math.sin(k) * z[..., 0]], axis=-1)
+
+    return CascadeSystem(2, 1, f, lambda T, k, z: np.asarray(z, dtype=float), 1.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 64), st.integers(0, 30), st.integers(0, 1000), st.integers(0, 2**32 - 1))
+def test_rollout_equals_per_row_loop_bit_for_bit(batch, steps, k0, seed):
+    """Batched rollout against the per-row loop, including rows that overflow."""
+    rng = np.random.default_rng(seed)
+    sysm, T = _squaring_cascade(), 0.1
+    X0 = rng.uniform(-3.0, 3.0, size=(batch, 2))
+    U = rng.uniform(-1.0, 1.0, size=(steps, batch, 1))
+    states, first_bad = rollout(sysm.f, T, k0, X0, steps, U)
+    assert states.shape == (steps + 1, batch, 2) and first_bad.shape == (batch,)
+    for j in range(batch):
+        _check_row(sysm, T, k0, X0[j], U[:, j], states[:, j], first_bad[j])
+
+
+def _check_row(sysm, T, k0, x0, u, row_states, row_bad):
+    """One rollout row against a single-row loop and against `simulate_driven`."""
+    steps = len(u)
+    x, expect, bad = x0, [x0], -1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            x = sysm.f(T, k0 + i, x, u[i])
+            expect.append(x)
+            if not np.all(np.isfinite(x)):
+                bad = i + 1
+                break
+    assert row_bad == bad
+    n = len(expect)
+    assert np.array_equal(row_states[:n], np.array(expect), equal_nan=True)
+    assert np.all(np.isnan(row_states[n:]))
+    omega = InputSequence(k0, u) if steps else InputSequence(k0, np.zeros((0, 1)))
+    if bad < 0:
+        with np.errstate(over="ignore"):  # the norms of huge finite states overflow
+            traj = simulate_driven(sysm, T, k0, x0, omega, steps=steps)
+        assert np.array_equal(traj.states, row_states)
+    else:
+        with pytest.raises(DivergenceError) as err:
+            simulate_driven(sysm, T, k0, x0, omega, steps=steps)
+        assert err.value.k == k0 + row_bad
+
+
+def test_rollout_rejects_mismatched_inputs():
+    with pytest.raises(ValueError, match="inputs"):
+        rollout(linear_cascade().f, 0.1, 0, np.zeros((3, 1)), 4, np.zeros((4, 2, 1)))
 
 
 def test_simulate_driven_zero_input_matches_unforced_cascade():
@@ -213,6 +275,57 @@ def test_usc_probe_expanding_factor_four_of_proposition():
     mu_prop = eps / (math.exp(K * L) - 1.0)  # 0.0581977
     assert usc_probe(sysm, 2.0, 1.0, eps, L, [0.01], [mu_prop], x0_count=8) == mu_prop
     assert usc_probe(sysm, 2.0, 1.0, eps, L, [0.01], [4.0 * mu_prop], x0_count=8) == 0.0
+
+
+def _usc_per_row(sys, eta, eps, L, T_list, mu_grid, x0_count):
+    """The probe as a loop of single-row simulations, in its decision order."""
+    from dtaudit._sampling import sample_ball
+    x0s = sample_ball(eta, sys.dim_x, x0_count)
+    for mu in sorted(mu_grid, reverse=True):
+        holds = True
+        for T in sorted(T_list):
+            ell = horizon_index(L, T)
+            for k0 in _k_probes(T):
+                for x0 in x0s:
+                    ref = simulate_driven(sys, T, k0, x0,
+                                          InputSequence(k0, np.zeros((ell, sys.dim_z))), ell)
+                    for vals in _probe_inputs(sys.dim_z, mu, ell):
+                        try:
+                            drv = simulate_driven(sys, T, k0, x0, InputSequence(k0, vals), ell)
+                        except DivergenceError:
+                            holds = False
+                            break
+                        if np.max(np.linalg.norm(drv.states - ref.states, axis=1)) > eps + 1e-9:
+                            holds = False
+                            break
+                    if not holds:
+                        break
+                if not holds:
+                    break
+            if not holds:
+                break
+        if holds:
+            return mu
+    return 0.0
+
+
+def test_usc_probe_batched_matches_per_row_loop():
+    sysm = closed_loop_euler_cascade(validated_references(), validated_gains("full"))
+    grid = [0.4, 0.2, 0.1, 0.05, 0.02]
+    args = (2.0, 0.3, 1.0, [0.01, 0.02], grid)
+    mu = usc_probe(sysm, 5.0, *args, x0_count=4)
+    assert mu == _usc_per_row(sysm, *args, x0_count=4)
+    assert grid[-1] < mu < grid[0]  # the grid brackets the threshold
+
+
+def test_usc_probe_diverging_reference_raises_like_per_row_loop():
+    blow = _squaring_cascade()
+    args = (2.5, 0.5, 2.0, [0.1], [0.1])
+    with pytest.raises(DivergenceError) as loop:
+        _usc_per_row(blow, *args, x0_count=8)
+    with pytest.raises(DivergenceError) as batched:
+        usc_probe(blow, 3.0, *args, x0_count=8)
+    assert batched.value.k == loop.value.k
 
 
 def test_usc_deviation_bound_from_constant():

@@ -132,3 +132,21 @@ def test_emit_report_handles_empty_tables(tmp_path):
     assert flat[-1] == "1.0 2.0"
     payload = json.loads((tmp_path / "r" / "metrics.json").read_text())
     assert payload["metrics"] == {"answer": 42}
+
+
+def test_unicycle_compare_report_is_strict_json(tmp_path):
+    """A diverging variant is scored up to its first divergent step only, so
+    metrics.json holds no Infinity or NaN and the run still exits 1."""
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", "unicycle-compare", "--out", str(out)]) == 1
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in metrics.json")
+
+    payload = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+    scaled = payload["metrics"]["variants"]["scaled"]
+    assert scaled["diverged"] is True
+    assert scaled["first_divergent_step"] == 101
+    assert scaled["final_norm"] <= payload["metrics"]["config"]["divergence_norm"]
+    lines = (out / "trajectory_scaled.csv").read_text().splitlines()
+    assert len(lines) == 2 + 101  # header, columns, steps 0..100

@@ -219,6 +219,37 @@ def test_fit_envelope_divergent_witness():
     assert k > 50  # growth only beats the loosest envelope at large k
 
 
+def test_fit_envelope_loosest_witness_maps_back_to_trajectory_and_index():
+    """The witness names the first sample beating the loosest envelope,
+    counted past skipped zero-start trajectories and offset by k0."""
+    T, nu, slack = 0.5, 0.0, 1e-9
+    trajs = [Trajectory(T, 3, (0.8 ** np.arange(40))[:, None]),
+             Trajectory(T, 9, np.zeros((25, 1))),
+             Trajectory(T, 11, (1.3 ** np.arange(120))[:, None])]
+    M_max, lam_min = 1.25 ** 42, 1e-4
+    expect = None
+    for ti, traj in enumerate(trajs):
+        s0 = traj.norms[0]
+        for k, n in enumerate(traj.norms):
+            if expect is None and s0 > 0 and n > nu + slack and (
+                    math.log(n - slack) - math.log(s0) + lam_min * k * T - math.log(M_max) > 1e-12):
+                expect = (ti, traj.k0 + k)
+    assert expect is not None and expect[0] == 2
+    with pytest.raises(EnvelopeFalsified) as err:
+        fit_kl_envelope(trajs)
+    assert err.value.witness == expect
+    assert all(type(v) is int for v in err.value.witness)
+
+
+def test_fit_envelope_zero_start_witness():
+    """A trajectory leaving zero is falsified at its first nonzero index."""
+    states = np.zeros((10, 1))
+    states[4:] = 0.5
+    with pytest.raises(EnvelopeFalsified) as err:
+        fit_kl_envelope([Trajectory(0.1, 0, np.ones((5, 1))), Trajectory(0.1, 7, states)])
+    assert err.value.witness == (1, 11)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.floats(0.3, 0.99), st.floats(0.1, 10.0), st.integers(20, 80))
 def test_fit_envelope_sound(rate, scale, n):
