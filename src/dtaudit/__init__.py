@@ -15,7 +15,8 @@ from .cascade import (CascadeSystem, DivergenceError, InputSequence,
 from .discretize import (ConsistencyReport, EstimateFailure,
                          ParameterizedMap, VectorField, consistency_order,
                          euler_map, exact_proxy_map,
-                         lipschitz_growth_estimate, modified_euler_map)
+                         linear_exact_map, lipschitz_growth_estimate,
+                         modified_euler_map)
 from .experiments import (ConfigError, ExperimentResult, EXPERIMENTS,
                           double_integrator_field, list_experiments,
                           period_scaled_feedback, run_named)

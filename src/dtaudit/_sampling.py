@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,8 @@ def _sobol_unit(n: int, dim: int) -> np.ndarray:
     # block keeps the balance property and silences the library warning.
     if n <= 0:
         return np.zeros((0, dim))
+    from scipy.stats import qmc  # deferred: importing it dominates start-up
+
     m = int(np.ceil(np.log2(n)))
     block = qmc.Sobol(d=dim, scramble=False).random_base2(m) if m > 0 else np.zeros((1, dim))
     return block[:n]

@@ -2,8 +2,9 @@
 
 A `VectorField` is the continuous plant; `euler_map`, `modified_euler_map`
 and `exact_proxy_map` turn it into one-step maps indexed by the sampling
-period T. `consistency_order` and `lipschitz_growth_estimate` measure how
-the model families relate on a box.
+period T, and `linear_exact_map` gives the closed-form sampled map of a
+linear plant under held linear feedback. `consistency_order` and
+`lipschitz_growth_estimate` measure how the model families relate on a box.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "euler_map",
     "modified_euler_map",
     "exact_proxy_map",
+    "linear_exact_map",
     "consistency_order",
     "lipschitz_growth_estimate",
 ]
@@ -68,7 +70,7 @@ class ParameterizedMap:
     label: str
 
     def __post_init__(self):
-        if self.label not in ("euler", "modified-euler", "exact-proxy", "custom"):
+        if self.label not in ("euler", "modified-euler", "exact-proxy", "exact", "custom"):
             raise ValueError(f"unknown label {self.label!r}")
 
     def __call__(self, T, k, x):
@@ -152,6 +154,43 @@ def exact_proxy_map(f: VectorField, controller=None, tol: float = 1e-10,
                               k * T, (k + 1) * T, x, tol=tol)
 
     return ParameterizedMap(f.dim_x, T_max, step, "exact-proxy")
+
+
+def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
+    """Exact sampled map of x' = Ax + Bu under held feedback u = gain(T) x.
+
+    With E = expm([[A, B], [0, 0]] * T), E11 = exp(AT) and E12 is the
+    integral of exp(As) B over one period (Van Loan, IEEE TAC 1978), so
+    the closed loop is Phi(T) = E11 + E12 gain(T). `gain(T)` returns the
+    (dim_u, dim_x) feedback matrix; Phi is formed once per period.
+    """
+    from scipy.linalg import expm
+
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n) or B.ndim != 2 or B.shape[0] != n:
+        raise ValueError("A must be (n, n) and B (n, m)")
+    m = B.shape[1]
+    aug = np.zeros((n + m, n + m))
+    aug[:n, :n] = A
+    aug[:n, n:] = B
+    phis = {}
+
+    def closed_loop(T):
+        phi = phis.get(T)
+        if phi is None:
+            K = np.asarray(gain(T), dtype=float)
+            if K.shape != (m, n):
+                raise ValueError(f"gain(T) must have shape ({m}, {n})")
+            E = expm(aug * T)
+            phi = phis[T] = E[:n, :n] + E[:n, n:] @ K
+        return phi
+
+    def step(T, k, x):
+        return np.asarray(x, dtype=float) @ closed_loop(T).T
+
+    return ParameterizedMap(n, T_max, step, "exact")
 
 
 @dataclass(frozen=True)

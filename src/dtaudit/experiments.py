@@ -22,7 +22,8 @@ from .cascade import (CascadeSystem, Trajectory, _k_probes, _stacked_step,
                       check_interconnection_bound, grid_rollouts, rollout,
                       usc_probe)
 from .discretize import (VectorField, consistency_order, euler_map,
-                         exact_proxy_map, modified_euler_map, ParameterizedMap)
+                         exact_proxy_map, linear_exact_map, modified_euler_map,
+                         ParameterizedMap)
 from .numerics import (ClassKFunction, fit_kl_envelope, horizon_index,
                        kl_compose)
 from .stability import (CertificateParams, LyapunovCandidate, audit_lyapunov,
@@ -141,7 +142,10 @@ def _run_example1(params: dict, seed: int, jobs: int) -> ExperimentResult:
     field = double_integrator_field()
     ctrl = period_scaled_feedback()
     emap = euler_map(field, ctrl)
-    xmap = exact_proxy_map(field, ctrl)
+    # the plant is x1' = x2, x2' = u and the feedback is linear, so the
+    # sampled map has a closed form; its gain is the feedback on the basis
+    xmap = linear_exact_map([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
+                            lambda T: ctrl(T, 0, np.eye(2)).T)
 
     def spectrum(T):
         A = _map_matrix(emap, T, 0, 2)
@@ -181,12 +185,9 @@ def _run_example1(params: dict, seed: int, jobs: int) -> ExperimentResult:
     x0_nc = np.array([[1.0, 0.3], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
 
     def stalled_fraction(T):
-        y = x0_nc.copy()
-        floor = np.linalg.norm(y, axis=1)
-        for k in range(int(p["nonconv_steps"])):
-            y = np.asarray(xmap.step(T, k, y), dtype=float)
-            floor = np.minimum(floor, np.linalg.norm(y, axis=1))
-        return floor / np.linalg.norm(x0_nc, axis=1)
+        states = rollout(xmap.step, T, 0, x0_nc, int(p["nonconv_steps"]))[0]
+        norms = np.linalg.norm(states, axis=2)
+        return np.min(norms, axis=0) / norms[0]
 
     ratios = np.array(_map_ordered(stalled_fraction, T_values, jobs))
     min_ratio = float(np.min(ratios))

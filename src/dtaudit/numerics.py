@@ -390,6 +390,15 @@ _DEFAULT_M_GRID = tuple(1.25 ** j for j in range(0, 43))  # 1 .. ~1.17e4
 _DEFAULT_LAM_GRID = tuple(float(v) for v in np.logspace(-4.0, 1.0, 51))
 
 
+def _log_M_needed(logn, tau, lam_grid) -> np.ndarray:
+    """Per lam, the tightest admissible log M: max(logn + lam * tau).
+
+    One lam at a time, so memory stays at one sample vector rather than
+    len(lam_grid) of them.
+    """
+    return np.array([np.max(logn + lam * tau) for lam in lam_grid])
+
+
 def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
                     slack: float = 1e-9) -> KLBound:
     """Fit the smallest exponential envelope dominating every trajectory.
@@ -426,9 +435,7 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
 
     tau = np.concatenate(taus)
     logn = np.concatenate(lognorms)
-    # For each lam the tightest admissible M is exp(max(logn + lam * tau)).
-    need = logn[None, :] + lam_grid[:, None] * tau[None, :]
-    need_max = np.max(need, axis=1)
+    need_max = _log_M_needed(logn, tau, lam_grid)
     logM = np.log(M_grid)
     feasible = need_max[None, :] <= logM[:, None] + 1e-12  # (M, lam)
     if not feasible.any():

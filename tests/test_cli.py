@@ -1,10 +1,15 @@
 """Command-line contract: reports, digests, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dtaudit
 from dtaudit.cli import config_digest, emit_report, main
 from dtaudit.experiments import ExperimentResult
 
@@ -150,3 +155,14 @@ def test_unicycle_compare_report_is_strict_json(tmp_path):
     assert scaled["final_norm"] <= payload["metrics"]["config"]["divergence_norm"]
     lines = (out / "trajectory_scaled.csv").read_text().splitlines()
     assert len(lines) == 2 + 101  # header, columns, steps 0..100
+
+
+def test_cli_import_defers_scipy_submodules():
+    """Starting the CLI loads neither scipy.stats nor scipy.linalg; the
+    sampler and the closed-form map import them when first used."""
+    code = ("import sys, dtaudit.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(dtaudit.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -17,6 +17,7 @@ from dtaudit import (
     kl_compose,
     kl_shift,
 )
+from dtaudit.numerics import _log_M_needed
 
 
 # --- horizon index ------------------------------------------------------
@@ -248,6 +249,36 @@ def test_fit_envelope_zero_start_witness():
     with pytest.raises(EnvelopeFalsified) as err:
         fit_kl_envelope([Trajectory(0.1, 0, np.ones((5, 1))), Trajectory(0.1, 7, states)])
     assert err.value.witness == (1, 11)
+
+
+def test_fit_envelope_per_lam_max_equals_broadcast_formula():
+    """The per-lam reduction is bitwise the (lam, sample) broadcast one, and
+    the fit picks the (M, lam) that formula selects."""
+    rng = np.random.default_rng(5)
+    lam_grid = np.logspace(-4.0, 1.0, 51)
+    M_grid = np.linspace(1.0, 6.0, 41)
+    slack = 1e-9
+    trajs, taus, lognorms = [], [], []
+    for _ in range(30):
+        T, n = rng.uniform(0.05, 0.5), int(rng.integers(20, 200))
+        ks = np.arange(n)
+        norms = rng.uniform(0.1, 5.0) * np.exp(-rng.uniform(0.2, 2.0) * ks * T)
+        norms *= 1.0 + rng.uniform(0.0, 2.0, n) * (ks > 0)
+        trajs.append(Trajectory(T, int(rng.integers(0, 9)), norms[:, None]))
+        active = norms > slack
+        taus.append(ks[active] * T)
+        lognorms.append(np.log(norms[active] - slack) - np.log(norms[0]))
+    tau, logn = np.concatenate(taus), np.concatenate(lognorms)
+
+    need_max = np.max(logn[None, :] + lam_grid[:, None] * tau[None, :], axis=1)
+    assert np.array_equal(_log_M_needed(logn, tau, lam_grid), need_max)
+
+    feasible = need_max[None, :] <= np.log(M_grid)[:, None] + 1e-12
+    mi = int(np.argmax(feasible.any(axis=1)))
+    li = int(np.max(np.nonzero(feasible[mi])[0]))
+    assert 0 < mi and 0 < li < len(lam_grid) - 1  # an interior choice
+    beta = fit_kl_envelope(trajs, M_grid=M_grid, lam_grid=lam_grid, slack=slack)
+    assert beta.params == {"M": M_grid[mi], "lam": lam_grid[li]}
 
 
 @settings(deadline=None, max_examples=40)
