@@ -15,7 +15,7 @@ import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
 from .numerics import ClassKFunction, horizon_index
-from .verdict import StabilityVerdict, Witness
+from .verdict import _SLACK, StabilityVerdict, Witness
 
 __all__ = [
     "CascadeSystem",
@@ -31,8 +31,6 @@ __all__ = [
     "usc_probe",
 ]
 
-_SLACK = 1e-9
-
 
 class DivergenceError(RuntimeError):
     """Simulation produced a non-finite state."""
@@ -47,7 +45,8 @@ class CascadeSystem:
     """Cascade x(k+1) = f(T,k,x,z), z(k+1) = g(T,k,z).
 
     The driver g cannot read x by construction. Both maps must be pure,
-    deterministic, and broadcast over a leading batch axis.
+    deterministic, and broadcast over a leading batch axis; k is an int
+    or a (rows,) int array holding each row's own step index.
     """
 
     dim_x: int
@@ -108,19 +107,26 @@ def _check_period(sys, T: float) -> None:
         raise ValueError(f"T={T} outside admissible range (0, {sys.T_max}]")
 
 
-def rollout(step, T: float, k0: int, Y0, steps: int, inputs=None):
+def rollout(step, T: float, k0, Y0, steps: int, inputs=None):
     """Iterate a row-independent batched map from index k0.
 
     `step(T, k, Y)` maps (rows, dim) states to the next ones; with a
     (steps, batch, dim_z) `inputs` array it is `step(T, k, Y, U)`, U the
-    stepped rows of inputs[k - k0]. Returns the (steps+1, batch, dim)
-    states and, per row, the step i at which it first turned non-finite
-    (-1 if never); that row is not stepped again and reads NaN after i.
+    stepped rows of inputs[k - k0]. `k0` is an int or a (batch,) int
+    array of per-row start indices; in the second case `step` gets the
+    (rows,) array of the stepped rows' indices. Returns the
+    (steps+1, batch, dim) states and, per row, the step i at which it
+    first turned non-finite (-1 if never); that row is not stepped again
+    and reads NaN after i.
     """
     Y = np.array(Y0, dtype=float, ndmin=2)
     batch, dim = Y.shape
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if isinstance(k0, np.ndarray):
+        if k0.shape != (batch,):
+            raise ValueError(f"per-row k0 must have shape ({batch},)")
+        k0 = k0.astype(int)
     if inputs is not None:
         inputs = np.asarray(inputs, dtype=float)
         if inputs.shape[:2] != (steps, batch):
@@ -140,19 +146,32 @@ def rollout(step, T: float, k0: int, Y0, steps: int, inputs=None):
                 rows = np.arange(batch)[live]
                 first_bad[rows[~ok]] = i + 1
                 live, Y = rows[ok], Y[ok]
+                if isinstance(k0, np.ndarray):
+                    k0 = k0[ok]
                 if not len(live):
                     break
     return states, first_bad
 
 
 def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf):
-    """Yield (T, k0, states): Y0 rolled out over `horizon` seconds once per
-    sorted period and start index (`_k_probes(T)` unless k0_set is given)."""
+    """Yield (T, k0, states): Y0 rolled out over `horizon` seconds from each
+    sorted period and start index (`_k_probes(T)` unless k0_set is given).
+
+    All start indices of one period share one rollout, Y0 repeated once
+    per k0 with a per-row start index; the slices come back in k0 order.
+    """
+    Y0 = np.array(Y0, dtype=float, ndmin=2)
+    n = len(Y0)
     for T in sorted(float(t) for t in T_list):
         if not (0.0 < T <= T_max):
             raise ValueError(f"T={T} outside admissible range (0, {T_max}]")
-        for k0 in (_k_probes(T) if k0_set is None else k0_set):
-            yield T, k0, rollout(step, T, k0, Y0, horizon_index(horizon, T))[0]
+        k0s = [int(k0) for k0 in (_k_probes(T) if k0_set is None else k0_set)]
+        if not k0s:
+            continue
+        states = rollout(step, T, np.repeat(k0s, n), np.tile(Y0, (len(k0s), 1)),
+                         horizon_index(horizon, T))[0]
+        for i, k0 in enumerate(k0s):
+            yield T, k0, states[:, i * n:(i + 1) * n]
 
 
 def _stacked_step(sys: CascadeSystem):
@@ -376,24 +395,26 @@ def usc_probe(sys: CascadeSystem, Delta: float, eta: float, eps: float, L: float
 
 
 def _usc_holds(sys, eps, L, T_list, mu, x0s) -> bool:
-    # one rollout per (T, k0): for each x0 the zero-input reference row,
-    # then one row per input family; the first failing row decides
+    # one rollout per T, rows ordered (k0, x0, input): for each k0 and x0
+    # the zero-input reference row, then one row per input family; the
+    # first failing row in that order decides
     n = len(x0s)
     for T in sorted(float(t) for t in T_list):
         _check_period(sys, T)
         ell = horizon_index(L, T)
-        for k0 in _k_probes(T):
-            inputs = [np.zeros((ell, sys.dim_z))] + _probe_inputs(sys.dim_z, mu, ell)
-            m = len(inputs)
-            U = np.tile(np.stack(inputs, axis=1), (1, n, 1))
-            states, first_bad = rollout(sys.f, T, k0, np.repeat(x0s, m, axis=0), ell, U)
-            states = states.reshape(ell + 1, n, m, sys.dim_x)
-            with np.errstate(over="ignore", invalid="ignore"):
-                dev = np.max(np.linalg.norm(states - states[:, :, :1], axis=-1), axis=0)
-            fail = (first_bad.reshape(n, m) >= 0) | (dev > eps + _SLACK)
-            if fail.any():
-                r = int(np.argmax(fail.ravel()))
-                if r % m == 0:
-                    _raise_if_diverged(int(first_bad[r]), k0)
-                return False
+        k0s = _k_probes(T)
+        inputs = [np.zeros((ell, sys.dim_z))] + _probe_inputs(sys.dim_z, mu, ell)
+        m, per_k0 = len(inputs), n * len(inputs)
+        U = np.tile(np.stack(inputs, axis=1), (1, n * len(k0s), 1))
+        X0 = np.tile(np.repeat(x0s, m, axis=0), (len(k0s), 1))
+        states, first_bad = rollout(sys.f, T, np.repeat(k0s, per_k0), X0, ell, U)
+        states = states.reshape(ell + 1, len(k0s) * n, m, sys.dim_x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = np.max(np.linalg.norm(states - states[:, :, :1], axis=-1), axis=0)
+        fail = (first_bad.reshape(-1, m) >= 0) | (dev > eps + _SLACK)
+        if fail.any():
+            r = int(np.argmax(fail.ravel()))
+            if r % m == 0:
+                _raise_if_diverged(int(first_bad[r]), k0s[r // per_k0])
+            return False
     return True

@@ -44,7 +44,8 @@ class VectorField:
     """Right-hand side f(t, x, u) of a continuous-time plant.
 
     `rhs` must be deterministic, return finite values for finite inputs,
-    and broadcast over a leading batch axis of x and u.
+    and broadcast over a leading batch axis of x and u; t is a scalar or,
+    for a per-row step index, a (rows,) array of times.
     """
 
     dim_x: int
@@ -61,7 +62,8 @@ class ParameterizedMap:
 
     Queried only for sampling periods in (0, T_max] and step indices
     k >= 0; `step` broadcasts over a leading batch axis of x and must be
-    pure (the sup-norm sweeps rely on reentrancy).
+    pure (the sup-norm sweeps rely on reentrancy). k is an int or a
+    (rows,) int array holding each row's own step index.
     """
 
     dim: int
@@ -76,7 +78,7 @@ class ParameterizedMap:
     def __call__(self, T, k, x):
         if not (0.0 < T <= self.T_max):
             raise ValueError(f"T={T} outside admissible range (0, {self.T_max}]")
-        if k < 0:
+        if (k < 0).any() if isinstance(k, np.ndarray) else k < 0:
             raise ValueError("step index must be nonnegative")
         return self.step(T, k, x)
 
@@ -103,6 +105,26 @@ def _resolve_controller(controller, dim_u: int):
         return np.broadcast_to(const, (x.shape[0], dim_u))
 
     return held
+
+
+def _by_distinct_k(step):
+    """Step an array k one group of equal k at a time, an int k directly.
+
+    For maps whose batch shares one time grid (RK45 step sizes, Simpson
+    refinement): each group is stepped as the batch of its rows alone.
+    """
+
+    def split(T, k, x):
+        if not isinstance(k, np.ndarray):
+            return step(T, k, x)
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        for kk in np.unique(k).tolist():
+            rows = k == kk
+            out[rows] = step(T, kk, x[rows])
+        return out
+
+    return split
 
 
 def euler_map(f: VectorField, controller=None, T_max: float = math.inf) -> ParameterizedMap:
@@ -133,7 +155,7 @@ def modified_euler_map(f: VectorField, controller=None, T_max: float = math.inf,
                                k * T, (k + 1) * T, tol=tol)
         return x + inc
 
-    return ParameterizedMap(f.dim_x, T_max, step, "modified-euler")
+    return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), "modified-euler")
 
 
 def exact_proxy_map(f: VectorField, controller=None, tol: float = 1e-10,
@@ -153,7 +175,7 @@ def exact_proxy_map(f: VectorField, controller=None, tol: float = 1e-10,
         return rk45_integrate(lambda t, y: np.asarray(f(t, y, u), dtype=float),
                               k * T, (k + 1) * T, x, tol=tol)
 
-    return ParameterizedMap(f.dim_x, T_max, step, "exact-proxy")
+    return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), "exact-proxy")
 
 
 def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:

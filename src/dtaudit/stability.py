@@ -19,7 +19,7 @@ from .cascade import (CascadeSystem, Trajectory, _k_probes, _stacked_step,
                       grid_rollouts)
 from .discretize import ParameterizedMap
 from .numerics import ClassKFunction, KLBound
-from .verdict import StabilityVerdict, Witness
+from .verdict import _SLACK, StabilityVerdict, Witness
 
 __all__ = [
     "LyapunovCandidate",
@@ -38,8 +38,6 @@ __all__ = [
     "check_iisns",
     "write_margin_csv",
 ]
-
-_SLACK = 1e-9
 
 
 class PreconditionError(ValueError):

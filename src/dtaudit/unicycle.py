@@ -24,7 +24,7 @@ from .discretize import ParameterizedMap, VectorField, euler_map, exact_proxy_ma
 from ._integrate import IntegrationError
 from .numerics import horizon_index
 from .stability import PreconditionError
-from .verdict import StabilityVerdict, Witness
+from .verdict import _SLACK, StabilityVerdict, Witness
 
 __all__ = [
     "ReferenceSignal",
@@ -55,11 +55,13 @@ __all__ = [
     "validated_gains",
 ]
 
-_SLACK = 1e-9
-
 
 class CorrectionDomainError(ValueError):
-    """Correction denominator vanished at the reported (k, T)."""
+    """Correction denominator vanished at the reported (k, T).
+
+    For an array k it reports the step index of the first row whose
+    denominator vanished.
+    """
 
     def __init__(self, k: int, T: float, den: float):
         super().__init__(f"correction denominator {den:.3e} at k={k}, T={T}")
@@ -141,18 +143,35 @@ class ControllerGains:
         return 0.0 < T * self.a1 < 1.0
 
 
-def _correction_pieces(k: int, x_e, y_e, refs: ReferenceSignal, gains: ControllerGains,
+def _ref(signal, t):
+    """A reference at time t: a Python float for a scalar t, a float array
+    for an array t (the times of a per-row step index k)."""
+    if isinstance(t, np.ndarray):
+        return np.asarray(signal(t), dtype=float)
+    return float(signal(t))
+
+
+def _cube(w):
+    """w ** 3 in Python float arithmetic, also for an array w: numpy's array
+    power differs from it in the last bit on some values, which would make
+    an array-k step differ from the int-k steps of its rows."""
+    if isinstance(w, np.ndarray):
+        return np.array([v ** 3 for v in w.ravel().tolist()]).reshape(w.shape)
+    return w ** 3
+
+
+def _correction_pieces(k, x_e, y_e, refs: ReferenceSignal, gains: ControllerGains,
                        T: float):
     """Numerator and denominator of the correction quotient."""
-    w = float(refs.omega_r(k * T))
+    w = _ref(refs.omega_r, k * T)
     eps = gains.alpha_y + T
     a2 = gains.a2
-    num = (a2 * a2 + w * w - eps * a2 * w * w) * x_e - (2.0 * a2 * w - eps * w ** 3) * y_e
+    num = (a2 * a2 + w * w - eps * a2 * w * w) * x_e - (2.0 * a2 * w - eps * _cube(w)) * y_e
     den = 2.0 * (1.0 - a2 * T) + eps * w * w * T
     return num, den
 
 
-def redesign_correction(k: int, x_e, y_e, refs: ReferenceSignal, gains: ControllerGains,
+def redesign_correction(k, x_e, y_e, refs: ReferenceSignal, gains: ControllerGains,
                         T: float):
     """Correction input: the full quotient with eps = alpha_y + T.
 
@@ -168,12 +187,17 @@ def redesign_correction(k: int, x_e, y_e, refs: ReferenceSignal, gains: Controll
     a2^2 x_e / (2 (1 - a2 T)), free of eps, as V is.
     """
     num, den = _correction_pieces(k, x_e, y_e, refs, gains, T)
-    if abs(den) < 1e-12:
+    if isinstance(k, np.ndarray):
+        bad = np.broadcast_to(np.abs(den) < 1e-12, k.shape)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise CorrectionDomainError(k[i], T, float(np.broadcast_to(den, k.shape)[i]))
+    elif abs(den) < 1e-12:
         raise CorrectionDomainError(k, T, den)
     return num / den
 
 
-def _correction_value(k: int, x_e, y_e, refs, gains, T):
+def _correction_value(k, x_e, y_e, refs, gains, T):
     if gains.use_correction == "none":
         return np.zeros_like(np.asarray(x_e, dtype=float))
     if gains.use_correction == "scaled":
@@ -193,11 +217,11 @@ def correction_bound(gains: ControllerGains, w_M: float, T: float) -> float:
             + eps * w_M ** 3) / den
 
 
-def _control_values(T: float, k: int, x_e, y_e, th_e, refs: ReferenceSignal,
+def _control_values(T: float, k, x_e, y_e, th_e, refs: ReferenceSignal,
                     gains: ControllerGains):
     """Shared controller arithmetic so every caller gets identical floats."""
-    wr = float(refs.omega_r(k * T))
-    vr = float(refs.v_r(k * T))
+    wr = _ref(refs.omega_r, k * T)
+    vr = _ref(refs.v_r, k * T)
     w = wr + gains.a1 * th_e
     vth = _correction_value(k, x_e, y_e, refs, gains, T)
     v = vr + gains.a2 * x_e + T * vth
@@ -223,7 +247,7 @@ def controller_callable(refs: ReferenceSignal, gains: ControllerGains):
 
     def ctrl(T, k, s):
         s = np.asarray(s, dtype=float)
-        v, w, _ = _control_values(T, int(k), s[..., 0], s[..., 1], s[..., 2], refs, gains)
+        v, w, _ = _control_values(T, k, s[..., 0], s[..., 1], s[..., 2], refs, gains)
         return np.stack([np.broadcast_to(v, s[..., 0].shape),
                          np.broadcast_to(w, s[..., 0].shape)], axis=-1)
 
@@ -238,8 +262,8 @@ def error_dynamics_field(refs: ReferenceSignal) -> VectorField:
         u = np.asarray(u, dtype=float)
         x_e, y_e, th_e = s[..., 0], s[..., 1], s[..., 2]
         v, w = u[..., 0], u[..., 1]
-        vr = float(refs.v_r(t))
-        wr = float(refs.omega_r(t))
+        vr = _ref(refs.v_r, t)
+        wr = _ref(refs.omega_r, t)
         fx = w * y_e - v + vr * np.cos(th_e)
         fy = -w * x_e + vr * np.sin(th_e)
         fth = wr - w
@@ -262,12 +286,12 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
         s = np.concatenate([x, z], axis=-1)
-        return emap.step(T, int(k), s)[..., :2]
+        return emap.step(T, k, s)[..., :2]
 
     def g(T, k, z):
         z = np.asarray(z, dtype=float)
         th = z[..., 0]
-        wr = float(refs.omega_r(k * T))
+        wr = _ref(refs.omega_r, k * T)
         w = wr + gains.a1 * th
         return (th + T * (wr - w))[..., None]
 
@@ -391,11 +415,16 @@ def lyap_W(k: int, y_e, refs: ReferenceSignal, T: float, tail_tol: float = 1e-10
 
 def lyap_W_bounds(mu_pe: float, L_pe: float, w_M: float) -> tuple[float, float, float, float]:
     """Constants (c3, c4, T3_star, T5_star) bounding the weighted-energy function."""
-    from scipy.optimize import brentq
-
     c3 = 2.0 * w_M * w_M
     c4 = math.exp(-L_pe) * mu_pe / (1.0 - math.exp(-L_pe))
-    T3_star = float(brentq(lambda t: t / (1.0 - math.exp(-t)) - 2.0, 1e-8, 10.0))
+    # T3_star is the positive root of t = 2 (1 - e^{-t}); Newton from t = 2,
+    # right of the root, where the map is convex and increasing
+    T3_star = 2.0
+    for _ in range(50):
+        dt = (T3_star - 2.0 * (1.0 - math.exp(-T3_star))) / (1.0 - 2.0 * math.exp(-T3_star))
+        T3_star -= dt
+        if abs(dt) <= 1e-15 * T3_star:
+            break
     T5_star = c4 / 4.0
     return c3, c4, T3_star, T5_star
 

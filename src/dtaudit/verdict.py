@@ -8,6 +8,9 @@ import numpy as np
 
 __all__ = ["StabilityVerdict", "Witness"]
 
+# absolute tolerance every audit grants a claimed bound before it falsifies
+_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Witness:

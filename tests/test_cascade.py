@@ -15,14 +15,20 @@ from dtaudit import (
     Trajectory,
     check_interconnection_bound,
     closed_loop_euler_cascade,
+    controller_callable,
+    demo_gains,
+    demo_references,
+    error_dynamics_field,
     estimate_usc_constants,
+    exact_proxy_map,
+    modified_euler_map,
     simulate_cascade,
     simulate_driven,
     usc_probe,
     validated_gains,
     validated_references,
 )
-from dtaudit.cascade import _k_probes, _probe_inputs, rollout
+from dtaudit.cascade import _k_probes, _probe_inputs, _stacked_step, grid_rollouts, rollout
 from dtaudit.numerics import horizon_index
 
 
@@ -66,7 +72,7 @@ def _squaring_cascade():
         x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
         x0, x1 = x[..., 0], x[..., 1]
         return np.stack([0.5 * x0 * x0 - 0.3 * x1 + z[..., 0],
-                         0.9 * x1 + T * math.sin(k) * z[..., 0]], axis=-1)
+                         0.9 * x1 + T * np.sin(k) * z[..., 0]], axis=-1)
 
     return CascadeSystem(2, 1, f, lambda T, k, z: np.asarray(z, dtype=float), 1.0)
 
@@ -114,6 +120,78 @@ def _check_row(sysm, T, k0, x0, u, row_states, row_bad):
 def test_rollout_rejects_mismatched_inputs():
     with pytest.raises(ValueError, match="inputs"):
         rollout(linear_cascade().f, 0.1, 0, np.zeros((3, 1)), 4, np.zeros((4, 2, 1)))
+    with pytest.raises(ValueError, match="k0"):
+        rollout(linear_cascade().f, 0.1, np.zeros(2, dtype=int), np.zeros((3, 1)), 4)
+
+
+# --- per-row start indices ------------------------------------------------------
+
+
+def _regime(name, T):
+    """References and full-correction gains; the demo regime's |omega_r| = 20
+    is where numpy's array cube and Python's float cube part ways."""
+    if name == "demo":
+        return demo_references(T), demo_gains(T, "full")
+    return validated_references(T), validated_gains("full")
+
+
+def _assert_stacked_equals_per_k0(step, T, k0s, Y0, steps):
+    """One rollout with per-row k0 against one rollout per k0, bit for bit."""
+    n = len(Y0)
+    states, first_bad = rollout(step, T, np.repeat(k0s, n), np.tile(Y0, (len(k0s), 1)), steps)
+    for i, k0 in enumerate(k0s):
+        want, want_bad = rollout(step, T, k0, Y0, steps)
+        assert np.array_equal(states[:, i * n:(i + 1) * n], want, equal_nan=True)
+        assert np.array_equal(first_bad[i * n:(i + 1) * n], want_bad)
+    return first_bad
+
+
+@pytest.mark.parametrize("regime", ["validated", "demo"])
+def test_stacked_rollout_equals_per_k0_rollouts_unicycle(regime):
+    T = 0.01
+    step = _stacked_step(closed_loop_euler_cascade(*_regime(regime, T)))
+    Y0 = np.random.default_rng(5).uniform(-5.0, 5.0, size=(12, 3))
+    _assert_stacked_equals_per_k0(step, T, _k_probes(T), Y0, 300)
+    # grid_rollouts yields the same slices, in k0 order
+    got = list(grid_rollouts(step, Y0, [T], 300 * T))
+    assert [(TT, k0) for TT, k0, _ in got] == [(T, k0) for k0 in _k_probes(T)]
+    for TT, k0, states in got:
+        assert np.array_equal(states, rollout(step, T, k0, Y0, 300)[0], equal_nan=True)
+
+
+def test_stacked_rollout_equals_per_k0_rollouts_with_overflowing_rows():
+    step = _stacked_step(_squaring_cascade())
+    Y0 = np.column_stack([np.linspace(-3.0, 3.0, 13), np.linspace(1.0, -1.0, 13),
+                          np.linspace(-0.5, 0.5, 13)])
+    first_bad = _assert_stacked_equals_per_k0(step, 0.1, [0, 1, 31, 62], Y0, 40)
+    assert np.any(first_bad > 0) and np.any(first_bad < 0)
+
+
+def _assert_array_k_equals_int_k(call, k, *rows):
+    """call(k, *rows) with an array k against call(kk, *rows of kk) per distinct kk."""
+    out = np.asarray(call(k, *rows))
+    for kk in np.unique(k).tolist():
+        sel = k == kk
+        assert np.array_equal(out[sel], np.asarray(call(kk, *(r[sel] for r in rows))))
+
+
+@pytest.mark.parametrize("regime", ["validated", "demo"])
+def test_array_k_equals_int_k_for_unicycle_maps(regime):
+    T = 0.01
+    refs, gains = _regime(regime, T)
+    rng = np.random.default_rng(11)
+    k = rng.permutation(np.repeat(np.arange(0, 629, 5), 2))  # two rows per k
+    S = rng.uniform(-5.0, 5.0, size=(len(k), 3))
+    U = rng.uniform(-5.0, 5.0, size=(len(k), 2))
+    sysm = closed_loop_euler_cascade(refs, gains)
+    ctrl = controller_callable(refs, gains)
+    field = error_dynamics_field(refs)
+    _assert_array_k_equals_int_k(lambda kk, X, Z: sysm.f(T, kk, X, Z), k, S[:, :2], S[:, 2:])
+    _assert_array_k_equals_int_k(lambda kk, Z: sysm.g(T, kk, Z), k, S[:, 2:])
+    _assert_array_k_equals_int_k(lambda kk, X: ctrl(T, kk, X), k, S)
+    _assert_array_k_equals_int_k(lambda kk, X, V: field.rhs(kk * T, X, V), k, S, U)
+    for pmap in (exact_proxy_map(field, ctrl), modified_euler_map(field, ctrl)):
+        _assert_array_k_equals_int_k(lambda kk, X: pmap.step(T, kk, X), k, S)
 
 
 def test_simulate_driven_zero_input_matches_unforced_cascade():

@@ -166,3 +166,15 @@ def test_cli_import_defers_scipy_submodules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_case_constants_leave_scipy_optimize_unimported():
+    """T3_star is solved in-module, so the constant chain loads no scipy.optimize."""
+    code = ("import sys; from dtaudit import compute_case_constants, validated_gains, "
+            "validated_references; compute_case_constants(validated_references(), "
+            "validated_gains(), T_star=0.01, L_pe=2.0, grid_n=5); "
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(dtaudit.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

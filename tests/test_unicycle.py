@@ -109,6 +109,33 @@ def test_correction_denominator_guard():
         correction_bound(ControllerGains(1.0, 200.0, 0.1), w_M=1.0, T=0.01)
 
 
+def test_correction_domain_error_reports_the_offending_row_k():
+    """With a per-row k only the row at k = 7 has a vanishing denominator:
+    1 - a2 T = 0 and omega_r(7T) = 0, while omega_r(kT) is at least T away
+    from zero at every other k."""
+    T = 0.01
+    refs = ReferenceSignal(lambda t: 1.0 + 0.0 * np.asarray(t),
+                           lambda t: np.asarray(t) - 7 * T, T, 1.0)
+    gains = ControllerGains(1.0, 100.0, 0.1, use_correction="full")
+    k = np.array([2, 9, 7, 4])
+    x_e, y_e = np.array([1.0, -1.0, 0.5, 2.0]), np.array([0.5, 1.0, -2.0, 1.0])
+    with pytest.raises(CorrectionDomainError) as err:
+        redesign_correction(k, x_e, y_e, refs, gains, T)
+    assert err.value.k == 7
+    assert err.value.T == T
+    with pytest.raises(CorrectionDomainError) as err:
+        controller_callable(refs, gains)(T, k, np.column_stack([x_e, y_e, y_e]))
+    assert err.value.k == 7
+    with pytest.raises(CorrectionDomainError) as err:
+        redesign_correction(7, x_e[2], y_e[2], refs, gains, T)
+    assert err.value.k == 7
+    keep = k != 7
+    got = redesign_correction(k[keep], x_e[keep], y_e[keep], refs, gains, T)
+    want = [redesign_correction(int(kk), a, b, refs, gains, T)
+            for kk, a, b in zip(k[keep], x_e[keep], y_e[keep])]
+    assert np.array_equal(got, want)
+
+
 @settings(max_examples=50, deadline=None)
 @given(x_e=st.floats(min_value=-5.0, max_value=5.0),
        y_e=st.floats(min_value=-5.0, max_value=5.0),
