@@ -365,6 +365,19 @@ _LYAP_DEFAULTS = {
 }
 
 
+def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
+    """The combined function U = V + eps_small W with the comparison
+    functions its constant chain gives."""
+    return LyapunovCandidate(
+        eval=lambda TT, k, x: np.asarray(lyap_U(int(k), x, refs, gains, consts, TT),
+                                         dtype=float),
+        alpha1=ClassKFunction.power(consts.c1 / 2.0, 2.0),
+        alpha2=ClassKFunction.power(consts.c2, 2.0),
+        alpha3=ClassKFunction.power(consts.c3_tilde, 2.0),
+        L_mod=ClassKFunction.linear(2.0 * (consts.c2 + consts.eps_small * consts.c3)),
+    )
+
+
 def _run_lyapunov_audit(params: dict, seed: int, jobs: int) -> ExperimentResult:
     p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit")
     T = float(p["T"])
@@ -389,14 +402,7 @@ def _run_lyapunov_audit(params: dict, seed: int, jobs: int) -> ExperimentResult:
         return sysm.f(TT, k, x, np.zeros(x.shape[:-1] + (1,)))
 
     F = ParameterizedMap(2, sysm.T_max, unforced, "custom")
-    cand = LyapunovCandidate(
-        eval=lambda TT, k, x: np.asarray(lyap_U(int(k), x, refs, gains_full, consts, TT),
-                                         dtype=float),
-        alpha1=ClassKFunction.power(consts.c1 / 2.0, 2.0),
-        alpha2=ClassKFunction.power(consts.c2, 2.0),
-        alpha3=ClassKFunction.power(consts.c3_tilde, 2.0),
-        L_mod=ClassKFunction.linear(2.0 * (consts.c2 + consts.eps_small * consts.c3)),
-    )
+    cand = _lyap_U_candidate(refs, gains_full, consts)
     X, Y = _chain_grid(grid_n, radius)
     pts = np.stack([X, Y], axis=-1)
     k_hi = int(math.ceil(2.0 * math.pi / T))
@@ -604,14 +610,7 @@ def _run_theorem_demo(params: dict, seed: int, jobs: int) -> ExperimentResult:
         k_hi = int(math.ceil(2.0 * math.pi / T))
         k_cert = sorted(set(range(0, k_hi + 1, int(p["k_stride"]))) | {k_hi})
 
-        cand = LyapunovCandidate(
-            eval=lambda TT, k, x: np.asarray(
-                lyap_U(int(k), x, refs, gains, consts, TT), dtype=float),
-            alpha1=ClassKFunction.power(consts.c1 / 2.0, 2.0),
-            alpha2=ClassKFunction.power(consts.c2, 2.0),
-            alpha3=ClassKFunction.power(consts.c3_tilde, 2.0),
-            L_mod=ClassKFunction.linear(2.0 * (consts.c2 + consts.eps_small * consts.c3)),
-        )
+        cand = _lyap_U_candidate(refs, gains, consts)
         Xs, Zs = pts[:, :2], pts[:, 2:]
         zn = np.linalg.norm(Zs, axis=1)
         keep = zn > 1e-15

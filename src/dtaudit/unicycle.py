@@ -20,7 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cascade import CascadeSystem, _stacked_step, rollout
-from .discretize import ParameterizedMap, VectorField, euler_map, exact_proxy_map
+from .discretize import VectorField, exact_proxy_map
+# perfbench/layers.py wraps the map builder under this name on this module
+from .discretize import euler_map  # noqa: F401
 from ._integrate import IntegrationError
 from .numerics import horizon_index
 from .stability import PreconditionError
@@ -67,6 +69,7 @@ class CorrectionDomainError(ValueError):
         super().__init__(f"correction denominator {den:.3e} at k={k}, T={T}")
         self.k = int(k)
         self.T = float(T)
+        self.den = float(den)
 
 
 @dataclass(frozen=True)
@@ -160,15 +163,33 @@ def _cube(w):
     return w ** 3
 
 
+def _correction_coefficients(w, gains: ControllerGains, T: float):
+    """x_e and y_e coefficients of the correction numerator, and its
+    denominator, at reference turn rate w = omega_r(kT)."""
+    eps = gains.alpha_y + T
+    a2 = gains.a2
+    cx = a2 * a2 + w * w - eps * a2 * w * w
+    cy = 2.0 * a2 * w - eps * _cube(w)
+    den = 2.0 * (1.0 - a2 * T) + eps * w * w * T
+    return cx, cy, den
+
+
 def _correction_pieces(k, x_e, y_e, refs: ReferenceSignal, gains: ControllerGains,
                        T: float):
     """Numerator and denominator of the correction quotient."""
-    w = _ref(refs.omega_r, k * T)
-    eps = gains.alpha_y + T
-    a2 = gains.a2
-    num = (a2 * a2 + w * w - eps * a2 * w * w) * x_e - (2.0 * a2 * w - eps * _cube(w)) * y_e
-    den = 2.0 * (1.0 - a2 * T) + eps * w * w * T
-    return num, den
+    cx, cy, den = _correction_coefficients(_ref(refs.omega_r, k * T), gains, T)
+    return cx * x_e - cy * y_e, den
+
+
+def _check_denominator(k, T: float, den) -> None:
+    """Raise CorrectionDomainError at the first row whose denominator vanished."""
+    if isinstance(k, np.ndarray):
+        bad = np.abs(den) < 1e-12
+        if bad.any():
+            i = int(np.argmax(np.broadcast_to(bad, k.shape)))
+            raise CorrectionDomainError(k[i], T, float(np.broadcast_to(den, k.shape)[i]))
+    elif abs(den) < 1e-12:
+        raise CorrectionDomainError(k, T, den)
 
 
 def redesign_correction(k, x_e, y_e, refs: ReferenceSignal, gains: ControllerGains,
@@ -187,13 +208,7 @@ def redesign_correction(k, x_e, y_e, refs: ReferenceSignal, gains: ControllerGai
     a2^2 x_e / (2 (1 - a2 T)), free of eps, as V is.
     """
     num, den = _correction_pieces(k, x_e, y_e, refs, gains, T)
-    if isinstance(k, np.ndarray):
-        bad = np.broadcast_to(np.abs(den) < 1e-12, k.shape)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise CorrectionDomainError(k[i], T, float(np.broadcast_to(den, k.shape)[i]))
-    elif abs(den) < 1e-12:
-        raise CorrectionDomainError(k, T, den)
+    _check_denominator(k, T, den)
     return num / den
 
 
@@ -275,27 +290,65 @@ def error_dynamics_field(refs: ReferenceSignal) -> VectorField:
 def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> CascadeSystem:
     """First-order closed loop as a cascade: position errors driven by heading.
 
-    The driven part and the heading recursion are slices of one composed
-    one-step map, so simulating the cascade reproduces the composed
-    model bit-exactly. The heading slice reads only theta, which makes
-    the autonomous driver exact: theta(k+1) = (1 - T*a1) * theta(k).
+    `f` is one fused Euler step of the position errors under the tracking
+    controller, `euler_map(error_dynamics_field(refs), controller_callable(
+    refs, gains))` restricted to (x_e, y_e), in the same operation order and
+    so bit-identical to it. Every quantity that depends only on (T, k) --
+    omega_r(kT), v_r(kT) and the correction coefficients -- is read from a
+    per-period table built on first use and rebuilt at double the size when
+    a larger k arrives; a built table is never written to. The heading
+    recursion `g` reads only theta, which makes the autonomous driver
+    exact: theta(k+1) = (1 - T*a1) * theta(k).
     """
-    emap = euler_map(error_dynamics_field(refs), controller_callable(refs, gains))
+    a1, a2, variant = gains.a1, gains.a2, gains.use_correction
+    factor = gains.correction_factor
+    tables = {}  # T -> (5, n) rows omega_r, v_r, cx, cy, den at k = 0..n-1
+
+    def table(T, k):
+        """The table of period T, built or doubled until it covers k."""
+        lo, hi = (k.min(initial=0), k.max(initial=0)) if isinstance(k, np.ndarray) else (k, k)
+        if lo < 0:
+            raise ValueError("step index must be nonnegative")
+        tab = tables.get(T)
+        if tab is None or tab.shape[1] <= hi:
+            n = 64 if tab is None else tab.shape[1]
+            while n <= hi:
+                n *= 2
+            ks = np.arange(n)
+            wr = _ref(refs.omega_r, ks * T)
+            rows = (wr, _ref(refs.v_r, ks * T), *_correction_coefficients(wr, gains, T))
+            tab = np.stack([np.broadcast_to(r, ks.shape) for r in rows])
+            tab.flags.writeable = False
+            tables[T] = tab
+        return tab
 
     def f(T, k, x, z):
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        s = np.concatenate([x, z], axis=-1)
-        return emap.step(T, k, s)[..., :2]
+        wr, vr, cx, cy, den = table(T, k)[:, k]
+        x_e, y_e, th_e = x[..., 0], x[..., 1], z[..., 0]
+        w = wr + a1 * th_e
+        if variant == "none":
+            vth = 0.0  # still added below: it turns a -0.0 of v into 0.0, as the composed map does
+        elif variant == "scaled":
+            vth = factor * (cx * x_e - cy * y_e)
+        else:
+            _check_denominator(k, T, den)
+            vth = (cx * x_e - cy * y_e) / den
+        v = vr + a2 * x_e + T * vth
+        out = np.empty(x.shape)
+        out[..., 0] = x_e + T * (w * y_e - v + vr * np.cos(th_e))
+        out[..., 1] = y_e + T * (-w * x_e + vr * np.sin(th_e))
+        return out
 
     def g(T, k, z):
         z = np.asarray(z, dtype=float)
         th = z[..., 0]
-        wr = _ref(refs.omega_r, k * T)
-        w = wr + gains.a1 * th
+        wr = table(T, k)[0, k]
+        w = wr + a1 * th
         return (th + T * (wr - w))[..., None]
 
-    T_max = (1.0 - 1e-12) / max(gains.a1, gains.a2)
+    T_max = (1.0 - 1e-12) / max(a1, a2)
     return CascadeSystem(2, 1, f, g, T_max)
 
 
@@ -311,8 +364,8 @@ def closed_loop_display_parts(refs: ReferenceSignal, gains: ControllerGains):
     def F1(T, k, x):
         x = np.asarray(x, dtype=float)
         x_e, y_e = x[..., 0], x[..., 1]
-        wr = float(refs.omega_r(k * T))
-        vth = _correction_value(int(k), x_e, y_e, refs, gains, T)
+        wr = _ref(refs.omega_r, k * T)
+        vth = _correction_value(k, x_e, y_e, refs, gains, T)
         xn = x_e + T * (wr * y_e - gains.a2 * x_e - T * vth)
         yn = y_e - T * wr * x_e
         return np.stack([xn, yn], axis=-1)
@@ -322,7 +375,7 @@ def closed_loop_display_parts(refs: ReferenceSignal, gains: ControllerGains):
         z = np.asarray(z, dtype=float)
         x_e, y_e = x[..., 0], x[..., 1]
         th = z[..., 0]
-        vr = float(refs.v_r(k * T))
+        vr = _ref(refs.v_r, k * T)
         gx = T * (gains.a1 * th * y_e + vr * (np.cos(th) - 1.0))
         gy = T * (-gains.a1 * th * x_e + vr * np.sin(th))
         return np.stack([gx, gy], axis=-1)

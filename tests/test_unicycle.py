@@ -1,6 +1,8 @@
 """Tracking case study: controller, excitation, and the constant chain."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from dtaudit import (
     validated_gains,
     validated_references,
 )
+from dtaudit.cascade import _stacked_step, rollout
 
 
 def const_refs(vr, wr, T=0.01, w_M=None):
@@ -134,6 +137,20 @@ def test_correction_domain_error_reports_the_offending_row_k():
     want = [redesign_correction(int(kk), a, b, refs, gains, T)
             for kk, a, b in zip(k[keep], x_e[keep], y_e[keep])]
     assert np.array_equal(got, want)
+
+    # the fused closed-loop step reports the same row, from its table
+    f = closed_loop_euler_cascade(refs, gains).f
+    X, Z = np.column_stack([x_e, y_e]), y_e[:, None]
+    for kk, XX, ZZ in ((k, X, Z), (7, X[2], Z[2])):
+        with pytest.raises(CorrectionDomainError) as err:
+            f(T, kk, XX, ZZ)
+        assert (err.value.k, err.value.T, err.value.den) == (7, T, 0.0)
+        assert "k=7" in str(err.value)
+    # k = 7 is in the table now, but rows that do not step it do not raise
+    emap = euler_map(error_dynamics_field(refs), controller_callable(refs, gains))
+    got = f(T, k[keep], X[keep], Z[keep])
+    assert np.array_equal(got, emap.step(T, k[keep], np.column_stack([X, Z])[keep])[:, :2])
+    assert np.array_equal(f(T, 2, X, Z), emap.step(T, 2, np.column_stack([X, Z]))[:, :2])
 
 
 @settings(max_examples=50, deadline=None)
@@ -256,6 +273,69 @@ def test_cascade_reproduces_composed_map_bitwise():
     assert np.array_equal(np.concatenate([tx.states, tz.states], axis=1), direct)
 
 
+@pytest.mark.parametrize("regime", ["demo", "validated"])
+@pytest.mark.parametrize("variant", ["none", "scaled", "full"])
+def test_fused_step_equals_composed_map_bitwise(regime, variant):
+    """The fused f and g equal the composed Euler map bit for bit, for an int
+    and a per-row k, with two periods interleaved and k past the first table."""
+    if regime == "demo":
+        refs, gains = demo_references(), demo_gains(use_correction=variant)
+    else:
+        refs, gains = validated_references(), validated_gains(variant)
+    sysm = closed_loop_euler_cascade(refs, gains)
+    emap = euler_map(error_dynamics_field(refs), controller_callable(refs, gains))
+    rng = np.random.default_rng(5)
+    S = rng.uniform(-2.0, 2.0, size=(33, 3))
+    for k in (3, 0, 63, 64, 1000, 17, 4097, 130):
+        for T in (0.005, 0.0125):
+            want = emap.step(T, k, S)
+            assert np.array_equal(sysm.f(T, k, S[:, :2], S[:, 2:]), want[:, :2])
+            assert np.array_equal(sysm.g(T, k, S[:, 2:]), want[:, 2:])
+            assert np.array_equal(sysm.f(T, k, S[0, :2], S[0, 2:]), want[0, :2])
+            ks = rng.integers(0, 2 * k + 2, size=len(S))
+            want = emap.step(T, ks, S)
+            assert np.array_equal(sysm.f(T, ks, S[:, :2], S[:, 2:]), want[:, :2])
+            assert np.array_equal(sysm.g(T, ks, S[:, 2:]), want[:, 2:])
+    # a trajectory, so the states are the ones the closed loop visits
+    T, s = 0.01, S[:4]
+    states = rollout(_stacked_step(sysm), T, np.array([0, 5, 90, 700]), s, 60)[0]
+    for i in range(60):
+        s = emap.step(T, np.array([0, 5, 90, 700]) + i, s)
+        assert np.array_equal(states[i + 1], s)
+    with pytest.raises(ValueError):
+        sysm.f(T, -1, S[:, :2], S[:, 2:])
+    with pytest.raises(ValueError):
+        sysm.g(T, np.array([3, -2]), S[:2, 2:])
+
+
+def test_fused_step_tables_shared_across_threads():
+    """Threads that step one closed loop at growing k and two periods may
+    build a table twice, but every result keeps the composed map's bits."""
+    refs, gains = validated_references(), validated_gains("full")
+    sysm = closed_loop_euler_cascade(refs, gains)
+    emap = euler_map(error_dynamics_field(refs), controller_callable(refs, gains))
+    S = np.random.default_rng(2).uniform(-2.0, 2.0, size=(16, 3))
+    calls = [(T, np.arange(16) + 40 * i) for i in range(60) for T in (0.01, 0.02)]
+    expected = {(T, k[0]): emap.step(T, k, S)[:, :2] for T, k in calls}
+
+    def work(offset):
+        order = calls[offset:] + calls[:offset]
+        return [(T, k[0], sysm.f(T, k, S[:, :2], S[:, 2:])) for T, k in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(work, 7 * j) for j in range(6)]
+            results = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        assert len(result) == len(calls)
+        for T, k0, got in result:
+            assert np.array_equal(got, expected[(T, k0)])
+
+
 def test_display_parts_recombine_and_vanish_at_zero_heading():
     refs = demo_references()
     gains = demo_gains(use_correction="full")
@@ -267,6 +347,13 @@ def test_display_parts_recombine_and_vanish_at_zero_heading():
     T, k = 0.01, 17
     assert np.allclose(F1(T, k, X) + G(T, k, X, Z), fstep(T, k, X, Z), atol=1e-12)
     assert np.all(G(T, k, X, np.zeros((40, 1))) == 0.0)
+    # a per-row k gives each row the bits of the int-k call of its own index
+    ks = rng.integers(0, 300, size=40)
+    assert np.allclose(F1(T, ks, X) + G(T, ks, X, Z), fstep(T, ks, X, Z), atol=1e-12)
+    assert np.all(G(T, ks, X, np.zeros((40, 1))) == 0.0)
+    for part, args in ((F1, (X,)), (G, (X, Z))):
+        rows = [part(T, int(kk), *(a[i:i + 1] for a in args)) for i, kk in enumerate(ks)]
+        assert np.array_equal(part(T, ks, *args), np.concatenate(rows))
 
 
 def test_lyap_V_hand_value_and_bounds():
