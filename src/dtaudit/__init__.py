@@ -20,14 +20,12 @@ from .discretize import (ConsistencyReport, EstimateFailure,
 from .experiments import (ConfigError, ExperimentResult, EXPERIMENTS,
                           double_integrator_field, list_experiments,
                           period_scaled_feedback, run_named)
-from .numerics import (ClassKFunction, EnvelopeFalsified, HorizonIndex,
-                       KLBound, fit_kl_envelope, horizon_index, kl_compose,
-                       kl_shift)
+from .numerics import (ClassKFunction, EnvelopeFalsified, KLBound,
+                       fit_kl_envelope, horizon_index, kl_compose, kl_shift)
 from .stability import (CertificateParams, LyapunovCandidate,
                         PreconditionError, UGBCertificate, audit_lyapunov,
                         build_ugb_certificate, check_boundedness,
-                        check_iisns, check_summability, falsify_spuas,
-                        write_margin_csv)
+                        check_iisns, check_summability, falsify_spuas)
 from .unicycle import (CaseStudyConstants, ControllerGains,
                        CorrectionDomainError, ReferenceSignal,
                        TrackingErrorState, audit_lyapunov_chain, check_pe,

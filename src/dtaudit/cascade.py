@@ -15,7 +15,7 @@ import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
 from .numerics import ClassKFunction, horizon_index
-from .verdict import _SLACK, StabilityVerdict, Witness
+from .verdict import _SLACK, StabilityVerdict, Witness, _ratio
 
 __all__ = [
     "CascadeSystem",
@@ -259,18 +259,16 @@ def check_interconnection_bound(sys: CascadeSystem, gamma1: ClassKFunction,
             lhs2 = np.linalg.norm(F - F0, axis=1)
             rhs2 = T * np.asarray(gamma2(x_norm), dtype=float) * np.asarray(gamma3(z_norm), dtype=float)
             for lhs, rhs, tag in ((lhs1, rhs1, "growth"), (lhs2, rhs2, "interconnection")):
-                bad = lhs > rhs + _SLACK
-                if np.any(bad):
+                if not np.all(lhs <= rhs + _SLACK):
+                    # the witness is the worst row, not the first failing one
+                    # (the theorem demo reports it); argmax returns a NaN row first
                     i = int(np.argmax(lhs - rhs))
                     return StabilityVerdict.falsify(
                         Witness.of(T, int(k), pts[i], int(k), float(lhs[i]), float(rhs[i])),
                         f"{tag} bound violated",
                     )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r1 = np.where(rhs1 > 0, lhs1 / rhs1, np.where(lhs1 > _SLACK, np.inf, 0.0))
-                r2 = np.where(rhs2 > 0, lhs2 / rhs2, np.where(lhs2 > _SLACK, np.inf, 0.0))
-            worst1 = max(worst1, float(np.max(r1)))
-            worst2 = max(worst2, float(np.max(r2)))
+            worst1 = max(worst1, float(np.max(_ratio(lhs1, rhs1))))
+            worst2 = max(worst2, float(np.max(_ratio(lhs2, rhs2))))
     return StabilityVerdict.ok("both interconnection bounds hold on the sample",
                                worst_ratio_growth=worst1, worst_ratio_interconnection=worst2)
 

@@ -4,11 +4,10 @@
 directory: `metrics.json` with scalar results, one CSV per trajectory
 table, and one whitespace-separated `.dat` file per plot series. Every
 report file records the 12-hex digest of the canonical configuration
-and the seed, and reruns of the same configuration are byte-identical
-regardless of the worker count.
+and the seed, and reruns of the same configuration are byte-identical.
 
 Exit codes: 0 every audited claim held, 1 at least one claim was
-falsified, 2 configuration error, 3 numeric failure inside a worker.
+falsified, 2 configuration error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -92,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="report output directory")
     run.add_argument("--seed", type=int, default=0,
                      help="seed for the seeded experiment draws (default 0)")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker count for independent slices (default 1)")
 
     sub.add_parser("list", help="list the registered experiments")
     return parser
@@ -124,7 +121,7 @@ def main(argv=None) -> int:
 
     try:
         params = _load_params(args.config)
-        result = run_named(args.experiment, params, args.seed, args.jobs)
+        result = run_named(args.experiment, params, args.seed)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

@@ -1,18 +1,14 @@
 """Named, reproducible audit experiments.
 
-Each experiment maps a parameter dictionary plus a seed and a worker
-count to an `ExperimentResult`: an exit status (0 when every audited
-claim held, 1 when at least one claim was falsified), scalar metrics,
-and tabular series destined for CSV and gnuplot files. Workers only
-split independent slices (sampling periods, controller variants, audit
-clauses) and reductions run in a fixed order, so results are identical
-for any worker count.
+Each experiment maps a parameter dictionary plus a seed to an
+`ExperimentResult`: an exit status (0 when every audited claim held, 1
+when at least one claim was falsified), scalar metrics, and tabular
+series destined for CSV and gnuplot files.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +33,6 @@ from .unicycle import (_chain_grid, _refs_from_config, audit_lyapunov_chain,
                        error_dynamics_field, lyap_U, pe_window_sums,
                        run_comparison_experiment, validated_gains,
                        validated_references)
-from .verdict import StabilityVerdict
 
 
 class ConfigError(ValueError):
@@ -58,15 +53,6 @@ class ExperimentResult:
     metrics: dict
     tables: dict
     plots: dict
-
-
-def _map_ordered(fn, items, jobs: int) -> list:
-    # reductions must not depend on completion order
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-        return list(pool.map(fn, items))
 
 
 def _with_defaults(params: dict, defaults: dict, name: str) -> dict:
@@ -131,7 +117,7 @@ _EXAMPLE1_DEFAULTS = {
 }
 
 
-def _run_example1(params: dict, seed: int, jobs: int) -> ExperimentResult:
+def _run_example1(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _EXAMPLE1_DEFAULTS, "example1")
     if p["T"] is not None:  # scalar shorthand for a single-period run
         T_values = [float(p["T"])]
@@ -155,7 +141,7 @@ def _run_example1(params: dict, seed: int, jobs: int) -> ExperimentResult:
         radius = float(np.max(np.abs(np.linalg.eigvals(_map_matrix(xmap, T, 0, 2)))))
         return T, dev, radius, float(ev[0].real), float(ev[1].real)
 
-    spectra = _map_ordered(spectrum, T_values, jobs)
+    spectra = [spectrum(T) for T in T_values]
     eig_dev = max(row[1] for row in spectra)
     radius_dev = max(abs(row[2] - 1.0) for row in spectra)
 
@@ -166,9 +152,8 @@ def _run_example1(params: dict, seed: int, jobs: int) -> ExperimentResult:
     x0 = x0 * rng.uniform(0.1, 10.0, size=(len(x0), 1))
 
     horizon = float(p["decay_horizon_s"])
-    batches = _map_ordered(
-        lambda T: rollout(emap.step, T, 0, x0, min(horizon_index(horizon, T), 2000))[0],
-        T_decay, jobs)
+    batches = [rollout(emap.step, T, 0, x0, min(horizon_index(horizon, T), 2000))[0]
+               for T in T_decay]
     trajs = [Trajectory(T, 0, states[:, j]) for T, states in zip(T_decay, batches)
              for j in range(len(x0))]
     lam = float(p["decay_rate"])
@@ -189,7 +174,7 @@ def _run_example1(params: dict, seed: int, jobs: int) -> ExperimentResult:
         norms = np.linalg.norm(states, axis=2)
         return np.min(norms, axis=0) / norms[0]
 
-    ratios = np.array(_map_ordered(stalled_fraction, T_values, jobs))
+    ratios = np.array([stalled_fraction(T) for T in T_values])
     min_ratio = float(np.min(ratios))
     nonconv_floor = float(p["nonconv_floor"])
 
@@ -226,27 +211,20 @@ def _run_example1(params: dict, seed: int, jobs: int) -> ExperimentResult:
 # --- correction-variant comparison ------------------------------------
 
 
-def _run_unicycle_compare(params: dict, seed: int, jobs: int) -> ExperimentResult:
+def _run_unicycle_compare(params: dict, seed: int) -> ExperimentResult:
     cfg = dict(params or {})
     unknown = sorted(set(cfg) - {"T", "horizon_s", "initial_error", "plant", "variants",
                                  "refs", "gains", "divergence_norm"})
     if unknown:
         raise ConfigError(f"unknown option(s) for unicycle-compare: {', '.join(unknown)}")
-    variants = list(cfg.get("variants", ("none", "scaled", "full")))
-
-    def run_variant(name):
-        single = dict(cfg)
-        single["variants"] = (name,)
-        out = run_comparison_experiment(single)
-        return name, out["config"], out["variants"][name]
-
-    results = _map_ordered(run_variant, variants, jobs)
-    merged_cfg = dict(results[0][1])
-    merged_cfg["variants"] = tuple(variants)
+    variants = tuple(cfg.get("variants", ("none", "scaled", "full")))
+    if not variants:
+        raise ConfigError("unicycle-compare needs at least one correction variant")
+    out = run_comparison_experiment(dict(cfg, variants=variants))
 
     tables, plots, per_variant = {}, {}, {}
     cols = ["k", "t", "x_e", "y_e", "theta_e", "v", "omega", "correction"]
-    for name, _, payload in results:
+    for name, payload in out["variants"].items():
         rows = _rows(payload["rows"])
         tables[f"trajectory_{name}"] = (cols, rows)
         pos = np.hypot(rows[:, 2], rows[:, 3])
@@ -266,7 +244,7 @@ def _run_unicycle_compare(params: dict, seed: int, jobs: int) -> ExperimentResul
                 ordering[f"ise_{name}_below_none"] = bool(ise[name] <= ise["none"])
     status = 0 if (not any(diverged.values()) and all(settled.values())) else 1
     metrics = {
-        "config": merged_cfg,
+        "config": out["config"],
         "variants": per_variant,
         "any_diverged": any(diverged.values()),
         "all_settled": all(settled.values()),
@@ -292,7 +270,7 @@ _CONSISTENCY_DEFAULTS = {
 }
 
 
-def _run_consistency(params: dict, seed: int, jobs: int) -> ExperimentResult:
+def _run_consistency(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _CONSISTENCY_DEFAULTS, "consistency-sweep")
     if p["plant"] != "unicycle":
         raise ConfigError("only the unicycle tracking-error plant is wired in")
@@ -312,13 +290,9 @@ def _run_consistency(params: dict, seed: int, jobs: int) -> ExperimentResult:
     k_set = [int(k) for k in p["k_set"]]
     n = int(p["n_samples"])
 
-    def sweep(label):
-        make = euler_map if label == "euler" else modified_euler_map
-        rep = consistency_order(ref_map, make(field, held), box,
-                                k_set=k_set, T_list=T_list, n_samples=n)
-        return label, rep
-
-    reports = dict(_map_ordered(sweep, ["euler", "modified-euler"], jobs))
+    reports = {label: consistency_order(ref_map, make(field, held), box,
+                                        k_set=k_set, T_list=T_list, n_samples=n)
+               for label, make in (("euler", euler_map), ("modified-euler", modified_euler_map))}
     lo, hi = (float(v) for v in p["euler_slope_window"])
     e_slope = reports["euler"].slope
     m_slope = reports["modified-euler"].slope
@@ -378,7 +352,7 @@ def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
     )
 
 
-def _run_lyapunov_audit(params: dict, seed: int, jobs: int) -> ExperimentResult:
+def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit")
     T = float(p["T"])
     refs, gains = _regime(p["regime"], T)
@@ -408,16 +382,7 @@ def _run_lyapunov_audit(params: dict, seed: int, jobs: int) -> ExperimentResult:
     k_hi = int(math.ceil(2.0 * math.pi / T))
     Delta = radius * math.sqrt(2.0) + 1.0
 
-    def def_audit(k_block):
-        return audit_lyapunov(cand, F, Delta, 0.0, [T], pts, k_set=k_block)
-
-    blocks = np.array_split(np.arange(k_hi + 1), max(1, min(8, int(jobs) or 1)))
-    verdicts = _map_ordered(def_audit, [list(b) for b in blocks if len(b)], jobs)
-    definition = next((v for v in verdicts if v.kind != "pass"), None)
-    if definition is None:
-        worst = {key: max(v.margins[key] for v in verdicts)
-                 for key in verdicts[0].margins}
-        definition = StabilityVerdict("pass", None, verdicts[0].detail, worst)
+    definition = audit_lyapunov(cand, F, Delta, 0.0, [T], pts, k_set=range(k_hi + 1))
     metrics["definition_audit"] = definition.to_json()
 
     tables, plots = {}, {}
@@ -456,7 +421,7 @@ _PE_DEFAULTS = {
 }
 
 
-def _run_pe_check(params: dict, seed: int, jobs: int) -> ExperimentResult:
+def _run_pe_check(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _PE_DEFAULTS, "pe-check")
     T_list = [float(t) for t in p["T_list"]]
     if p["wr"] is not None and p["refs"] is None:
@@ -524,7 +489,7 @@ def _run_trajs(runs):
             for j in range(states.shape[1])]
 
 
-def _run_theorem_demo(params: dict, seed: int, jobs: int) -> ExperimentResult:
+def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _THEOREM_DEFAULTS, "cascade-theorem-demo")
     T = float(p["T"])
     T_list = sorted(float(t) for t in p["T_list"])
@@ -661,14 +626,12 @@ def _run_theorem_demo(params: dict, seed: int, jobs: int) -> ExperimentResult:
                    "verdict": verdict.to_json(), "bounded": bounded.to_json()}
         return payload, (beta, verdict, bounded), None
 
-    tasks = [("driving_decay", lambda: h_decay(sysm.g, sample_ball(Delta_z, 1, 17))),
-             ("unforced_decay", lambda: h_decay(xstep, sample_ball(Delta, 2, n_ball))),
-             ("small_inputs", h_small_inputs),
-             ("interconnection", h_interconnection),
-             ("growth_certificate", h_growth_certificate),
-             ("cascade", c_cascade_decay)]
-    outcomes = dict(zip([name for name, _ in tasks],
-                        _map_ordered(lambda t: t[1](), tasks, jobs)))
+    outcomes = {"driving_decay": h_decay(sysm.g, sample_ball(Delta_z, 1, 17)),
+                "unforced_decay": h_decay(xstep, sample_ball(Delta, 2, n_ball)),
+                "small_inputs": h_small_inputs(),
+                "interconnection": h_interconnection(),
+                "growth_certificate": h_growth_certificate(),
+                "cascade": c_cascade_decay()}
 
     metrics = {"T": T, "T_list": T_list, "constants": consts.to_json()}
     for name, (payload, _, _) in outcomes.items():
@@ -717,8 +680,7 @@ def list_experiments() -> list[str]:
     return sorted(EXPERIMENTS)
 
 
-def run_named(name: str, params: dict | None, seed: int = 0,
-              jobs: int = 1) -> ExperimentResult:
+def run_named(name: str, params: dict | None, seed: int = 0) -> ExperimentResult:
     """Run a registered experiment; unknown names are configuration errors."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from "
@@ -727,4 +689,4 @@ def run_named(name: str, params: dict | None, seed: int = 0,
     inline = params.pop("name", None)  # configs may restate the experiment
     if inline is not None and inline != name:
         raise ConfigError(f"config names experiment {inline!r} but {name!r} was requested")
-    return EXPERIMENTS[name](params, int(seed), int(jobs))
+    return EXPERIMENTS[name](params, int(seed))

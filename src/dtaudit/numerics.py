@@ -17,7 +17,6 @@ from ._integrate import adaptive_simpson
 __all__ = [
     "ClassKFunction",
     "KLBound",
-    "HorizonIndex",
     "EnvelopeFalsified",
     "horizon_index",
     "kl_shift",
@@ -319,19 +318,6 @@ class KLBound:
                 "tail_scale": params["tail_scale"],
             },
         )
-
-
-@dataclass(frozen=True)
-class HorizonIndex:
-    """Number of whole sampling periods that fit in a time horizon."""
-
-    L: float
-    T: float
-    value: int
-
-    @classmethod
-    def of(cls, L: float, T: float) -> "HorizonIndex":
-        return cls(float(L), float(T), horizon_index(L, T))
 
 
 def horizon_index(L: float, T: float) -> int:

@@ -8,7 +8,6 @@ falsification and in margins that show how close a bound sits.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .cascade import (CascadeSystem, Trajectory, _k_probes, _stacked_step,
                       grid_rollouts)
 from .discretize import ParameterizedMap
 from .numerics import ClassKFunction, KLBound
-from .verdict import _SLACK, StabilityVerdict, Witness
+from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _ratio
 
 __all__ = [
     "LyapunovCandidate",
@@ -36,7 +35,6 @@ __all__ = [
     "check_summability",
     "build_ugb_certificate",
     "check_iisns",
-    "write_margin_csv",
 ]
 
 
@@ -135,16 +133,13 @@ def _first_escape(runs, bound_fn, detail_pass):
         t_rel = (np.arange(len(states)) * T)[:, None]
         bound = np.broadcast_to(np.asarray(bound_fn(norms[0][None, :], t_rel), dtype=float),
                                 norms.shape)
-        ok = norms <= bound + _SLACK
-        if not np.all(ok):
-            i, j = np.unravel_index(int(np.argmax(~ok)), ok.shape)
-            return StabilityVerdict.falsify(
-                Witness.of(T, k0, states[0, j], k0 + int(i), float(norms[i, j]), float(bound[i, j])),
-                "trajectory norm escaped the claimed bound",
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(bound > 0, norms / bound, np.where(norms > _SLACK, np.inf, 0.0))
-        worst = max(worst, float(np.max(ratio)))
+        bad = _first_violation(
+            norms <= bound + _SLACK,
+            lambda ij: Witness.of(T, k0, states[0, ij[1]], k0 + ij[0], norms[ij], bound[ij]),
+            "trajectory norm escaped the claimed bound")
+        if bad is not None:
+            return bad
+        worst = max(worst, float(np.max(_ratio(norms, bound))))
     return StabilityVerdict.ok(detail_pass, worst_ratio=worst)
 
 
@@ -216,18 +211,16 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
             v = np.asarray(V.eval(T, k, Y), dtype=float)
             lo = np.asarray(V.alpha1(norms), dtype=float)
             hi = np.asarray(V.alpha2(norms), dtype=float)
-            bad = ~(v >= lo - _SLACK)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                return StabilityVerdict.falsify(
-                    Witness.of(T, k, Y[j], k, float(v[j]), float(lo[j])),
-                    "lower sandwich bound violated")
-            bad = ~(v <= hi + _SLACK)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                return StabilityVerdict.falsify(
-                    Witness.of(T, k, Y[j], k, float(v[j]), float(hi[j])),
-                    "upper sandwich bound violated")
+            bad = _first_violation(v >= lo - _SLACK,
+                                   lambda j: Witness.of(T, k, Y[j], k, v[j], lo[j]),
+                                   "lower sandwich bound violated")
+            if bad is not None:
+                return bad
+            bad = _first_violation(v <= hi + _SLACK,
+                                   lambda j: Witness.of(T, k, Y[j], k, v[j], hi[j]),
+                                   "upper sandwich bound violated")
+            if bad is not None:
+                return bad
 
             Yn = np.asarray(F.step(T, k, Y), dtype=float)
             vn = np.asarray(V.eval(T, k + 1, Yn), dtype=float)
@@ -236,12 +229,11 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
                 rhs = -T * (np.asarray(V.alpha3(norms), dtype=float) + nu)
             else:
                 rhs = -T * np.asarray(V.alpha3(norms), dtype=float) + T * nu
-            bad = ~(dv <= rhs + _SLACK)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                return StabilityVerdict.falsify(
-                    Witness.of(T, k, Y[j], k, float(dv[j]), float(rhs[j])),
-                    "decrease condition violated")
+            bad = _first_violation(dv <= rhs + _SLACK,
+                                   lambda j: Witness.of(T, k, Y[j], k, dv[j], rhs[j]),
+                                   "decrease condition violated")
+            if bad is not None:
+                return bad
             if collect_margins:
                 rows.extend(
                     (int(i), float(norms[i]), float(rhs[i]), float(dv[i]), float(rhs[i] - dv[i]))
@@ -254,12 +246,11 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
             mod = np.asarray(V.L_mod(np.maximum(np.linalg.norm(A, axis=1),
                                                 np.linalg.norm(B, axis=1))), dtype=float)
             lhs = np.abs(va - vb)
-            bad = ~(lhs <= mod * gap + _SLACK)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                return StabilityVerdict.falsify(
-                    Witness.of(T, k, A[j], k, float(lhs[j]), float(mod[j] * gap[j])),
-                    "Lipschitz modulus violated")
+            bad = _first_violation(lhs <= mod * gap + _SLACK,
+                                   lambda j: Witness.of(T, k, A[j], k, lhs[j], mod[j] * gap[j]),
+                                   "Lipschitz modulus violated")
+            if bad is not None:
+                return bad
 
             with np.errstate(divide="ignore", invalid="ignore"):
                 worst["sandwich_lo"] = max(worst["sandwich_lo"],
@@ -293,12 +284,12 @@ def check_summability(z_traj_ensemble, mu_fn: ClassKFunction, rho: ClassKFunctio
         terms = np.asarray(mu_fn(traj.norms), dtype=float)
         partial = T * np.cumsum(terms)
         budget = float(rho(traj.norms[0]))
-        if np.any(partial > budget + _SLACK):
-            j = int(np.argmax(partial > budget + _SLACK))
-            return StabilityVerdict.falsify(
-                Witness.of(traj.T, traj.k0, traj.states[0], traj.k0 + j,
-                           float(partial[j]), budget),
-                f"partial sum exceeds the budget on trajectory {ti}")
+        bad = _first_violation(
+            partial <= budget + _SLACK,
+            lambda j: Witness.of(traj.T, traj.k0, traj.states[0], traj.k0 + j, partial[j], budget),
+            f"partial sum exceeds the budget on trajectory {ti}")
+        if bad is not None:
+            return bad
         total = float(partial[-1])
 
         n = len(terms)
@@ -317,11 +308,13 @@ def check_summability(z_traj_ensemble, mu_fn: ClassKFunction, rho: ClassKFunctio
             if total > 0.0 and tail > 1e-6 * total:
                 return StabilityVerdict.unknown(
                     f"tail estimate of trajectory {ti} not below 1e-6 of the partial sum")
-        if total + tail > budget + _SLACK:
-            return StabilityVerdict.falsify(
-                Witness.of(traj.T, traj.k0, traj.states[0], traj.k0 + n - 1,
-                           total + tail, budget),
-                f"partial sum plus tail exceeds the budget on trajectory {ti}")
+        bad = _first_violation(
+            total + tail <= budget + _SLACK,
+            lambda _: Witness.of(traj.T, traj.k0, traj.states[0], traj.k0 + n - 1,
+                                 total + tail, budget),
+            f"partial sum plus tail exceeds the budget on trajectory {ti}")
+        if bad is not None:
+            return bad
         if budget > 0.0:
             worst = max(worst, (total + tail) / budget)
     return StabilityVerdict.ok("summability budget holds on the ensemble", worst_ratio=worst)
@@ -385,10 +378,6 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
     W_eval = lambda T, k, x: rho(V.eval(T, k, x))
     cert = UGBCertificate(p.phi, p.gamma1, p.gamma2, float(rho(2.0 * p.c)), rho, mu, W_eval)
 
-    def fail(T, k, idx, measured, bound, what):
-        return cert, StabilityVerdict.falsify(
-            Witness.of(T, int(k), pts[idx], int(k), float(measured), float(bound)), what)
-
     worst = {"sandwich": 0.0, "drift": -math.inf, "unforced": -math.inf, "transformed": -math.inf}
     for T in sorted(float(t) for t in T_list):
         for k in (_k_probes(T) if k_set is None else k_set):
@@ -396,14 +385,16 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
             v = np.asarray(V.eval(T, k, X), dtype=float)
             lo = np.asarray(p.alpha1(x_norm), dtype=float)
             hi = np.asarray(p.alpha2(x_norm), dtype=float) + p.c
-            bad = ~(v >= lo - _SLACK)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                return fail(T, k, j, v[j], lo[j], "lower sandwich bound violated")
-            bad = ~(v <= hi + _SLACK)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                return fail(T, k, j, v[j], hi[j], "upper sandwich bound violated")
+            bad = _first_violation(v >= lo - _SLACK,
+                                   lambda j: Witness.of(T, k, pts[j], k, v[j], lo[j]),
+                                   "lower sandwich bound violated")
+            if bad is not None:
+                return cert, bad
+            bad = _first_violation(v <= hi + _SLACK,
+                                   lambda j: Witness.of(T, k, pts[j], k, v[j], hi[j]),
+                                   "upper sandwich bound violated")
+            if bad is not None:
+                return cert, bad
 
             Fz = np.asarray(sys.f(T, k, X, Z), dtype=float)
             F0 = np.asarray(sys.f(T, k, X, Z0), dtype=float)
@@ -413,24 +404,27 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
             drift = v_next_z - v_next_0
             rhs = (T * np.asarray(p.gamma1(z_norm), dtype=float) * np.asarray(p.phi(v), dtype=float)
                    + T * np.asarray(p.gamma2(z_norm), dtype=float))
-            bad = ~(drift <= rhs + _SLACK)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                return fail(T, k, j, drift[j], rhs[j], "input-drift bound violated")
+            bad = _first_violation(drift <= rhs + _SLACK,
+                                   lambda j: Witness.of(T, k, pts[j], k, drift[j], rhs[j]),
+                                   "input-drift bound violated")
+            if bad is not None:
+                return cert, bad
 
             unforced = v_next_0 - v
-            bad = ~(unforced <= _SLACK)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                return fail(T, k, j, unforced[j], 0.0, "unforced decrease violated")
+            bad = _first_violation(unforced <= _SLACK,
+                                   lambda j: Witness.of(T, k, pts[j], k, unforced[j], 0.0),
+                                   "unforced decrease violated")
+            if bad is not None:
+                return cert, bad
 
             dW = (np.asarray(rho(v_next_z), dtype=float)
                   - np.asarray(rho(v), dtype=float))
             rhsW = T * np.asarray(mu(z_norm), dtype=float)
-            bad = ~(dW <= rhsW + _SLACK)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                return fail(T, k, j, dW[j], rhsW[j], "transformed one-step growth violated")
+            bad = _first_violation(dW <= rhsW + _SLACK,
+                                   lambda j: Witness.of(T, k, pts[j], k, dW[j], rhsW[j]),
+                                   "transformed one-step growth violated")
+            if bad is not None:
+                return cert, bad
 
             with np.errstate(divide="ignore", invalid="ignore"):
                 worst["sandwich"] = max(worst["sandwich"],
@@ -454,22 +448,12 @@ def check_iisns(x_traj: Trajectory, z_inputs, alpha1: ClassKFunction,
     prefix = np.concatenate([[0.0], T * np.cumsum(np.asarray(mu_fn(z_norms), dtype=float))])
     lhs = np.asarray(alpha1(x_traj.norms), dtype=float)
     rhs = float(alpha2(x_traj.norms[0])) + prefix
-    bad = ~(lhs <= rhs + _SLACK)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        return StabilityVerdict.falsify(
-            Witness.of(x_traj.T, x_traj.k0, x_traj.states[0], x_traj.k0 + j,
-                       float(lhs[j]), float(rhs[j])),
-            "integral neutral-stability bound violated")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        worst = float(np.max(np.where(rhs > 0, lhs / rhs, np.where(lhs > _SLACK, np.inf, 0.0))))
-    return StabilityVerdict.ok("integral neutral-stability bound holds", worst_ratio=worst)
+    bad = _first_violation(
+        lhs <= rhs + _SLACK,
+        lambda j: Witness.of(x_traj.T, x_traj.k0, x_traj.states[0], x_traj.k0 + j, lhs[j], rhs[j]),
+        "integral neutral-stability bound violated")
+    if bad is not None:
+        return bad
+    return StabilityVerdict.ok("integral neutral-stability bound holds",
+                               worst_ratio=float(np.max(_ratio(lhs, rhs))))
 
-
-def write_margin_csv(path, rows) -> None:
-    """Persist margin rows as CSV (sample-id, |y|, bound, measured, margin)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "norm", "bound", "measured", "margin"])
-        for sid, nrm, bound, measured, margin in rows:
-            writer.writerow([sid, repr(nrm), repr(bound), repr(measured), repr(margin)])

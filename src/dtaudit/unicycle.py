@@ -26,7 +26,7 @@ from .discretize import euler_map  # noqa: F401
 from ._integrate import IntegrationError
 from .numerics import horizon_index
 from .stability import PreconditionError
-from .verdict import _SLACK, StabilityVerdict, Witness
+from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation
 
 __all__ = [
     "ReferenceSignal",
@@ -97,15 +97,16 @@ class ReferenceSignal:
         t = ks * self.T
         vr = np.abs(np.asarray(self.v_r(t), dtype=float) * np.ones_like(t))
         wr = np.asarray(self.omega_r(t), dtype=float) * np.ones_like(t)
-        quot = np.abs(np.diff(wr)) / self.T
-        worst = max(float(np.max(vr)), float(np.max(np.abs(wr))),
-                    float(np.max(quot)) if len(quot) else 0.0)
-        if worst > self.w_M + _SLACK:
-            k_bad = int(np.argmax(np.maximum(vr, np.abs(wr))))
-            return StabilityVerdict.falsify(
-                Witness.of(self.T, k_bad, (t[k_bad],), k_bad, worst, self.w_M),
-                "reference bound exceeded")
-        return StabilityVerdict.ok("reference bound holds", worst=worst)
+        # row k: |v_r(kT)|, |omega_r(kT)| and the forward quotient from k to k + 1
+        quot = np.append(np.abs(np.diff(wr)) / self.T, 0.0)
+        series = np.column_stack([vr, np.abs(wr), quot])
+        bad = _first_violation(
+            series <= self.w_M + _SLACK,
+            lambda ks: Witness.of(self.T, ks[0], (t[ks[0]],), ks[0], series[ks], self.w_M),
+            "reference bound exceeded")
+        if bad is not None:
+            return bad
+        return StabilityVerdict.ok("reference bound holds", worst=float(np.max(series)))
 
 
 @dataclass(frozen=True)
@@ -418,12 +419,11 @@ def check_pe(refs: ReferenceSignal, L: float, mu: float, T_list,
             js = np.asarray(list(j_samples), dtype=int)
         vals = sums[js]
         worst = min(worst, float(np.min(vals)))
-        bad = vals < mu - _SLACK
-        if np.any(bad):
-            jbad = int(js[int(np.argmax(bad))])
-            return StabilityVerdict.falsify(
-                Witness.of(T, jbad, (jbad * T,), jbad, float(sums[jbad]), mu),
-                "excitation window below the required level")
+        bad = _first_violation(vals >= mu - _SLACK,
+                               lambda i: Witness.of(T, js[i], (js[i] * T,), js[i], vals[i], mu),
+                               "excitation window below the required level")
+        if bad is not None:
+            return bad
     return StabilityVerdict.ok("excitation bound holds on all sampled windows",
                                min_window_sum=worst)
 
@@ -665,10 +665,6 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
                "V_lo": math.inf, "V_hi": -math.inf, "U_lo": math.inf, "U_hi": -math.inf,
                "W_sandwich_lo": math.inf, "W_sandwich_hi": -math.inf}
 
-    def falsified(k, j, measured, bound, what):
-        return StabilityVerdict.falsify(
-            Witness.of(T, int(k), (X[j], Y[j]), int(k), float(measured), float(bound)), what)
-
     for k in range(k_hi + 1):
         w = refs.wr_k(k)
         Xn, Yn = _x_subsystem_step(fstep, T, k, X, Y)
@@ -679,35 +675,43 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
         ratioV = V / n2
         margins["V_lo"] = min(margins["V_lo"], float(np.min(ratioV)))
         margins["V_hi"] = max(margins["V_hi"], float(np.max(ratioV)))
-        bad = ratioV < c.c1 - _SLACK
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            return falsified(k, j, V[j], c.c1 * n2[j], "V lower sandwich violated")
-        bad = ratioV > c.c2 + _SLACK
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            return falsified(k, j, V[j], c.c2 * n2[j], "V upper sandwich violated")
+        bad = _first_violation(ratioV >= c.c1 - _SLACK,
+                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, V[j], c.c1 * n2[j]),
+                               "V lower sandwich violated")
+        if bad is not None:
+            return bad
+        bad = _first_violation(ratioV <= c.c2 + _SLACK,
+                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, V[j], c.c2 * n2[j]),
+                               "V upper sandwich violated")
+        if bad is not None:
+            return bad
 
         rhsV = -(c.alpha_x * X * X + gains.alpha_y * w * w * Y * Y) + T * c.K1 * n2
         margins["V_decrease"] = min(margins["V_decrease"], float(np.min(rhsV - dV)))
-        bad = dV > rhsV + _SLACK
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            return falsified(k, j, dV[j], rhsV[j], "V decrease violated")
+        bad = _first_violation(dV <= rhsV + _SLACK,
+                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, dV[j], rhsV[j]),
+                               "V decrease violated")
+        if bad is not None:
+            return bad
 
         TS = T * S[k]
         margins["W_sandwich_lo"] = min(margins["W_sandwich_lo"], TS)
         margins["W_sandwich_hi"] = max(margins["W_sandwich_hi"], TS)
-        if TS > c.c3 + _SLACK or TS < c.c4 - _SLACK:
-            return falsified(k, 0, -TS, -c.c4, "W sandwich violated")
+        # the W sandwich c4 <= T*S(k) <= c3, upper side first
+        bad = _first_violation([TS <= c.c3 + _SLACK, TS >= c.c4 - _SLACK],
+                               lambda i: Witness.of(T, k, (X[0], Y[0]), k, TS, (c.c3, c.c4)[i]),
+                               "W sandwich violated")
+        if bad is not None:
+            return bad
 
         dW = (-T * S[k + 1] * Yn * Yn + T * S[k] * Y * Y) / T
         rhsW = w * w * Y * Y - c.alpha_y_tilde * Y * Y + c.K2 * X * X
         margins["W_decrease"] = min(margins["W_decrease"], float(np.min(rhsW - dW)))
-        bad = dW > rhsW + _SLACK
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            return falsified(k, j, dW[j], rhsW[j], "W decrease violated")
+        bad = _first_violation(dW <= rhsW + _SLACK,
+                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, dW[j], rhsW[j]),
+                               "W decrease violated")
+        if bad is not None:
+            return bad
 
         U = V - eps_s * T * S[k] * Y * Y
         Un = Vn - eps_s * T * S[k + 1] * Yn * Yn
@@ -715,21 +719,25 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
         ratioU = U / n2
         margins["U_lo"] = min(margins["U_lo"], float(np.min(ratioU)))
         margins["U_hi"] = max(margins["U_hi"], float(np.max(ratioU)))
-        bad = ratioU < c.c1 / 2.0 - _SLACK
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            return falsified(k, j, U[j], c.c1 / 2.0 * n2[j], "U lower sandwich violated")
-        bad = ratioU > c.c2 + _SLACK
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            return falsified(k, j, U[j], c.c2 * n2[j], "U upper sandwich violated")
+        bad = _first_violation(
+            ratioU >= c.c1 / 2.0 - _SLACK,
+            lambda j: Witness.of(T, k, (X[j], Y[j]), k, U[j], c.c1 / 2.0 * n2[j]),
+            "U lower sandwich violated")
+        if bad is not None:
+            return bad
+        bad = _first_violation(ratioU <= c.c2 + _SLACK,
+                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, U[j], c.c2 * n2[j]),
+                               "U upper sandwich violated")
+        if bad is not None:
+            return bad
 
         rhsU = -c.c3_tilde * n2
         margins["U_decrease"] = min(margins["U_decrease"], float(np.min(rhsU - dU)))
-        bad = dU > rhsU + _SLACK
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            return falsified(k, j, dU[j], rhsU[j], "U decrease violated")
+        bad = _first_violation(dU <= rhsU + _SLACK,
+                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, dU[j], rhsU[j]),
+                               "U decrease violated")
+        if bad is not None:
+            return bad
 
     return StabilityVerdict("pass", None, "Lyapunov chain holds on the grid", margins)
 

@@ -91,6 +91,29 @@ class StabilityVerdict:
         return out
 
 
+def _first_violation(ok, witness_at, detail: str) -> StabilityVerdict | None:
+    """The falsified verdict at the first False entry of `ok`, or None.
+
+    `ok` is the pass mask of a check, any shape, stated as the condition
+    that must hold (`lhs <= rhs + _SLACK`), so a NaN always falsifies.
+    The first failing entry in C order is handed to `witness_at` as an
+    int for a 0-d or 1-d mask and as an index tuple otherwise. A
+    falsified verdict is falsy: callers test `is not None`.
+    """
+    ok = np.asarray(ok, dtype=bool)
+    if ok.all():
+        return None
+    first = int(np.argmin(ok))
+    idx = np.unravel_index(first, ok.shape) if ok.ndim > 1 else first
+    return StabilityVerdict.falsify(witness_at(idx), detail)
+
+
+def _ratio(lhs, rhs) -> np.ndarray:
+    """lhs / rhs where rhs > 0; elsewhere inf if lhs exceeds _SLACK, else 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs > 0, lhs / rhs, np.where(lhs > _SLACK, np.inf, 0.0))
+
+
 def _plain(obj):
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}

@@ -341,8 +341,8 @@ DETERMINISM_CONFIGS = {
 }
 
 
-def _run_and_emit(name, params, seed, out_dir, jobs=1):
-    res = run_named(name, params, seed=seed, jobs=jobs)
+def _run_and_emit(name, params, seed, out_dir):
+    res = run_named(name, params, seed=seed)
     emit_report(res, out_dir, config_digest(name, params, seed), seed)
     return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
 
@@ -353,13 +353,6 @@ def test_every_experiment_rerun_is_byte_identical(tmp_path):
         second = _run_and_emit(name, params, 3, tmp_path / name / "b")
         assert first == second, f"rerun of {name} changed bytes"
         assert "metrics.json" in first
-
-
-def test_worker_count_never_changes_bytes(tmp_path):
-    params = DETERMINISM_CONFIGS["consistency-sweep"]
-    serial = _run_and_emit("consistency-sweep", params, 0, tmp_path / "serial", jobs=1)
-    pooled = _run_and_emit("consistency-sweep", params, 0, tmp_path / "pooled", jobs=4)
-    assert serial == pooled
 
 
 def test_passing_hypotheses_imply_cascade_conclusions(theorem_demo_run):

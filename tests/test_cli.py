@@ -116,14 +116,6 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
 
-def test_worker_count_does_not_change_report_bytes(tmp_path, capsys):
-    cfg = write_config(tmp_path, FAST_EXAMPLE1)
-    base = ["run", "--experiment", "example1", "--config", cfg, "--seed", "2"]
-    assert main(base + ["--out", str(tmp_path / "serial"), "--jobs", "1"]) == 0
-    assert main(base + ["--out", str(tmp_path / "pooled"), "--jobs", "4"]) == 0
-    assert read_tree(tmp_path / "serial") == read_tree(tmp_path / "pooled")
-
-
 def test_emit_report_handles_empty_tables(tmp_path):
     result = ExperimentResult("toy", 0, {"answer": 42},
                               {"empty": (["a", "b"], np.zeros((0, 2)))},

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from dtaudit import (
     ClassKFunction,
     EnvelopeFalsified,
-    HorizonIndex,
     KLBound,
     Trajectory,
     fit_kl_envelope,
@@ -42,11 +41,6 @@ def test_horizon_index_bracket(L, T):
     # ell*T <= L < (ell+1)*T, up to the one-ulp nudge for exact multiples
     assert ell * T <= L * (1.0 + 1e-9)
     assert L < (ell + 1) * T * (1.0 + 1e-9)
-
-
-def test_horizon_index_dataclass_mirror():
-    h = HorizonIndex.of(2.0, 0.01)
-    assert (h.L, h.T, h.value) == (2.0, 0.01, 200)
 
 
 # --- class-K functions ----------------------------------------------------

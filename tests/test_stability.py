@@ -1,7 +1,5 @@
 """Grid audits: envelope falsification, Lyapunov checks, certificates."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,14 +15,17 @@ from dtaudit import (
     LyapunovCandidate,
     ParameterizedMap,
     PreconditionError,
+    ReferenceSignal,
     Trajectory,
     audit_lyapunov,
     build_ugb_certificate,
     check_boundedness,
     check_iisns,
+    check_interconnection_bound,
+    check_pe,
     check_summability,
     falsify_spuas,
-    write_margin_csv,
+    sample_box,
 )
 
 
@@ -200,7 +201,7 @@ def test_lyapunov_decrease_forms_differ_for_neutral_map():
     assert loose.kind == "pass"
 
 
-def test_lyapunov_margin_rows_round_trip_through_csv(tmp_path):
+def test_lyapunov_margin_rows_carry_bound_minus_measured():
     F = scalar_map(lambda T, Y: (1.0 - T) * Y, T_max=1.0)
     grid = np.array([[1.0], [0.5], [-0.25]])
     verdict = audit_lyapunov(quadratic_candidate(), F, Delta=2.0, nu=0.0,
@@ -210,14 +211,6 @@ def test_lyapunov_margin_rows_round_trip_through_csv(tmp_path):
     assert len(rows) == len(grid)
     assert all(len(r) == 5 for r in rows)
     assert all(r[4] == r[2] - r[3] for r in rows)
-
-    path = tmp_path / "margins.csv"
-    write_margin_csv(path, rows)
-    with open(path, newline="") as fh:
-        read = list(csv.reader(fh))
-    assert read[0] == ["sample_id", "norm", "bound", "measured", "margin"]
-    # repr round trip keeps margins bit-exact
-    assert [float(r[4]) for r in read[1:]] == [r[4] for r in rows]
 
 
 def test_lyapunov_margins_scale_linearly_with_candidate():
@@ -452,3 +445,51 @@ def test_iisns_requires_inputs_covering_the_horizon():
     with pytest.raises(ValueError, match="cover"):
         check_iisns(traj, short, ClassKFunction.linear(1.0), ClassKFunction.linear(1.0),
                     ClassKFunction.linear(1.0), T=0.1)
+
+
+# --- NaN is a violation in every audit --------------------------------
+
+
+def _nan_interconnection():
+    # f is NaN on rows with x > 0.5 and a contraction elsewhere
+    dom = Box.centered(1.0, 2)
+    f = lambda T, k, x, z: np.where(np.asarray(x)[..., :1] > 0.5, np.nan, 0.5 * np.asarray(x))
+    system = CascadeSystem(1, 1, f, lambda T, k, z: z, T_max=1.0)
+    verdict = check_interconnection_bound(
+        system, ClassKFunction.linear(1.0), ClassKFunction.affine_capped(1.0, 0.0),
+        ClassKFunction.identity(), dom, [0.1], n_samples=64, k_set=[3])
+    pts = sample_box(dom, 64)
+    return verdict, 3, tuple(pts[int(np.argmax(pts[:, 0] > 0.5))])
+
+
+def _nan_refs():
+    # omega_r(kT) is NaN from k = 30 on, with T = 0.1
+    return ReferenceSignal(lambda t: 1.0 + 0.0 * np.asarray(t),
+                           lambda t: np.where(np.asarray(t) < 2.95, 1.0, np.nan), 0.1, 2.0)
+
+
+def _nan_pe():
+    # windows of ell = 10 steps reach k = 30 from start j = 20 on
+    return check_pe(_nan_refs(), L=1.0, mu=0.5, T_list=[0.1]), 20, (20 * 0.1,)
+
+
+def _nan_reference_bound():
+    # the quotient from k = 29 to k = 30 is the first NaN entry
+    return _nan_refs().check_uniform_bound(5.0), 29, (29 * 0.1,)
+
+
+def _nan_summability():
+    traj = Trajectory(0.1, 0, np.array([1.0, 1.0, 1.0] + [np.nan] * 20).reshape(-1, 1))
+    verdict = check_summability([traj], ClassKFunction.linear(1.0),
+                                ClassKFunction.linear(10.0), T=0.1)
+    return verdict, 3, (1.0,)
+
+
+@pytest.mark.parametrize("audit", [_nan_interconnection, _nan_pe, _nan_reference_bound,
+                                   _nan_summability])
+def test_nan_falsifies_at_the_first_nan_entry(audit):
+    verdict, k, initial_state = audit()
+    assert verdict.kind == "falsified"
+    assert verdict.witness.k == k
+    assert verdict.witness.initial_state == initial_state
+    assert np.isnan(verdict.witness.measured)

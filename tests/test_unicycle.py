@@ -3,6 +3,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,16 @@ def test_reference_bound_check():
     verdict = lying.check_uniform_bound(1.0)
     assert verdict.kind == "falsified"
     assert verdict.detail == "reference bound exceeded"
+    assert (verdict.witness.k, verdict.witness.measured) == (0, 1.0)
+
+    # only the difference quotient of omega_r exceeds w_M
+    steep = ReferenceSignal(lambda t: 0.5 + 0.0 * np.asarray(t),
+                            lambda t: 0.9 * np.sin(10.0 * np.asarray(t)), 0.01, 1.0)
+    w = steep.check_uniform_bound(1.0).witness
+    wr = steep.omega_r(np.array([w.k, w.k + 1]) * steep.T)
+    replayed = (abs(steep.vr_k(w.k)), abs(wr[0]), abs(wr[1] - wr[0]) / steep.T)
+    assert w.measured in replayed
+    assert w.measured > w.bound == 1.0
 
 
 def test_pe_windows_zero_reference_falsified():
@@ -457,6 +468,17 @@ def test_chain_audit_passes_on_coarse_grid(validated_constants):
     assert m["W_sandwich_lo"] >= validated_constants.c4 - 1e-9
     assert m["W_sandwich_hi"] <= validated_constants.c3 + 1e-9
     assert m["U_decrease"] >= -1e-9
+
+
+def test_chain_audit_reports_the_failed_W_sandwich_side(validated_constants):
+    c = validated_constants
+    args = (validated_references(), validated_gains())
+    kwargs = dict(T=0.01, grid_n=5, radius=2.0, k_max=3)
+    upper = audit_lyapunov_chain(*args, replace(c, c3=0.5 * c.c4), **kwargs)
+    lower = audit_lyapunov_chain(*args, replace(c, c4=2.0 * c.c3), **kwargs)
+    assert upper.detail == lower.detail == "W sandwich violated"
+    assert upper.witness.bound == 0.5 * c.c4 < upper.witness.measured
+    assert lower.witness.bound == 2.0 * c.c3 > lower.witness.measured
 
 
 def test_comparison_zero_initial_error_stays_at_rest():
