@@ -9,7 +9,7 @@ series destined for CSV and gnuplot files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +27,12 @@ from .stability import (CertificateParams, LyapunovCandidate, audit_lyapunov,
                         check_summability, spuas_escape)
 # perfbench/layers.py wraps the sweeps under these names on this module
 from .stability import check_boundedness, falsify_spuas  # noqa: F401
-from .unicycle import (_chain_grid, _refs_from_config, audit_lyapunov_chain,
-                       check_pe, closed_loop_euler_cascade,
+from .unicycle import (ConfigError, _chain_grid, _chain_pass, _refs_from_config,
+                       audit_lyapunov_chain, check_pe, closed_loop_euler_cascade,
                        compute_case_constants, demo_gains, demo_references,
                        error_dynamics_field, lyap_U, pe_window_sums,
                        run_comparison_experiment, validated_gains,
                        validated_references)
-
-
-class ConfigError(ValueError):
-    """An experiment configuration is malformed or names unknown options."""
 
 
 @dataclass(frozen=True)
@@ -67,6 +63,14 @@ def _with_defaults(params: dict, defaults: dict, name: str) -> dict:
 
 def _rows(array) -> np.ndarray:
     return np.atleast_2d(np.asarray(array, dtype=float))
+
+
+def _periods(values, name: str) -> list[float]:
+    """Sampling periods of a config as floats; there must be one, all positive."""
+    Ts = [float(t) for t in values]
+    if not Ts or not all(t > 0.0 for t in Ts):
+        raise ConfigError(f"{name}: sampling periods must be positive")
+    return Ts
 
 
 # --- double integrator under period-scaled feedback ------------------
@@ -322,6 +326,7 @@ def _run_consistency(params: dict, seed: int) -> ExperimentResult:
 
 
 def _regime(name: str, T: float):
+    """References and full-correction gains of a named regime."""
     if name == "validated":
         return validated_references(T), validated_gains("full")
     if name == "demo":
@@ -354,7 +359,7 @@ def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
 
 def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit")
-    T = float(p["T"])
+    T = _periods([p["T"]], "T")[0]
     refs, gains = _regime(p["regime"], T)
     grid_n, radius = int(p["grid_n"]), float(p["radius"])
     consts = compute_case_constants(refs, gains, T, float(p["L_pe"]),
@@ -368,18 +373,17 @@ def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
     metrics["chain"] = chain.to_json()
 
     # the same function, audited against the definition-style conditions
-    gains_full = replace(gains, use_correction="full")
-    sysm = closed_loop_euler_cascade(refs, gains_full)
+    sysm = closed_loop_euler_cascade(refs, gains)
 
     def unforced(TT, k, x):
         x = np.asarray(x, dtype=float)
         return sysm.f(TT, k, x, np.zeros(x.shape[:-1] + (1,)))
 
     F = ParameterizedMap(2, sysm.T_max, unforced, "custom")
-    cand = _lyap_U_candidate(refs, gains_full, consts)
+    cand = _lyap_U_candidate(refs, gains, consts)
     X, Y = _chain_grid(grid_n, radius)
     pts = np.stack([X, Y], axis=-1)
-    k_hi = int(math.ceil(2.0 * math.pi / T))
+    k_hi = refs.period_steps(T)
     Delta = radius * math.sqrt(2.0) + 1.0
 
     definition = audit_lyapunov(cand, F, Delta, 0.0, [T], pts, k_set=range(k_hi + 1))
@@ -392,16 +396,13 @@ def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
         rows = probe.margins.get("rows", [])
         tables["decrease_margins"] = (["sample_id", "norm", "bound", "measured", "margin"],
                                       _rows(rows))
-    ks = list(range(0, k_hi + 1, 7))
+    # U = V + eps_small W at k and k + 1, every seventh k of the period
+    n2 = np.sum(pts ** 2, axis=-1)
+    eps = consts.eps_small
     prof = []
-    fstep = sysm.f
-    z0 = np.zeros((len(pts), 1))
-    for k in ks:
-        u_now = np.asarray(lyap_U(k, pts, refs, gains_full, consts, T), dtype=float)
-        nxt = np.asarray(fstep(T, k, pts, z0), dtype=float)
-        u_next = np.asarray(lyap_U(k + 1, nxt, refs, gains_full, consts, T), dtype=float)
-        margin = -consts.c3_tilde * np.sum(pts ** 2, axis=-1) - (u_next - u_now) / T
-        prof.append((k, k * T, float(np.min(margin))))
+    for k, V, Vn, _, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi, stride=7):
+        dU = ((Vn + eps * Wn) - (V + eps * W)) / T
+        prof.append((k, k * T, float(np.min(-consts.c3_tilde * n2 - dU))))
     plots["decrease_profile"] = (["k", "t", "min_margin"], _rows(prof))
 
     status = 0 if (chain.kind == "pass" and definition.kind == "pass") else 1
@@ -423,7 +424,7 @@ _PE_DEFAULTS = {
 
 def _run_pe_check(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _PE_DEFAULTS, "pe-check")
-    T_list = [float(t) for t in p["T_list"]]
+    T_list = _periods(p["T_list"], "T_list")
     if p["wr"] is not None and p["refs"] is None:
         # shorthand: give just the turning-rate signal, constant if scalar
         wr = p["wr"] if isinstance(p["wr"], dict) else {"kind": "const",
@@ -445,8 +446,7 @@ def _run_pe_check(params: dict, seed: int) -> ExperimentResult:
 
     verdict = check_pe(refs, L, mu, T_list)
     T0 = T_list[0]
-    j_max = int(math.ceil(2.0 * math.pi / T0))
-    sums = pe_window_sums(refs, T0, L, j_max)
+    sums = pe_window_sums(refs, T0, L, refs.period_steps(T0))
     js = np.arange(len(sums))
     plots = {"window_sums": (["j", "t", "window_sum"],
                              np.column_stack([js, js * T0, sums]))}
@@ -491,8 +491,8 @@ def _run_trajs(runs):
 
 def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _THEOREM_DEFAULTS, "cascade-theorem-demo")
-    T = float(p["T"])
-    T_list = sorted(float(t) for t in p["T_list"])
+    T = _periods([p["T"]], "T")[0]
+    T_list = sorted(_periods(p["T_list"], "T_list"))
     horizon_s = float(p["horizon_s"])
     Delta, Delta_z = float(p["Delta"]), float(p["Delta_z"])
     refs, gains = validated_references(T), validated_gains("full")
@@ -510,24 +510,26 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         return sysm.f(TT, k, x, np.zeros((len(x), 1)))
 
     n_ball = int(p["n_ball"])
+    metrics = {"T": T, "T_list": T_list, "constants": consts.to_json()}
 
-    def decay(step, grid):
+    def decay(name, step, grid):
         runs = list(grid_rollouts(step, grid, T_list, horizon_s))
         trajs = _run_trajs(runs)
         beta = fit_kl_envelope(trajs)
-        return runs, trajs, beta, spuas_escape(runs, beta, 0.0)
+        verdict = spuas_escape(runs, beta, 0.0)
+        metrics[name] = {"beta": beta.to_json(), "verdict": verdict.to_json()}
+        return runs, trajs, beta, verdict
 
-    def h_decay(step, grid):
-        _, _, beta, verdict = decay(step, grid)
-        return {"beta": beta.to_json(), "verdict": verdict.to_json()}, beta, verdict
+    # [2:] drops the rollouts at once, so they do not stay alive to the end
+    beta_z, z_verdict = decay("driving_decay", sysm.g, sample_ball(Delta_z, 1, 17))[2:]
+    beta_x, x_verdict = decay("unforced_decay", xstep, sample_ball(Delta, 2, n_ball))[2:]
 
-    def h_small_inputs():
-        mu_star = usc_probe(sysm, Delta, float(p["eta"]), float(p["eps"]),
-                            float(p["usc_L"]), [T], list(p["mu_grid"]),
-                            x0_count=int(p["usc_x0_count"]))
-        return {"mu_star": mu_star}, mu_star, None
+    mu_star = usc_probe(sysm, Delta, float(p["eta"]), float(p["eps"]),
+                        float(p["usc_L"]), [T], list(p["mu_grid"]),
+                        x0_count=int(p["usc_x0_count"]))
+    metrics["small_inputs"] = {"mu_star": mu_star}
 
-    def h_interconnection():
+    def interconnection():
         dom = Box((-Delta, -Delta, -Delta_z), (Delta, Delta, Delta_z))
         pts = sample_box(dom, 2048)
         X, Z = pts[:, :2], pts[:, 2:]
@@ -563,16 +565,18 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         g1d, _ = fit(doctored)
         bad = check_interconnection_bound(doctored, ClassKFunction.linear(g1d), gamma2,
                                           gamma3, dom, T_list, n_samples=2048)
-        payload = {"gamma1_gain": g1, "gamma2_gain": c,
-                   "verdict": ok.to_json(), "doctored_verdict": bad.to_json()}
-        return payload, (ok, bad, c), None
+        metrics["interconnection"] = {"gamma1_gain": g1, "gamma2_gain": c,
+                                      "verdict": ok.to_json(), "doctored_verdict": bad.to_json()}
+        return ok, bad, c
 
-    def h_growth_certificate():
+    ok_inter, bad_inter, c_gain = interconnection()
+
+    def growth_certificate():
         X, Y = _chain_grid(int(p["grid_n"]), float(p["radius"]))
         base = np.stack([X, Y], axis=-1)
         pts = np.concatenate([np.column_stack([base, np.full(len(base), th)])
                               for th in p["theta_values"]])
-        k_hi = int(math.ceil(2.0 * math.pi / T))
+        k_hi = refs.period_steps(T)
         k_cert = sorted(set(range(0, k_hi + 1, int(p["k_stride"]))) | {k_hi})
 
         cand = _lyap_U_candidate(refs, gains, consts)
@@ -610,39 +614,22 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
             budget = max(budget, total / traj.norms[0])
         summable = check_summability(z_trajs, cert.mu_fn,
                                      ClassKFunction.linear(budget * 1.05), T)
-        payload = {"drift_gain": d, "mu_gain": float(cert.mu_fn.params["gain"]),
-                   "summability_budget_gain": budget * 1.05,
-                   "rho_at_half": float(cert.rho_built(0.5)),
-                   "rho_at_e": float(cert.rho_built(math.e)),
-                   "verdict": verdict.to_json(), "summability": summable.to_json()}
-        return payload, (verdict, summable), None
+        metrics["growth_certificate"] = {
+            "drift_gain": d, "mu_gain": float(cert.mu_fn.params["gain"]),
+            "summability_budget_gain": budget * 1.05,
+            "rho_at_half": float(cert.rho_built(0.5)),
+            "rho_at_e": float(cert.rho_built(math.e)),
+            "verdict": verdict.to_json(), "summability": summable.to_json()}
+        return verdict, summable
 
-    def c_cascade_decay():
-        runs, trajs, beta, verdict = decay(_stacked_step(sysm), sample_ball(Delta, 3, n_ball))
-        kappa = max((float(np.max(t.norms)) / t.norms[0] for t in trajs if t.norms[0] > 0.0),
-                    default=0.0)
-        bounded = boundedness_escape(runs, ClassKFunction.linear(kappa * (1.0 + 1e-9)), 0.0)
-        payload = {"beta": beta.to_json(), "kappa_gain": kappa * (1.0 + 1e-9),
-                   "verdict": verdict.to_json(), "bounded": bounded.to_json()}
-        return payload, (beta, verdict, bounded), None
+    cert_verdict, summable = growth_certificate()
 
-    outcomes = {"driving_decay": h_decay(sysm.g, sample_ball(Delta_z, 1, 17)),
-                "unforced_decay": h_decay(xstep, sample_ball(Delta, 2, n_ball)),
-                "small_inputs": h_small_inputs(),
-                "interconnection": h_interconnection(),
-                "growth_certificate": h_growth_certificate(),
-                "cascade": c_cascade_decay()}
-
-    metrics = {"T": T, "T_list": T_list, "constants": consts.to_json()}
-    for name, (payload, _, _) in outcomes.items():
-        metrics[name] = payload
-
-    beta_z = outcomes["driving_decay"][1]
-    beta_x = outcomes["unforced_decay"][1]
-    mu_star = outcomes["small_inputs"][1]
-    ok_inter, bad_inter, c_gain = outcomes["interconnection"][1]
-    cert_verdict, summable = outcomes["growth_certificate"][1]
-    beta_c, cascade_verdict, bounded = outcomes["cascade"][1]
+    runs, trajs, beta_c, cascade_verdict = decay("cascade", _stacked_step(sysm),
+                                                 sample_ball(Delta, 3, n_ball))
+    kappa = max((float(np.max(t.norms)) / t.norms[0] for t in trajs if t.norms[0] > 0.0),
+                default=0.0)
+    bounded = boundedness_escape(runs, ClassKFunction.linear(kappa * (1.0 + 1e-9)), 0.0)
+    metrics["cascade"].update(kappa_gain=kappa * (1.0 + 1e-9), bounded=bounded.to_json())
 
     composed = kl_compose(beta_x, beta_z, beta_c, ClassKFunction.linear(c_gain))
     t_grid = np.linspace(0.0, horizon_s, 81)
@@ -652,8 +639,8 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
                                             np.asarray(composed(Delta, t_grid), dtype=float)]))}
     metrics["composed_bound_at_0"] = float(composed(Delta, 0.0))
 
-    hypotheses = (outcomes["driving_decay"][2].kind == "pass"
-                  and outcomes["unforced_decay"][2].kind == "pass"
+    hypotheses = (z_verdict.kind == "pass"
+                  and x_verdict.kind == "pass"
                   and mu_star > 0.0
                   and ok_inter.kind == "pass"
                   and cert_verdict.kind == "pass"

@@ -33,6 +33,7 @@ __all__ = [
     "TrackingErrorState",
     "ControllerGains",
     "CaseStudyConstants",
+    "ConfigError",
     "CorrectionDomainError",
     "check_pe",
     "pe_window_sums",
@@ -58,6 +59,10 @@ __all__ = [
 ]
 
 
+class ConfigError(ValueError):
+    """An experiment configuration is malformed or names unknown options."""
+
+
 class CorrectionDomainError(ValueError):
     """Correction denominator vanished at the reported (k, T).
 
@@ -74,17 +79,24 @@ class CorrectionDomainError(ValueError):
 
 @dataclass(frozen=True)
 class ReferenceSignal:
-    """Reference velocities with a uniform bound.
+    """Reference velocities with a uniform bound and a period.
 
     w_M must dominate |v_r(kT)|, |omega_r(kT)| and the one-step
     difference quotient of omega_r over the audited horizon;
-    `check_uniform_bound` verifies this on a horizon.
+    `check_uniform_bound` verifies this on a horizon. `period` is the
+    reference period in seconds: the excitation check and the Lyapunov
+    chain audit one period of start indices.
     """
 
     v_r: callable
     omega_r: callable
     T: float
     w_M: float
+    period: float = math.tau
+
+    def period_steps(self, T: float) -> int:
+        """Steps of period T that cover one reference period: ceil(period / T)."""
+        return int(math.ceil(self.period / T))
 
     def vr_k(self, k: int) -> float:
         return float(self.v_r(k * self.T))
@@ -409,7 +421,7 @@ def check_pe(refs: ReferenceSignal, L: float, mu: float, T_list,
         raise ValueError("need L > 0 and mu > 0")
     worst = math.inf
     for T in sorted(float(t) for t in T_list):
-        P = int(math.ceil(2.0 * math.pi / T))
+        P = refs.period_steps(T)
         sums = pe_window_sums(refs, T, L, P)
         if j_samples is None:
             js = np.arange(P + 1)
@@ -449,18 +461,26 @@ def lyap_V_bounds(gains: ControllerGains, w_M: float, T_star: float) -> tuple[fl
     return c1, c2, c1 > 0.0
 
 
-def _w_truncation(w_M: float, tail_tol: float, T: float) -> int:
-    # geometric tail of the weighted energy is below 2 w_M^2 e^{-NT}
-    return int(math.ceil(math.log(2.0 * w_M * w_M / tail_tol) / T))
+def _energy_profile(refs: ReferenceSignal, T: float, k_lo: int, k_hi: int,
+                    tail_tol: float) -> np.ndarray:
+    """S(k) = sum_{i=k}^{k+N} e^{(k-i)T} omega_r(iT)^2 for k = k_lo..k_hi.
+
+    N is set by `tail_tol`. Every S(k) sums the same N + 1 products in the
+    same order, so its bits do not depend on k_lo or k_hi.
+    """
+    if not tail_tol > 0.0:
+        raise ValueError("tail_tol must be positive")
+    # the geometric tail past N is below 2 w_M^2 e^{-NT}
+    N = int(math.ceil(math.log(2.0 * refs.w_M * refs.w_M / tail_tol) / T))
+    i = np.arange(k_lo, k_hi + N + 1)
+    decay = np.exp((k_lo - i[:N + 1]) * T)
+    w2 = np.asarray(refs.omega_r(i * T), dtype=float) ** 2
+    return np.array([np.sum(decay * w2[j:j + N + 1]) for j in range(k_hi - k_lo + 1)])
 
 
 def lyap_W(k: int, y_e, refs: ReferenceSignal, T: float, tail_tol: float = 1e-10):
     """Decay-weighted future excitation times -T y_e^2, truncated by tail_tol."""
-    if not tail_tol > 0.0:
-        raise ValueError("tail_tol must be positive")
-    N = _w_truncation(refs.w_M, tail_tol, T)
-    i = np.arange(k, k + N + 1)
-    S = float(np.sum(np.exp((k - i) * T) * np.asarray(refs.omega_r(i * T), dtype=float) ** 2))
+    S = float(_energy_profile(refs, T, k, k, tail_tol)[0])
     y_e = np.asarray(y_e, dtype=float)
     out = -T * S * y_e * y_e
     return out if out.ndim else float(out)
@@ -480,18 +500,6 @@ def lyap_W_bounds(mu_pe: float, L_pe: float, w_M: float) -> tuple[float, float, 
             break
     T5_star = c4 / 4.0
     return c3, c4, T3_star, T5_star
-
-
-def _energy_profile(refs: ReferenceSignal, T: float, k_hi: int, tail_tol: float) -> np.ndarray:
-    """S(k) = sum_{i >= k} e^{(k-i)T} omega_r(iT)^2 for k = 0..k_hi+1."""
-    N = _w_truncation(refs.w_M, tail_tol, T)
-    i = np.arange(0, k_hi + 2 + N)
-    w2 = np.asarray(refs.omega_r(i * T), dtype=float) ** 2
-    q = math.exp(-T)
-    S = np.zeros(len(i) + 1)
-    for j in range(len(i) - 1, -1, -1):
-        S[j] = w2[j] + q * S[j + 1]
-    return S[: k_hi + 2]
 
 
 @dataclass(frozen=True)
@@ -546,12 +554,24 @@ def _chain_grid(grid_n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     return X[keep], Y[keep]
 
 
-def _x_subsystem_step(fstep, T, k, X, Y):
-    """Driven part at zero heading error, via the composed closed loop."""
+def _chain_pass(refs: ReferenceSignal, gains: ControllerGains, T: float, X, Y,
+                k_hi: int, tail_tol: float = 1e-12, stride: int = 1):
+    """One pass over the chain: step the full-correction closed loop from
+    the grid (X, Y) at zero heading error for k = 0, stride, ... <= k_hi.
+
+    Yields (k, V, Vn, TS, W, Wn) per k: V at k on the grid and at k + 1 on
+    its step, the weight TS = T S(k), and W = -T S y^2 at k and k + 1.
+    """
+    fstep = closed_loop_euler_cascade(refs, replace(gains, use_correction="full")).f
     pts = np.stack([X, Y], axis=-1)
     z0 = np.zeros((len(X), 1))
-    out = fstep(T, k, pts, z0)
-    return out[..., 0], out[..., 1]
+    S = _energy_profile(refs, T, 0, k_hi + 1, tail_tol)
+    for k in range(0, k_hi + 1, stride):
+        out = fstep(T, k, pts, z0)
+        Xn, Yn = out[..., 0], out[..., 1]
+        TS = T * S[k]
+        yield (k, lyap_V(k, X, Y, refs, gains, T), lyap_V(k + 1, Xn, Yn, refs, gains, T),
+               TS, -TS * Y * Y, -T * S[k + 1] * Yn * Yn)
 
 
 def compute_case_constants(refs: ReferenceSignal, gains: ControllerGains, T_star: float,
@@ -565,36 +585,30 @@ def compute_case_constants(refs: ReferenceSignal, gains: ControllerGains, T_star
     constant as computed-and-positive or violated; T_tilde's flag records
     whether T_star itself is admissible.
     """
-    gains_full = replace(gains, use_correction="full")
-    fstep = closed_loop_euler_cascade(refs, gains_full).f
     eps = gains.alpha_y + T_star
     c1, c2, c1_ok = lyap_V_bounds(gains, refs.w_M, T_star)
     alpha_x = gains.a2 - eps * refs.w_M ** 2 - 0.5 * eps ** 2 * refs.w_M ** 2 * (1.0 + gains.a2) ** 2
 
-    P = int(math.ceil(2.0 * math.pi / T_star))
+    P = refs.period_steps(T_star)
     mu_pe = float(np.min(pe_window_sums(refs, T_star, L_pe, P)))
     c3, c4, _, _ = lyap_W_bounds(mu_pe, L_pe, refs.w_M)
     alpha_y_tilde = c4 / 2.0
 
     k_hi = P if k_max is None else int(k_max)
-    S = _energy_profile(refs, T_star, k_hi, tail_tol)
     X, Y = _chain_grid(grid_n, radius)
     n2 = X * X + Y * Y
     T = T_star
 
     K1_req, K2_req = -math.inf, -math.inf
     mask = X != 0.0
-    for k in range(k_hi + 1):
+    # the k-free terms of both fits, formed once
+    aX2, aY2, Tn2, X2m = alpha_x * X * X, alpha_y_tilde * Y * Y, T * n2, X[mask] * X[mask]
+    for k, V, Vn, _, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi, tail_tol):
         w = refs.wr_k(k)
-        Xn, Yn = _x_subsystem_step(fstep, T, k, X, Y)
-        V = lyap_V(k, X, Y, refs, gains, T)
-        Vn = lyap_V(k + 1, Xn, Yn, refs, gains, T)
         dV = (Vn - V) / T
-        K1_req = max(K1_req, float(np.max(
-            (dV + alpha_x * X * X + gains.alpha_y * w * w * Y * Y) / (T * n2))))
-        dW = (-T * S[k + 1] * Yn * Yn + T * S[k] * Y * Y) / T
-        resid = dW - w * w * Y * Y + alpha_y_tilde * Y * Y
-        K2_req = max(K2_req, float(np.max(resid[mask] / (X[mask] * X[mask]))))
+        K1_req = max(K1_req, float(np.max((dV + aX2 + gains.alpha_y * w * w * Y * Y) / Tn2)))
+        resid = (Wn - W) / T - w * w * Y * Y + aY2
+        K2_req = max(K2_req, float(np.max(resid[mask] / X2m)))
     K1 = max(K1_req, 1e-9)
     K2 = max(K2_req, 0.0)
 
@@ -652,49 +666,41 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
     bad = constants.first_violated()
     if bad is not None:
         raise PreconditionError(f"constant flag violated: {bad}")
-    gains_full = replace(gains, use_correction="full")
-    fstep = closed_loop_euler_cascade(refs, gains_full).f
     c = constants
-    eps_s = c.eps_small
-    P = int(math.ceil(2.0 * math.pi / T))
-    k_hi = P if k_max is None else int(k_max)
-    S = _energy_profile(refs, T, k_hi, tail_tol)
+    k_hi = refs.period_steps(T) if k_max is None else int(k_max)
     X, Y = _chain_grid(grid_n, radius)
     n2 = X * X + Y * Y
+    # the k-free bounds, formed once
+    lo_V, hi, lo_U, rhsU = c.c1 * n2, c.c2 * n2, c.c1 / 2.0 * n2, -c.c3_tilde * n2
+    aX2, K1n2, aY2, K2X2 = c.alpha_x * X * X, T * c.K1 * n2, c.alpha_y_tilde * Y * Y, c.K2 * X * X
     margins = {"V_decrease": math.inf, "W_decrease": math.inf, "U_decrease": math.inf,
                "V_lo": math.inf, "V_hi": -math.inf, "U_lo": math.inf, "U_hi": -math.inf,
                "W_sandwich_lo": math.inf, "W_sandwich_hi": -math.inf}
 
-    for k in range(k_hi + 1):
+    def violation(k, ok, measured, bound, detail):
+        return _first_violation(
+            ok, lambda j: Witness.of(T, k, (X[j], Y[j]), k, measured[j], bound[j]), detail)
+
+    for k, V, Vn, TS, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi, tail_tol):
         w = refs.wr_k(k)
-        Xn, Yn = _x_subsystem_step(fstep, T, k, X, Y)
-        V = lyap_V(k, X, Y, refs, gains, T)
-        Vn = lyap_V(k + 1, Xn, Yn, refs, gains, T)
         dV = (Vn - V) / T
 
         ratioV = V / n2
         margins["V_lo"] = min(margins["V_lo"], float(np.min(ratioV)))
         margins["V_hi"] = max(margins["V_hi"], float(np.max(ratioV)))
-        bad = _first_violation(ratioV >= c.c1 - _SLACK,
-                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, V[j], c.c1 * n2[j]),
-                               "V lower sandwich violated")
+        bad = violation(k, ratioV >= c.c1 - _SLACK, V, lo_V, "V lower sandwich violated")
         if bad is not None:
             return bad
-        bad = _first_violation(ratioV <= c.c2 + _SLACK,
-                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, V[j], c.c2 * n2[j]),
-                               "V upper sandwich violated")
+        bad = violation(k, ratioV <= c.c2 + _SLACK, V, hi, "V upper sandwich violated")
         if bad is not None:
             return bad
 
-        rhsV = -(c.alpha_x * X * X + gains.alpha_y * w * w * Y * Y) + T * c.K1 * n2
+        rhsV = -(aX2 + gains.alpha_y * w * w * Y * Y) + K1n2
         margins["V_decrease"] = min(margins["V_decrease"], float(np.min(rhsV - dV)))
-        bad = _first_violation(dV <= rhsV + _SLACK,
-                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, dV[j], rhsV[j]),
-                               "V decrease violated")
+        bad = violation(k, dV <= rhsV + _SLACK, dV, rhsV, "V decrease violated")
         if bad is not None:
             return bad
 
-        TS = T * S[k]
         margins["W_sandwich_lo"] = min(margins["W_sandwich_lo"], TS)
         margins["W_sandwich_hi"] = max(margins["W_sandwich_hi"], TS)
         # the W sandwich c4 <= T*S(k) <= c3, upper side first
@@ -704,38 +710,27 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
         if bad is not None:
             return bad
 
-        dW = (-T * S[k + 1] * Yn * Yn + T * S[k] * Y * Y) / T
-        rhsW = w * w * Y * Y - c.alpha_y_tilde * Y * Y + c.K2 * X * X
+        dW = (Wn - W) / T
+        rhsW = w * w * Y * Y - aY2 + K2X2
         margins["W_decrease"] = min(margins["W_decrease"], float(np.min(rhsW - dW)))
-        bad = _first_violation(dW <= rhsW + _SLACK,
-                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, dW[j], rhsW[j]),
-                               "W decrease violated")
+        bad = violation(k, dW <= rhsW + _SLACK, dW, rhsW, "W decrease violated")
         if bad is not None:
             return bad
 
-        U = V - eps_s * T * S[k] * Y * Y
-        Un = Vn - eps_s * T * S[k + 1] * Yn * Yn
-        dU = (Un - U) / T
+        U = V + c.eps_small * W
+        dU = (Vn + c.eps_small * Wn - U) / T
         ratioU = U / n2
         margins["U_lo"] = min(margins["U_lo"], float(np.min(ratioU)))
         margins["U_hi"] = max(margins["U_hi"], float(np.max(ratioU)))
-        bad = _first_violation(
-            ratioU >= c.c1 / 2.0 - _SLACK,
-            lambda j: Witness.of(T, k, (X[j], Y[j]), k, U[j], c.c1 / 2.0 * n2[j]),
-            "U lower sandwich violated")
+        bad = violation(k, ratioU >= c.c1 / 2.0 - _SLACK, U, lo_U, "U lower sandwich violated")
         if bad is not None:
             return bad
-        bad = _first_violation(ratioU <= c.c2 + _SLACK,
-                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, U[j], c.c2 * n2[j]),
-                               "U upper sandwich violated")
+        bad = violation(k, ratioU <= c.c2 + _SLACK, U, hi, "U upper sandwich violated")
         if bad is not None:
             return bad
 
-        rhsU = -c.c3_tilde * n2
         margins["U_decrease"] = min(margins["U_decrease"], float(np.min(rhsU - dU)))
-        bad = _first_violation(dU <= rhsU + _SLACK,
-                               lambda j: Witness.of(T, k, (X[j], Y[j]), k, dU[j], rhsU[j]),
-                               "U decrease violated")
+        bad = violation(k, dU <= rhsU + _SLACK, dU, rhsU, "U decrease violated")
         if bad is not None:
             return bad
 
@@ -787,16 +782,20 @@ def _refs_from_config(cfg: dict, T: float) -> ReferenceSignal:
     wr = r["wr"]
     amp = float(wr["amplitude"])
     freq = float(wr.get("frequency", 1.0))
+    period = math.tau
     if wr.get("kind", "sin") == "sin":
+        if not freq > 0.0:
+            raise ConfigError(f"frequency must be positive, got {freq}")
         omega_r = lambda t: amp * np.sin(freq * np.asarray(t))
         w_M_default = max(abs(vr0), abs(amp) * max(1.0, freq))
+        period = math.tau / freq
     elif wr["kind"] == "const":
         omega_r = lambda t: amp + 0.0 * np.asarray(t)
         w_M_default = max(abs(vr0), abs(amp))
     else:
-        raise ValueError(f"unknown reference kind {wr.get('kind')!r}")
+        raise ConfigError(f"unknown reference kind {wr.get('kind')!r}")
     return ReferenceSignal(lambda t: vr0 + 0.0 * np.asarray(t), omega_r, T,
-                           float(r.get("w_M", w_M_default)))
+                           float(r.get("w_M", w_M_default)), period)
 
 
 def _merge_config(base: dict, override: dict) -> dict:
@@ -818,14 +817,25 @@ def run_comparison_experiment(config: dict | None = None) -> dict:
     settling step of the position errors into 0.01, settling step of the
     full error norm, divergence flag). The plant is either the
     first-order closed loop or the integrated plant under held inputs.
+    A config it cannot run, such as T above the closed loop's T_max,
+    raises ConfigError.
     """
     cfg = _merge_config(_DEFAULT_COMPARISON, config or {})
     T = float(cfg["T"])
+    if not T > 0.0:
+        raise ConfigError(f"T must be positive, got {T}")
     if cfg["plant"] not in ("euler", "exact-proxy"):
-        raise ValueError("plant must be 'euler' or 'exact-proxy'")
+        raise ConfigError("plant must be 'euler' or 'exact-proxy'")
     refs = _refs_from_config(cfg, T)
     g = cfg["gains"]
     alpha_y = (2.0 - T) if g.get("alpha_y") is None else float(g["alpha_y"])
+    try:
+        T_max = closed_loop_euler_cascade(refs, ControllerGains(float(g["a1"]), float(g["a2"]),
+                                                                alpha_y)).T_max
+    except ValueError as err:  # a gain that is not positive
+        raise ConfigError(str(err)) from err
+    if T > T_max:
+        raise ConfigError(f"T exceeds the admissible T_max {T_max}")
     steps = horizon_index(float(cfg["horizon_s"]), T)
     x0 = np.asarray(cfg["initial_error"], dtype=float)
     bad_norm = float(cfg["divergence_norm"])

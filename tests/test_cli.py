@@ -108,6 +108,30 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, params", [
+    ("unicycle-compare", {"refs": {"wr": {"kind": "cos"}}}),
+    ("unicycle-compare", {"plant": "rk4"}),
+    ("unicycle-compare", {"T": 0.0}),
+    ("unicycle-compare", {"T": -0.01}),
+    ("unicycle-compare", {"T": 1.0 / 70.0}),  # above the closed loop's T_max
+    ("unicycle-compare", {"gains": {"a1": -1.0}}),
+    ("lyapunov-audit", {"T": 0.0}),
+    ("cascade-theorem-demo", {"T": 0.0}),
+    ("pe-check", {"T_list": [0.0]}),
+    ("pe-check", {"T_list": [-0.01]}),
+    ("pe-check", {"wr": {"kind": "sin", "amplitude": 1.0, "frequency": 0.0}}),
+], ids=["compare-cos", "compare-rk4", "compare-T0", "compare-T-negative",
+        "compare-T-above-T_max", "compare-negative-gain", "lyapunov-T0",
+        "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0"])
+def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params):
+    out = tmp_path / "out"
+    code = main(["run", "--experiment", experiment,
+                 "--config", write_config(tmp_path, params), "--out", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rerun_is_byte_identical(tmp_path, capsys):
     cfg = write_config(tmp_path, {"wr": 0.8, "mu": 0.6, "L": 1.0})
     args = ["run", "--experiment", "pe-check", "--config", cfg, "--seed", "4"]

@@ -1,4 +1,4 @@
-"""Smoke tests of the demo scripts that reach `grid_rollouts`.
+"""Smoke tests of the demo scripts.
 
 Each demo runs in a fresh interpreter against this checkout's package;
 the test checks its exit code and the verdict lines it prints.
@@ -46,3 +46,10 @@ def test_cascade_theorem_audit_demo():
                          "doctored coupling caught: True",
                          "experiment status: 0 (0 means every claim held)"):
         assert verdict_line in lines
+
+
+def test_lyapunov_chain_audit_demo():
+    lines = [line.strip() for line in _run_demo("lyapunov_chain_audit.py").splitlines()]
+    assert lines[0].endswith("first broken rung = c1")
+    assert "all rungs valid: True" in lines
+    assert "decrease audit on the 41x41 grid: pass" in lines

@@ -1,6 +1,7 @@
 """Registered experiments: configs, aliases, and reproducibility."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,18 @@ def test_pe_check_full_reference_description():
     with pytest.raises(ConfigError, match="bad reference"):
         run_named("pe-check", {"refs": {"vr": 1.0,
                                         "wr": {"kind": "triangle", "amplitude": 1.0}}})
+
+
+def test_pe_check_covers_the_whole_reference_period():
+    """omega_r = sin(t/3) has period 6 pi; its weak windows lie past 2 pi."""
+    res = run_named("pe-check", {"wr": {"kind": "sin", "amplitude": 1.0,
+                                        "frequency": 1.0 / 3.0},
+                                 "L": 2.0, "mu": 0.2})
+    assert res.status == 1
+    witness = res.metrics["verdict"]["witness"]
+    assert witness["measured"] < 0.2
+    assert witness["initial_state"][0] > 2.0 * math.pi
+    assert res.metrics["min_window_sum"] == pytest.approx(0.0735, abs=1e-4)
 
 
 def test_consistency_sweep_only_knows_the_unicycle_plant():

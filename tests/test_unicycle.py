@@ -470,6 +470,22 @@ def test_chain_audit_passes_on_coarse_grid(validated_constants):
     assert m["U_decrease"] >= -1e-9
 
 
+def test_chain_margins_are_lyap_U_and_lyap_W_to_the_bit(validated_constants):
+    """The audit's U is lyap_U and its weight T S(k) is -lyap_W(k, 1)."""
+    refs, gains, c = validated_references(), validated_gains(), validated_constants
+    m = audit_lyapunov_chain(refs, gains, c, T=0.01, grid_n=9, radius=2.0,
+                             k_max=50).margins
+    g = np.linspace(-2.0, 2.0, 9)
+    pts = np.array([(x, y) for x in g for y in g if (x, y) != (0.0, 0.0)])
+    n2 = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+    ratios = [lyap_U(k, pts, refs, gains, c, 0.01) / n2 for k in range(51)]
+    assert m["U_lo"] == min(float(np.min(r)) for r in ratios)
+    assert m["U_hi"] == max(float(np.max(r)) for r in ratios)
+    weights = [-lyap_W(k, 1.0, refs, 0.01, 1e-12) for k in range(51)]
+    assert m["W_sandwich_lo"] == min(weights)
+    assert m["W_sandwich_hi"] == max(weights)
+
+
 def test_chain_audit_reports_the_failed_W_sandwich_side(validated_constants):
     c = validated_constants
     args = (validated_references(), validated_gains())
