@@ -19,7 +19,8 @@ from .discretize import (ConsistencyReport, EstimateFailure,
                          modified_euler_map)
 from .experiments import (ConfigError, ExperimentResult, EXPERIMENTS,
                           double_integrator_field, list_experiments,
-                          period_scaled_feedback, run_named)
+                          period_scaled_feedback, run_comparison_experiment,
+                          run_named)
 from .numerics import (ClassKFunction, EnvelopeFalsified, KLBound,
                        fit_kl_envelope, horizon_index, kl_compose, kl_shift)
 from .stability import (CertificateParams, LyapunovCandidate,
@@ -34,9 +35,8 @@ from .unicycle import (CaseStudyConstants, ControllerGains,
                        controller_callable, demo_gains, demo_references,
                        error_dynamics_field, lyap_U, lyap_V, lyap_V_bounds,
                        lyap_W, lyap_W_bounds, pe_window_sums,
-                       redesign_correction, run_comparison_experiment,
-                       tracking_controller, validated_gains,
-                       validated_references)
+                       redesign_correction, tracking_controller,
+                       validated_gains, validated_references)
 from .verdict import StabilityVerdict, Witness
 
 __all__ = [name for name in dir() if not name.startswith("_")]

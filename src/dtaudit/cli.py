@@ -120,6 +120,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+        if Path(args.out).exists() and not Path(args.out).is_dir():
+            raise ConfigError(f"--out {args.out} is a file, not a directory")
         params = _load_params(args.config)
         result = run_named(args.experiment, params, args.seed)
     except ConfigError as err:

@@ -27,12 +27,15 @@ from .stability import (CertificateParams, LyapunovCandidate, audit_lyapunov,
                         check_summability, spuas_escape)
 # perfbench/layers.py wraps the sweeps under these names on this module
 from .stability import check_boundedness, falsify_spuas  # noqa: F401
-from .unicycle import (ConfigError, _chain_grid, _chain_pass, _refs_from_config,
-                       audit_lyapunov_chain, check_pe, closed_loop_euler_cascade,
-                       compute_case_constants, demo_gains, demo_references,
-                       error_dynamics_field, lyap_U, pe_window_sums,
-                       run_comparison_experiment, validated_gains,
-                       validated_references)
+from .unicycle import (ControllerGains, ReferenceSignal, _chain_grid, _chain_pass,
+                       _score_variant, _simulate_variant, audit_lyapunov_chain,
+                       check_pe, closed_loop_euler_cascade, compute_case_constants,
+                       demo_gains, demo_references, error_dynamics_field,
+                       lyap_U, pe_window_sums, validated_gains, validated_references)
+
+
+class ConfigError(ValueError):
+    """An experiment configuration is malformed or names unknown options."""
 
 
 @dataclass(frozen=True)
@@ -51,14 +54,47 @@ class ExperimentResult:
     plots: dict
 
 
-def _with_defaults(params: dict, defaults: dict, name: str) -> dict:
-    params = dict(params or {})
+_KINDS = {dict: "an object", tuple: "a list", bool: "true or false", float: "a number",
+          int: "an integer", str: "a string"}
+
+
+def _with_defaults(params, defaults: dict, name: str) -> dict:
+    """`params` merged over `defaults`, every given value typed like its default.
+
+    `name` is the dotted path of `params`; an unknown key at any depth is
+    an error that names it. A dict default is merged key by key. A float
+    default takes an int or a float, an int, bool or str default only its
+    own type (a bool is never a number), and a tuple default a list whose
+    elements are typed like its first element. A None default passes the
+    value through; the runner types it where it reads it.
+    """
+    params = params or {}
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown option(s) for {name}: {', '.join(unknown)}")
-    out = dict(defaults)
-    out.update(params)
-    return out
+    return {key: _typed(params[key], val, f"{name}.{key}") if key in params else val
+            for key, val in defaults.items()}
+
+
+def _typed(value, default, path: str):
+    """`value` checked against the type of `default`; see `_with_defaults`."""
+    if default is None:
+        return value
+    if isinstance(default, dict):
+        if isinstance(value, dict):
+            return _with_defaults(value, default, path)
+    elif isinstance(default, tuple):
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(v, default[0], f"{path}[{i}]") for i, v in enumerate(value))
+    elif isinstance(value, bool) or isinstance(default, bool):
+        if type(value) is type(default):
+            return value
+    elif isinstance(default, float):
+        if isinstance(value, (int, float)):
+            return float(value)
+    elif isinstance(value, type(default)):
+        return value
+    raise ConfigError(f"{path} must be {_KINDS[type(default)]}, got {value!r}")
 
 
 def _rows(array) -> np.ndarray:
@@ -66,8 +102,8 @@ def _rows(array) -> np.ndarray:
 
 
 def _periods(values, name: str) -> list[float]:
-    """Sampling periods of a config as floats; there must be one, all positive."""
-    Ts = [float(t) for t in values]
+    """Sampling periods of a config; there must be one, all positive."""
+    Ts = list(values)
     if not Ts or not all(t > 0.0 for t in Ts):
         raise ConfigError(f"{name}: sampling periods must be positive")
     return Ts
@@ -124,11 +160,11 @@ _EXAMPLE1_DEFAULTS = {
 def _run_example1(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _EXAMPLE1_DEFAULTS, "example1")
     if p["T"] is not None:  # scalar shorthand for a single-period run
-        T_values = [float(p["T"])]
-    else:
-        T_values = [float(t) for t in p["T_values"]]
-    if any(not 0.0 < T < 0.5 for T in T_values):
-        raise ConfigError("T_values must lie strictly inside (0, 0.5)")
+        T = _typed(p["T"], 0.0, "example1.T")
+        p.update(T_values=(T,), table_T=T)
+    T_values = list(p["T_values"])
+    if not T_values or any(not 0.0 < T < 0.5 for T in T_values):
+        raise ConfigError("example1 needs periods strictly inside (0, 0.5)")
     field = double_integrator_field()
     ctrl = period_scaled_feedback()
     emap = euler_map(field, ctrl)
@@ -151,16 +187,16 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
 
     # decay envelope of the first-order closed loop, one b for all draws
     rng = np.random.default_rng(seed)
-    T_decay = T_values + [float(t) for t in rng.uniform(0.02, 0.49, int(p["n_random_T"]))]
-    x0 = rng.standard_normal((int(p["n_states"]), 2))
+    T_decay = T_values + [float(t) for t in rng.uniform(0.02, 0.49, p["n_random_T"])]
+    x0 = rng.standard_normal((p["n_states"], 2))
     x0 = x0 * rng.uniform(0.1, 10.0, size=(len(x0), 1))
 
-    horizon = float(p["decay_horizon_s"])
+    horizon = p["decay_horizon_s"]
     batches = [rollout(emap.step, T, 0, x0, min(horizon_index(horizon, T), 2000))[0]
                for T in T_decay]
     trajs = [Trajectory(T, 0, states[:, j]) for T, states in zip(T_decay, batches)
              for j in range(len(x0))]
-    lam = float(p["decay_rate"])
+    lam = p["decay_rate"]
     beta = fit_kl_envelope(trajs, lam_grid=[lam])
     b = float(beta.params["M"])
     worst = 0.0
@@ -174,24 +210,21 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     x0_nc = np.array([[1.0, 0.3], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
 
     def stalled_fraction(T):
-        states = rollout(xmap.step, T, 0, x0_nc, int(p["nonconv_steps"]))[0]
+        states = rollout(xmap.step, T, 0, x0_nc, p["nonconv_steps"])[0]
         norms = np.linalg.norm(states, axis=2)
         return np.min(norms, axis=0) / norms[0]
 
     ratios = np.array([stalled_fraction(T) for T in T_values])
     min_ratio = float(np.min(ratios))
-    nonconv_floor = float(p["nonconv_floor"])
+    nonconv_floor = p["nonconv_floor"]
 
-    T_tab = float(p["table_T"]) if p["T"] is None else float(p["T"])
-    steps_tab = int(p["table_steps"])
+    T_tab, ks = p["table_T"], np.arange(p["table_steps"] + 1)
     tabs = {}
     for label, pmap in (("euler", emap), ("exact", xmap)):
-        y = np.array([1.0, 0.3])
-        rows = [(0, 0.0, y[0], y[1], float(np.linalg.norm(y)))]
-        for k in range(steps_tab):
-            y = np.asarray(pmap.step(T_tab, k, y), dtype=float)
-            rows.append((k + 1, (k + 1) * T_tab, y[0], y[1], float(np.linalg.norm(y))))
-        tabs[f"trajectory_{label}"] = (["k", "t", "x1", "x2", "norm"], _rows(rows))
+        y = rollout(pmap.step, T_tab, 0, [1.0, 0.3], p["table_steps"])[0][:, 0]
+        norms = [np.linalg.norm(row) for row in y]  # axis=1 differs in the last bit
+        tabs[f"trajectory_{label}"] = (["k", "t", "x1", "x2", "norm"],
+                                       np.column_stack([ks, ks * T_tab, y, norms]))
 
     status = 0 if (eig_dev <= 1e-10 and radius_dev <= 1e-6
                    and worst <= b * (1.0 + 1e-6) and min_ratio >= nonconv_floor) else 1
@@ -215,16 +248,88 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
 # --- correction-variant comparison ------------------------------------
 
 
-def _run_unicycle_compare(params: dict, seed: int) -> ExperimentResult:
-    cfg = dict(params or {})
-    unknown = sorted(set(cfg) - {"T", "horizon_s", "initial_error", "plant", "variants",
-                                 "refs", "gains", "divergence_norm"})
-    if unknown:
-        raise ConfigError(f"unknown option(s) for unicycle-compare: {', '.join(unknown)}")
-    variants = tuple(cfg.get("variants", ("none", "scaled", "full")))
-    if not variants:
+_COMPARE_DEFAULTS = {
+    "T": 0.01,
+    "horizon_s": 10.0,
+    "initial_error": (1.0, 1.0, 0.5),
+    "plant": "euler",
+    "variants": ("none", "scaled", "full"),
+    "refs": {"vr": 1.0, "wr": {"kind": "sin", "amplitude": 20.0, "frequency": 1.0}},
+    "gains": {"a1": 10.0, "a2": 70.0, "alpha_y": None, "scaled_factor": 0.5},
+    "divergence_norm": 1e6,
+}
+
+
+def _refs_from_config(r: dict, T: float) -> ReferenceSignal:
+    """The reference signal of a typed `refs` config.
+
+    The uniform bound w_M dominates |v_r|, |omega_r| and the difference
+    quotient of omega_r: the amplitude times max(1, frequency) for `sin`.
+    """
+    vr0, wr = r["vr"], r["wr"]
+    amp, freq = wr["amplitude"], wr["frequency"]
+    if wr["kind"] == "sin":
+        if not freq > 0.0:
+            raise ConfigError(f"bad reference: frequency must be positive, got {freq}")
+        omega_r = lambda t: amp * np.sin(freq * np.asarray(t))
+        w_M, period = max(abs(vr0), abs(amp) * max(1.0, freq)), math.tau / freq
+    elif wr["kind"] == "const":
+        omega_r = lambda t: amp + 0.0 * np.asarray(t)
+        w_M, period = max(abs(vr0), abs(amp)), math.tau
+    else:
+        raise ConfigError(f"bad reference kind {wr['kind']!r}")
+    return ReferenceSignal(lambda t: vr0 + 0.0 * np.asarray(t), omega_r, T, w_M, period)
+
+
+def run_comparison_experiment(config: dict | None = None) -> dict:
+    """Simulate the correction variants from one initial error and score them.
+
+    Returns a dict with the merged config and one entry per variant:
+    trajectory rows (k, t, x_e, y_e, theta_e, v, omega, correction) and
+    metrics (integrated squared position error, peak |v|, control energy,
+    settling step of the position errors into 0.01, settling step of the
+    full error norm, divergence flag). The plant is either the
+    first-order closed loop or the integrated plant under held inputs.
+    A config it cannot run, such as T above the closed loop's T_max,
+    raises ConfigError.
+    """
+    cfg = _with_defaults(config, _COMPARE_DEFAULTS, "unicycle-compare")
+    T, g = cfg["T"], cfg["gains"]
+    if not T > 0.0:
+        raise ConfigError(f"T must be positive, got {T}")
+    if cfg["plant"] not in ("euler", "exact-proxy"):
+        raise ConfigError("plant must be 'euler' or 'exact-proxy'")
+    if not cfg["variants"]:
         raise ConfigError("unicycle-compare needs at least one correction variant")
-    out = run_comparison_experiment(dict(cfg, variants=variants))
+    x0 = np.asarray(cfg["initial_error"])
+    if x0.shape != (3,):
+        raise ConfigError("unicycle-compare.initial_error must be three numbers "
+                          "(x_e, y_e, theta_e)")
+    refs = _refs_from_config(cfg["refs"], T)
+    alpha_y = 2.0 - T if g["alpha_y"] is None else _typed(g["alpha_y"], 0.0,
+                                                          "unicycle-compare.gains.alpha_y")
+    try:  # a gain that is not positive or an unknown variant
+        gains = [ControllerGains(g["a1"], g["a2"], alpha_y, variant, g["scaled_factor"])
+                 for variant in cfg["variants"]]
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    T_max = closed_loop_euler_cascade(refs, gains[0]).T_max
+    if T > T_max:
+        raise ConfigError(f"T exceeds the admissible T_max {T_max}")
+    steps = horizon_index(cfg["horizon_s"], T)
+
+    out = {"config": cfg, "variants": {}}
+    for gain in gains:
+        states, diverged, first_bad = _simulate_variant(refs, gain, T, x0, steps,
+                                                        cfg["plant"], cfg["divergence_norm"])
+        rows, metrics = _score_variant(states, refs, gain, T, diverged, first_bad)
+        out["variants"][gain.use_correction] = {"rows": rows, "metrics": metrics}
+    return out
+
+
+def _run_unicycle_compare(params: dict, seed: int) -> ExperimentResult:
+    # through the module global, which perfbench/layers.py wraps
+    out = run_comparison_experiment(params)
 
     tables, plots, per_variant = {}, {}, {}
     cols = ["k", "t", "x_e", "y_e", "theta_e", "v", "omega", "correction"]
@@ -278,30 +383,24 @@ def _run_consistency(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _CONSISTENCY_DEFAULTS, "consistency-sweep")
     if p["plant"] != "unicycle":
         raise ConfigError("only the unicycle tracking-error plant is wired in")
-    if p["regime"] == "validated":
-        refs = validated_references()
-    elif p["regime"] == "demo":
-        refs = demo_references()
-    else:
-        raise ConfigError("regime must be 'validated' or 'demo'")
-    held = np.asarray(p["held_input"], dtype=float)
+    refs = _regime(p["regime"])[0]()
+    held = np.asarray(p["held_input"])
     if held.shape != (2,):
-        raise ConfigError("held_input must be a pair (v, omega)")
+        raise ConfigError("consistency-sweep.held_input must be a pair (v, omega)")
+    if len(p["euler_slope_window"]) != 2:
+        raise ConfigError("consistency-sweep.euler_slope_window must be a pair (lo, hi)")
     field = error_dynamics_field(refs)
-    ref_map = exact_proxy_map(field, held, tol=float(p["proxy_tol"]))
-    box = Box.centered(float(p["box_halfwidth"]), 3)
-    T_list = [float(t) for t in p["T_list"]]
-    k_set = [int(k) for k in p["k_set"]]
-    n = int(p["n_samples"])
+    ref_map = exact_proxy_map(field, held, tol=p["proxy_tol"])
+    box = Box.centered(p["box_halfwidth"], 3)
 
-    reports = {label: consistency_order(ref_map, make(field, held), box,
-                                        k_set=k_set, T_list=T_list, n_samples=n)
+    reports = {label: consistency_order(ref_map, make(field, held), box, k_set=list(p["k_set"]),
+                                        T_list=list(p["T_list"]), n_samples=p["n_samples"])
                for label, make in (("euler", euler_map), ("modified-euler", modified_euler_map))}
-    lo, hi = (float(v) for v in p["euler_slope_window"])
+    lo, hi = p["euler_slope_window"]
     e_slope = reports["euler"].slope
     m_slope = reports["modified-euler"].slope
     status = 0 if (e_slope is not None and lo <= e_slope <= hi
-                   and m_slope is not None and m_slope >= float(p["modified_slope_min"])) else 1
+                   and m_slope is not None and m_slope >= p["modified_slope_min"]) else 1
 
     tables, plots = {}, {}
     for label, rep in reports.items():
@@ -325,13 +424,18 @@ def _run_consistency(params: dict, seed: int) -> ExperimentResult:
 # --- tracking regimes --------------------------------------------------
 
 
-def _regime(name: str, T: float):
-    """References and full-correction gains of a named regime."""
-    if name == "validated":
-        return validated_references(T), validated_gains("full")
-    if name == "demo":
-        return demo_references(T), demo_gains(T, "full")
-    raise ConfigError("regime must be 'validated' or 'demo'")
+_REGIMES = {
+    "validated": (validated_references, lambda T: validated_gains("full")),
+    "demo": (demo_references, lambda T: demo_gains(T, "full")),
+}
+
+
+def _regime(name: str):
+    """Builders, as functions of T, of the references and the
+    full-correction gains of a named regime."""
+    if name not in _REGIMES:
+        raise ConfigError("regime must be 'validated' or 'demo'")
+    return _REGIMES[name]
 
 
 _LYAP_DEFAULTS = {
@@ -360,10 +464,9 @@ def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
 def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit")
     T = _periods([p["T"]], "T")[0]
-    refs, gains = _regime(p["regime"], T)
-    grid_n, radius = int(p["grid_n"]), float(p["radius"])
-    consts = compute_case_constants(refs, gains, T, float(p["L_pe"]),
-                                    grid_n=grid_n, radius=radius)
+    refs, gains = (build(T) for build in _regime(p["regime"]))
+    grid_n, radius = p["grid_n"], p["radius"]
+    consts = compute_case_constants(refs, gains, T, p["L_pe"], grid_n=grid_n, radius=radius)
     metrics = {"regime": p["regime"], "T": T, "constants": consts.to_json()}
     if not consts.all_valid:
         metrics["violated_flag"] = consts.first_violated()
@@ -425,27 +528,18 @@ _PE_DEFAULTS = {
 def _run_pe_check(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _PE_DEFAULTS, "pe-check")
     T_list = _periods(p["T_list"], "T_list")
-    if p["wr"] is not None and p["refs"] is None:
-        # shorthand: give just the turning-rate signal, constant if scalar
-        wr = p["wr"] if isinstance(p["wr"], dict) else {"kind": "const",
-                                                        "amplitude": float(p["wr"])}
-        p = dict(p)
-        p["refs"] = {"vr": 1.0, "wr": wr}
+    T0, schema = T_list[0], _COMPARE_DEFAULTS["refs"]
     if p["refs"] is not None:
-        try:
-            refs = _refs_from_config({"refs": p["refs"]}, T_list[0])
-        except (KeyError, ValueError, TypeError) as err:
-            raise ConfigError(f"bad reference description: {err}") from err
-    elif p["regime"] == "validated":
-        refs = validated_references(T_list[0])
-    elif p["regime"] == "demo":
-        refs = demo_references(T_list[0])
+        refs = _refs_from_config(_typed(p["refs"], schema, "pe-check.refs"), T0)
+    elif p["wr"] is not None:
+        # shorthand: give just the turning-rate signal, constant if a number
+        wr = p["wr"] if isinstance(p["wr"], dict) else {"kind": "const", "amplitude": p["wr"]}
+        refs = _refs_from_config(dict(schema, wr=_typed(wr, schema["wr"], "pe-check.wr")), T0)
     else:
-        raise ConfigError("regime must be 'validated' or 'demo'")
-    L, mu = float(p["L"]), float(p["mu"])
+        refs = _regime(p["regime"])[0](T0)
+    L, mu = p["L"], p["mu"]
 
     verdict = check_pe(refs, L, mu, T_list)
-    T0 = T_list[0]
     sums = pe_window_sums(refs, T0, L, refs.period_steps(T0))
     js = np.arange(len(sums))
     plots = {"window_sums": (["j", "t", "window_sum"],
@@ -493,14 +587,13 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _THEOREM_DEFAULTS, "cascade-theorem-demo")
     T = _periods([p["T"]], "T")[0]
     T_list = sorted(_periods(p["T_list"], "T_list"))
-    horizon_s = float(p["horizon_s"])
-    Delta, Delta_z = float(p["Delta"]), float(p["Delta_z"])
+    horizon_s, Delta, Delta_z = p["horizon_s"], p["Delta"], p["Delta_z"]
     refs, gains = validated_references(T), validated_gains("full")
     sysm = closed_loop_euler_cascade(refs, gains)
     if T_list[-1] > sysm.T_max:
         raise ConfigError(f"T_list exceeds the admissible T_max {sysm.T_max}")
-    consts = compute_case_constants(refs, gains, T, float(p["L_pe"]),
-                                    grid_n=int(p["grid_n"]), radius=float(p["radius"]))
+    consts = compute_case_constants(refs, gains, T, p["L_pe"], grid_n=p["grid_n"],
+                                    radius=p["radius"])
     if not consts.all_valid:
         return ExperimentResult("cascade-theorem-demo", 1,
                                 {"violated_flag": consts.first_violated(),
@@ -509,7 +602,7 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     def xstep(TT, k, x):
         return sysm.f(TT, k, x, np.zeros((len(x), 1)))
 
-    n_ball = int(p["n_ball"])
+    n_ball = p["n_ball"]
     metrics = {"T": T, "T_list": T_list, "constants": consts.to_json()}
 
     def decay(name, step, grid):
@@ -524,9 +617,8 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     beta_z, z_verdict = decay("driving_decay", sysm.g, sample_ball(Delta_z, 1, 17))[2:]
     beta_x, x_verdict = decay("unforced_decay", xstep, sample_ball(Delta, 2, n_ball))[2:]
 
-    mu_star = usc_probe(sysm, Delta, float(p["eta"]), float(p["eps"]),
-                        float(p["usc_L"]), [T], list(p["mu_grid"]),
-                        x0_count=int(p["usc_x0_count"]))
+    mu_star = usc_probe(sysm, Delta, p["eta"], p["eps"], p["usc_L"], [T], list(p["mu_grid"]),
+                        x0_count=p["usc_x0_count"])
     metrics["small_inputs"] = {"mu_star": mu_star}
 
     def interconnection():
@@ -572,12 +664,12 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     ok_inter, bad_inter, c_gain = interconnection()
 
     def growth_certificate():
-        X, Y = _chain_grid(int(p["grid_n"]), float(p["radius"]))
+        X, Y = _chain_grid(p["grid_n"], p["radius"])
         base = np.stack([X, Y], axis=-1)
         pts = np.concatenate([np.column_stack([base, np.full(len(base), th)])
                               for th in p["theta_values"]])
         k_hi = refs.period_steps(T)
-        k_cert = sorted(set(range(0, k_hi + 1, int(p["k_stride"]))) | {k_hi})
+        k_cert = sorted(set(range(0, k_hi + 1, p["k_stride"])) | {k_hi})
 
         cand = _lyap_U_candidate(refs, gains, consts)
         Xs, Zs = pts[:, :2], pts[:, 2:]

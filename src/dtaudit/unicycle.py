@@ -33,7 +33,6 @@ __all__ = [
     "TrackingErrorState",
     "ControllerGains",
     "CaseStudyConstants",
-    "ConfigError",
     "CorrectionDomainError",
     "check_pe",
     "pe_window_sums",
@@ -51,16 +50,11 @@ __all__ = [
     "lyap_U",
     "compute_case_constants",
     "audit_lyapunov_chain",
-    "run_comparison_experiment",
     "demo_references",
     "demo_gains",
     "validated_references",
     "validated_gains",
 ]
-
-
-class ConfigError(ValueError):
-    """An experiment configuration is malformed or names unknown options."""
 
 
 class CorrectionDomainError(ValueError):
@@ -295,6 +289,8 @@ def error_dynamics_field(refs: ReferenceSignal) -> VectorField:
         fx = w * y_e - v + vr * np.cos(th_e)
         fy = -w * x_e + vr * np.sin(th_e)
         fth = wr - w
+        if np.shape(fth) != np.shape(fx):  # a (2,) input for a state lifted to (1, 3)
+            fth = np.broadcast_to(fth, np.shape(fx))
         return np.stack([fx, fy, fth], axis=-1)
 
     return VectorField(3, 2, rhs)
@@ -761,94 +757,7 @@ def validated_gains(use_correction: str = "full") -> ControllerGains:
     return ControllerGains(1.0, 5.0, 0.1, use_correction)
 
 
-# --- comparison experiment -------------------------------------------
-
-
-_DEFAULT_COMPARISON = {
-    "T": 0.01,
-    "horizon_s": 10.0,
-    "initial_error": (1.0, 1.0, 0.5),
-    "plant": "euler",
-    "variants": ("none", "scaled", "full"),
-    "refs": {"vr": 1.0, "wr": {"kind": "sin", "amplitude": 20.0, "frequency": 1.0}},
-    "gains": {"a1": 10.0, "a2": 70.0, "alpha_y": None, "scaled_factor": 0.5},
-    "divergence_norm": 1e6,
-}
-
-
-def _refs_from_config(cfg: dict, T: float) -> ReferenceSignal:
-    r = cfg["refs"]
-    vr0 = float(r["vr"])
-    wr = r["wr"]
-    amp = float(wr["amplitude"])
-    freq = float(wr.get("frequency", 1.0))
-    period = math.tau
-    if wr.get("kind", "sin") == "sin":
-        if not freq > 0.0:
-            raise ConfigError(f"frequency must be positive, got {freq}")
-        omega_r = lambda t: amp * np.sin(freq * np.asarray(t))
-        w_M_default = max(abs(vr0), abs(amp) * max(1.0, freq))
-        period = math.tau / freq
-    elif wr["kind"] == "const":
-        omega_r = lambda t: amp + 0.0 * np.asarray(t)
-        w_M_default = max(abs(vr0), abs(amp))
-    else:
-        raise ConfigError(f"unknown reference kind {wr.get('kind')!r}")
-    return ReferenceSignal(lambda t: vr0 + 0.0 * np.asarray(t), omega_r, T,
-                           float(r.get("w_M", w_M_default)), period)
-
-
-def _merge_config(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge_config(out[key], val)
-        else:
-            out[key] = val
-    return out
-
-
-def run_comparison_experiment(config: dict | None = None) -> dict:
-    """Simulate the correction variants from one initial error and score them.
-
-    Returns a dict with one entry per variant: trajectory rows
-    (k, t, x_e, y_e, theta_e, v, omega, correction) and metrics
-    (integrated squared position error, peak |v|, control energy,
-    settling step of the position errors into 0.01, settling step of the
-    full error norm, divergence flag). The plant is either the
-    first-order closed loop or the integrated plant under held inputs.
-    A config it cannot run, such as T above the closed loop's T_max,
-    raises ConfigError.
-    """
-    cfg = _merge_config(_DEFAULT_COMPARISON, config or {})
-    T = float(cfg["T"])
-    if not T > 0.0:
-        raise ConfigError(f"T must be positive, got {T}")
-    if cfg["plant"] not in ("euler", "exact-proxy"):
-        raise ConfigError("plant must be 'euler' or 'exact-proxy'")
-    refs = _refs_from_config(cfg, T)
-    g = cfg["gains"]
-    alpha_y = (2.0 - T) if g.get("alpha_y") is None else float(g["alpha_y"])
-    try:
-        T_max = closed_loop_euler_cascade(refs, ControllerGains(float(g["a1"]), float(g["a2"]),
-                                                                alpha_y)).T_max
-    except ValueError as err:  # a gain that is not positive
-        raise ConfigError(str(err)) from err
-    if T > T_max:
-        raise ConfigError(f"T exceeds the admissible T_max {T_max}")
-    steps = horizon_index(float(cfg["horizon_s"]), T)
-    x0 = np.asarray(cfg["initial_error"], dtype=float)
-    bad_norm = float(cfg["divergence_norm"])
-
-    out = {"config": cfg, "variants": {}}
-    for variant in cfg["variants"]:
-        gains = ControllerGains(float(g["a1"]), float(g["a2"]), alpha_y, variant,
-                                float(g.get("scaled_factor", 0.5)))
-        states, diverged, first_bad = _simulate_variant(refs, gains, T, x0, steps,
-                                                        cfg["plant"], bad_norm)
-        rows, metrics = _score_variant(states, refs, gains, T, diverged, first_bad)
-        out["variants"][variant] = {"rows": rows, "metrics": metrics}
-    return out
+# --- comparison experiment: simulation and scoring --------------------
 
 
 def _simulate_variant(refs, gains, T, x0, steps, plant, bad_norm):
@@ -856,20 +765,16 @@ def _simulate_variant(refs, gains, T, x0, steps, plant, bad_norm):
     finite), the divergence flag and that step."""
     if plant == "euler":
         step = _stacked_step(closed_loop_euler_cascade(refs, gains))
-        states = rollout(step, T, 0, x0, steps)[0][:, 0]
     else:
         pmap = exact_proxy_map(error_dynamics_field(refs), controller_callable(refs, gains))
-        rows = [x0]
-        s = x0.copy()
-        for k in range(steps):
+
+        def step(T, k, Y):
             try:
-                s = np.asarray(pmap.step(T, k, s), dtype=float)
+                return pmap.step(T, k, Y)
             except IntegrationError:
-                s = np.full_like(x0, np.nan)  # a failed step diverges
-            rows.append(s)
-            if not np.all(np.isfinite(s)):
-                break
-        states = np.array(rows)
+                return np.full_like(Y, np.nan)  # a failed step diverges
+
+    states = rollout(step, T, 0, x0, steps)[0][:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         bad = ~(np.linalg.norm(states, axis=1) <= bad_norm)
     if np.any(bad):
@@ -879,15 +784,8 @@ def _simulate_variant(refs, gains, T, x0, steps, plant, bad_norm):
 
 
 def _score_variant(states, refs, gains, T, diverged, first_bad):
-    n = len(states)
-    ks = np.arange(n)
-    v = np.empty(n)
-    w = np.empty(n)
-    vth = np.empty(n)
-    for k in range(n):
-        vk, wk, tk = _control_values(T, k, states[k, 0], states[k, 1], states[k, 2],
-                                     refs, gains)
-        v[k], w[k], vth[k] = vk, wk, np.asarray(tk, dtype=float)
+    ks = np.arange(len(states))
+    v, w, vth = _control_values(T, ks, states[:, 0], states[:, 1], states[:, 2], refs, gains)
     rows = np.column_stack([ks, ks * T, states, v, w, vth])
     pos = np.linalg.norm(states[:, :2], axis=1)
     full = np.linalg.norm(states, axis=1)

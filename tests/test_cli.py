@@ -108,27 +108,67 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment, params", [
-    ("unicycle-compare", {"refs": {"wr": {"kind": "cos"}}}),
-    ("unicycle-compare", {"plant": "rk4"}),
-    ("unicycle-compare", {"T": 0.0}),
-    ("unicycle-compare", {"T": -0.01}),
-    ("unicycle-compare", {"T": 1.0 / 70.0}),  # above the closed loop's T_max
-    ("unicycle-compare", {"gains": {"a1": -1.0}}),
-    ("lyapunov-audit", {"T": 0.0}),
-    ("cascade-theorem-demo", {"T": 0.0}),
-    ("pe-check", {"T_list": [0.0]}),
-    ("pe-check", {"T_list": [-0.01]}),
-    ("pe-check", {"wr": {"kind": "sin", "amplitude": 1.0, "frequency": 0.0}}),
+@pytest.mark.parametrize("experiment, params, key", [
+    ("unicycle-compare", {"refs": {"wr": {"kind": "cos"}}}, "reference kind"),
+    ("unicycle-compare", {"plant": "rk4"}, "plant"),
+    ("unicycle-compare", {"T": 0.0}, "T"),
+    ("unicycle-compare", {"T": -0.01}, "T"),
+    ("unicycle-compare", {"T": 1.0 / 70.0}, "T_max"),  # above the closed loop's T_max
+    ("unicycle-compare", {"gains": {"a1": -1.0}}, "gains"),
+    ("lyapunov-audit", {"T": 0.0}, "T"),
+    ("cascade-theorem-demo", {"T": 0.0}, "T"),
+    ("pe-check", {"T_list": [0.0]}, "T_list"),
+    ("pe-check", {"T_list": [-0.01]}, "T_list"),
+    ("pe-check", {"wr": {"kind": "sin", "amplitude": 1.0, "frequency": 0.0}}, "frequency"),
+    ("pe-check", {"refs": {"vr": 1.0, "wr": {"kind": "sin", "amplitude": 1.0,
+                                             "freqency": 3.0}}, "mu": 0.1},
+     "pe-check.refs.wr: freqency"),
+    ("unicycle-compare", {"refs": {"wr": {"ampltude": 1.0}}}, "unicycle-compare.refs.wr: ampltude"),
+    ("unicycle-compare", {"gains": {"a3": 1.0}}, "unicycle-compare.gains: a3"),
+    ("unicycle-compare", {"refs": {"w_M": 5.0}}, "unicycle-compare.refs: w_M"),
+    ("lyapunov-audit", {"grid_n": 1.5}, "lyapunov-audit.grid_n"),
+    ("lyapunov-audit", {"margin_rows": "no"}, "lyapunov-audit.margin_rows"),
+    ("example1", {"T": "0.19"}, "example1.T"),
+    ("lyapunov-audit", {"T": "abc"}, "lyapunov-audit.T"),
+    ("unicycle-compare", {"T": "abc"}, "unicycle-compare.T"),
+    ("unicycle-compare", {"variants": "full"}, "unicycle-compare.variants"),
+    ("unicycle-compare", {"initial_error": [1.0, 1.0]}, "unicycle-compare.initial_error"),
+    ("example1", {"T_values": 0.1}, "example1.T_values"),
+    ("consistency-sweep", {"k_set": 7}, "consistency-sweep.k_set"),
+    ("cascade-theorem-demo", {"mu_grid": 0.1}, "cascade-theorem-demo.mu_grid"),
+    ("consistency-sweep", {"n_samples": "x"}, "consistency-sweep.n_samples"),
+    ("consistency-sweep", {"held_input": [0.5, "a"]}, "consistency-sweep.held_input[1]"),
 ], ids=["compare-cos", "compare-rk4", "compare-T0", "compare-T-negative",
         "compare-T-above-T_max", "compare-negative-gain", "lyapunov-T0",
-        "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0"])
-def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params):
+        "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0",
+        "pe-nested-typo", "compare-nested-typo", "compare-unknown-gain", "compare-w_M",
+        "lyapunov-float-grid_n", "lyapunov-str-margin_rows", "example1-str-T",
+        "lyapunov-T-abc", "compare-T-abc", "compare-str-variants", "compare-short-initial_error",
+        "example1-scalar-T_values", "consistency-scalar-k_set", "theorem-scalar-mu_grid",
+        "consistency-str-n_samples", "consistency-str-held_input"])
+def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params, key):
     out = tmp_path / "out"
     code = main(["run", "--experiment", experiment,
                  "--config", write_config(tmp_path, params), "--out", str(out)])
     assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert key in err
+    assert not out.exists()
+
+
+def test_bad_command_line_values_are_exit_2(tmp_path, capsys):
+    """Both are rejected before the experiment runs."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = write_config(tmp_path, FAST_EXAMPLE1)
+    assert main(["run", "--experiment", "example1", "--config", cfg,
+                 "--out", str(taken)]) == 2
+    assert "--out" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", "example1", "--config", cfg,
+                 "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dtaudit import ConfigError, list_experiments, run_named
+from dtaudit import ConfigError, experiments, list_experiments, run_named
 from dtaudit.verdict import _plain
 
 EXAMPLE1_FAST = {
@@ -44,6 +44,32 @@ def test_unknown_option_is_named_in_the_error():
         run_named("example1", {"bogus": 3})
     with pytest.raises(ConfigError, match="wrr"):
         run_named("pe-check", {"wrr": 0})
+
+
+@pytest.mark.parametrize("name, defaults", [
+    ("example1", experiments._EXAMPLE1_DEFAULTS),
+    ("unicycle-compare", experiments._COMPARE_DEFAULTS),
+    ("consistency-sweep", experiments._CONSISTENCY_DEFAULTS),
+    ("lyapunov-audit", experiments._LYAP_DEFAULTS),
+    ("pe-check", experiments._PE_DEFAULTS),
+    ("cascade-theorem-demo", experiments._THEOREM_DEFAULTS),
+])
+def test_defaults_pass_their_own_parser_unchanged(name, defaults):
+    """A tuple default types its elements like its first one, so every
+    element of every default must have the first one's type."""
+    merged = experiments._with_defaults(defaults, defaults, name)
+    assert repr(merged) == repr(defaults)
+
+
+def test_typed_parser_casts_ints_to_floats_but_never_bools():
+    p = experiments._with_defaults({"T": 1, "T_list": [1, 0.5], "gains": {"a1": 2}},
+                                   {"T": 0.5, "T_list": (0.1,), "gains": {"a1": 1.0, "a2": 3.0}},
+                                   "toy")
+    assert repr(p) == "{'T': 1.0, 'T_list': (1.0, 0.5), 'gains': {'a1': 2.0, 'a2': 3.0}}"
+    for bad, where in (({"T": True}, "toy.T"), ({"n": 2.0}, "toy.n"), ({"n": False}, "toy.n"),
+                       ({"on": 1}, "toy.on"), ({"gains": 1.0}, "toy.gains")):
+        with pytest.raises(ConfigError, match=where):
+            experiments._with_defaults(bad, {"T": 0.5, "n": 3, "on": True, "gains": {}}, "toy")
 
 
 def test_example1_scalar_period_shorthand():
@@ -137,6 +163,16 @@ def test_unicycle_compare_structure():
         run_named("unicycle-compare", {"bogus": 1})
     with pytest.raises(ConfigError, match="variant"):
         run_named("unicycle-compare", {"variants": []})
+
+
+def test_unicycle_compare_exact_proxy_plant_runs():
+    """The integrated plant under held inputs: none and full track, and the
+    run returns instead of failing on the single-row controller output."""
+    res = run_named("unicycle-compare", {"plant": "exact-proxy", "horizon_s": 1.0})
+    assert set(res.metrics["variants"]) == {"none", "scaled", "full"}
+    assert not res.metrics["variants"]["none"]["diverged"]
+    assert not res.metrics["variants"]["full"]["diverged"]
+    assert len(res.tables["trajectory_full"][1]) == 101
 
 
 def test_lyapunov_audit_demo_regime_reports_broken_constant():

@@ -28,6 +28,7 @@ from dtaudit import (
     demo_references,
     error_dynamics_field,
     euler_map,
+    exact_proxy_map,
     lyap_U,
     lyap_V,
     lyap_V_bounds,
@@ -255,6 +256,18 @@ def test_pe_rejects_bad_parameters():
         check_pe(refs, L=0.0, mu=0.1, T_list=[0.01])
     with pytest.raises(ValueError):
         check_pe(refs, L=1.0, mu=0.0, T_list=[0.01])
+
+
+def test_exact_proxy_single_state_step_equals_its_batch_row():
+    """The feedback returns one input row for a 1-d state, which the
+    integrator lifts to a batch of one; the field broadcasts the heading
+    column to the batch shape."""
+    refs, gains = demo_references(), demo_gains(0.01, "full")
+    pmap = exact_proxy_map(error_dynamics_field(refs), controller_callable(refs, gains))
+    x = np.array([1.0, 1.0, 0.5])
+    one = pmap.step(0.01, 3, x)
+    assert one.shape == (3,)
+    assert np.array_equal(one, pmap.step(0.01, 3, x[None, :])[0])
 
 
 def test_heading_recursion_is_exactly_geometric():
