@@ -77,17 +77,3 @@ def sample_ball(radius: float, dim: int, n: int = 512) -> np.ndarray:
     axes = np.vstack([radius * np.eye(dim), -radius * np.eye(dim)])
     return np.vstack([pts, axes])
 
-
-def sample_pairs(box: Box, n_pairs: int = 2048, min_gap: float = 1e-9):
-    """Deterministic point pairs inside the box for ratio sweeps."""
-    joint = _sobol_unit(n_pairs, 2 * box.dim)
-    lo = np.asarray(box.lo)
-    span = np.asarray(box.hi) - lo
-    a = lo + joint[:, : box.dim] * span
-    b = lo + joint[:, box.dim :] * span
-    # corner-to-corner pairs exercise the extreme directions
-    c = box.corners()
-    a = np.vstack([a, c])
-    b = np.vstack([b, c[::-1]])
-    keep = np.linalg.norm(a - b, axis=1) > min_gap
-    return a[keep], b[keep]

@@ -2,8 +2,8 @@
 
 A cascade pairs a driven subsystem x(k+1) = f_T(k, x, z) with an
 autonomous driver z(k+1) = g_T(k, z). Audits here sample the
-interconnection-growth bound, the two-sided continuity constants, and
-the semiglobal continuity (bounded-input deviation) property.
+interconnection-growth bound and the semiglobal continuity
+(bounded-input deviation) property.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .numerics import ClassKFunction, horizon_index
+from .numerics import ClassKFunction, _check_period, horizon_index
 from .verdict import _SLACK, StabilityVerdict, Witness, _ratio
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "simulate_cascade",
     "simulate_driven",
     "check_interconnection_bound",
-    "estimate_usc_constants",
     "usc_probe",
 ]
 
@@ -46,7 +45,9 @@ class CascadeSystem:
 
     The driver g cannot read x by construction. Both maps must be pure,
     deterministic, and broadcast over a leading batch axis; k is an int
-    or a (rows,) int array holding each row's own step index.
+    or a (rows,) int array holding each row's own step index. `period`
+    is the period in seconds of the maps' time variation, which sets the
+    default start indices of every audit; None means f and g ignore k.
     """
 
     dim_x: int
@@ -54,6 +55,7 @@ class CascadeSystem:
     f: callable
     g: callable
     T_max: float = math.inf
+    period: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,11 +74,6 @@ class InputSequence:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def at(self, k: int) -> np.ndarray:
-        if not (self.start <= k < self.start + len(self.values)):
-            raise IndexError(f"input not defined at k={k}")
-        return self.values[k - self.start]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +94,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def state(self, k: int) -> np.ndarray:
-        return self.states[k - self.k0]
-
-
-def _check_period(sys, T: float) -> None:
-    if not (0.0 < T <= sys.T_max):
-        raise ValueError(f"T={T} outside admissible range (0, {sys.T_max}]")
 
 
 def rollout(step, T: float, k0, Y0, steps: int, inputs=None):
@@ -153,9 +142,11 @@ def rollout(step, T: float, k0, Y0, steps: int, inputs=None):
     return states, first_bad
 
 
-def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf):
+def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf,
+                  period: float | None = None):
     """Yield (T, k0, states): Y0 rolled out over `horizon` seconds from each
-    sorted period and start index (`_k_probes(T)` unless k0_set is given).
+    sorted period and start index (`_k_probes(T, period)` unless k0_set is
+    given, `period` being that of the step's time variation).
 
     All start indices of one period share one rollout, Y0 repeated once
     per k0 with a per-row start index; the slices come back in k0 order.
@@ -163,9 +154,8 @@ def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = 
     Y0 = np.array(Y0, dtype=float, ndmin=2)
     n = len(Y0)
     for T in sorted(float(t) for t in T_list):
-        if not (0.0 < T <= T_max):
-            raise ValueError(f"T={T} outside admissible range (0, {T_max}]")
-        k0s = [int(k0) for k0 in (_k_probes(T) if k0_set is None else k0_set)]
+        _check_period(T, T_max)
+        k0s = [int(k0) for k0 in (_k_probes(T, period) if k0_set is None else k0_set)]
         if not k0s:
             continue
         states = rollout(step, T, np.repeat(k0s, n), np.tile(Y0, (len(k0s), 1)),
@@ -195,7 +185,7 @@ def _raise_if_diverged(first_bad: int, k0: int) -> None:
 def simulate_cascade(sys: CascadeSystem, T: float, k0: int, x0, z0,
                      steps: int) -> tuple[Trajectory, Trajectory]:
     """Iterate both maps; z runs autonomously, x is driven by z."""
-    _check_period(sys, T)
+    _check_period(T, sys.T_max)
     y0 = np.concatenate([np.asarray(x0, dtype=float).reshape(sys.dim_x),
                          np.asarray(z0, dtype=float).reshape(sys.dim_z)])
     states, first_bad = rollout(_stacked_step(sys), T, k0, y0, steps)
@@ -207,7 +197,7 @@ def simulate_cascade(sys: CascadeSystem, T: float, k0: int, x0, z0,
 def simulate_driven(sys: CascadeSystem, T: float, k0: int, x0,
                     omega: InputSequence, steps: int | None = None) -> Trajectory:
     """Drive the x-subsystem with a recorded input sequence."""
-    _check_period(sys, T)
+    _check_period(T, sys.T_max)
     available = omega.start + len(omega) - k0
     if steps is None:
         steps = max(available, 0)
@@ -223,9 +213,13 @@ def simulate_driven(sys: CascadeSystem, T: float, k0: int, x0,
     return Trajectory(T, k0, states[:, 0])
 
 
-def _k_probes(T: float):
-    # start indices spanning one period of the 2*pi-periodic references
-    P = max(1, int(math.floor(2.0 * math.pi / T)))
+def _k_probes(T: float, period: float | None):
+    """Start indices spanning one period (in seconds) of a system's time
+    variation: 0, 1, P // 2 and P - 1 with P = floor(period / T), or just 0
+    for a system whose step ignores k (period None)."""
+    if period is None:
+        return [0]
+    P = max(1, int(math.floor(period / T)))
     return sorted({0, 1, P // 2, P - 1})
 
 
@@ -251,7 +245,7 @@ def check_interconnection_bound(sys: CascadeSystem, gamma1: ClassKFunction,
 
     worst1 = worst2 = 0.0
     for T in sorted(float(t) for t in T_list):
-        for k in (_k_probes(T) if k_set is None else k_set):
+        for k in (_k_probes(T, sys.period) if k_set is None else k_set):
             F = np.asarray(sys.f(T, int(k), X, Z), dtype=float)
             F0 = np.asarray(sys.f(T, int(k), X, Z0), dtype=float)
             lhs1 = np.linalg.norm(F, axis=1)
@@ -271,76 +265,6 @@ def check_interconnection_bound(sys: CascadeSystem, gamma1: ClassKFunction,
             worst2 = max(worst2, float(np.max(_ratio(lhs2, rhs2))))
     return StabilityVerdict.ok("both interconnection bounds hold on the sample",
                                worst_ratio_growth=worst1, worst_ratio_interconnection=worst2)
-
-
-def _ball_pair_ratio(F_at, A, B):
-    """Worst |F(a)-F(b)| / |a-b| over paired rows."""
-    gaps = np.linalg.norm(A - B, axis=1)
-    keep = gaps > 1e-12
-    if not np.any(keep):
-        return 0.0
-    FA = np.asarray(F_at(A[keep]), dtype=float)
-    FB = np.asarray(F_at(B[keep]), dtype=float)
-    return float(np.max(np.linalg.norm(FA - FB, axis=1) / gaps[keep]))
-
-
-def _pairs_from(points: np.ndarray):
-    """Deterministic pairing: consecutive points plus reflections through 0."""
-    A = np.concatenate([points[:-1], points])
-    B = np.concatenate([points[1:], -points])
-    return A, B
-
-
-def estimate_usc_constants(sys: CascadeSystem, Delta1: float, Delta2: float,
-                           T_list, samples: int = 64,
-                           k_set=None) -> tuple[float, StabilityVerdict]:
-    """Empirical smallest K making the driven subsystem two-sided continuous.
-
-    Over x pairs in the ball of radius Delta1 and z pairs in the ball of
-    radius Delta2, finds K with
-      |f(k,x1,z) - f(k,x2,z)| <= (1 + K*T) |x1 - x2|
-      |f(k,x,z1) - f(k,x,z2)| <= K*T |z1 - z2|
-    on every sample. The verdict is inconclusive when the per-period
-    constants explode as T shrinks (growth not affine in T).
-    """
-    if not (Delta1 > 0.0 and Delta2 > 0.0):
-        raise ValueError("Delta1 and Delta2 must be positive")
-    xs = sample_ball(Delta1, sys.dim_x, samples)
-    zs = sample_ball(Delta2, sys.dim_z, samples)
-    XA, XB = _pairs_from(xs)
-    ZA, ZB = _pairs_from(zs)
-    z_probes = zs[: min(8, len(zs))]
-    x_probes = xs[: min(8, len(xs))]
-
-    Ts = sorted(float(t) for t in T_list)
-    per_T = {}
-    for T in Ts:
-        r_state = r_input = 0.0
-        for k in (_k_probes(T) if k_set is None else k_set):
-            for z in z_probes:
-                Zrow = np.broadcast_to(z, (len(XA), sys.dim_z))
-                r_state = max(r_state, _ball_pair_ratio(
-                    lambda A, _k=int(k), _Z=Zrow: sys.f(T, _k, A, _Z[: len(A)]), XA, XB))
-            for x in x_probes:
-                gaps = np.linalg.norm(ZA - ZB, axis=1)
-                keep = gaps > 1e-12
-                if not np.any(keep):
-                    continue
-                Xrow = np.broadcast_to(x, (int(np.sum(keep)), sys.dim_x))
-                FA = np.asarray(sys.f(T, int(k), Xrow, ZA[keep]), dtype=float)
-                FB = np.asarray(sys.f(T, int(k), Xrow, ZB[keep]), dtype=float)
-                r_input = max(r_input, float(np.max(np.linalg.norm(FA - FB, axis=1) / gaps[keep])))
-        K_state = max(0.0, (r_state - 1.0) / T)
-        K_input = r_input / T
-        per_T[T] = max(K_state, K_input)
-
-    K = max(per_T.values())
-    K_small, K_large = per_T[Ts[0]], per_T[Ts[-1]]
-    if K_small > 10.0 * K_large + 1e-6:
-        return K, StabilityVerdict.unknown(
-            "continuity constant explodes as T shrinks", per_T={repr(t): v for t, v in per_T.items()})
-    return K, StabilityVerdict.ok("two-sided continuity constants are affine in T",
-                                  K=K, per_T={repr(t): v for t, v in per_T.items()})
 
 
 def _probe_inputs(dim_z: int, mu: float, length: int, seeds=(0, 1)):
@@ -398,9 +322,9 @@ def _usc_holds(sys, eps, L, T_list, mu, x0s) -> bool:
     # first failing row in that order decides
     n = len(x0s)
     for T in sorted(float(t) for t in T_list):
-        _check_period(sys, T)
+        _check_period(T, sys.T_max)
         ell = horizon_index(L, T)
-        k0s = _k_probes(T)
+        k0s = _k_probes(T, sys.period)
         inputs = [np.zeros((ell, sys.dim_z))] + _probe_inputs(sys.dim_z, mu, ell)
         m, per_k0 = len(inputs), n * len(inputs)
         U = np.tile(np.stack(inputs, axis=1), (1, n * len(k0s), 1))

@@ -20,15 +20,13 @@ from pathlib import Path
 
 from ._integrate import IntegrationError, QuadratureError
 from .cascade import DivergenceError
-from .discretize import EstimateFailure
 from .experiments import (ConfigError, ExperimentResult, list_experiments,
                           run_named)
 from .numerics import EnvelopeFalsified
 from .verdict import _plain
 
 _NUMERIC_ERRORS = (IntegrationError, QuadratureError, DivergenceError,
-                   EstimateFailure, EnvelopeFalsified, FloatingPointError,
-                   ZeroDivisionError)
+                   EnvelopeFalsified, FloatingPointError, ZeroDivisionError)
 
 
 def config_digest(experiment: str, params: dict, seed: int) -> str:

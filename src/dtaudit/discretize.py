@@ -3,8 +3,8 @@
 A `VectorField` is the continuous plant; `euler_map`, `modified_euler_map`
 and `exact_proxy_map` turn it into one-step maps indexed by the sampling
 period T, and `linear_exact_map` gives the closed-form sampled map of a
-linear plant under held linear feedback. `consistency_order` and
-`lipschitz_growth_estimate` measure how the model families relate on a box.
+linear plant under held linear feedback. `consistency_order` measures how
+two model families relate on a box.
 """
 
 from __future__ import annotations
@@ -15,28 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import adaptive_simpson, rk45_integrate
-from ._sampling import Box, sample_box, sample_pairs
+from ._sampling import Box, sample_box
+from .numerics import _check_period
 
 __all__ = [
     "VectorField",
     "ParameterizedMap",
     "ConsistencyReport",
-    "EstimateFailure",
     "euler_map",
     "modified_euler_map",
     "exact_proxy_map",
     "linear_exact_map",
     "consistency_order",
-    "lipschitz_growth_estimate",
 ]
-
-
-class EstimateFailure(RuntimeError):
-    """Estimate rejected: the measured growth is not affine in T."""
-
-    def __init__(self, message: str, per_T: dict):
-        super().__init__(message)
-        self.per_T = per_T
 
 
 @dataclass(frozen=True)
@@ -45,12 +36,15 @@ class VectorField:
 
     `rhs` must be deterministic, return finite values for finite inputs,
     and broadcast over a leading batch axis of x and u; t is a scalar or,
-    for a per-row step index, a (rows,) array of times.
+    for a per-row step index, a (rows,) array of times. `period` is the
+    period in seconds of the explicit time dependence, None if rhs ignores
+    t; the model maps built from the field inherit it.
     """
 
     dim_x: int
     dim_u: int
     rhs: callable
+    period: float | None = None
 
     def __call__(self, t, x, u):
         return self.rhs(t, x, u)
@@ -63,21 +57,23 @@ class ParameterizedMap:
     Queried only for sampling periods in (0, T_max] and step indices
     k >= 0; `step` broadcasts over a leading batch axis of x and must be
     pure (the sup-norm sweeps rely on reentrancy). k is an int or a
-    (rows,) int array holding each row's own step index.
+    (rows,) int array holding each row's own step index. `period` is the
+    period in seconds of the step's time variation, which sets the default
+    step indices of the audits; None means the step ignores k.
     """
 
     dim: int
     T_max: float
     step: callable
     label: str
+    period: float | None = None
 
     def __post_init__(self):
         if self.label not in ("euler", "modified-euler", "exact-proxy", "exact", "custom"):
             raise ValueError(f"unknown label {self.label!r}")
 
     def __call__(self, T, k, x):
-        if not (0.0 < T <= self.T_max):
-            raise ValueError(f"T={T} outside admissible range (0, {self.T_max}]")
+        _check_period(T, self.T_max)
         if (k < 0).any() if isinstance(k, np.ndarray) else k < 0:
             raise ValueError("step index must be nonnegative")
         return self.step(T, k, x)
@@ -135,7 +131,7 @@ def euler_map(f: VectorField, controller=None, T_max: float = math.inf) -> Param
         x = np.asarray(x, dtype=float)
         return x + T * np.asarray(f(k * T, x, u_of(T, k, x)), dtype=float)
 
-    return ParameterizedMap(f.dim_x, T_max, step, "euler")
+    return ParameterizedMap(f.dim_x, T_max, step, "euler", f.period)
 
 
 def modified_euler_map(f: VectorField, controller=None, T_max: float = math.inf,
@@ -155,7 +151,7 @@ def modified_euler_map(f: VectorField, controller=None, T_max: float = math.inf,
                                k * T, (k + 1) * T, tol=tol)
         return x + inc
 
-    return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), "modified-euler")
+    return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), "modified-euler", f.period)
 
 
 def exact_proxy_map(f: VectorField, controller=None, tol: float = 1e-10,
@@ -175,7 +171,7 @@ def exact_proxy_map(f: VectorField, controller=None, tol: float = 1e-10,
         return rk45_integrate(lambda t, y: np.asarray(f(t, y, u), dtype=float),
                               k * T, (k + 1) * T, x, tol=tol)
 
-    return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), "exact-proxy")
+    return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), "exact-proxy", f.period)
 
 
 def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
@@ -222,7 +218,6 @@ class ConsistencyReport:
     T_samples: tuple
     max_errors: tuple
     slope: float | None
-    K_est: float | None
 
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.T_samples, self.T_samples[1:])):
@@ -235,13 +230,7 @@ class ConsistencyReport:
             "T_samples": list(self.T_samples),
             "max_errors": list(self.max_errors),
             "slope": self.slope,
-            "K_est": self.K_est,
         }
-
-
-def _default_k_set(T: float):
-    # one period of the 2*pi-periodic references used throughout
-    return range(0, int(math.floor(2.0 * math.pi / T)) + 1)
 
 
 def _fit_loglog_slope(Ts, errors):
@@ -255,15 +244,15 @@ def _fit_loglog_slope(Ts, errors):
 
 
 def consistency_order(F_ref: ParameterizedMap, F_apx: ParameterizedMap, domain: Box,
-                      k_set=None, T_list=None, n_samples: int = 4096,
-                      estimate_K: bool = False, pair_samples: int = 256) -> ConsistencyReport:
+                      k_set=None, T_list=None, n_samples: int = 4096) -> ConsistencyReport:
     """Measure sup |F_ref - F_apx| over the box for each period and fit its order.
 
     The sup is approximated on a deterministic low-discrepancy sample of
-    the box plus its corners, swept over the index set (per-period range
-    covering one reference period when k_set is None). The slope is the
-    least-squares order of max_error against T in log-log coordinates,
-    reported as None when the gaps are at rounding level.
+    the box plus its corners, swept over the index set: by default every
+    k = 0..floor(period / T) of one period of F_ref, or k = 0 alone for a
+    map whose step ignores k. The slope is the least-squares order of
+    max_error against T in log-log coordinates, reported as None when the
+    gaps are at rounding level.
     """
     if F_ref.dim != F_apx.dim:
         raise ValueError("maps must share a state dimension")
@@ -276,53 +265,13 @@ def consistency_order(F_ref: ParameterizedMap, F_apx: ParameterizedMap, domain: 
 
     max_errors = []
     for T in Ts:
-        ks = _default_k_set(T) if k_set is None else k_set
+        ks = k_set
+        if ks is None:
+            ks = (0,) if F_ref.period is None else range(int(math.floor(F_ref.period / T)) + 1)
         worst = 0.0
         for k in ks:
             gap = np.asarray(F_ref(T, int(k), pts)) - np.asarray(F_apx(T, int(k), pts))
             worst = max(worst, float(np.max(np.linalg.norm(gap, axis=-1))))
         max_errors.append(worst)
 
-    K_est = None
-    if estimate_K:
-        K_est = lipschitz_growth_estimate(F_apx, domain, Ts, pair_samples=pair_samples,
-                                          k_set=k_set)
-    return ConsistencyReport(tuple(Ts), tuple(max_errors),
-                             _fit_loglog_slope(Ts, max_errors), K_est)
-
-
-def lipschitz_growth_estimate(F: ParameterizedMap, domain: Box, T_list,
-                              pair_samples: int = 2048, k_set=None) -> float:
-    """Smallest K with |F_T(k,x1) - F_T(k,x2)| <= (1 + K*T) |x1 - x2| on the sample.
-
-    The per-period constant is max(0, (worst ratio - 1) / T); the result
-    is the maximum over the sweep. If the constant at the smallest period
-    exceeds ten times the constant at the largest, the growth is not
-    affine in T and the estimate is rejected.
-    """
-    Ts = sorted((float(T) for T in T_list), reverse=True)
-    if not Ts:
-        raise ValueError("T_list must be nonempty")
-    a, b = sample_pairs(domain, pair_samples)
-    if a.shape[0] < 2:
-        raise ValueError("need at least 2 sample pairs")
-    gaps = np.linalg.norm(a - b, axis=-1)
-
-    per_T = {}
-    for T in Ts:
-        ks = _default_k_set(T) if k_set is None else k_set
-        ratio = 0.0
-        for k in ks:
-            fa = np.asarray(F(T, int(k), a))
-            fb = np.asarray(F(T, int(k), b))
-            ratio = max(ratio, float(np.max(np.linalg.norm(fa - fb, axis=-1) / gaps)))
-        per_T[T] = max(0.0, (ratio - 1.0) / T)
-
-    K_small, K_large = per_T[Ts[-1]], per_T[Ts[0]]
-    if K_small > 10.0 * K_large + 1e-6:
-        raise EstimateFailure(
-            f"growth constant explodes as T shrinks: K({Ts[-1]})={K_small:.6g} "
-            f"vs K({Ts[0]})={K_large:.6g}",
-            per_T,
-        )
-    return max(per_T.values())
+    return ConsistencyReport(tuple(Ts), tuple(max_errors), _fit_loglog_slope(Ts, max_errors))

@@ -9,12 +9,12 @@ series destined for CSV and gnuplot files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import (CascadeSystem, Trajectory, _k_probes, _stacked_step,
+from .cascade import (Trajectory, _k_probes, _stacked_step,
                       check_interconnection_bound, grid_rollouts, rollout,
                       usc_probe)
 from .discretize import (VectorField, consistency_order, euler_map,
@@ -482,7 +482,7 @@ def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
         x = np.asarray(x, dtype=float)
         return sysm.f(TT, k, x, np.zeros(x.shape[:-1] + (1,)))
 
-    F = ParameterizedMap(2, sysm.T_max, unforced, "custom")
+    F = ParameterizedMap(2, sysm.T_max, unforced, "custom", sysm.period)
     cand = _lyap_U_candidate(refs, gains, consts)
     X, Y = _chain_grid(grid_n, radius)
     pts = np.stack([X, Y], axis=-1)
@@ -494,8 +494,7 @@ def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
 
     tables, plots = {}, {}
     if p["margin_rows"]:
-        probe = audit_lyapunov(cand, F, Delta, 0.0, [T], pts,
-                               k_set=_k_probes(T), collect_margins=True)
+        probe = audit_lyapunov(cand, F, Delta, 0.0, [T], pts, collect_margins=True)
         rows = probe.margins.get("rows", [])
         tables["decrease_margins"] = (["sample_id", "norm", "bound", "measured", "margin"],
                                       _rows(rows))
@@ -606,7 +605,7 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     metrics = {"T": T, "T_list": T_list, "constants": consts.to_json()}
 
     def decay(name, step, grid):
-        runs = list(grid_rollouts(step, grid, T_list, horizon_s))
+        runs = list(grid_rollouts(step, grid, T_list, horizon_s, period=sysm.period))
         trajs = _run_trajs(runs)
         beta = fit_kl_envelope(trajs)
         verdict = spuas_escape(runs, beta, 0.0)
@@ -633,7 +632,7 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         def fit(system):
             g1 = c = 0.0
             for TT in T_list:
-                for k in _k_probes(TT):
+                for k in _k_probes(TT, system.period):
                     F = np.asarray(system.f(TT, k, X, Z), dtype=float)
                     F0 = np.asarray(system.f(TT, k, X, Z0), dtype=float)
                     keep = xi > 0
@@ -653,7 +652,7 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
             base = np.asarray(sysm.f(TT, k, XX, np.zeros_like(np.atleast_2d(ZZ))), dtype=float)
             return base + (np.asarray(sysm.f(TT, k, XX, ZZ), dtype=float) - base) / TT
 
-        doctored = CascadeSystem(2, 1, inflated, sysm.g, sysm.T_max)
+        doctored = replace(sysm, f=inflated)
         g1d, _ = fit(doctored)
         bad = check_interconnection_bound(doctored, ClassKFunction.linear(g1d), gamma2,
                                           gamma3, dom, T_list, n_samples=2048)

@@ -50,8 +50,7 @@ class ClassKFunction:
                         adaptive Simpson above
 
     Class-K membership (zero at zero, strictly increasing) holds for the
-    parametric kinds whenever gain > 0 and offset == 0; `is_class_k`
-    reports it. `k_infinity` marks unbounded growth.
+    parametric kinds whenever gain > 0 and offset == 0.
     """
 
     kind: str
@@ -89,11 +88,6 @@ class ClassKFunction:
     def identity(cls) -> "ClassKFunction":
         return cls.linear(1.0)
 
-    @classmethod
-    def zero(cls) -> "ClassKFunction":
-        """Degenerate all-zero function (admissible where a gain may vanish)."""
-        return cls.linear(0.0)
-
     # --- evaluation ----------------------------------------------------
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -109,65 +103,6 @@ class ClassKFunction:
         else:
             out = _integral_reciprocal_eval(p["phi"], s)
         return out if out.ndim else float(out)
-
-    def inverse(self, y, with_flag: bool = False):
-        """Inverse map; out-of-range queries are clamped (flag reports it)."""
-        y = np.asarray(y, dtype=float)
-        p = self.params
-        clamped = np.zeros(y.shape, dtype=bool)
-        if self.kind == "linear":
-            if p["gain"] <= 0:
-                raise ValueError("inverse undefined for nonincreasing function")
-            out = y / p["gain"]
-        elif self.kind == "power":
-            if p["gain"] <= 0:
-                raise ValueError("inverse undefined for nonincreasing function")
-            out = np.power(y / p["gain"], 1.0 / p["exponent"])
-        elif self.kind == "affine-capped":
-            if p["gain"] <= 0:
-                raise ValueError("inverse undefined for nonincreasing function")
-            top = min(p["cap"], math.inf)
-            clamped = (y < p["offset"]) | (y >= top)
-            out = np.clip((y - p["offset"]) / p["gain"], 0.0, None)
-            if math.isfinite(top):
-                out = np.minimum(out, (top - p["offset"]) / p["gain"])
-        elif self.kind == "tabulated":
-            xs, ys = p["xs"], p["ys"]
-            clamped = (y < ys[0]) | (y > ys[-1])
-            out = np.interp(y, ys, xs)
-        else:
-            raise ValueError("inverse not supported for integral-reciprocal kind")
-        out = out if out.ndim else float(out)
-        if with_flag:
-            return out, (clamped if np.ndim(clamped) else bool(clamped))
-        return out
-
-    # --- classification ------------------------------------------------
-    @property
-    def is_class_k(self) -> bool:
-        p = self.params
-        if self.kind == "linear":
-            return p["gain"] > 0
-        if self.kind == "power":
-            return p["gain"] > 0 and p["exponent"] > 0
-        if self.kind == "affine-capped":
-            return p["offset"] == 0.0 and p["gain"] > 0
-        if self.kind == "tabulated":
-            return p["xs"][0] == 0.0 and p["ys"][0] == 0.0
-        return True
-
-    @property
-    def k_infinity(self) -> bool:
-        p = self.params
-        if self.kind == "linear":
-            return p["gain"] > 0
-        if self.kind == "power":
-            return p["gain"] > 0 and p["exponent"] > 0
-        if self.kind == "affine-capped":
-            return p["offset"] == 0.0 and p["gain"] > 0 and not math.isfinite(p["cap"])
-        if self.kind == "integral-reciprocal":
-            return True  # the defining integral diverges by precondition
-        return False
 
     # --- serialization ---------------------------------------------------
     def to_json(self) -> dict:
@@ -330,6 +265,12 @@ def horizon_index(L: float, T: float) -> int:
         raise ValueError("horizon_index needs L > 0 and T > 0")
     ratio = L / T
     return int(math.floor(ratio * (1.0 + 1e-12) + 1e-12))
+
+
+def _check_period(T: float, T_max: float) -> None:
+    """Reject a sampling period outside (0, T_max]."""
+    if not (0.0 < T <= T_max):
+        raise ValueError(f"T={T} outside admissible range (0, {T_max}]")
 
 
 def kl_shift(beta: KLBound, c: float) -> KLBound:

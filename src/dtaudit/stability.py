@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import (CascadeSystem, Trajectory, _k_probes, _stacked_step,
-                      grid_rollouts)
+from .cascade import CascadeSystem, _k_probes, _stacked_step, grid_rollouts
 from .discretize import ParameterizedMap
 from .numerics import ClassKFunction, KLBound
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _ratio
@@ -34,7 +33,6 @@ __all__ = [
     "audit_lyapunov",
     "check_summability",
     "build_ugb_certificate",
-    "check_iisns",
 ]
 
 
@@ -89,12 +87,6 @@ class UGBCertificate:
     mu_fn: ClassKFunction
     W_eval: callable
 
-    def q(self, s):
-        """Slope of rho_built: 1/phi(1) below s=1, then 1/phi(s)."""
-        s = np.asarray(s, dtype=float)
-        out = 1.0 / np.asarray(self.phi_growth(np.maximum(s, 1.0)), dtype=float)
-        return out if out.ndim else float(out)
-
 
 def _resolve_grid(grid, radius: float, dim: int) -> np.ndarray:
     if isinstance(grid, (int, np.integer)):
@@ -116,7 +108,8 @@ def _system_stepper(system):
 
 def _grid_rollouts(system, Delta, T_list, grid, horizon, k0_set=None):
     step, dim, T_max = _system_stepper(system)
-    return grid_rollouts(step, _resolve_grid(grid, Delta, dim), T_list, horizon, k0_set, T_max)
+    return grid_rollouts(step, _resolve_grid(grid, Delta, dim), T_list, horizon, k0_set, T_max,
+                         system.period)
 
 
 def _first_escape(runs, bound_fn, detail_pass):
@@ -206,7 +199,7 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
     rows = []
 
     for T in sorted(float(t) for t in T_list):
-        for k in (_k_probes(T) if k_set is None else k_set):
+        for k in (_k_probes(T, F.period) if k_set is None else k_set):
             k = int(k)
             v = np.asarray(V.eval(T, k, Y), dtype=float)
             lo = np.asarray(V.alpha1(norms), dtype=float)
@@ -380,7 +373,7 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
 
     worst = {"sandwich": 0.0, "drift": -math.inf, "unforced": -math.inf, "transformed": -math.inf}
     for T in sorted(float(t) for t in T_list):
-        for k in (_k_probes(T) if k_set is None else k_set):
+        for k in (_k_probes(T, sys.period) if k_set is None else k_set):
             k = int(k)
             v = np.asarray(V.eval(T, k, X), dtype=float)
             lo = np.asarray(p.alpha1(x_norm), dtype=float)
@@ -435,25 +428,4 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
 
     return cert, StabilityVerdict("pass", None,
                                   "certificate inequalities hold on the sample", dict(worst))
-
-
-def check_iisns(x_traj: Trajectory, z_inputs, alpha1: ClassKFunction,
-                alpha2: ClassKFunction, mu_fn: ClassKFunction, T: float) -> StabilityVerdict:
-    """Check alpha1(|x(k)|) <= alpha2(|x0|) + T * sum of mu(|z(i)|), i < k."""
-    n = len(x_traj) - 1
-    if z_inputs.start > x_traj.k0 or z_inputs.start + len(z_inputs) < x_traj.k0 + n:
-        raise ValueError("input sequence does not cover the trajectory horizon")
-    z_norms = np.linalg.norm(
-        z_inputs.values[x_traj.k0 - z_inputs.start: x_traj.k0 - z_inputs.start + n], axis=1)
-    prefix = np.concatenate([[0.0], T * np.cumsum(np.asarray(mu_fn(z_norms), dtype=float))])
-    lhs = np.asarray(alpha1(x_traj.norms), dtype=float)
-    rhs = float(alpha2(x_traj.norms[0])) + prefix
-    bad = _first_violation(
-        lhs <= rhs + _SLACK,
-        lambda j: Witness.of(x_traj.T, x_traj.k0, x_traj.states[0], x_traj.k0 + j, lhs[j], rhs[j]),
-        "integral neutral-stability bound violated")
-    if bad is not None:
-        return bad
-    return StabilityVerdict.ok("integral neutral-stability bound holds",
-                               worst_ratio=float(np.max(_ratio(lhs, rhs))))
 

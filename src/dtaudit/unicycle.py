@@ -30,18 +30,14 @@ from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation
 
 __all__ = [
     "ReferenceSignal",
-    "TrackingErrorState",
     "ControllerGains",
     "CaseStudyConstants",
     "CorrectionDomainError",
     "check_pe",
     "pe_window_sums",
     "error_dynamics_field",
-    "tracking_controller",
     "redesign_correction",
-    "correction_bound",
     "closed_loop_euler_cascade",
-    "closed_loop_display_parts",
     "controller_callable",
     "lyap_V",
     "lyap_V_bounds",
@@ -76,10 +72,11 @@ class ReferenceSignal:
     """Reference velocities with a uniform bound and a period.
 
     w_M must dominate |v_r(kT)|, |omega_r(kT)| and the one-step
-    difference quotient of omega_r over the audited horizon;
-    `check_uniform_bound` verifies this on a horizon. `period` is the
-    reference period in seconds: the excitation check and the Lyapunov
-    chain audit one period of start indices.
+    difference quotient of omega_r over the audited horizon. `period` is
+    the reference period in seconds: the excitation check and the
+    Lyapunov chain audit one period of start indices, and the error
+    dynamics and closed loop built on the references declare it as the
+    period of their time variation.
     """
 
     v_r: callable
@@ -92,39 +89,8 @@ class ReferenceSignal:
         """Steps of period T that cover one reference period: ceil(period / T)."""
         return int(math.ceil(self.period / T))
 
-    def vr_k(self, k: int) -> float:
-        return float(self.v_r(k * self.T))
-
     def wr_k(self, k: int) -> float:
         return float(self.omega_r(k * self.T))
-
-    def check_uniform_bound(self, horizon_s: float) -> StabilityVerdict:
-        ks = np.arange(horizon_index(horizon_s, self.T) + 1)
-        t = ks * self.T
-        vr = np.abs(np.asarray(self.v_r(t), dtype=float) * np.ones_like(t))
-        wr = np.asarray(self.omega_r(t), dtype=float) * np.ones_like(t)
-        # row k: |v_r(kT)|, |omega_r(kT)| and the forward quotient from k to k + 1
-        quot = np.append(np.abs(np.diff(wr)) / self.T, 0.0)
-        series = np.column_stack([vr, np.abs(wr), quot])
-        bad = _first_violation(
-            series <= self.w_M + _SLACK,
-            lambda ks: Witness.of(self.T, ks[0], (t[ks[0]],), ks[0], series[ks], self.w_M),
-            "reference bound exceeded")
-        if bad is not None:
-            return bad
-        return StabilityVerdict.ok("reference bound holds", worst=float(np.max(series)))
-
-
-@dataclass(frozen=True)
-class TrackingErrorState:
-    """Tracking error in the vehicle frame."""
-
-    x_e: float
-    y_e: float
-    theta_e: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_e, self.y_e, self.theta_e], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -148,9 +114,6 @@ class ControllerGains:
             raise ValueError("gains must be positive")
         if self.use_correction not in ("none", "scaled", "full"):
             raise ValueError(f"unknown correction variant {self.use_correction!r}")
-
-    def admissible(self, T: float) -> bool:
-        return 0.0 < T * self.a1 < 1.0
 
 
 def _ref(signal, t):
@@ -228,17 +191,6 @@ def _correction_value(k, x_e, y_e, refs, gains, T):
     return redesign_correction(k, x_e, y_e, refs, gains, T)
 
 
-def correction_bound(gains: ControllerGains, w_M: float, T: float) -> float:
-    """Constant K with |correction(k, x)| <= K |x| over admissible periods."""
-    eps = gains.alpha_y + T
-    a2 = gains.a2
-    den = 2.0 * (1.0 - a2 * T)
-    if den <= 0.0:
-        raise CorrectionDomainError(-1, T, den)
-    return (a2 * a2 + w_M * w_M + eps * a2 * w_M ** 2 + 2.0 * a2 * w_M
-            + eps * w_M ** 3) / den
-
-
 def _control_values(T: float, k, x_e, y_e, th_e, refs: ReferenceSignal,
                     gains: ControllerGains):
     """Shared controller arithmetic so every caller gets identical floats."""
@@ -248,20 +200,6 @@ def _control_values(T: float, k, x_e, y_e, th_e, refs: ReferenceSignal,
     vth = _correction_value(k, x_e, y_e, refs, gains, T)
     v = vr + gains.a2 * x_e + T * vth
     return v, w, vth
-
-
-def tracking_controller(k: int, state, refs: ReferenceSignal, gains: ControllerGains,
-                        T: float):
-    """Control pair (v, omega) at step k for a tracking-error state."""
-    if isinstance(state, TrackingErrorState):
-        x_e, y_e, th_e = state.x_e, state.y_e, state.theta_e
-    else:
-        arr = np.asarray(state, dtype=float)
-        x_e, y_e, th_e = arr[..., 0], arr[..., 1], arr[..., 2]
-    v, w, _ = _control_values(T, k, x_e, y_e, th_e, refs, gains)
-    if np.ndim(v) == 0 and np.ndim(w) == 0:
-        return float(v), float(w)
-    return v, w
 
 
 def controller_callable(refs: ReferenceSignal, gains: ControllerGains):
@@ -293,7 +231,7 @@ def error_dynamics_field(refs: ReferenceSignal) -> VectorField:
             fth = np.broadcast_to(fth, np.shape(fx))
         return np.stack([fx, fy, fth], axis=-1)
 
-    return VectorField(3, 2, rhs)
+    return VectorField(3, 2, rhs, refs.period)
 
 
 def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> CascadeSystem:
@@ -358,38 +296,7 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
         return (th + T * (wr - w))[..., None]
 
     T_max = (1.0 - 1e-12) / max(a1, a2)
-    return CascadeSystem(2, 1, f, g, T_max)
-
-
-def closed_loop_display_parts(refs: ReferenceSignal, gains: ControllerGains):
-    """Rearranged closed-loop pieces: heading-free part and interconnection.
-
-    Returns (F1, G) with F1(T, k, x) the driven part at zero heading
-    error and G(T, k, x, z) collecting every theta-dependent term;
-    F1 + G equals the cascade's driven map up to rounding (1e-12), and
-    G vanishes identically at z = 0.
-    """
-
-    def F1(T, k, x):
-        x = np.asarray(x, dtype=float)
-        x_e, y_e = x[..., 0], x[..., 1]
-        wr = _ref(refs.omega_r, k * T)
-        vth = _correction_value(k, x_e, y_e, refs, gains, T)
-        xn = x_e + T * (wr * y_e - gains.a2 * x_e - T * vth)
-        yn = y_e - T * wr * x_e
-        return np.stack([xn, yn], axis=-1)
-
-    def G(T, k, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        x_e, y_e = x[..., 0], x[..., 1]
-        th = z[..., 0]
-        vr = _ref(refs.v_r, k * T)
-        gx = T * (gains.a1 * th * y_e + vr * (np.cos(th) - 1.0))
-        gy = T * (-gains.a1 * th * x_e + vr * np.sin(th))
-        return np.stack([gx, gy], axis=-1)
-
-    return F1, G
+    return CascadeSystem(2, 1, f, g, T_max, refs.period)
 
 
 # --- persistency of excitation --------------------------------------
@@ -784,18 +691,22 @@ def _simulate_variant(refs, gains, T, x0, steps, plant, bad_norm):
 
 
 def _score_variant(states, refs, gains, T, diverged, first_bad):
+    """Trajectory rows and metrics of one variant. A variant that diverged
+    at its initial error has no state to score: its peak |v|, settling
+    steps and final norm are None."""
     ks = np.arange(len(states))
     v, w, vth = _control_values(T, ks, states[:, 0], states[:, 1], states[:, 2], refs, gains)
     rows = np.column_stack([ks, ks * T, states, v, w, vth])
     pos = np.linalg.norm(states[:, :2], axis=1)
     full = np.linalg.norm(states, axis=1)
+    scored = len(states) > 0
     metrics = {
         "ise_position": float(T * np.sum(pos ** 2)),
-        "peak_v": float(np.max(np.abs(v))),
+        "peak_v": float(np.max(np.abs(v))) if scored else None,
         "control_energy": float(T * np.sum(v ** 2)),
-        "settle_step_position": _settle_step(pos, 0.01),
-        "settle_step_full": _settle_step(full, 0.01),
-        "final_norm": float(full[-1]),
+        "settle_step_position": _settle_step(pos, 0.01) if scored else None,
+        "settle_step_full": _settle_step(full, 0.01) if scored else None,
+        "final_norm": float(full[-1]) if scored else None,
         "diverged": bool(diverged),
         "first_divergent_step": first_bad,
     }

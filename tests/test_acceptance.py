@@ -223,7 +223,7 @@ def _interconnection_fit(system, pts, T_list):
     Z0 = np.zeros_like(Z)
     g1 = c = 0.0
     for T in T_list:
-        for k in _k_probes(T):
+        for k in _k_probes(T, system.period):
             F = np.asarray(system.f(T, k, X, Z), dtype=float)
             F0 = np.asarray(system.f(T, k, X, Z0), dtype=float)
             keep = xi > 0
@@ -260,7 +260,7 @@ def test_interconnection_bound_fails_without_period_factor():
         base = np.asarray(sysm.f(T, k, X, np.zeros_like(Z)), dtype=float)
         return base + (np.asarray(sysm.f(T, k, X, Z), dtype=float) - base) / T
 
-    doctored = CascadeSystem(2, 1, inflated, sysm.g, sysm.T_max)
+    doctored = CascadeSystem(2, 1, inflated, sysm.g, sysm.T_max, math.tau)
     g1d, _ = _interconnection_fit(doctored, pts, T_list)
     verdict = check_interconnection_bound(
         doctored, ClassKFunction.linear(g1d), ClassKFunction.affine_capped(c, c),

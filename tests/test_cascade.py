@@ -19,7 +19,6 @@ from dtaudit import (
     demo_gains,
     demo_references,
     error_dynamics_field,
-    estimate_usc_constants,
     exact_proxy_map,
     modified_euler_map,
     simulate_cascade,
@@ -74,7 +73,7 @@ def _squaring_cascade():
         return np.stack([0.5 * x0 * x0 - 0.3 * x1 + z[..., 0],
                          0.9 * x1 + T * np.sin(k) * z[..., 0]], axis=-1)
 
-    return CascadeSystem(2, 1, f, lambda T, k, z: np.asarray(z, dtype=float), 1.0)
+    return CascadeSystem(2, 1, f, lambda T, k, z: np.asarray(z, dtype=float), 1.0, math.tau)
 
 
 @settings(deadline=None, max_examples=60)
@@ -149,12 +148,13 @@ def _assert_stacked_equals_per_k0(step, T, k0s, Y0, steps):
 @pytest.mark.parametrize("regime", ["validated", "demo"])
 def test_stacked_rollout_equals_per_k0_rollouts_unicycle(regime):
     T = 0.01
-    step = _stacked_step(closed_loop_euler_cascade(*_regime(regime, T)))
+    sysm = closed_loop_euler_cascade(*_regime(regime, T))
+    step = _stacked_step(sysm)
     Y0 = np.random.default_rng(5).uniform(-5.0, 5.0, size=(12, 3))
-    _assert_stacked_equals_per_k0(step, T, _k_probes(T), Y0, 300)
+    _assert_stacked_equals_per_k0(step, T, _k_probes(T, sysm.period), Y0, 300)
     # grid_rollouts yields the same slices, in k0 order
-    got = list(grid_rollouts(step, Y0, [T], 300 * T))
-    assert [(TT, k0) for TT, k0, _ in got] == [(T, k0) for k0 in _k_probes(T)]
+    got = list(grid_rollouts(step, Y0, [T], 300 * T, period=sysm.period))
+    assert [(TT, k0) for TT, k0, _ in got] == [(T, k0) for k0 in _k_probes(T, sysm.period)]
     for TT, k0, states in got:
         assert np.array_equal(states, rollout(step, T, k0, Y0, 300)[0], equal_nan=True)
 
@@ -226,9 +226,6 @@ def test_simulate_driven_rejects_short_input():
 def test_input_sequence_caches_sup_norm():
     omega = InputSequence(2, [[3.0], [-4.0], [1.0]])
     assert omega.sup_norm == 4.0
-    np.testing.assert_allclose(omega.at(3), [-4.0])
-    with pytest.raises(IndexError):
-        omega.at(5)
 
 
 def test_trajectory_requires_initial_state():
@@ -245,7 +242,7 @@ def test_semigroup_property_bit_exact(m, n, k0):
         lambda T, k, x, z: np.asarray(x, dtype=float) * (1.0 - T)
         + T * np.sin(k * T) * np.asarray(z, dtype=float),
         lambda T, k, z: (1.0 - 0.5 * T) * np.asarray(z, dtype=float),
-        1.0)
+        1.0, math.tau)
     full_x, full_z = simulate_cascade(wobble, 0.3, k0, [1.1], [0.9], m + n)
     mid_x, mid_z = simulate_cascade(wobble, 0.3, k0, [1.1], [0.9], m)
     tail_x, tail_z = simulate_cascade(wobble, 0.3, k0 + m,
@@ -288,6 +285,26 @@ def test_interconnection_bound_monotone_in_gains():
     assert looser.kind == "pass"
 
 
+def test_interconnection_bound_default_probes_span_the_declared_period():
+    """A coupling that breaks the drift bound only at k = floor(3 pi / T) = 94:
+    the default start indices of a 6 pi-periodic system reach it (P // 2 of
+    P = 188), those of a 2 pi-periodic one (0, 1, 31, 61) do not."""
+    T = 0.1
+    k_bad = math.floor(3.0 * math.pi / T)
+    f = lambda T, k, x, z: np.asarray(x, dtype=float) \
+        + (T if k != k_bad else 1.0) * np.asarray(z, dtype=float)
+    g = lambda T, k, z: np.asarray(z, dtype=float)
+    args = (ClassKFunction.linear(4.0), ClassKFunction.affine_capped(1.0, 0.0),
+            ClassKFunction.identity(), Box.centered(1.0, 2), [T])
+    slow = CascadeSystem(1, 1, f, g, 1.0, 6.0 * math.pi)
+    verdict = check_interconnection_bound(slow, *args, n_samples=128)
+    assert verdict.kind == "falsified"
+    assert verdict.detail == "interconnection bound violated"
+    assert verdict.witness.k == k_bad == 94
+    fast = CascadeSystem(1, 1, f, g, 1.0, math.tau)
+    assert check_interconnection_bound(fast, *args, n_samples=128).kind == "pass"
+
+
 def test_interconnection_bound_missing_period_factor_falsifies():
     # f = x + z: the gap is |z|, which beats T*gamma2*gamma3 for small T
     sysm = CascadeSystem(1, 1,
@@ -300,28 +317,6 @@ def test_interconnection_bound_missing_period_factor_falsifies():
     assert verdict.kind == "falsified"
     assert "interconnection" in verdict.detail
     assert verdict.witness is not None and verdict.witness.T == 0.01
-
-
-# --- two-sided continuity constants -------------------------------------------
-
-
-def test_usc_constants_linear_coupling():
-    sysm = CascadeSystem(1, 1,
-                         lambda T, k, x, z: np.asarray(x, dtype=float)
-                         + T * np.asarray(z, dtype=float),
-                         lambda T, k, z: np.asarray(z, dtype=float), 1.0)
-    K, verdict = estimate_usc_constants(sysm, 1.0, 1.0, [0.1, 0.01], samples=32)
-    assert verdict.kind == "pass"
-    assert K == pytest.approx(1.0, rel=1e-9)
-
-
-def test_usc_constants_decoupled_system():
-    sysm = CascadeSystem(1, 1,
-                         lambda T, k, x, z: np.asarray(x, dtype=float),
-                         lambda T, k, z: np.asarray(z, dtype=float), 1.0)
-    K, verdict = estimate_usc_constants(sysm, 1.0, 1.0, [0.1, 0.01], samples=32)
-    assert verdict.kind == "pass"
-    assert K == 0.0
 
 
 # --- uniform semiglobal continuity probe ---------------------------------------
@@ -363,7 +358,7 @@ def _usc_per_row(sys, eta, eps, L, T_list, mu_grid, x0_count):
         holds = True
         for T in sorted(T_list):
             ell = horizon_index(L, T)
-            for k0 in _k_probes(T):
+            for k0 in _k_probes(T, sys.period):
                 for x0 in x0s:
                     ref = simulate_driven(sys, T, k0, x0,
                                           InputSequence(k0, np.zeros((ell, sys.dim_z))), ell)
@@ -409,7 +404,9 @@ def test_usc_probe_diverging_reference_raises_like_per_row_loop():
 def test_usc_deviation_bound_from_constant():
     """Measured deviations obey the exponential-in-K bound."""
     sysm = linear_cascade()
-    K, _ = estimate_usc_constants(sysm, 1.0, 1.0, [0.1], samples=32)
+    # |f(x1, z) - f(x2, z)| = (1 - T)|x1 - x2| and |f(x, z1) - f(x, z2)| = T|z1 - z2|,
+    # so K = 1 is the smallest two-sided continuity constant
+    K = 1.0
     T, steps, mu = 0.1, 40, 0.05
     ref = simulate_driven(sysm, T, 0, [0.9], InputSequence(0, np.zeros((steps, 1))))
     drv = simulate_driven(sysm, T, 0, [0.9], InputSequence(0, np.full((steps, 1), mu)))

@@ -53,3 +53,41 @@ def test_lyapunov_chain_audit_demo():
     assert lines[0].endswith("first broken rung = c1")
     assert "all rungs valid: True" in lines
     assert "decrease audit on the 41x41 grid: pass" in lines
+
+
+def test_consistency_orders_demo():
+    """The printed table is the one the sweep over each period's full range
+    of step indices has always printed."""
+    lines = _run_demo("consistency_orders.py").splitlines()
+    assert lines[:8] == [
+        "         T  first-order err   quadrature err",
+        "   0.10000        3.232e-03        3.015e-03",
+        "   0.04642        6.959e-04        6.488e-04",
+        "   0.02154        1.499e-04        1.397e-04",
+        "   0.01000        3.229e-05        3.009e-05",
+        "   0.00464        6.956e-06        6.481e-06",
+        "   0.00215        1.499e-06        1.396e-06",
+        "   0.00100        3.229e-07        3.008e-07",
+    ]
+    assert lines[8:] == ["first-order: fitted order 2.000", "quadrature: fitted order 2.000"]
+
+
+def test_double_integrator_gap_demo():
+    lines = _run_demo("double_integrator_gap.py").splitlines()
+    radii = [line.split()[-1] for line in lines[2:6]]
+    assert radii == ["1.000000"] * 4  # the sampled plant keeps a unit-circle mode
+    floors = [line for line in lines if line.startswith("  T=")]
+    assert [line.split()[1] for line in floors] == ["0.6928", "0.7088"]
+    assert all(float(line.split()[-1]) < 1e-9 for line in floors)  # proxy agrees
+    assert lines[-1] == "the model's envelope promises decay; the plant holds at ~72%"
+
+
+def test_unicycle_tracking_demo():
+    lines = _run_demo("unicycle_tracking.py").splitlines()
+    rows = {line.split()[0]: line.split()[1:3] for line in lines[3:6]}
+    assert rows == {"none": ["False", "154"], "scaled": ["True", "None"],
+                    "full": ["False", "114"]}
+    assert "halved correction leaves the safe region at step 101" in lines
+    assert lines[-3].endswith("the correction lowers the integrated error")
+    assert lines[-1] == ("heading error at step 150: 6.844574e-08 (geometric law"
+                         " gives 6.844574e-08)")

@@ -14,7 +14,6 @@ from dtaudit import (
     euler_map,
     exact_proxy_map,
     linear_exact_map,
-    lipschitz_growth_estimate,
     modified_euler_map,
 )
 from dtaudit.cascade import rollout
@@ -67,10 +66,17 @@ def test_euler_closed_loop_matrix_and_eigs():
 
 def test_map_rejects_bad_period_and_index():
     emap = euler_map(double_integrator(), T_max=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"T=2.0 outside admissible range \(0, 1.0\]"):
         emap(2.0, 0, [0.0, 0.0])
     with pytest.raises(ValueError):
         emap(0.5, -1, [0.0, 0.0])
+
+
+def test_model_maps_inherit_the_field_period():
+    f = VectorField(1, 0, lambda t, x, u: np.sin(t) * np.asarray(x, dtype=float), math.tau)
+    for build in (euler_map, modified_euler_map, exact_proxy_map):
+        assert build(f).period == math.tau
+    assert euler_map(double_integrator()).period is None
 
 
 # --- modified Euler ---------------------------------------------------------
@@ -214,9 +220,9 @@ def test_consistency_euler_vs_exact_double_integrator():
 
 def test_consistency_report_invariants():
     with pytest.raises(ValueError):
-        ConsistencyReport((0.01, 0.1), (0.0, 0.0), None, None)
+        ConsistencyReport((0.01, 0.1), (0.0, 0.0), None)
     with pytest.raises(ValueError):
-        ConsistencyReport((0.1, 0.01), (-1.0, 0.0), None, None)
+        ConsistencyReport((0.1, 0.01), (-1.0, 0.0), None)
 
 
 def test_consistency_rejects_empty_domain():
@@ -226,30 +232,3 @@ def test_consistency_rejects_empty_domain():
     emap = euler_map(double_integrator(), np.array([1.0]))
     with pytest.raises(ValueError):
         consistency_order(emap, emap, Box.centered(1.0, 2), T_list=[])
-
-
-# --- Lipschitz growth --------------------------------------------------------
-
-
-def test_lipschitz_identity_map():
-    from dtaudit import ParameterizedMap
-    ident = ParameterizedMap(2, math.inf, lambda T, k, x: np.asarray(x, dtype=float),
-                             "custom")
-    K = lipschitz_growth_estimate(ident, Box.centered(1.0, 2), [0.1, 0.01])
-    assert K == 0.0
-
-
-def test_lipschitz_contraction_needs_no_growth():
-    from dtaudit import ParameterizedMap
-    con = ParameterizedMap(1, math.inf,
-                           lambda T, k, x: (1.0 - T) * np.asarray(x, dtype=float),
-                           "custom")
-    K = lipschitz_growth_estimate(con, Box.centered(1.0, 1), [0.1, 0.01])
-    assert K == 0.0  # ratio (1-T) never exceeds 1
-
-
-def test_lipschitz_double_integrator_frozen():
-    # Euclidean-norm growth of I + T*[[0,1],[0,0]] is 1 + T/2 + O(T^2)
-    emap = euler_map(double_integrator(), np.array([0.0]))
-    K = lipschitz_growth_estimate(emap, Box.centered(1.0, 2), [1e-3], pair_samples=512)
-    assert K == pytest.approx(0.5001, abs=5e-4)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dtaudit import ConfigError, experiments, list_experiments, run_named
+from dtaudit.cli import main
 from dtaudit.verdict import _plain
 
 EXAMPLE1_FAST = {
@@ -173,6 +174,23 @@ def test_unicycle_compare_exact_proxy_plant_runs():
     assert not res.metrics["variants"]["none"]["diverged"]
     assert not res.metrics["variants"]["full"]["diverged"]
     assert len(res.tables["trajectory_full"][1]) == 101
+
+
+def test_unicycle_compare_initial_error_past_divergence_norm(tmp_path):
+    """An initial error already beyond divergence_norm scores every variant
+    as diverged at step 0 with no rows, and the run exits 1 with a report."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial_error": [1e7, 0.0, 0.0]}))
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", "unicycle-compare", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    metrics = json.loads((out / "metrics.json").read_text())["metrics"]
+    assert metrics["any_diverged"] and not metrics["all_settled"]
+    for m in metrics["variants"].values():
+        assert m["diverged"] and m["first_divergent_step"] == 0
+        assert m["peak_v"] is None and m["final_norm"] is None
+        assert m["settle_step_full"] is None
+    assert (out / "trajectory_full.csv").read_text().count("\n") == 2  # header lines only
 
 
 def test_lyapunov_audit_demo_regime_reports_broken_constant():

@@ -10,7 +10,6 @@ from dtaudit import (
     CascadeSystem,
     CertificateParams,
     ClassKFunction,
-    InputSequence,
     KLBound,
     LyapunovCandidate,
     ParameterizedMap,
@@ -20,7 +19,6 @@ from dtaudit import (
     audit_lyapunov,
     build_ugb_certificate,
     check_boundedness,
-    check_iisns,
     check_interconnection_bound,
     check_pe,
     check_summability,
@@ -349,17 +347,12 @@ def test_certificate_slope_and_budget_shape():
         norm_candidate(), driven_scalar_cascade(), linear_cert_params(),
         Box((-1.0, -1.0), (1.0, 1.0)), T_list=[0.1], n_samples=64)
     assert verdict.kind == "pass"
-    assert cert.q(0.5) == pytest.approx(1.0)
-    assert cert.q(1.0) == pytest.approx(1.0)
-    assert cert.q(np.e) == pytest.approx(np.exp(-1.0))
     s = np.linspace(0.0, 10.0, 201)
     vals = np.asarray(cert.rho_built(s), dtype=float)
     assert np.all(np.diff(vals) > 0.0)
     # concave beyond the knee at s = 1
     above = vals[s >= 1.0]
     assert np.all(np.diff(above, 2) <= 1e-12)
-    slopes = np.asarray(cert.q(s), dtype=float)
-    assert np.all(np.diff(slopes) <= 1e-12)
 
 
 def test_certificate_rejects_superlinear_growth_analytically():
@@ -402,51 +395,6 @@ def test_certificate_margin_keys_present_on_pass():
     assert verdict.margins["transformed"] <= 1e-9
 
 
-def test_iisns_contraction_with_zero_input_passes():
-    traj = geometric_trajectory(0.9, 20, T=0.1, z0=0.5)
-    inputs = InputSequence(0, np.zeros((19, 1)))
-    verdict = check_iisns(traj, inputs, ClassKFunction.linear(1.0),
-                          ClassKFunction.linear(1.0), ClassKFunction.linear(1.0), T=0.1)
-    assert verdict.kind == "pass"
-    assert verdict.margins["worst_ratio"] <= 1.0 + 1e-9
-
-
-def test_iisns_telescoping_sum_is_tight():
-    """x(k+1) = x + Tz with nonnegative z makes the bound an equality."""
-    rng = np.random.default_rng(7)
-    T = 0.1
-    z = rng.uniform(0.0, 1.0, size=(30, 1))
-    states = np.concatenate([[0.3], 0.3 + T * np.cumsum(z[:, 0])]).reshape(-1, 1)
-    verdict = check_iisns(Trajectory(T, 0, states), InputSequence(0, z),
-                          ClassKFunction.linear(1.0), ClassKFunction.linear(1.0),
-                          ClassKFunction.linear(1.0), T=T)
-    assert verdict.kind == "pass"
-    assert verdict.margins["worst_ratio"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_iisns_small_offset_gain_falsified_at_start_index():
-    traj = geometric_trajectory(0.9, 10, T=0.1, z0=0.3)
-    traj = Trajectory(0.1, 5, traj.states)
-    inputs = InputSequence(5, np.zeros((9, 1)))
-    verdict = check_iisns(traj, inputs, ClassKFunction.linear(1.0),
-                          ClassKFunction.linear(0.01), ClassKFunction.linear(1.0), T=0.1)
-    assert verdict.kind == "falsified"
-    assert verdict.witness.k == 5
-    assert verdict.detail == "integral neutral-stability bound violated"
-
-
-def test_iisns_requires_inputs_covering_the_horizon():
-    traj = geometric_trajectory(0.9, 5, T=0.1)
-    late = InputSequence(1, np.zeros((10, 1)))
-    with pytest.raises(ValueError, match="cover"):
-        check_iisns(traj, late, ClassKFunction.linear(1.0), ClassKFunction.linear(1.0),
-                    ClassKFunction.linear(1.0), T=0.1)
-    short = InputSequence(0, np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="cover"):
-        check_iisns(traj, short, ClassKFunction.linear(1.0), ClassKFunction.linear(1.0),
-                    ClassKFunction.linear(1.0), T=0.1)
-
-
 # --- NaN is a violation in every audit --------------------------------
 
 
@@ -473,11 +421,6 @@ def _nan_pe():
     return check_pe(_nan_refs(), L=1.0, mu=0.5, T_list=[0.1]), 20, (20 * 0.1,)
 
 
-def _nan_reference_bound():
-    # the quotient from k = 29 to k = 30 is the first NaN entry
-    return _nan_refs().check_uniform_bound(5.0), 29, (29 * 0.1,)
-
-
 def _nan_summability():
     traj = Trajectory(0.1, 0, np.array([1.0, 1.0, 1.0] + [np.nan] * 20).reshape(-1, 1))
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
@@ -485,8 +428,7 @@ def _nan_summability():
     return verdict, 3, (1.0,)
 
 
-@pytest.mark.parametrize("audit", [_nan_interconnection, _nan_pe, _nan_reference_bound,
-                                   _nan_summability])
+@pytest.mark.parametrize("audit", [_nan_interconnection, _nan_pe, _nan_summability])
 def test_nan_falsifies_at_the_first_nan_entry(audit):
     verdict, k, initial_state = audit()
     assert verdict.kind == "falsified"

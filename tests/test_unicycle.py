@@ -16,13 +16,10 @@ from dtaudit import (
     CorrectionDomainError,
     PreconditionError,
     ReferenceSignal,
-    TrackingErrorState,
     audit_lyapunov_chain,
     check_pe,
-    closed_loop_display_parts,
     closed_loop_euler_cascade,
     compute_case_constants,
-    correction_bound,
     controller_callable,
     demo_gains,
     demo_references,
@@ -38,7 +35,6 @@ from dtaudit import (
     redesign_correction,
     run_comparison_experiment,
     simulate_cascade,
-    tracking_controller,
     validated_gains,
     validated_references,
 )
@@ -56,9 +52,6 @@ def test_gain_validation():
         ControllerGains(0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         ControllerGains(1.0, 1.0, 0.1, use_correction="half")
-    g = ControllerGains(10.0, 70.0, 0.1)
-    assert g.admissible(0.09)
-    assert not g.admissible(0.1)
 
 
 def test_error_field_substitutions():
@@ -77,15 +70,14 @@ def test_error_field_substitutions():
 
 
 def test_tracking_controller_hand_values():
-    refs = const_refs(1.0, 0.3)
-    gains = ControllerGains(10.0, 70.0, 0.1)
-    v, w = tracking_controller(0, TrackingErrorState(1.0, 0.0, 0.0), refs, gains, 0.01)
+    ctrl = controller_callable(const_refs(1.0, 0.3), ControllerGains(10.0, 70.0, 0.1))
+    v, w = ctrl(0.01, 0, np.array([1.0, 0.0, 0.0]))
     assert v == pytest.approx(71.0)
     assert w == pytest.approx(0.3)
-    v, w = tracking_controller(0, np.array([0.0, 0.0, 0.0]), refs, gains, 0.01)
+    v, w = ctrl(0.01, 0, np.array([0.0, 0.0, 0.0]))
     assert v == pytest.approx(1.0)
     # heading feedback rides on top of the reference turn rate
-    _, w = tracking_controller(0, np.array([0.0, 0.0, 0.2]), refs, gains, 0.01)
+    _, w = ctrl(0.01, 0, np.array([0.0, 0.0, 0.2]))
     assert w == pytest.approx(0.3 + 10.0 * 0.2)
 
 
@@ -110,8 +102,6 @@ def test_correction_denominator_guard():
         redesign_correction(3, 1.0, 1.0, refs, gains, 0.01)
     assert err.value.k == 3
     assert err.value.T == 0.01
-    with pytest.raises(CorrectionDomainError):
-        correction_bound(ControllerGains(1.0, 200.0, 0.1), w_M=1.0, T=0.01)
 
 
 def test_correction_domain_error_reports_the_offending_row_k():
@@ -162,7 +152,12 @@ def test_correction_domain_error_reports_the_offending_row_k():
 def test_correction_dominated_by_linear_bound(x_e, y_e, k):
     refs = validated_references()
     gains = validated_gains()
-    K = correction_bound(gains, refs.w_M, 0.01)
+    # |numerator| <= (a2^2 + w_M^2 + eps a2 w_M^2 + 2 a2 w_M + eps w_M^3) |x|
+    # and the denominator is at least 2 (1 - a2 T), with eps = alpha_y + T
+    T, w_M, a2 = 0.01, refs.w_M, gains.a2
+    eps = gains.alpha_y + T
+    K = (a2 * a2 + w_M * w_M + eps * a2 * w_M ** 2 + 2.0 * a2 * w_M
+         + eps * w_M ** 3) / (2.0 * (1.0 - a2 * T))
     got = abs(redesign_correction(k, x_e, y_e, refs, gains, 0.01))
     assert got <= K * math.hypot(x_e, y_e) + 1e-9
 
@@ -196,25 +191,6 @@ def test_full_correction_V_difference_matches_closed_form(regime):
                   + T * T * vth * (eps * w - 2.0 * T * w) * y
                   + T ** 4 * vth * vth)
         assert np.all(np.abs(dV - closed) <= 1e-12 * (x * x + y * y)), f"k={k}"
-
-
-def test_reference_bound_check():
-    assert validated_references().check_uniform_bound(10.0).kind == "pass"
-    lying = ReferenceSignal(lambda t: 1.0 + 0.0 * np.asarray(t),
-                            lambda t: 0.0 * np.asarray(t), 0.01, 0.5)
-    verdict = lying.check_uniform_bound(1.0)
-    assert verdict.kind == "falsified"
-    assert verdict.detail == "reference bound exceeded"
-    assert (verdict.witness.k, verdict.witness.measured) == (0, 1.0)
-
-    # only the difference quotient of omega_r exceeds w_M
-    steep = ReferenceSignal(lambda t: 0.5 + 0.0 * np.asarray(t),
-                            lambda t: 0.9 * np.sin(10.0 * np.asarray(t)), 0.01, 1.0)
-    w = steep.check_uniform_bound(1.0).witness
-    wr = steep.omega_r(np.array([w.k, w.k + 1]) * steep.T)
-    replayed = (abs(steep.vr_k(w.k)), abs(wr[0]), abs(wr[1] - wr[0]) / steep.T)
-    assert w.measured in replayed
-    assert w.measured > w.bound == 1.0
 
 
 def test_pe_windows_zero_reference_falsified():
@@ -358,26 +334,6 @@ def test_fused_step_tables_shared_across_threads():
         assert len(result) == len(calls)
         for T, k0, got in result:
             assert np.array_equal(got, expected[(T, k0)])
-
-
-def test_display_parts_recombine_and_vanish_at_zero_heading():
-    refs = demo_references()
-    gains = demo_gains(use_correction="full")
-    F1, G = closed_loop_display_parts(refs, gains)
-    fstep = closed_loop_euler_cascade(refs, gains).f
-    rng = np.random.default_rng(3)
-    X = rng.uniform(-2.0, 2.0, size=(40, 2))
-    Z = rng.uniform(-0.5, 0.5, size=(40, 1))
-    T, k = 0.01, 17
-    assert np.allclose(F1(T, k, X) + G(T, k, X, Z), fstep(T, k, X, Z), atol=1e-12)
-    assert np.all(G(T, k, X, np.zeros((40, 1))) == 0.0)
-    # a per-row k gives each row the bits of the int-k call of its own index
-    ks = rng.integers(0, 300, size=40)
-    assert np.allclose(F1(T, ks, X) + G(T, ks, X, Z), fstep(T, ks, X, Z), atol=1e-12)
-    assert np.all(G(T, ks, X, np.zeros((40, 1))) == 0.0)
-    for part, args in ((F1, (X,)), (G, (X, Z))):
-        rows = [part(T, int(kk), *(a[i:i + 1] for a in args)) for i, kk in enumerate(ks)]
-        assert np.array_equal(part(T, ks, *args), np.concatenate(rows))
 
 
 def test_lyap_V_hand_value_and_bounds():
@@ -540,7 +496,3 @@ def test_comparison_rejects_unknown_plant():
     with pytest.raises(ValueError, match="plant"):
         run_comparison_experiment({"plant": "rk4", "horizon_s": 0.1})
 
-
-def test_tracking_error_state_array():
-    s = TrackingErrorState(1.0, -2.0, 0.5)
-    assert np.array_equal(s.as_array(), np.array([1.0, -2.0, 0.5]))
