@@ -78,7 +78,13 @@ class InputSequence:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """State samples from index k0 at period T, with cached norms."""
+    """Rows rolled out together from index k0 at period T.
+
+    `states` has shape (steps+1, rows, dim), one trajectory per column;
+    `norms` caches their norms, shape (steps+1, rows), with non-finite
+    states giving inf or NaN norms. Where a check names a trajectory, its
+    id counts the columns of all records before it plus its own column.
+    """
 
     T: float
     k0: int
@@ -86,14 +92,12 @@ class Trajectory:
     norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if len(states) < 1:
-            raise ValueError("trajectory needs at least the initial state")
+        states = np.asarray(self.states, dtype=float)
+        if states.ndim != 3 or len(states) < 1:
+            raise ValueError("states must have shape (steps+1, rows, dim), steps >= 0")
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "norms", np.linalg.norm(states, axis=1))
-
-    def __len__(self) -> int:
-        return len(self.states)
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "norms", np.linalg.norm(states, axis=-1))
 
 
 def rollout(step, T: float, k0, Y0, steps: int, inputs=None):
@@ -144,12 +148,13 @@ def rollout(step, T: float, k0, Y0, steps: int, inputs=None):
 
 def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf,
                   period: float | None = None):
-    """Yield (T, k0, states): Y0 rolled out over `horizon` seconds from each
-    sorted period and start index (`_k_probes(T, period)` unless k0_set is
-    given, `period` being that of the step's time variation).
+    """Yield one `Trajectory` record per sorted period and start index:
+    the rows of Y0 rolled out over `horizon` seconds (start indices
+    `_k_probes(T, period)` unless k0_set is given, `period` being that of
+    the step's time variation).
 
     All start indices of one period share one rollout, Y0 repeated once
-    per k0 with a per-row start index; the slices come back in k0 order.
+    per k0 with a per-row start index; the records come back in k0 order.
     """
     Y0 = np.array(Y0, dtype=float, ndmin=2)
     n = len(Y0)
@@ -161,7 +166,7 @@ def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = 
         states = rollout(step, T, np.repeat(k0s, n), np.tile(Y0, (len(k0s), 1)),
                          horizon_index(horizon, T))[0]
         for i, k0 in enumerate(k0s):
-            yield T, k0, states[:, i * n:(i + 1) * n]
+            yield Trajectory(T, k0, states[:, i * n:(i + 1) * n])
 
 
 def _stacked_step(sys: CascadeSystem):
@@ -183,20 +188,21 @@ def _raise_if_diverged(first_bad: int, k0: int) -> None:
 
 
 def simulate_cascade(sys: CascadeSystem, T: float, k0: int, x0, z0,
-                     steps: int) -> tuple[Trajectory, Trajectory]:
-    """Iterate both maps; z runs autonomously, x is driven by z."""
+                     steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Iterate both maps from one (x0, z0); z runs autonomously, x is driven
+    by z. Returns the (steps+1, dim_x) and (steps+1, dim_z) states."""
     _check_period(T, sys.T_max)
     y0 = np.concatenate([np.asarray(x0, dtype=float).reshape(sys.dim_x),
                          np.asarray(z0, dtype=float).reshape(sys.dim_z)])
     states, first_bad = rollout(_stacked_step(sys), T, k0, y0, steps)
     _raise_if_diverged(int(first_bad[0]), k0)
-    return (Trajectory(T, k0, states[:, 0, : sys.dim_x]),
-            Trajectory(T, k0, states[:, 0, sys.dim_x:]))
+    return states[:, 0, : sys.dim_x], states[:, 0, sys.dim_x:]
 
 
 def simulate_driven(sys: CascadeSystem, T: float, k0: int, x0,
-                    omega: InputSequence, steps: int | None = None) -> Trajectory:
-    """Drive the x-subsystem with a recorded input sequence."""
+                    omega: InputSequence, steps: int | None = None) -> np.ndarray:
+    """Drive the x-subsystem from one x0 with a recorded input sequence;
+    returns the (steps+1, dim_x) states."""
     _check_period(T, sys.T_max)
     available = omega.start + len(omega) - k0
     if steps is None:
@@ -210,7 +216,7 @@ def simulate_driven(sys: CascadeSystem, T: float, k0: int, x0,
     states, first_bad = rollout(sys.f, T, k0, np.asarray(x0, dtype=float).reshape(sys.dim_x),
                                 steps, inputs)
     _raise_if_diverged(int(first_bad[0]), k0)
-    return Trajectory(T, k0, states[:, 0])
+    return states[:, 0]
 
 
 def _k_probes(T: float, period: float | None):
@@ -267,7 +273,7 @@ def check_interconnection_bound(sys: CascadeSystem, gamma1: ClassKFunction,
                                worst_ratio_growth=worst1, worst_ratio_interconnection=worst2)
 
 
-def _probe_inputs(dim_z: int, mu: float, length: int, seeds=(0, 1)):
+def _probe_inputs(dim_z: int, mu: float, length: int):
     """Deterministic bounded-norm input families: constants, alternating, random."""
     if length <= 0:
         return []
@@ -281,7 +287,7 @@ def _probe_inputs(dim_z: int, mu: float, length: int, seeds=(0, 1)):
         out.append(np.tile(e, (length, 1)))
     signs = np.where(np.arange(length)[:, None] % 2 == 0, 1.0, -1.0)
     out.append(signs * mu * unit)
-    for seed in seeds:
+    for seed in (0, 1):
         rng = np.random.default_rng(1234 + seed)
         vals = rng.uniform(-1.0, 1.0, size=(length, dim_z))
         nrm = np.linalg.norm(vals, axis=1, keepdims=True)

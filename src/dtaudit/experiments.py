@@ -192,19 +192,16 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     x0 = x0 * rng.uniform(0.1, 10.0, size=(len(x0), 1))
 
     horizon = p["decay_horizon_s"]
-    batches = [rollout(emap.step, T, 0, x0, min(horizon_index(horizon, T), 2000))[0]
-               for T in T_decay]
-    trajs = [Trajectory(T, 0, states[:, j]) for T, states in zip(T_decay, batches)
-             for j in range(len(x0))]
+    runs = [Trajectory(T, 0, rollout(emap.step, T, 0, x0, min(horizon_index(horizon, T), 2000))[0])
+            for T in T_decay]
     lam = p["decay_rate"]
-    beta = fit_kl_envelope(trajs, lam_grid=[lam])
+    beta = fit_kl_envelope(runs, lam_grid=[lam])
     b = float(beta.params["M"])
     worst = 0.0
-    for traj in trajs:
-        if traj.norms[0] <= 0.0:
-            continue
-        bound = traj.norms[0] * np.exp(-lam * np.arange(len(traj.norms)) * traj.T)
-        worst = max(worst, float(np.max(traj.norms / bound)))
+    for run in runs:
+        s0 = run.norms[0]
+        decay = np.exp(-lam * np.arange(len(run.norms)) * run.T)[:, None]
+        worst = float(np.max(run.norms[:, s0 > 0.0] / (s0[s0 > 0.0] * decay), initial=worst))
 
     # the integrated plant keeps a unit-circle mode: generic states stall
     x0_nc = np.array([[1.0, 0.3], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
@@ -234,7 +231,7 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
         "envelope_b": b,
         "envelope_rate": lam,
         "measured_sup_ratio": worst,
-        "n_trajectories": len(trajs),
+        "n_trajectories": len(runs) * len(x0),
         "nonconvergence_min_ratio": min_ratio,
         "nonconvergence_floor": nonconv_floor,
         "spectra": [{"T": r[0], "euler_eig_deviation": r[1], "exact_spectral_radius": r[2]}
@@ -346,11 +343,10 @@ def _run_unicycle_compare(params: dict, seed: int) -> ExperimentResult:
     settled = {name: per_variant[name]["settle_step_full"] is not None
                for name in per_variant}
     ise = {name: per_variant[name]["ise_position"] for name in per_variant}
-    ordering = {}
-    if "none" in ise:
-        for name in per_variant:
-            if name != "none":
-                ordering[f"ise_{name}_below_none"] = bool(ise[name] <= ise["none"])
+    # a variant that diverged at its initial error has no scored rows to compare
+    scored = {name for name, payload in out["variants"].items() if len(payload["rows"])}
+    ordering = {f"ise_{name}_below_none": bool(ise[name] <= ise["none"])
+                for name in per_variant if name != "none" and {name, "none"} <= scored}
     status = 0 if (not any(diverged.values()) and all(settled.values())) else 1
     metrics = {
         "config": out["config"],
@@ -577,11 +573,6 @@ _THEOREM_DEFAULTS = {
 }
 
 
-def _run_trajs(runs):
-    return [Trajectory(T, k0, states[:, j]) for T, k0, states in runs
-            for j in range(states.shape[1])]
-
-
 def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _THEOREM_DEFAULTS, "cascade-theorem-demo")
     T = _periods([p["T"]], "T")[0]
@@ -606,15 +597,14 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
 
     def decay(name, step, grid):
         runs = list(grid_rollouts(step, grid, T_list, horizon_s, period=sysm.period))
-        trajs = _run_trajs(runs)
-        beta = fit_kl_envelope(trajs)
+        beta = fit_kl_envelope(runs)
         verdict = spuas_escape(runs, beta, 0.0)
         metrics[name] = {"beta": beta.to_json(), "verdict": verdict.to_json()}
-        return runs, trajs, beta, verdict
+        return runs, beta, verdict
 
-    # [2:] drops the rollouts at once, so they do not stay alive to the end
-    beta_z, z_verdict = decay("driving_decay", sysm.g, sample_ball(Delta_z, 1, 17))[2:]
-    beta_x, x_verdict = decay("unforced_decay", xstep, sample_ball(Delta, 2, n_ball))[2:]
+    # [1:] drops the rollouts at once, so they do not stay alive to the end
+    beta_z, z_verdict = decay("driving_decay", sysm.g, sample_ball(Delta_z, 1, 17))[1:]
+    beta_x, x_verdict = decay("unforced_decay", xstep, sample_ball(Delta, 2, n_ball))[1:]
 
     mu_star = usc_probe(sysm, Delta, p["eta"], p["eps"], p["usc_L"], [T], list(p["mu_grid"]),
                         x0_count=p["usc_x0_count"])
@@ -696,14 +686,12 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
                                               k_set=k_cert)
 
         z_grid = sample_ball(Delta_z, 1, 17)
-        z_trajs = _run_trajs(grid_rollouts(sysm.g, z_grid, [T], horizon_s, k0_set=[0]))
-        budget = 0.0
-        for traj in z_trajs:
-            if traj.norms[0] <= 0.0:
-                continue
-            total = T * float(np.sum(np.asarray(cert.mu_fn(traj.norms), dtype=float)))
-            budget = max(budget, total / traj.norms[0])
-        summable = check_summability(z_trajs, cert.mu_fn,
+        (z_run,) = grid_rollouts(sysm.g, z_grid, [T], horizon_s, k0_set=[0])
+        s0 = z_run.norms[0]
+        # one contiguous row per trajectory: an axis-0 sum would add in another order
+        terms = np.ascontiguousarray(np.asarray(cert.mu_fn(z_run.norms), dtype=float).T)
+        budget = float(np.max(T * np.sum(terms[s0 > 0.0], axis=1) / s0[s0 > 0.0], initial=0.0))
+        summable = check_summability([z_run], cert.mu_fn,
                                      ClassKFunction.linear(budget * 1.05), T)
         metrics["growth_certificate"] = {
             "drift_gain": d, "mu_gain": float(cert.mu_fn.params["gain"]),
@@ -715,10 +703,12 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
 
     cert_verdict, summable = growth_certificate()
 
-    runs, trajs, beta_c, cascade_verdict = decay("cascade", _stacked_step(sysm),
-                                                 sample_ball(Delta, 3, n_ball))
-    kappa = max((float(np.max(t.norms)) / t.norms[0] for t in trajs if t.norms[0] > 0.0),
-                default=0.0)
+    runs, beta_c, cascade_verdict = decay("cascade", _stacked_step(sysm),
+                                          sample_ball(Delta, 3, n_ball))
+    kappa = 0.0
+    for run in runs:
+        s0 = run.norms[0]
+        kappa = float(np.max(run.norms[:, s0 > 0.0] / s0[s0 > 0.0], initial=kappa))
     bounded = boundedness_escape(runs, ClassKFunction.linear(kappa * (1.0 + 1e-9)), 0.0)
     metrics["cascade"].update(kappa_gain=kappa * (1.0 + 1e-9), bounded=bounded.to_json())
 

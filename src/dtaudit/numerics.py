@@ -320,8 +320,10 @@ _DEFAULT_LAM_GRID = tuple(float(v) for v in np.logspace(-4.0, 1.0, 51))
 def _log_M_needed(logn, tau, lam_grid) -> np.ndarray:
     """Per lam, the tightest admissible log M: max(logn + lam * tau).
 
-    One lam at a time, so memory stays at one sample vector rather than
-    len(lam_grid) of them.
+    For samples sharing one tau, `logn` may hold only their largest
+    log-norm ratio (-inf where none is active): fl(a + c) is
+    nondecreasing in a, so the maximum is the same. One lam at a time,
+    so memory stays at one vector rather than len(lam_grid) of them.
     """
     return np.array([np.max(logn + lam * tau) for lam in lam_grid])
 
@@ -330,50 +332,52 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
                     slack: float = 1e-9) -> KLBound:
     """Fit the smallest exponential envelope dominating every trajectory.
 
-    Each trajectory must expose ``T``, ``k0`` and ``norms`` (see
-    `cascade.Trajectory`). The fit accepts (M, lam) when
+    `trajectories` yields `cascade.Trajectory` records, one trajectory
+    per column of each. The fit accepts (M, lam) when
     |phi(k)| <= max(M * |phi(k0)| * exp(-lam * (k - k0) * T), nu) + slack
     at every recorded index, prefers the smallest M and then the largest
     lam, and raises `EnvelopeFalsified` with a (trajectory, k) witness
-    when no grid point works.
+    when no grid point works: the trajectory id is the flat (record,
+    column) index and the witness the first such sample, taking records
+    in order, then columns, then steps.
     """
-    trajs = list(trajectories)
-    if not trajs:
+    runs = list(trajectories)
+    if not runs:
         raise ValueError("need at least one trajectory")
     M_grid = np.asarray(_DEFAULT_M_GRID if M_grid is None else M_grid, dtype=float)
     lam_grid = np.asarray(_DEFAULT_LAM_GRID if lam_grid is None else lam_grid, dtype=float)
 
-    taus, lognorms, owners = [], [], []  # owners: (trajectory, absolute k of each sample)
-    for ti, traj in enumerate(trajs):
-        norms = np.asarray(traj.norms, dtype=float)
+    # per record: taus (steps+1,), log-norm ratios (steps+1, rows) with
+    # -inf at the samples the envelope need not cover
+    taus, lognorms, ti = [], [], 0
+    for run in runs:
+        norms = np.asarray(run.norms, dtype=float)
         s0 = norms[0]
-        ks = np.arange(len(norms))
         active = norms > nu + slack
-        if s0 <= 0.0:
-            if np.any(active):
-                bad = int(ks[active][0])
-                raise EnvelopeFalsified((ti, bad + traj.k0))
-            continue
-        taus.append(ks[active] * traj.T)
-        lognorms.append(np.log(norms[active] - slack) - np.log(s0))
-        owners.append((ti, ks[active] + traj.k0))
-    if not taus:  # every sample sits below nu: the loosest admissible envelope
-        return KLBound.exponential(float(M_grid[0]), float(np.max(lam_grid)))
+        leaves_zero = (s0 <= 0.0) & active.any(axis=0)
+        if leaves_zero.any():
+            j = int(np.argmax(leaves_zero))
+            raise EnvelopeFalsified((ti + j, run.k0 + int(np.argmax(active[:, j]))))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logn = np.log(norms - slack) - np.log(s0)
+        lognorms.append(np.where(active, logn, -np.inf))
+        taus.append(np.arange(len(norms)) * run.T)
+        ti += norms.shape[1]
 
-    tau = np.concatenate(taus)
-    logn = np.concatenate(lognorms)
-    need_max = _log_M_needed(logn, tau, lam_grid)
+    need_max = _log_M_needed(np.concatenate([np.max(logn, axis=1) for logn in lognorms]),
+                             np.concatenate(taus), lam_grid)
     logM = np.log(M_grid)
     feasible = need_max[None, :] <= logM[:, None] + 1e-12  # (M, lam)
     if not feasible.any():
-        # witness: first sample beating even the loosest envelope (M_max, lam_min)
-        loose = logn + float(np.min(lam_grid)) * tau - np.max(logM)
-        bad = np.nonzero(loose > 1e-12)[0]
-        flat = int(bad[0]) if len(bad) else int(np.argmax(loose))
-        ends = np.cumsum([len(t) for t in taus])
-        pos = int(np.searchsorted(ends, flat, side="right"))
-        ti, ks_abs = owners[pos]
-        raise EnvelopeFalsified((ti, int(ks_abs[flat - (ends[pos] - len(ks_abs))])))
+        # witness: first sample beating even the loosest envelope (M_max, lam_min);
+        # a NaN sample counts as beating it
+        lam, ti = float(np.min(lam_grid)), 0
+        for run, tau, logn in zip(runs, taus, lognorms):
+            beats = ~(logn + lam * tau[:, None] - np.max(logM) <= 1e-12).T  # columns, then steps
+            if beats.any():
+                j, i = np.argwhere(beats)[0]
+                raise EnvelopeFalsified((ti + int(j), run.k0 + int(i)))
+            ti += len(beats)
     mi = int(np.argmax(feasible.any(axis=1)))
     li = int(np.max(np.nonzero(feasible[mi])[0]))
     return KLBound.exponential(float(M_grid[mi]), float(lam_grid[li]))

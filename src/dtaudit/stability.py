@@ -115,14 +115,13 @@ def _grid_rollouts(system, Delta, T_list, grid, horizon, k0_set=None):
 def _first_escape(runs, bound_fn, detail_pass):
     """First (T, k0, step, row) whose norm leaves the per-step bound.
 
-    `runs` yields (T, k0, states) rollouts; bound_fn(norms0, t_rel) gives
-    each trajectory's admissible norm at elapsed time t_rel. Non-finite
-    states count as violations.
+    `runs` yields `cascade.Trajectory` records; bound_fn(norms0, t_rel)
+    gives each trajectory's admissible norm at elapsed time t_rel.
+    Non-finite states count as violations.
     """
     worst = 0.0
-    for T, k0, states in runs:
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(states, axis=-1)
+    for run in runs:
+        T, k0, states, norms = run.T, run.k0, run.states, run.norms
         t_rel = (np.arange(len(states)) * T)[:, None]
         bound = np.broadcast_to(np.asarray(bound_fn(norms[0][None, :], t_rel), dtype=float),
                                 norms.shape)
@@ -137,7 +136,7 @@ def _first_escape(runs, bound_fn, detail_pass):
 
 
 def spuas_escape(runs, beta: KLBound, nu: float, comparator: str = "max") -> StabilityVerdict:
-    """The `falsify_spuas` check on (T, k0, states) rollouts already made."""
+    """The `falsify_spuas` check on `cascade.Trajectory` records already made."""
     if comparator == "max":
         bound_fn = lambda s0, t: np.maximum(beta(s0, t), nu)
     elif comparator == "additive":
@@ -148,7 +147,7 @@ def spuas_escape(runs, beta: KLBound, nu: float, comparator: str = "max") -> Sta
 
 
 def boundedness_escape(runs, kappa: ClassKFunction, c: float) -> StabilityVerdict:
-    """The `check_boundedness` check on (T, k0, states) rollouts already made."""
+    """The `check_boundedness` check on `cascade.Trajectory` records already made."""
     return _first_escape(runs, lambda s0, t: np.asarray(kappa(s0), dtype=float) + c,
                          "norm bound holds on the sampled grid")
 
@@ -263,23 +262,29 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
     return StabilityVerdict("pass", None, "sandwich, decrease and Lipschitz claims hold", margins)
 
 
-def check_summability(z_traj_ensemble, mu_fn: ClassKFunction, rho: ClassKFunction,
+def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
                       T: float) -> StabilityVerdict:
     """Check T * sum of mu(|z(k)|) <= rho(|z0|) with a geometric tail certificate.
 
-    The infinite sum is truncated at the recorded horizon; the tail is
-    bounded by a geometric fit on the last third of the terms. A
-    non-decaying or non-negligible tail yields an inconclusive verdict
-    unless the partial sum alone already exceeds the budget.
+    `z_runs` yields `cascade.Trajectory` records, each column one
+    trajectory; verdicts name a trajectory by its flat (record, column)
+    index and judge the trajectories in that order. The infinite sum is
+    truncated at the recorded horizon; the tail is bounded by a geometric
+    fit on the last third of the terms. A non-decaying or non-negligible
+    tail yields an inconclusive verdict unless the partial sum alone
+    already exceeds the budget.
     """
+    columns = ((run, terms, budget, z0) for run in z_runs
+               for terms, budget, z0 in zip(np.asarray(mu_fn(run.norms), dtype=float).T,
+                                            np.asarray(rho(run.norms[0]), dtype=float),
+                                            run.states[0]))
     worst = 0.0
-    for ti, traj in enumerate(z_traj_ensemble):
-        terms = np.asarray(mu_fn(traj.norms), dtype=float)
+    for ti, (run, terms, budget, z0) in enumerate(columns):
         partial = T * np.cumsum(terms)
-        budget = float(rho(traj.norms[0]))
+        budget = float(budget)
         bad = _first_violation(
             partial <= budget + _SLACK,
-            lambda j: Witness.of(traj.T, traj.k0, traj.states[0], traj.k0 + j, partial[j], budget),
+            lambda j: Witness.of(run.T, run.k0, z0, run.k0 + j, partial[j], budget),
             f"partial sum exceeds the budget on trajectory {ti}")
         if bad is not None:
             return bad
@@ -303,8 +308,7 @@ def check_summability(z_traj_ensemble, mu_fn: ClassKFunction, rho: ClassKFunctio
                     f"tail estimate of trajectory {ti} not below 1e-6 of the partial sum")
         bad = _first_violation(
             total + tail <= budget + _SLACK,
-            lambda _: Witness.of(traj.T, traj.k0, traj.states[0], traj.k0 + n - 1,
-                                 total + tail, budget),
+            lambda _: Witness.of(run.T, run.k0, z0, run.k0 + n - 1, total + tail, budget),
             f"partial sum plus tail exceeds the budget on trajectory {ti}")
         if bad is not None:
             return bad

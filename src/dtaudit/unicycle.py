@@ -312,11 +312,10 @@ def pe_window_sums(refs: ReferenceSignal, T: float, L: float, j_max: int) -> np.
     return T * (csum[j + ell + 1] - csum[j])
 
 
-def check_pe(refs: ReferenceSignal, L: float, mu: float, T_list,
-             j_samples=None) -> StabilityVerdict:
+def check_pe(refs: ReferenceSignal, L: float, mu: float, T_list) -> StabilityVerdict:
     """Check the sliding-window excitation bound over one reference period.
 
-    Passes when every sampled window start j satisfies
+    Passes when every window start j = 0..ceil(period / T) satisfies
     T * sum_{k=j}^{j+ell} omega_r(kT)^2 >= mu. The witness initial state
     holds the start time of the failing window.
     """
@@ -325,17 +324,10 @@ def check_pe(refs: ReferenceSignal, L: float, mu: float, T_list,
     worst = math.inf
     for T in sorted(float(t) for t in T_list):
         P = refs.period_steps(T)
-        sums = pe_window_sums(refs, T, L, P)
-        if j_samples is None:
-            js = np.arange(P + 1)
-        elif isinstance(j_samples, (int, np.integer)):
-            js = np.unique(np.linspace(0, P, int(j_samples)).astype(int))
-        else:
-            js = np.asarray(list(j_samples), dtype=int)
-        vals = sums[js]
+        vals = pe_window_sums(refs, T, L, P)
         worst = min(worst, float(np.min(vals)))
         bad = _first_violation(vals >= mu - _SLACK,
-                               lambda i: Witness.of(T, js[i], (js[i] * T,), js[i], vals[i], mu),
+                               lambda j: Witness.of(T, j, (j * T,), j, vals[j], mu),
                                "excitation window below the required level")
         if bad is not None:
             return bad

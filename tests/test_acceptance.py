@@ -149,7 +149,7 @@ def test_heading_error_is_exactly_geometric_for_every_variant():
         sysm = closed_loop_euler_cascade(demo_references(),
                                          demo_gains(0.01, variant))
         _, tz = simulate_cascade(sysm, T, 0, np.zeros(2), [theta0], steps)
-        assert np.max(np.abs(tz.states[:, 0] - expected)) <= tol
+        assert np.max(np.abs(tz[:, 0] - expected)) <= tol
 
 
 # --- excitation audit ---------------------------------------------------

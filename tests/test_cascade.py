@@ -44,13 +44,13 @@ def linear_cascade(a=1.0, b=1.0):
 
 def test_simulate_cascade_hand_iteration():
     tx, tz = simulate_cascade(linear_cascade(), 0.5, 0, [1.0], [1.0], 2)
-    np.testing.assert_allclose(tz.states[:, 0], [1.0, 0.5, 0.25])
-    np.testing.assert_allclose(tx.states[:, 0], [1.0, 1.0, 0.75])
+    np.testing.assert_allclose(tz[:, 0], [1.0, 0.5, 0.25])
+    np.testing.assert_allclose(tx[:, 0], [1.0, 1.0, 0.75])
 
 
 def test_simulate_cascade_equilibrium():
     tx, tz = simulate_cascade(linear_cascade(), 0.5, 0, [0.0], [0.0], 5)
-    assert np.all(tx.states == 0.0) and np.all(tz.states == 0.0)
+    assert np.all(tx == 0.0) and np.all(tz == 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -108,8 +108,8 @@ def _check_row(sysm, T, k0, x0, u, row_states, row_bad):
     omega = InputSequence(k0, u) if steps else InputSequence(k0, np.zeros((0, 1)))
     if bad < 0:
         with np.errstate(over="ignore"):  # the norms of huge finite states overflow
-            traj = simulate_driven(sysm, T, k0, x0, omega, steps=steps)
-        assert np.array_equal(traj.states, row_states)
+            states = simulate_driven(sysm, T, k0, x0, omega, steps=steps)
+        assert np.array_equal(states, row_states)
     else:
         with pytest.raises(DivergenceError) as err:
             simulate_driven(sysm, T, k0, x0, omega, steps=steps)
@@ -152,11 +152,12 @@ def test_stacked_rollout_equals_per_k0_rollouts_unicycle(regime):
     step = _stacked_step(sysm)
     Y0 = np.random.default_rng(5).uniform(-5.0, 5.0, size=(12, 3))
     _assert_stacked_equals_per_k0(step, T, _k_probes(T, sysm.period), Y0, 300)
-    # grid_rollouts yields the same slices, in k0 order
+    # grid_rollouts yields the same slices as records, in k0 order
     got = list(grid_rollouts(step, Y0, [T], 300 * T, period=sysm.period))
-    assert [(TT, k0) for TT, k0, _ in got] == [(T, k0) for k0 in _k_probes(T, sysm.period)]
-    for TT, k0, states in got:
-        assert np.array_equal(states, rollout(step, T, k0, Y0, 300)[0], equal_nan=True)
+    assert [(run.T, run.k0) for run in got] == [(T, k0) for k0 in _k_probes(T, sysm.period)]
+    for run in got:
+        assert np.array_equal(run.states, rollout(step, T, run.k0, Y0, 300)[0], equal_nan=True)
+        assert np.array_equal(run.norms, np.linalg.norm(run.states, axis=-1), equal_nan=True)
 
 
 def test_stacked_rollout_equals_per_k0_rollouts_with_overflowing_rows():
@@ -200,21 +201,21 @@ def test_simulate_driven_zero_input_matches_unforced_cascade():
     via_cascade, _ = simulate_cascade(sysm, 0.25, 3, [0.8], [0.0], steps)
     via_driven = simulate_driven(sysm, 0.25, 3, [0.8],
                                  InputSequence(3, np.zeros((steps, 1))))
-    assert np.array_equal(via_cascade.states, via_driven.states)
+    assert np.array_equal(via_cascade, via_driven)
 
 
 def test_simulate_driven_geometric_series():
     # constant unit input at T=0.5: x(k) = 1 - 0.5^k
     sysm = linear_cascade()
-    traj = simulate_driven(sysm, 0.5, 0, [0.0], InputSequence(0, np.ones((8, 1))))
-    np.testing.assert_allclose(traj.states[:, 0], 1.0 - 0.5 ** np.arange(9))
+    states = simulate_driven(sysm, 0.5, 0, [0.0], InputSequence(0, np.ones((8, 1))))
+    np.testing.assert_allclose(states[:, 0], 1.0 - 0.5 ** np.arange(9))
 
 
 def test_simulate_driven_zero_steps():
-    traj = simulate_driven(linear_cascade(), 0.5, 0, [0.7],
-                           InputSequence(0, np.zeros((0, 1))), steps=0)
-    assert len(traj) == 1
-    np.testing.assert_allclose(traj.states, [[0.7]])
+    states = simulate_driven(linear_cascade(), 0.5, 0, [0.7],
+                             InputSequence(0, np.zeros((0, 1))), steps=0)
+    assert states.shape == (1, 1)
+    np.testing.assert_allclose(states, [[0.7]])
 
 
 def test_simulate_driven_rejects_short_input():
@@ -230,7 +231,11 @@ def test_input_sequence_caches_sup_norm():
 
 def test_trajectory_requires_initial_state():
     with pytest.raises(ValueError):
-        Trajectory(0.1, 0, np.zeros((0, 2)))
+        Trajectory(0.1, 0, np.zeros((0, 3, 2)))
+    with pytest.raises(ValueError):  # one (steps+1, dim) row is not a record
+        Trajectory(0.1, 0, np.zeros((5, 2)))
+    run = Trajectory(0.1, 0, np.full((5, 3, 2), 3.0))
+    assert run.norms.shape == (5, 3) and np.all(run.norms == math.hypot(3.0, 3.0))
 
 
 @settings(deadline=None, max_examples=30)
@@ -245,17 +250,16 @@ def test_semigroup_property_bit_exact(m, n, k0):
         1.0, math.tau)
     full_x, full_z = simulate_cascade(wobble, 0.3, k0, [1.1], [0.9], m + n)
     mid_x, mid_z = simulate_cascade(wobble, 0.3, k0, [1.1], [0.9], m)
-    tail_x, tail_z = simulate_cascade(wobble, 0.3, k0 + m,
-                                      mid_x.states[-1], mid_z.states[-1], n)
-    assert np.array_equal(full_x.states[m:], tail_x.states)
-    assert np.array_equal(full_z.states[m:], tail_z.states)
+    tail_x, tail_z = simulate_cascade(wobble, 0.3, k0 + m, mid_x[-1], mid_z[-1], n)
+    assert np.array_equal(full_x[m:], tail_x)
+    assert np.array_equal(full_z[m:], tail_z)
 
 
 def test_driven_reproduces_cascade_bit_exact():
     sysm = linear_cascade(a=2.0, b=0.7)
     tx, tz = simulate_cascade(sysm, 0.2, 1, [1.5], [-0.4], 30)
-    redo = simulate_driven(sysm, 0.2, 1, [1.5], InputSequence(1, tz.states[:-1]))
-    assert np.array_equal(redo.states, tx.states)
+    redo = simulate_driven(sysm, 0.2, 1, [1.5], InputSequence(1, tz[:-1]))
+    assert np.array_equal(redo, tx)
 
 
 # --- interconnection bounds ---------------------------------------------------
@@ -368,7 +372,7 @@ def _usc_per_row(sys, eta, eps, L, T_list, mu_grid, x0_count):
                         except DivergenceError:
                             holds = False
                             break
-                        if np.max(np.linalg.norm(drv.states - ref.states, axis=1)) > eps + 1e-9:
+                        if np.max(np.linalg.norm(drv - ref, axis=1)) > eps + 1e-9:
                             holds = False
                             break
                     if not holds:
@@ -410,6 +414,6 @@ def test_usc_deviation_bound_from_constant():
     T, steps, mu = 0.1, 40, 0.05
     ref = simulate_driven(sysm, T, 0, [0.9], InputSequence(0, np.zeros((steps, 1))))
     drv = simulate_driven(sysm, T, 0, [0.9], InputSequence(0, np.full((steps, 1), mu)))
-    dev = np.linalg.norm(drv.states - ref.states, axis=1)
+    dev = np.linalg.norm(drv - ref, axis=1)
     k = np.arange(steps + 1)
     assert np.all(dev <= (np.exp(K * T * k) - 1.0) * mu + 1e-9)

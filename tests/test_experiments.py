@@ -178,7 +178,8 @@ def test_unicycle_compare_exact_proxy_plant_runs():
 
 def test_unicycle_compare_initial_error_past_divergence_norm(tmp_path):
     """An initial error already beyond divergence_norm scores every variant
-    as diverged at step 0 with no rows, and the run exits 1 with a report."""
+    as diverged at step 0 with no rows, and the run exits 1 with a report
+    that compares no integrated errors, since no variant has a scored row."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"initial_error": [1e7, 0.0, 0.0]}))
     out = tmp_path / "out"
@@ -191,6 +192,7 @@ def test_unicycle_compare_initial_error_past_divergence_norm(tmp_path):
         assert m["peak_v"] is None and m["final_norm"] is None
         assert m["settle_step_full"] is None
     assert (out / "trajectory_full.csv").read_text().count("\n") == 2  # header lines only
+    assert not [key for key in metrics if key.startswith("ise_")]
 
 
 def test_lyapunov_audit_demo_regime_reports_broken_constant():

@@ -1,5 +1,6 @@
 """The benchmark's layer trace (perfbench/layers.py) still finds the
-attributes it patches, records spans through them, and puts each back."""
+attributes it patches, records spans through them, leaves the metrics
+as an untraced run has them, and puts each attribute back."""
 
 import importlib.util
 from pathlib import Path
@@ -32,3 +33,22 @@ def test_layer_trace_patches_and_restores_every_attribute():
     assert summary["unicycle.compare"][0] > 0
     assert summary["cascade.f"][0] > 0
     assert all(getattr(module, attr) is orig for module, attr, orig in saved)
+
+
+def test_layer_trace_theorem_demo_records_fit_and_summability():
+    """The theorem workload's config under the tracer: the envelope-fit and
+    summability wrappers see the rollout records and change no metric."""
+    config = {"T_list": [0.01, 0.02], "horizon_s": 20.0, "n_ball": 17, "grid_n": 21}
+    untraced = cli.run_named("cascade-theorem-demo", dict(config))
+    tracer = _load_layers().Tracer()
+    tracer.install()
+    try:
+        traced = cli.run_named("cascade-theorem-demo", dict(config))
+    finally:
+        tracer.remove()
+    summary = tracer.summary()
+    assert summary["numerics.fit_kl_envelope"][0] == 3
+    assert summary["stability.summability"][0] == 1
+    assert tracer.counts["numerics.fit_kl_envelope.samples"] > 0
+    assert traced.status == untraced.status == 0
+    assert traced.metrics == untraced.metrics

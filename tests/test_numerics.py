@@ -16,7 +16,8 @@ from dtaudit import (
     kl_compose,
     kl_shift,
 )
-from dtaudit.numerics import _log_M_needed
+from dtaudit import numerics
+from dtaudit.numerics import _DEFAULT_LAM_GRID, _DEFAULT_M_GRID, _log_M_needed
 
 
 # --- horizon index ------------------------------------------------------
@@ -170,7 +171,7 @@ def test_kl_compose_monotone_sampled():
 
 
 def test_fit_envelope_zero_trajectory():
-    traj = Trajectory(0.1, 0, np.zeros((20, 1)))
+    traj = Trajectory(0.1, 0, np.zeros((20, 1, 1)))
     beta = fit_kl_envelope([traj])
     assert beta.params["M"] == 1.0
 
@@ -178,7 +179,7 @@ def test_fit_envelope_zero_trajectory():
 def test_fit_envelope_geometric_decay():
     # norms 0.9^k at T=1 admit lam up to -ln(0.9) = 0.10536; the log grid
     # point just below is 0.1
-    states = (0.9 ** np.arange(60))[:, None]
+    states = (0.9 ** np.arange(60))[:, None, None]
     beta = fit_kl_envelope([Trajectory(1.0, 0, states)])
     assert beta.params["M"] == 1.0
     assert beta.params["lam"] == pytest.approx(0.1, abs=1e-12)
@@ -186,7 +187,7 @@ def test_fit_envelope_geometric_decay():
 
 
 def test_fit_envelope_divergent_witness():
-    states = (1.1 ** np.arange(150))[:, None]
+    states = (1.1 ** np.arange(150))[:, None, None]
     with pytest.raises(EnvelopeFalsified) as err:
         fit_kl_envelope([Trajectory(1.0, 0, states)])
     traj_id, k = err.value.witness
@@ -195,21 +196,25 @@ def test_fit_envelope_divergent_witness():
 
 
 def test_fit_envelope_loosest_witness_maps_back_to_trajectory_and_index():
-    """The witness names the first sample beating the loosest envelope,
-    counted past skipped zero-start trajectories and offset by k0."""
+    """The witness names the first sample beating the loosest envelope, its
+    trajectory counted as the flat (record, column) index past skipped
+    zero-start columns, and its step offset by the record's k0."""
     T, nu, slack = 0.5, 0.0, 1e-9
-    trajs = [Trajectory(T, 3, (0.8 ** np.arange(40))[:, None]),
-             Trajectory(T, 9, np.zeros((25, 1))),
-             Trajectory(T, 11, (1.3 ** np.arange(120))[:, None])]
+    k = np.arange(120)
+    trajs = [Trajectory(T, 3, np.stack([0.8 ** k[:40], np.zeros(40)], axis=1)[:, :, None]),
+             Trajectory(T, 11, np.stack([0.9 ** k, 1.3 ** k], axis=1)[:, :, None])]
     M_max, lam_min = 1.25 ** 42, 1e-4
-    expect = None
-    for ti, traj in enumerate(trajs):
-        s0 = traj.norms[0]
-        for k, n in enumerate(traj.norms):
-            if expect is None and s0 > 0 and n > nu + slack and (
-                    math.log(n - slack) - math.log(s0) + lam_min * k * T - math.log(M_max) > 1e-12):
-                expect = (ti, traj.k0 + k)
-    assert expect is not None and expect[0] == 2
+    expect, ti = None, 0
+    for traj in trajs:
+        for j in range(traj.norms.shape[1]):
+            s0 = traj.norms[0, j]
+            for k, n in enumerate(traj.norms[:, j]):
+                if expect is None and s0 > 0 and n > nu + slack and (
+                        math.log(n - slack) - math.log(s0) + lam_min * k * T
+                        - math.log(M_max) > 1e-12):
+                    expect = (ti, traj.k0 + k)
+            ti += 1
+    assert expect is not None and expect[0] == 3
     with pytest.raises(EnvelopeFalsified) as err:
         fit_kl_envelope(trajs)
     assert err.value.witness == expect
@@ -218,11 +223,12 @@ def test_fit_envelope_loosest_witness_maps_back_to_trajectory_and_index():
 
 def test_fit_envelope_zero_start_witness():
     """A trajectory leaving zero is falsified at its first nonzero index."""
-    states = np.zeros((10, 1))
-    states[4:] = 0.5
+    states = np.zeros((10, 2, 1))
+    states[:, 0] = 1.0
+    states[4:, 1] = 0.5
     with pytest.raises(EnvelopeFalsified) as err:
-        fit_kl_envelope([Trajectory(0.1, 0, np.ones((5, 1))), Trajectory(0.1, 7, states)])
-    assert err.value.witness == (1, 11)
+        fit_kl_envelope([Trajectory(0.1, 0, np.ones((5, 1, 1))), Trajectory(0.1, 7, states)])
+    assert err.value.witness == (2, 11)
 
 
 def test_fit_envelope_per_lam_max_equals_broadcast_formula():
@@ -238,7 +244,7 @@ def test_fit_envelope_per_lam_max_equals_broadcast_formula():
         ks = np.arange(n)
         norms = rng.uniform(0.1, 5.0) * np.exp(-rng.uniform(0.2, 2.0) * ks * T)
         norms *= 1.0 + rng.uniform(0.0, 2.0, n) * (ks > 0)
-        trajs.append(Trajectory(T, int(rng.integers(0, 9)), norms[:, None]))
+        trajs.append(Trajectory(T, int(rng.integers(0, 9)), norms[:, None, None]))
         active = norms > slack
         taus.append(ks[active] * T)
         lognorms.append(np.log(norms[active] - slack) - np.log(norms[0]))
@@ -255,13 +261,93 @@ def test_fit_envelope_per_lam_max_equals_broadcast_formula():
     assert beta.params == {"M": M_grid[mi], "lam": lam_grid[li]}
 
 
+def _fit_full_sample(runs, nu, slack=1e-9):
+    """The envelope fit over every active sample, one trajectory column at
+    a time: the reference the per-step maxima of `fit_kl_envelope` must
+    reproduce. The witness is the first sample beating the loosest
+    envelope, a NaN one (from a NaN start) included. Returns ("fit",
+    (M, lam), need_max) or ("falsified", witness)."""
+    lam_grid, logM = np.asarray(_DEFAULT_LAM_GRID), np.log(_DEFAULT_M_GRID)
+    taus, lognorms, ids, kabs, ti = [], [], [], [], 0
+    for run in runs:
+        for j in range(run.norms.shape[1]):
+            norms = run.norms[:, j]
+            s0, ks = norms[0], np.arange(len(norms))
+            active = norms > nu + slack
+            if s0 <= 0.0:
+                if np.any(active):
+                    return "falsified", (ti, int(ks[active][0]) + run.k0)
+            else:
+                taus.append(ks[active] * run.T)
+                lognorms.append(np.log(norms[active] - slack) - np.log(s0))
+                ids.append(np.full(int(active.sum()), ti))
+                kabs.append(ks[active] + run.k0)
+            ti += 1
+    tau = np.concatenate(taus) if taus else np.zeros(0)
+    if not len(tau):
+        return "fit", (_DEFAULT_M_GRID[0], max(_DEFAULT_LAM_GRID)), None
+    logn = np.concatenate(lognorms)
+    need_max = np.array([np.max(logn + lam * tau) for lam in lam_grid])
+    feasible = need_max[None, :] <= logM[:, None] + 1e-12
+    if not feasible.any():
+        loose = logn + float(np.min(lam_grid)) * tau - np.max(logM)
+        flat = int(np.nonzero(~(loose <= 1e-12))[0][0])
+        return "falsified", (int(np.concatenate(ids)[flat]), int(np.concatenate(kabs)[flat]))
+    mi = int(np.argmax(feasible.any(axis=1)))
+    li = int(np.max(np.nonzero(feasible[mi])[0]))
+    return "fit", (_DEFAULT_M_GRID[mi], lam_grid[li]), need_max
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from([0.0, 1e-3]))
+def test_fit_envelope_per_step_maxima_equal_full_sample_fit(seed, n_records, nu):
+    """Sweeping lam over each record's per-step maxima gives, bit for bit,
+    the need_max of every active sample, and the same fit or witness:
+    records of several columns with zero starts, samples below nu, NaN
+    tails, NaN starts and growing columns."""
+    rng = np.random.default_rng(seed)
+    runs = []
+    for _ in range(n_records):
+        T, steps, rows = rng.uniform(0.05, 0.5), int(rng.integers(0, 60)), int(rng.integers(1, 5))
+        k = np.arange(steps + 1)[:, None]
+        rate = rng.uniform(-1.5, 0.3, rows)
+        norms = rng.uniform(0.1, 5.0, rows) * np.exp(rate * k * T)
+        norms = norms * (1.0 + rng.uniform(0.0, 1.0, norms.shape) * (k > 0))
+        zero_start = rng.uniform(size=rows) < 0.2
+        norms[0, zero_start] = 0.0
+        norms[:, zero_start & (rng.uniform(size=rows) < 0.5)] = 0.0
+        norms[rng.uniform(size=norms.shape) < 0.1] *= 1e-6  # dips below nu
+        nan_from = rng.integers(1, steps + 2, rows)
+        norms[k >= np.where(rng.uniform(size=rows) < 0.2, nan_from, steps + 1)] = np.nan
+        norms[0, rng.uniform(size=rows) < 0.05] = np.nan
+        runs.append(Trajectory(T, int(rng.integers(0, 9)), norms[:, :, None]))
+
+    swept = []
+    sweep = numerics._log_M_needed
+    numerics._log_M_needed = lambda *args: swept.append(sweep(*args)) or swept[-1]
+    try:
+        got = ("fit", fit_kl_envelope(runs, nu=nu))
+    except EnvelopeFalsified as err:
+        got = ("falsified", err.witness)
+    finally:
+        numerics._log_M_needed = sweep
+    want = _fit_full_sample(runs, nu)
+    if want[0] == "falsified":
+        assert got == want
+        return
+    assert got[0] == "fit"
+    assert (got[1].params["M"], got[1].params["lam"]) == want[1]
+    if want[2] is not None:
+        assert np.array_equal(swept[0], want[2], equal_nan=True)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.floats(0.3, 0.99), st.floats(0.1, 10.0), st.integers(20, 80))
 def test_fit_envelope_sound(rate, scale, n):
     """Any accepted envelope dominates every sample it was fitted on."""
     T = 0.25
     norms = scale * rate ** np.arange(n)
-    traj = Trajectory(T, 0, norms[:, None])
+    traj = Trajectory(T, 0, norms[:, None, None])
     beta = fit_kl_envelope([traj])
     M, lam = beta.params["M"], beta.params["lam"]
     bound = M * norms[0] * np.exp(-lam * np.arange(n) * T)
@@ -271,7 +357,7 @@ def test_fit_envelope_sound(rate, scale, n):
 def test_fit_envelope_truncation_level():
     # samples below nu are exempt from the decay requirement
     norms = np.concatenate([0.5 ** np.arange(10), np.full(30, 1e-4)])
-    beta = fit_kl_envelope([Trajectory(0.5, 0, norms[:, None])], nu=1e-3)
+    beta = fit_kl_envelope([Trajectory(0.5, 0, norms[:, None, None])], nu=1e-3)
     M, lam = beta.params["M"], beta.params["lam"]
     k = np.arange(len(norms))
     bound = np.maximum(M * norms[0] * np.exp(-lam * k * 0.5), 1e-3)

@@ -236,7 +236,7 @@ def test_lyapunov_rejects_unknown_decrease_form():
 
 
 def geometric_trajectory(ratio, n, T, z0=1.0):
-    return Trajectory(T, 0, (z0 * ratio ** np.arange(n)).reshape(-1, 1))
+    return Trajectory(T, 0, (z0 * ratio ** np.arange(n)).reshape(-1, 1, 1))
 
 
 def test_summability_geometric_series_meets_exact_budget():
@@ -249,7 +249,7 @@ def test_summability_geometric_series_meets_exact_budget():
 
 
 def test_summability_zero_trajectory_passes():
-    traj = Trajectory(0.1, 0, np.zeros((10, 1)))
+    traj = Trajectory(0.1, 0, np.zeros((10, 1, 1)))
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
                                 ClassKFunction.linear(1.0), T=0.1)
     assert verdict.kind == "pass"
@@ -257,17 +257,22 @@ def test_summability_zero_trajectory_passes():
 
 
 def test_summability_budget_overrun_is_falsified():
-    traj = geometric_trajectory(0.9, 200, T=0.01)
-    verdict = check_summability([traj], ClassKFunction.linear(1.0),
+    # T sum of 0.5^k is 0.02 and of 0.9^k is 0.1: only the second column
+    # of the second record overruns the budget 0.05, so it is trajectory 2
+    k = np.arange(200)
+    runs = [geometric_trajectory(0.5, 200, T=0.01),
+            Trajectory(0.01, 4, np.stack([0.5 ** k, 0.9 ** k], axis=1)[:, :, None])]
+    verdict = check_summability(runs, ClassKFunction.linear(1.0),
                                 ClassKFunction.linear(0.05), T=0.01)
     assert verdict.kind == "falsified"
-    assert "trajectory 0" in verdict.detail
+    assert "trajectory 2" in verdict.detail
+    assert verdict.witness.k0 == 4 and verdict.witness.initial_state == (1.0,)
     assert verdict.witness.measured > verdict.witness.bound
 
 
 def test_summability_harmonic_tail_is_inconclusive():
     # 1/(k+1) decays too slowly for the geometric tail certificate
-    traj = Trajectory(1.0, 0, (1.0 / np.arange(1, 301)).reshape(-1, 1))
+    traj = Trajectory(1.0, 0, (1.0 / np.arange(1, 301)).reshape(-1, 1, 1))
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
                                 ClassKFunction.linear(1000.0), T=1.0)
     assert verdict.kind == "inconclusive"
@@ -422,7 +427,7 @@ def _nan_pe():
 
 
 def _nan_summability():
-    traj = Trajectory(0.1, 0, np.array([1.0, 1.0, 1.0] + [np.nan] * 20).reshape(-1, 1))
+    traj = Trajectory(0.1, 0, np.array([1.0, 1.0, 1.0] + [np.nan] * 20).reshape(-1, 1, 1))
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
                                 ClassKFunction.linear(10.0), T=0.1)
     return verdict, 3, (1.0,)

@@ -253,7 +253,7 @@ def test_heading_recursion_is_exactly_geometric():
     T, theta0 = 0.01, 0.5
     _, tz = simulate_cascade(sysm, T, 0, np.zeros(2), [theta0], 2000)
     k = np.arange(2001)
-    assert np.allclose(tz.states[:, 0], (1.0 - T * gains.a1) ** k * theta0, atol=1e-12)
+    assert np.allclose(tz[:, 0], (1.0 - T * gains.a1) ** k * theta0, atol=1e-12)
 
 
 def test_cascade_reproduces_composed_map_bitwise():
@@ -270,7 +270,7 @@ def test_cascade_reproduces_composed_map_bitwise():
         s = np.asarray(emap.step(T, k, s), dtype=float)
         direct.append(s)
     direct = np.array(direct)
-    assert np.array_equal(np.concatenate([tx.states, tz.states], axis=1), direct)
+    assert np.array_equal(np.concatenate([tx, tz], axis=1), direct)
 
 
 @pytest.mark.parametrize("regime", ["demo", "validated"])
