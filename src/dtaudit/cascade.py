@@ -244,20 +244,20 @@ def check_interconnection_bound(sys: CascadeSystem, gamma1: ClassKFunction,
         raise ValueError("domain must cover the stacked (x, z) state")
     pts = sample_box(domain, n_samples)
     X, Z = pts[:, : sys.dim_x], pts[:, sys.dim_x:]
-    xi_norm = np.linalg.norm(pts, axis=1)
-    x_norm = np.linalg.norm(X, axis=1)
-    z_norm = np.linalg.norm(Z, axis=1)
     Z0 = np.zeros_like(Z)
+    # the k-free bounds, formed once
+    rhs1 = np.asarray(gamma1(np.linalg.norm(pts, axis=1)), dtype=float)
+    g2 = np.asarray(gamma2(np.linalg.norm(X, axis=1)), dtype=float)
+    g3 = np.asarray(gamma3(np.linalg.norm(Z, axis=1)), dtype=float)
 
     worst1 = worst2 = 0.0
     for T in sorted(float(t) for t in T_list):
+        rhs2 = T * g2 * g3
         for k in (_k_probes(T, sys.period) if k_set is None else k_set):
             F = np.asarray(sys.f(T, int(k), X, Z), dtype=float)
             F0 = np.asarray(sys.f(T, int(k), X, Z0), dtype=float)
             lhs1 = np.linalg.norm(F, axis=1)
-            rhs1 = np.asarray(gamma1(xi_norm), dtype=float)
             lhs2 = np.linalg.norm(F - F0, axis=1)
-            rhs2 = T * np.asarray(gamma2(x_norm), dtype=float) * np.asarray(gamma3(z_norm), dtype=float)
             for lhs, rhs, tag in ((lhs1, rhs1, "growth"), (lhs2, rhs2, "interconnection")):
                 if not np.all(lhs <= rhs + _SLACK):
                     # the witness is the worst row, not the first failing one

@@ -55,23 +55,16 @@ def emit_report(result: ExperimentResult, out_dir, digest: str, seed: int) -> li
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     written.append(path)
 
-    for stem in sorted(result.tables):
-        cols, rows = result.tables[stem]
-        path = out / f"{stem}.csv"
-        lines = [header, ",".join(cols)]
-        if rows.size:
-            lines.extend(",".join(repr(float(v)) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-
-    for stem in sorted(result.plots):
-        cols, rows = result.plots[stem]
-        path = out / f"{stem}.dat"
-        lines = [header, "# " + " ".join(cols)]
-        if rows.size:
-            lines.extend(" ".join(repr(float(v)) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+    for series, suffix, sep, prefix in ((result.tables, "csv", ",", ""),
+                                        (result.plots, "dat", " ", "# ")):
+        for stem in sorted(series):
+            cols, rows = series[stem]
+            path = out / f"{stem}.{suffix}"
+            lines = [header, prefix + sep.join(cols)]
+            if rows.size:
+                lines.extend(sep.join(repr(float(v)) for v in row) for row in rows)
+            path.write_text("\n".join(lines) + "\n")
+            written.append(path)
     return written
 
 

@@ -339,7 +339,8 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
     lam, and raises `EnvelopeFalsified` with a (trajectory, k) witness
     when no grid point works: the trajectory id is the flat (record,
     column) index and the witness the first such sample, taking records
-    in order, then columns, then steps.
+    in order, then columns, then steps. A NaN sample satisfies no
+    envelope, so a trajectory that turns NaN is always falsified.
     """
     runs = list(trajectories)
     if not runs:
@@ -353,7 +354,7 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
     for run in runs:
         norms = np.asarray(run.norms, dtype=float)
         s0 = norms[0]
-        active = norms > nu + slack
+        active = ~(norms <= nu + slack)
         leaves_zero = (s0 <= 0.0) & active.any(axis=0)
         if leaves_zero.any():
             j = int(np.argmax(leaves_zero))

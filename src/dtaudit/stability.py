@@ -17,7 +17,7 @@ from ._sampling import Box, sample_ball, sample_box
 from .cascade import CascadeSystem, _k_probes, _stacked_step, grid_rollouts
 from .discretize import ParameterizedMap
 from .numerics import ClassKFunction, KLBound
-from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _ratio
+from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _ratio
 
 __all__ = [
     "LyapunovCandidate",
@@ -46,7 +46,8 @@ class LyapunovCandidate:
 
     `alpha1 <= V <= alpha2` is the claimed sandwich, `alpha3` the claimed
     decrease rate, and `L_mod` a state-dependent Lipschitz modulus
-    (nondecreasing, allowed to be positive at zero).
+    (nondecreasing, allowed to be positive at zero). Like a map, `eval`
+    gets a (rows, dim) batch and treats rows independently.
     """
 
     eval: callable
@@ -125,10 +126,10 @@ def _first_escape(runs, bound_fn, detail_pass):
         t_rel = (np.arange(len(states)) * T)[:, None]
         bound = np.broadcast_to(np.asarray(bound_fn(norms[0][None, :], t_rel), dtype=float),
                                 norms.shape)
-        bad = _first_violation(
+        bad = _first_violation((
             norms <= bound + _SLACK,
             lambda ij: Witness.of(T, k0, states[0, ij[1]], k0 + ij[0], norms[ij], bound[ij]),
-            "trajectory norm escaped the claimed bound")
+            "trajectory norm escaped the claimed bound"))
         if bad is not None:
             return bad
         worst = max(worst, float(np.max(_ratio(norms, bound))))
@@ -193,37 +194,32 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
         raise ValueError("decrease_form must be 'as-printed' or 'conventional'")
     Y = _resolve_grid(grid, Delta, F.dim)
     norms = np.linalg.norm(Y, axis=1)
-    pairs = (Y[:-1], Y[1:])
+    # the k-free bounds, formed once: the sandwich, the decrease rate, and
+    # the Lipschitz bound on the consecutive grid pairs (Y[j], Y[j + 1])
+    lo, hi, a3 = (np.asarray(f(norms), dtype=float) for f in (V.alpha1, V.alpha2, V.alpha3))
+    gap = np.linalg.norm(Y[:-1] - Y[1:], axis=1)
+    lip = np.asarray(V.L_mod(np.maximum(norms[:-1], norms[1:])), dtype=float) * gap
+    keep = gap > 1e-12
     worst = {"sandwich_lo": 0.0, "sandwich_hi": 0.0, "decrease": -math.inf, "lipschitz": 0.0}
     rows = []
 
     for T in sorted(float(t) for t in T_list):
+        rhs = -T * (a3 + nu) if decrease_form == "as-printed" else -T * a3 + T * nu
         for k in (_k_probes(T, F.period) if k_set is None else k_set):
             k = int(k)
             v = np.asarray(V.eval(T, k, Y), dtype=float)
-            lo = np.asarray(V.alpha1(norms), dtype=float)
-            hi = np.asarray(V.alpha2(norms), dtype=float)
-            bad = _first_violation(v >= lo - _SLACK,
-                                   lambda j: Witness.of(T, k, Y[j], k, v[j], lo[j]),
-                                   "lower sandwich bound violated")
-            if bad is not None:
-                return bad
-            bad = _first_violation(v <= hi + _SLACK,
-                                   lambda j: Witness.of(T, k, Y[j], k, v[j], hi[j]),
-                                   "upper sandwich bound violated")
+            bad = _first_violation(
+                _one_step(v >= lo - _SLACK, T, k, Y, v, lo, "lower sandwich bound violated"),
+                _one_step(v <= hi + _SLACK, T, k, Y, v, hi, "upper sandwich bound violated"))
             if bad is not None:
                 return bad
 
             Yn = np.asarray(F.step(T, k, Y), dtype=float)
-            vn = np.asarray(V.eval(T, k + 1, Yn), dtype=float)
-            dv = vn - v
-            if decrease_form == "as-printed":
-                rhs = -T * (np.asarray(V.alpha3(norms), dtype=float) + nu)
-            else:
-                rhs = -T * np.asarray(V.alpha3(norms), dtype=float) + T * nu
-            bad = _first_violation(dv <= rhs + _SLACK,
-                                   lambda j: Witness.of(T, k, Y[j], k, dv[j], rhs[j]),
-                                   "decrease condition violated")
+            dv = np.asarray(V.eval(T, k + 1, Yn), dtype=float) - v
+            lhs = np.abs(v[:-1] - v[1:])
+            bad = _first_violation(
+                _one_step(dv <= rhs + _SLACK, T, k, Y, dv, rhs, "decrease condition violated"),
+                _one_step(lhs <= lip + _SLACK, T, k, Y, lhs, lip, "Lipschitz modulus violated"))
             if bad is not None:
                 return bad
             if collect_margins:
@@ -231,30 +227,16 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
                     (int(i), float(norms[i]), float(rhs[i]), float(dv[i]), float(rhs[i] - dv[i]))
                     for i in range(len(Y)))
 
-            A, B = pairs
-            va = np.asarray(V.eval(T, k, A), dtype=float)
-            vb = np.asarray(V.eval(T, k, B), dtype=float)
-            gap = np.linalg.norm(A - B, axis=1)
-            mod = np.asarray(V.L_mod(np.maximum(np.linalg.norm(A, axis=1),
-                                                np.linalg.norm(B, axis=1))), dtype=float)
-            lhs = np.abs(va - vb)
-            bad = _first_violation(lhs <= mod * gap + _SLACK,
-                                   lambda j: Witness.of(T, k, A[j], k, lhs[j], mod[j] * gap[j]),
-                                   "Lipschitz modulus violated")
-            if bad is not None:
-                return bad
-
             with np.errstate(divide="ignore", invalid="ignore"):
                 worst["sandwich_lo"] = max(worst["sandwich_lo"],
                                            float(np.max(np.where(v > 0, lo / v, 0.0))))
                 worst["sandwich_hi"] = max(worst["sandwich_hi"],
                                            float(np.max(np.where(hi > 0, v / hi, 0.0))))
                 worst["decrease"] = max(worst["decrease"], float(np.max(dv - rhs)))
-                keep = gap > 1e-12
                 if np.any(keep):
                     worst["lipschitz"] = max(
                         worst["lipschitz"],
-                        float(np.max(lhs[keep] / np.maximum(mod[keep] * gap[keep], 1e-300))))
+                        float(np.max(lhs[keep] / np.maximum(lip[keep], 1e-300))))
 
     margins = dict(worst)
     if collect_margins:
@@ -282,10 +264,10 @@ def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
     for ti, (run, terms, budget, z0) in enumerate(columns):
         partial = T * np.cumsum(terms)
         budget = float(budget)
-        bad = _first_violation(
+        bad = _first_violation((
             partial <= budget + _SLACK,
             lambda j: Witness.of(run.T, run.k0, z0, run.k0 + j, partial[j], budget),
-            f"partial sum exceeds the budget on trajectory {ti}")
+            f"partial sum exceeds the budget on trajectory {ti}"))
         if bad is not None:
             return bad
         total = float(partial[-1])
@@ -306,10 +288,10 @@ def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
             if total > 0.0 and tail > 1e-6 * total:
                 return StabilityVerdict.unknown(
                     f"tail estimate of trajectory {ti} not below 1e-6 of the partial sum")
-        bad = _first_violation(
+        bad = _first_violation((
             total + tail <= budget + _SLACK,
             lambda _: Witness.of(run.T, run.k0, z0, run.k0 + n - 1, total + tail, budget),
-            f"partial sum plus tail exceeds the budget on trajectory {ti}")
+            f"partial sum plus tail exceeds the budget on trajectory {ti}"))
         if bad is not None:
             return bad
         if budget > 0.0:
@@ -374,22 +356,21 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
     mu = _build_mu(p.gamma1, p.gamma2, phi1, float(np.max(z_norm)))
     W_eval = lambda T, k, x: rho(V.eval(T, k, x))
     cert = UGBCertificate(p.phi, p.gamma1, p.gamma2, float(rho(2.0 * p.c)), rho, mu, W_eval)
+    # the k-free bounds, formed once
+    lo = np.asarray(p.alpha1(x_norm), dtype=float)
+    hi = np.asarray(p.alpha2(x_norm), dtype=float) + p.c
+    g1, g2, mu_z = (np.asarray(f(z_norm), dtype=float) for f in (p.gamma1, p.gamma2, mu))
+    zero = np.zeros(len(pts))
 
     worst = {"sandwich": 0.0, "drift": -math.inf, "unforced": -math.inf, "transformed": -math.inf}
     for T in sorted(float(t) for t in T_list):
+        rhsW = T * mu_z
         for k in (_k_probes(T, sys.period) if k_set is None else k_set):
             k = int(k)
             v = np.asarray(V.eval(T, k, X), dtype=float)
-            lo = np.asarray(p.alpha1(x_norm), dtype=float)
-            hi = np.asarray(p.alpha2(x_norm), dtype=float) + p.c
-            bad = _first_violation(v >= lo - _SLACK,
-                                   lambda j: Witness.of(T, k, pts[j], k, v[j], lo[j]),
-                                   "lower sandwich bound violated")
-            if bad is not None:
-                return cert, bad
-            bad = _first_violation(v <= hi + _SLACK,
-                                   lambda j: Witness.of(T, k, pts[j], k, v[j], hi[j]),
-                                   "upper sandwich bound violated")
+            bad = _first_violation(
+                _one_step(v >= lo - _SLACK, T, k, pts, v, lo, "lower sandwich bound violated"),
+                _one_step(v <= hi + _SLACK, T, k, pts, v, hi, "upper sandwich bound violated"))
             if bad is not None:
                 return cert, bad
 
@@ -397,29 +378,17 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
             F0 = np.asarray(sys.f(T, k, X, Z0), dtype=float)
             v_next_z = np.asarray(V.eval(T, k + 1, Fz), dtype=float)
             v_next_0 = np.asarray(V.eval(T, k + 1, F0), dtype=float)
-
             drift = v_next_z - v_next_0
-            rhs = (T * np.asarray(p.gamma1(z_norm), dtype=float) * np.asarray(p.phi(v), dtype=float)
-                   + T * np.asarray(p.gamma2(z_norm), dtype=float))
-            bad = _first_violation(drift <= rhs + _SLACK,
-                                   lambda j: Witness.of(T, k, pts[j], k, drift[j], rhs[j]),
-                                   "input-drift bound violated")
-            if bad is not None:
-                return cert, bad
-
+            rhs = T * g1 * np.asarray(p.phi(v), dtype=float) + T * g2
             unforced = v_next_0 - v
-            bad = _first_violation(unforced <= _SLACK,
-                                   lambda j: Witness.of(T, k, pts[j], k, unforced[j], 0.0),
-                                   "unforced decrease violated")
-            if bad is not None:
-                return cert, bad
-
-            dW = (np.asarray(rho(v_next_z), dtype=float)
-                  - np.asarray(rho(v), dtype=float))
-            rhsW = T * np.asarray(mu(z_norm), dtype=float)
-            bad = _first_violation(dW <= rhsW + _SLACK,
-                                   lambda j: Witness.of(T, k, pts[j], k, dW[j], rhsW[j]),
-                                   "transformed one-step growth violated")
+            dW = np.asarray(rho(v_next_z), dtype=float) - np.asarray(rho(v), dtype=float)
+            bad = _first_violation(
+                _one_step(drift <= rhs + _SLACK, T, k, pts, drift, rhs,
+                          "input-drift bound violated"),
+                _one_step(unforced <= _SLACK, T, k, pts, unforced, zero,
+                          "unforced decrease violated"),
+                _one_step(dW <= rhsW + _SLACK, T, k, pts, dW, rhsW,
+                          "transformed one-step growth violated"))
             if bad is not None:
                 return cert, bad
 

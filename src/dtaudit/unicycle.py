@@ -26,7 +26,7 @@ from .discretize import euler_map  # noqa: F401
 from ._integrate import IntegrationError
 from .numerics import horizon_index
 from .stability import PreconditionError
-from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation
+from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step
 
 __all__ = [
     "ReferenceSignal",
@@ -326,9 +326,9 @@ def check_pe(refs: ReferenceSignal, L: float, mu: float, T_list) -> StabilityVer
         P = refs.period_steps(T)
         vals = pe_window_sums(refs, T, L, P)
         worst = min(worst, float(np.min(vals)))
-        bad = _first_violation(vals >= mu - _SLACK,
-                               lambda j: Witness.of(T, j, (j * T,), j, vals[j], mu),
-                               "excitation window below the required level")
+        bad = _first_violation((vals >= mu - _SLACK,
+                                lambda j: Witness.of(T, j, (j * T,), j, vals[j], mu),
+                                "excitation window below the required level"))
         if bad is not None:
             return bad
     return StabilityVerdict.ok("excitation bound holds on all sampled windows",
@@ -564,6 +564,7 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
     c = constants
     k_hi = refs.period_steps(T) if k_max is None else int(k_max)
     X, Y = _chain_grid(grid_n, radius)
+    pts = np.stack([X, Y], axis=-1)
     n2 = X * X + Y * Y
     # the k-free bounds, formed once
     lo_V, hi, lo_U, rhsU = c.c1 * n2, c.c2 * n2, c.c1 / 2.0 * n2, -c.c3_tilde * n2
@@ -572,62 +573,35 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
                "V_lo": math.inf, "V_hi": -math.inf, "U_lo": math.inf, "U_hi": -math.inf,
                "W_sandwich_lo": math.inf, "W_sandwich_hi": -math.inf}
 
-    def violation(k, ok, measured, bound, detail):
-        return _first_violation(
-            ok, lambda j: Witness.of(T, k, (X[j], Y[j]), k, measured[j], bound[j]), detail)
-
     for k, V, Vn, TS, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi, tail_tol):
         w = refs.wr_k(k)
         dV = (Vn - V) / T
-
-        ratioV = V / n2
-        margins["V_lo"] = min(margins["V_lo"], float(np.min(ratioV)))
-        margins["V_hi"] = max(margins["V_hi"], float(np.max(ratioV)))
-        bad = violation(k, ratioV >= c.c1 - _SLACK, V, lo_V, "V lower sandwich violated")
-        if bad is not None:
-            return bad
-        bad = violation(k, ratioV <= c.c2 + _SLACK, V, hi, "V upper sandwich violated")
-        if bad is not None:
-            return bad
-
         rhsV = -(aX2 + gains.alpha_y * w * w * Y * Y) + K1n2
-        margins["V_decrease"] = min(margins["V_decrease"], float(np.min(rhsV - dV)))
-        bad = violation(k, dV <= rhsV + _SLACK, dV, rhsV, "V decrease violated")
-        if bad is not None:
-            return bad
-
-        margins["W_sandwich_lo"] = min(margins["W_sandwich_lo"], TS)
-        margins["W_sandwich_hi"] = max(margins["W_sandwich_hi"], TS)
-        # the W sandwich c4 <= T*S(k) <= c3, upper side first
-        bad = _first_violation([TS <= c.c3 + _SLACK, TS >= c.c4 - _SLACK],
-                               lambda i: Witness.of(T, k, (X[0], Y[0]), k, TS, (c.c3, c.c4)[i]),
-                               "W sandwich violated")
-        if bad is not None:
-            return bad
-
         dW = (Wn - W) / T
         rhsW = w * w * Y * Y - aY2 + K2X2
-        margins["W_decrease"] = min(margins["W_decrease"], float(np.min(rhsW - dW)))
-        bad = violation(k, dW <= rhsW + _SLACK, dW, rhsW, "W decrease violated")
-        if bad is not None:
-            return bad
-
         U = V + c.eps_small * W
         dU = (Vn + c.eps_small * Wn - U) / T
-        ratioU = U / n2
-        margins["U_lo"] = min(margins["U_lo"], float(np.min(ratioU)))
-        margins["U_hi"] = max(margins["U_hi"], float(np.max(ratioU)))
-        bad = violation(k, ratioU >= c.c1 / 2.0 - _SLACK, U, lo_U, "U lower sandwich violated")
-        if bad is not None:
-            return bad
-        bad = violation(k, ratioU <= c.c2 + _SLACK, U, hi, "U upper sandwich violated")
+        ratioV, ratioU = V / n2, U / n2
+        bad = _first_violation(
+            _one_step(ratioV >= c.c1 - _SLACK, T, k, pts, V, lo_V, "V lower sandwich violated"),
+            _one_step(ratioV <= c.c2 + _SLACK, T, k, pts, V, hi, "V upper sandwich violated"),
+            _one_step(dV <= rhsV + _SLACK, T, k, pts, dV, rhsV, "V decrease violated"),
+            # the W sandwich c4 <= T*S(k) <= c3, upper side first
+            ([TS <= c.c3 + _SLACK, TS >= c.c4 - _SLACK],
+             lambda i: Witness.of(T, k, pts[0], k, TS, (c.c3, c.c4)[i]), "W sandwich violated"),
+            _one_step(dW <= rhsW + _SLACK, T, k, pts, dW, rhsW, "W decrease violated"),
+            _one_step(ratioU >= c.c1 / 2.0 - _SLACK, T, k, pts, U, lo_U,
+                      "U lower sandwich violated"),
+            _one_step(ratioU <= c.c2 + _SLACK, T, k, pts, U, hi, "U upper sandwich violated"),
+            _one_step(dU <= rhsU + _SLACK, T, k, pts, dU, rhsU, "U decrease violated"))
         if bad is not None:
             return bad
 
-        margins["U_decrease"] = min(margins["U_decrease"], float(np.min(rhsU - dU)))
-        bad = violation(k, dU <= rhsU + _SLACK, dU, rhsU, "U decrease violated")
-        if bad is not None:
-            return bad
+        for key, val in (("V_lo", ratioV), ("V_decrease", rhsV - dV), ("W_sandwich_lo", TS),
+                         ("W_decrease", rhsW - dW), ("U_lo", ratioU), ("U_decrease", rhsU - dU)):
+            margins[key] = min(margins[key], float(np.min(val)))
+        for key, val in (("V_hi", ratioV), ("W_sandwich_hi", TS), ("U_hi", ratioU)):
+            margins[key] = max(margins[key], float(np.max(val)))
 
     return StabilityVerdict("pass", None, "Lyapunov chain holds on the grid", margins)
 

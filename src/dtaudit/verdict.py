@@ -91,21 +91,30 @@ class StabilityVerdict:
         return out
 
 
-def _first_violation(ok, witness_at, detail: str) -> StabilityVerdict | None:
-    """The falsified verdict at the first False entry of `ok`, or None.
+def _first_violation(*checks) -> StabilityVerdict | None:
+    """The falsified verdict of the first failing check, or None.
 
-    `ok` is the pass mask of a check, any shape, stated as the condition
-    that must hold (`lhs <= rhs + _SLACK`), so a NaN always falsifies.
-    The first failing entry in C order is handed to `witness_at` as an
-    int for a 0-d or 1-d mask and as an index tuple otherwise. A
-    falsified verdict is falsy: callers test `is not None`.
+    Each check is an `(ok, witness_at, detail)` entry, taken in order.
+    `ok` is the pass mask of the check, any shape, stated as the
+    condition that must hold (`lhs <= rhs + _SLACK`), so a NaN always
+    falsifies. The first failing entry in C order is handed to
+    `witness_at` as an int for a 0-d or 1-d mask and as an index tuple
+    otherwise. A falsified verdict is falsy: callers test `is not None`.
     """
-    ok = np.asarray(ok, dtype=bool)
-    if ok.all():
-        return None
-    first = int(np.argmin(ok))
-    idx = np.unravel_index(first, ok.shape) if ok.ndim > 1 else first
-    return StabilityVerdict.falsify(witness_at(idx), detail)
+    for ok, witness_at, detail in checks:
+        ok = np.asarray(ok, dtype=bool)
+        if not ok.all():
+            first = int(np.argmin(ok))
+            idx = np.unravel_index(first, ok.shape) if ok.ndim > 1 else first
+            return StabilityVerdict.falsify(witness_at(idx), detail)
+    return None
+
+
+def _one_step(ok, T, k, pts, measured, bound, detail):
+    """A `_first_violation` entry for a one-step check at (T, k) over the
+    rows `pts`: its failing row j witnesses (T, k, pts[j], k, measured[j],
+    bound[j])."""
+    return ok, lambda j: Witness.of(T, k, pts[j], k, measured[j], bound[j]), detail
 
 
 def _ratio(lhs, rhs) -> np.ndarray:

@@ -172,11 +172,24 @@ def test_bad_command_line_values_are_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_rerun_is_byte_identical(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"wr": 0.8, "mu": 0.6, "L": 1.0})
-    args = ["run", "--experiment", "pe-check", "--config", cfg, "--seed", "4"]
-    assert main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+@pytest.mark.parametrize("experiment, params", [
+    ("pe-check", {"wr": 0.8, "mu": 0.6, "L": 1.0}),
+    ("example1", FAST_EXAMPLE1),
+    ("unicycle-compare", {"horizon_s": 1.0}),
+    ("consistency-sweep", {"T_list": [0.003, 0.01, 0.03], "n_samples": 16, "k_set": [0, 7]}),
+    ("lyapunov-audit", {"grid_n": 9, "radius": 2.0}),
+    ("cascade-theorem-demo", {"T_list": [0.01, 0.02], "horizon_s": 20.0, "n_ball": 17,
+                              "grid_n": 21}),
+], ids=["pe-check", "example1", "unicycle-compare", "consistency-sweep", "lyapunov-audit",
+        "cascade-theorem-demo"])
+def test_rerun_is_byte_identical(tmp_path, capsys, experiment, params):
+    """Two runs in one process write the same bytes and exit the same way,
+    so no cache leaks from one run into the next."""
+    cfg = write_config(tmp_path, params)
+    args = ["run", "--experiment", experiment, "--config", cfg, "--seed", "4"]
+    first = main(args + ["--out", str(tmp_path / "a")])
+    assert first in (0, 1)
+    assert main(args + ["--out", str(tmp_path / "b")]) == first
     assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
 

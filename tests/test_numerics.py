@@ -195,6 +195,15 @@ def test_fit_envelope_divergent_witness():
     assert k > 50  # growth only beats the loosest envelope at large k
 
 
+def test_fit_envelope_nan_sample_is_falsified():
+    """A trajectory that turns NaN gets no envelope: the NaN sample is the
+    witness."""
+    traj = Trajectory(0.1, 0, np.array([1.0, 0.9, 0.8, np.nan])[:, None, None])
+    with pytest.raises(EnvelopeFalsified) as err:
+        fit_kl_envelope([traj])
+    assert err.value.witness == (0, 3)
+
+
 def test_fit_envelope_loosest_witness_maps_back_to_trajectory_and_index():
     """The witness names the first sample beating the loosest envelope, its
     trajectory counted as the flat (record, column) index past skipped
@@ -265,7 +274,7 @@ def _fit_full_sample(runs, nu, slack=1e-9):
     """The envelope fit over every active sample, one trajectory column at
     a time: the reference the per-step maxima of `fit_kl_envelope` must
     reproduce. The witness is the first sample beating the loosest
-    envelope, a NaN one (from a NaN start) included. Returns ("fit",
+    envelope, a NaN one included. Returns ("fit",
     (M, lam), need_max) or ("falsified", witness)."""
     lam_grid, logM = np.asarray(_DEFAULT_LAM_GRID), np.log(_DEFAULT_M_GRID)
     taus, lognorms, ids, kabs, ti = [], [], [], [], 0
@@ -273,7 +282,7 @@ def _fit_full_sample(runs, nu, slack=1e-9):
         for j in range(run.norms.shape[1]):
             norms = run.norms[:, j]
             s0, ks = norms[0], np.arange(len(norms))
-            active = norms > nu + slack
+            active = ~(norms <= nu + slack)
             if s0 <= 0.0:
                 if np.any(active):
                     return "falsified", (ti, int(ks[active][0]) + run.k0)

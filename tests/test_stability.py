@@ -440,3 +440,103 @@ def test_nan_falsifies_at_the_first_nan_entry(audit):
     assert verdict.witness.k == k
     assert verdict.witness.initial_state == initial_state
     assert np.isnan(verdict.witness.measured)
+
+
+# --- check order: the earlier check, then the smaller k, is named ------
+
+
+def scaled_candidate(scale_at_k, L_gain=2.0):
+    # V(T, k, y) = scale_at_k(k) * y^2 against the sandwich y^2 <= V <= y^2
+    return LyapunovCandidate(
+        eval=lambda T, k, Y: scale_at_k(k) * np.asarray(Y, dtype=float)[:, 0] ** 2,
+        alpha1=ClassKFunction.power(1.0, 2.0),
+        alpha2=ClassKFunction.power(1.0, 2.0),
+        alpha3=ClassKFunction.power(1.0, 2.0),
+        L_mod=ClassKFunction.linear(L_gain),
+    )
+
+
+@pytest.mark.parametrize("scale, update, detail", [
+    # V = 2 y^2 on a contraction: upper sandwich and Lipschitz fail
+    (2.0, lambda T, Y: (1.0 - T) * Y, "upper sandwich bound violated"),
+    # V = y^2 on the identity: decrease and Lipschitz fail
+    (1.0, lambda T, Y: Y, "decrease condition violated"),
+], ids=["sandwich-before-lipschitz", "decrease-before-lipschitz"])
+def test_lyapunov_audit_names_the_earlier_of_two_failing_checks(scale, update, detail):
+    F = scalar_map(update, T_max=1.0)
+    V = scaled_candidate(lambda k: scale, L_gain=1e-3)
+    verdict = audit_lyapunov(V, F, Delta=1.0, nu=0.0, T_list=[0.1],
+                             grid=np.array([[0.5], [1.0]]), k_set=[0])
+    assert verdict.kind == "falsified"
+    assert verdict.detail == detail
+
+
+def test_lyapunov_audit_names_the_smaller_k():
+    """The decrease fails at k = 0 (V doubles from k = 0 to 1) and the upper
+    sandwich at k = 1; the k = 0 decrease is named."""
+    F = scalar_map(lambda T, Y: Y)
+    V = scaled_candidate(lambda k: 1.0 if k == 0 else 2.0)
+    verdict = audit_lyapunov(V, F, Delta=1.0, nu=0.0, T_list=[0.1],
+                             grid=np.array([[0.5]]), k_set=[0, 1])
+    assert verdict.detail == "decrease condition violated"
+    assert verdict.witness.k == 0
+
+
+def test_lyapunov_audit_evaluates_V_twice_per_period_and_start():
+    """V once on the grid and once on its step; the Lipschitz check reads
+    the pairs off the grid values."""
+    calls = []
+    base = quadratic_candidate()
+    V = LyapunovCandidate(lambda T, k, Y: calls.append(k) or base.eval(T, k, Y),
+                          base.alpha1, base.alpha2, base.alpha3, base.L_mod)
+    F = scalar_map(lambda T, Y: (1.0 - T) * Y, T_max=1.0)
+    verdict = audit_lyapunov(V, F, Delta=2.0, nu=0.0, T_list=[0.1, 0.5],
+                             grid=9, k_set=[0, 3, 4])
+    assert verdict.kind == "pass"
+    assert calls == [0, 1, 3, 4, 4, 5] * 2
+
+
+def kicked_cascade(kick_at_k):
+    # x(k+1) = (1-T)x + (T or 1)z: the input enters without the T factor at the kicked k
+    return CascadeSystem(
+        dim_x=1, dim_z=1,
+        f=lambda T, k, X, Z: (1.0 - T) * np.asarray(X, dtype=float)
+        + (1.0 if kick_at_k(k) else T) * np.asarray(Z, dtype=float),
+        g=lambda T, k, Z: np.asarray(Z, dtype=float),
+        T_max=1.0,
+    )
+
+
+def test_certificate_names_the_earlier_of_two_failing_checks():
+    params = linear_cert_params()
+    pts = np.array([[0.5, 0.5]])
+    # alpha2 below V: the upper sandwich and the input drift fail
+    tight = CertificateParams(params.alpha1, ClassKFunction.linear(0.5), 0.0,
+                              params.gamma1, params.gamma2, params.phi)
+    _, verdict = build_ugb_certificate(norm_candidate(), kicked_cascade(lambda k: True),
+                                       tight, pts, T_list=[0.1], k_set=[0])
+    assert verdict.detail == "upper sandwich bound violated"
+    # x(k+1) = 2x + z: the input drift, unforced decrease and growth fail
+    growing = CascadeSystem(1, 1, lambda T, k, X, Z: 2.0 * np.asarray(X) + np.asarray(Z),
+                            lambda T, k, Z: Z, T_max=1.0)
+    _, verdict = build_ugb_certificate(norm_candidate(), growing, params, pts,
+                                       T_list=[0.1], k_set=[0])
+    assert verdict.detail == "input-drift bound violated"
+    # x(k+1) = 2x at z = 0: the unforced decrease and growth fail
+    _, verdict = build_ugb_certificate(norm_candidate(), growing, params,
+                                       np.array([[0.5, 0.0]]), T_list=[0.1], k_set=[0])
+    assert verdict.detail == "unforced decrease violated"
+
+
+def test_certificate_names_the_smaller_k():
+    """The input drift fails at k = 0 only and the upper sandwich at k = 1
+    only (V doubles there); the k = 0 drift is named."""
+    V = LyapunovCandidate(
+        eval=lambda T, k, X: (1.0 if k == 0 else 2.0) * np.abs(np.asarray(X, dtype=float)[:, 0]),
+        alpha1=ClassKFunction.linear(1.0), alpha2=ClassKFunction.linear(1.0),
+        alpha3=ClassKFunction.linear(1.0), L_mod=ClassKFunction.linear(1.0))
+    _, verdict = build_ugb_certificate(V, kicked_cascade(lambda k: k == 0),
+                                       linear_cert_params(), np.array([[0.5, 0.5]]),
+                                       T_list=[0.1], k_set=[0, 1])
+    assert verdict.detail == "input-drift bound violated"
+    assert verdict.witness.k == 0

@@ -496,3 +496,31 @@ def test_comparison_rejects_unknown_plant():
     with pytest.raises(ValueError, match="plant"):
         run_comparison_experiment({"plant": "rk4", "horizon_s": 0.1})
 
+
+
+def test_chain_audit_names_the_earlier_of_two_failing_checks(validated_constants):
+    c = validated_constants
+    args = (validated_references(), validated_gains())
+    kwargs = dict(T=0.01, grid_n=5, radius=2.0, k_max=3)
+    # c2 below c1: the V and U upper sandwiches fail
+    verdict = audit_lyapunov_chain(*args, replace(c, c2=0.5 * c.c1), **kwargs)
+    assert verdict.detail == "V upper sandwich violated"
+    # c3 below every weight and a steep U rate: the W sandwich and U decrease fail
+    verdict = audit_lyapunov_chain(*args, replace(c, c3=0.05, c3_tilde=1e3), **kwargs)
+    assert verdict.detail == "W sandwich violated"
+
+
+def test_chain_audit_names_the_smaller_k(validated_constants):
+    """T S(k) grows over k = 0..3 (0.1000, 0.1010, 0.1020, 0.1030), so
+    c3 = 0.1025 breaks the W sandwich at k = 3 only, while a steep U rate
+    breaks the U decrease at every k: the k = 0 U decrease is named."""
+    c = replace(validated_constants, c3=0.1025, c3_tilde=1e3)
+    verdict = audit_lyapunov_chain(validated_references(), validated_gains(), c,
+                                   T=0.01, grid_n=5, radius=2.0, k_max=3)
+    assert verdict.detail == "U decrease violated"
+    assert verdict.witness.k == 0
+    c = replace(validated_constants, c3=0.1025)
+    verdict = audit_lyapunov_chain(validated_references(), validated_gains(), c,
+                                   T=0.01, grid_n=5, radius=2.0, k_max=3)
+    assert verdict.detail == "W sandwich violated"
+    assert verdict.witness.k == 3
