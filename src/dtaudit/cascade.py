@@ -9,7 +9,7 @@ interconnection-growth bound and the semiglobal continuity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -80,22 +80,25 @@ class InputSequence:
 class Trajectory:
     """Rows rolled out together from index k0 at period T.
 
-    `states` has shape (steps+1, rows, dim), one trajectory per column;
-    `norms` caches their norms, shape (steps+1, rows), with non-finite
+    Built from the (steps+1, rows, dim) `states`, one trajectory per
+    column, it keeps only their initial states `x0`, shape (rows, dim),
+    and their norms `norms`, shape (steps+1, rows), with non-finite
     states giving inf or NaN norms. Where a check names a trajectory, its
     id counts the columns of all records before it plus its own column.
     """
 
     T: float
     k0: int
-    states: np.ndarray
+    states: InitVar[np.ndarray]
+    x0: np.ndarray = field(init=False)
     norms: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
+    def __post_init__(self, states):
+        states = np.asarray(states, dtype=float)
         if states.ndim != 3 or len(states) < 1:
             raise ValueError("states must have shape (steps+1, rows, dim), steps >= 0")
-        object.__setattr__(self, "states", states)
+        # a copy, so that the record does not keep a rollout's whole array alive
+        object.__setattr__(self, "x0", states[0].copy())
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "norms", np.linalg.norm(states, axis=-1))
 
@@ -148,13 +151,16 @@ def rollout(step, T: float, k0, Y0, steps: int, inputs=None):
 
 def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf,
                   period: float | None = None):
-    """Yield one `Trajectory` record per sorted period and start index:
-    the rows of Y0 rolled out over `horizon` seconds (start indices
-    `_k_probes(T, period)` unless k0_set is given, `period` being that of
-    the step's time variation).
+    """Yield one (T, k0, states) record per sorted period and start index:
+    the (steps+1, rows, dim) states of the rows of Y0 rolled out over
+    `horizon` seconds (start indices `_k_probes(T, period)` unless k0_set
+    is given, `period` being that of the step's time variation).
 
     All start indices of one period share one rollout, Y0 repeated once
-    per k0 with a per-row start index; the records come back in k0 order.
+    per k0 with a per-row start index; the records come back in k0 order,
+    each a view of that rollout. A caller keeps `Trajectory` records
+    (initial states and norms only), so that a period's rollout is freed
+    once the views are dropped, before the next period's is made.
     """
     Y0 = np.array(Y0, dtype=float, ndmin=2)
     n = len(Y0)
@@ -166,7 +172,8 @@ def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = 
         states = rollout(step, T, np.repeat(k0s, n), np.tile(Y0, (len(k0s), 1)),
                          horizon_index(horizon, T))[0]
         for i, k0 in enumerate(k0s):
-            yield Trajectory(T, k0, states[:, i * n:(i + 1) * n])
+            yield T, k0, states[:, i * n:(i + 1) * n]
+        del states  # before the next period's rollout is made
 
 
 def _stacked_step(sys: CascadeSystem):

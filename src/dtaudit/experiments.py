@@ -22,16 +22,17 @@ from .discretize import (VectorField, consistency_order, euler_map,
                          ParameterizedMap)
 from .numerics import (ClassKFunction, fit_kl_envelope, horizon_index,
                        kl_compose)
-from .stability import (CertificateParams, LyapunovCandidate, audit_lyapunov,
-                        boundedness_escape, build_ugb_certificate,
+from .stability import (CertificateParams, LyapunovCandidate, PreconditionError,
+                        audit_lyapunov, boundedness_escape, build_ugb_certificate,
                         check_summability, spuas_escape)
 # perfbench/layers.py wraps the sweeps under these names on this module
 from .stability import check_boundedness, falsify_spuas  # noqa: F401
 from .unicycle import (ControllerGains, ReferenceSignal, _chain_grid, _chain_pass,
-                       _score_variant, _simulate_variant, audit_lyapunov_chain,
-                       check_pe, closed_loop_euler_cascade, compute_case_constants,
-                       demo_gains, demo_references, error_dynamics_field,
-                       lyap_U, pe_window_sums, validated_gains, validated_references)
+                       _energy_profile, _score_variant, _simulate_variant,
+                       audit_lyapunov_chain, check_pe, closed_loop_euler_cascade,
+                       compute_case_constants, demo_gains, demo_references,
+                       error_dynamics_field, lyap_V, pe_window_sums, validated_gains,
+                       validated_references)
 
 
 class ConfigError(ValueError):
@@ -446,10 +447,38 @@ _LYAP_DEFAULTS = {
 
 def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
     """The combined function U = V + eps_small W with the comparison
-    functions its constant chain gives."""
+    functions its constant chain gives.
+
+    `eval` is `lyap_U` with S(k) read from one table per period, built on
+    first use and extended over the new range only when a larger k
+    arrives; every S(k) has the same bits whatever the range it is
+    computed in, so the values are those of `lyap_U`.
+    """
+    tables = {}  # T -> S(k) at k = 0..n-1
+
+    def energy(T, k):
+        tab = tables.get(T, np.empty(0))
+        if len(tab) <= k:  # at least double it, computing the new range only
+            hi = max(k, 2 * len(tab), 63)
+            tab = tables[T] = np.concatenate([tab, _energy_profile(refs, T, len(tab), hi,
+                                                                   1e-12)])
+        return tab[k]
+
+    def U(T, k, x):
+        bad = consts.first_violated()
+        if bad is not None:
+            raise PreconditionError(f"constant flag violated: {bad}")
+        k = int(k)
+        if k < 0:
+            raise ValueError("step index must be nonnegative")
+        x = np.asarray(x, dtype=float)
+        x_e, y_e = x[..., 0], x[..., 1]
+        W = -T * energy(T, k) * y_e * y_e
+        return np.asarray(lyap_V(k, x_e, y_e, refs, gains, T) + consts.eps_small * W,
+                          dtype=float)
+
     return LyapunovCandidate(
-        eval=lambda TT, k, x: np.asarray(lyap_U(int(k), x, refs, gains, consts, TT),
-                                         dtype=float),
+        eval=U,
         alpha1=ClassKFunction.power(consts.c1 / 2.0, 2.0),
         alpha2=ClassKFunction.power(consts.c2, 2.0),
         alpha3=ClassKFunction.power(consts.c3_tilde, 2.0),
@@ -573,6 +602,29 @@ _THEOREM_DEFAULTS = {
 }
 
 
+def _decay_records(sysm, z_grid, x_grid, grid, T_list, horizon_s):
+    """Records of the driving grid, the unforced grid and the cascade grid,
+    all from one stacked rollout per period.
+
+    The rows are (0, z) for the driving grid, (x, 0) for the unforced grid
+    and the cascade grid as given. g reads only z, so each (0, z) row's z
+    runs as g alone would run it; g maps z = 0 to exactly 0, so each (x, 0)
+    row's x runs as f at z = 0. The step treats rows independently, so
+    every record has the bits of a rollout of its grid alone.
+    """
+    dx, nz, nx = sysm.dim_x, len(z_grid), len(x_grid)
+    rows = np.concatenate([np.column_stack([np.zeros((nz, dx)), z_grid]),
+                           np.column_stack([x_grid, np.zeros((nx, sysm.dim_z))]), grid])
+    z_runs, x_runs, runs = [], [], []
+    for T, k0, states in grid_rollouts(_stacked_step(sysm), rows, T_list, horizon_s,
+                                       period=sysm.period):
+        z_runs.append(Trajectory(T, k0, states[:, :nz, dx:]))
+        x_runs.append(Trajectory(T, k0, states[:, nz:nz + nx, :dx]))
+        runs.append(Trajectory(T, k0, states[:, nz + nx:]))
+        del states  # so that a period's rollout dies before the next one is made
+    return z_runs, x_runs, runs
+
+
 def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _THEOREM_DEFAULTS, "cascade-theorem-demo")
     T = _periods([p["T"]], "T")[0]
@@ -589,22 +641,21 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
                                 {"violated_flag": consts.first_violated(),
                                  "constants": consts.to_json()}, {}, {})
 
-    def xstep(TT, k, x):
-        return sysm.f(TT, k, x, np.zeros((len(x), 1)))
-
     n_ball = p["n_ball"]
     metrics = {"T": T, "T_list": T_list, "constants": consts.to_json()}
 
-    def decay(name, step, grid):
-        runs = list(grid_rollouts(step, grid, T_list, horizon_s, period=sysm.period))
+    def decay(name, runs):
         beta = fit_kl_envelope(runs)
         verdict = spuas_escape(runs, beta, 0.0)
         metrics[name] = {"beta": beta.to_json(), "verdict": verdict.to_json()}
-        return runs, beta, verdict
+        return beta, verdict
 
-    # [1:] drops the rollouts at once, so they do not stay alive to the end
-    beta_z, z_verdict = decay("driving_decay", sysm.g, sample_ball(Delta_z, 1, 17))[1:]
-    beta_x, x_verdict = decay("unforced_decay", xstep, sample_ball(Delta, 2, n_ball))[1:]
+    z_grid = sample_ball(Delta_z, 1, 17)
+    z_runs, x_runs, runs = _decay_records(sysm, z_grid, sample_ball(Delta, 2, n_ball),
+                                          sample_ball(Delta, 3, n_ball), T_list, horizon_s)
+    beta_z, z_verdict = decay("driving_decay", z_runs)
+    beta_x, x_verdict = decay("unforced_decay", x_runs)
+    del x_runs
 
     mu_star = usc_probe(sysm, Delta, p["eta"], p["eps"], p["usc_L"], [T], list(p["mu_grid"]),
                         x0_count=p["usc_x0_count"])
@@ -666,11 +717,10 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         keep = zn > 1e-15
         d = 0.0
         for k in k_cert:
-            v = np.asarray(lyap_U(k, Xs, refs, gains, consts, T), dtype=float)
+            v = cand.eval(T, k, Xs)
             Fz = np.asarray(sysm.f(T, k, Xs, Zs), dtype=float)
             F0 = np.asarray(sysm.f(T, k, Xs, np.zeros_like(Zs)), dtype=float)
-            drift = (np.asarray(lyap_U(k + 1, Fz, refs, gains, consts, T), dtype=float)
-                     - np.asarray(lyap_U(k + 1, F0, refs, gains, consts, T), dtype=float))
+            drift = cand.eval(T, k + 1, Fz) - cand.eval(T, k + 1, F0)
             d = max(d, float(np.max(drift[keep] / (T * zn[keep] * (v[keep] + 1.0)))))
         d *= 1.0 + 1e-9
 
@@ -685,8 +735,11 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         cert, verdict = build_ugb_certificate(cand, sysm, cert_params, pts, [T],
                                               k_set=k_cert)
 
-        z_grid = sample_ball(Delta_z, 1, 17)
-        (z_run,) = grid_rollouts(sysm.g, z_grid, [T], horizon_s, k0_set=[0])
+        # the driving record at (T, 0) when T is a decay period, else a run of its own
+        z_run = next((run for run in z_runs if run.T == T and run.k0 == 0), None)
+        if z_run is None:
+            (z_run,) = (Trajectory(*run) for run in
+                        grid_rollouts(sysm.g, z_grid, [T], horizon_s, k0_set=[0]))
         s0 = z_run.norms[0]
         # one contiguous row per trajectory: an axis-0 sum would add in another order
         terms = np.ascontiguousarray(np.asarray(cert.mu_fn(z_run.norms), dtype=float).T)
@@ -703,8 +756,7 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
 
     cert_verdict, summable = growth_certificate()
 
-    runs, beta_c, cascade_verdict = decay("cascade", _stacked_step(sysm),
-                                          sample_ball(Delta, 3, n_ball))
+    beta_c, cascade_verdict = decay("cascade", runs)
     kappa = 0.0
     for run in runs:
         s0 = run.norms[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import CascadeSystem, _k_probes, _stacked_step, grid_rollouts
+from .cascade import CascadeSystem, Trajectory, _k_probes, _stacked_step, grid_rollouts
 from .discretize import ParameterizedMap
 from .numerics import ClassKFunction, KLBound
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _ratio
@@ -109,8 +109,9 @@ def _system_stepper(system):
 
 def _grid_rollouts(system, Delta, T_list, grid, horizon, k0_set=None):
     step, dim, T_max = _system_stepper(system)
-    return grid_rollouts(step, _resolve_grid(grid, Delta, dim), T_list, horizon, k0_set, T_max,
-                         system.period)
+    return (Trajectory(*run) for run in grid_rollouts(step, _resolve_grid(grid, Delta, dim),
+                                                      T_list, horizon, k0_set, T_max,
+                                                      system.period))
 
 
 def _first_escape(runs, bound_fn, detail_pass):
@@ -122,13 +123,13 @@ def _first_escape(runs, bound_fn, detail_pass):
     """
     worst = 0.0
     for run in runs:
-        T, k0, states, norms = run.T, run.k0, run.states, run.norms
-        t_rel = (np.arange(len(states)) * T)[:, None]
+        T, k0, x0, norms = run.T, run.k0, run.x0, run.norms
+        t_rel = (np.arange(len(norms)) * T)[:, None]
         bound = np.broadcast_to(np.asarray(bound_fn(norms[0][None, :], t_rel), dtype=float),
                                 norms.shape)
         bad = _first_violation((
             norms <= bound + _SLACK,
-            lambda ij: Witness.of(T, k0, states[0, ij[1]], k0 + ij[0], norms[ij], bound[ij]),
+            lambda ij: Witness.of(T, k0, x0[ij[1]], k0 + ij[0], norms[ij], bound[ij]),
             "trajectory norm escaped the claimed bound"))
         if bad is not None:
             return bad
@@ -259,7 +260,7 @@ def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
     columns = ((run, terms, budget, z0) for run in z_runs
                for terms, budget, z0 in zip(np.asarray(mu_fn(run.norms), dtype=float).T,
                                             np.asarray(rho(run.norms[0]), dtype=float),
-                                            run.states[0]))
+                                            run.x0))
     worst = 0.0
     for ti, (run, terms, budget, z0) in enumerate(columns):
         partial = T * np.cumsum(terms)

@@ -20,6 +20,7 @@ from dtaudit import (
     demo_references,
     error_dynamics_field,
     exact_proxy_map,
+    experiments,
     modified_euler_map,
     simulate_cascade,
     simulate_driven,
@@ -152,12 +153,54 @@ def test_stacked_rollout_equals_per_k0_rollouts_unicycle(regime):
     step = _stacked_step(sysm)
     Y0 = np.random.default_rng(5).uniform(-5.0, 5.0, size=(12, 3))
     _assert_stacked_equals_per_k0(step, T, _k_probes(T, sysm.period), Y0, 300)
-    # grid_rollouts yields the same slices as records, in k0 order
-    got = list(grid_rollouts(step, Y0, [T], 300 * T, period=sysm.period))
+    # grid_rollouts yields the same slices, in k0 order
+    got = [Trajectory(*run) for run in grid_rollouts(step, Y0, [T], 300 * T, period=sysm.period)]
     assert [(run.T, run.k0) for run in got] == [(T, k0) for k0 in _k_probes(T, sysm.period)]
     for run in got:
-        assert np.array_equal(run.states, rollout(step, T, run.k0, Y0, 300)[0], equal_nan=True)
-        assert np.array_equal(run.norms, np.linalg.norm(run.states, axis=-1), equal_nan=True)
+        want = rollout(step, T, run.k0, Y0, 300)[0]
+        assert np.array_equal(run.x0, want[0])
+        assert np.array_equal(run.norms, np.linalg.norm(want, axis=-1), equal_nan=True)
+
+
+def _assert_same_records(got, want):
+    assert [(run.T, run.k0) for run in got] == [(run.T, run.k0) for run in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.x0, b.x0)
+        assert np.array_equal(a.norms, b.norms, equal_nan=True)
+
+
+@pytest.mark.parametrize("regime", ["validated", "demo"])
+def test_stacked_decay_grids_equal_separate_rollouts(regime):
+    """The theorem demo's one stacked rollout per period: driving rows
+    (0, 0, z), unforced rows (x, 0) and cascade rows (x, z) give the records
+    of the driving map g, of f at z = 0 and of the cascade, each rolled out
+    alone, bit for bit."""
+    T_list, horizon = [0.01, 0.02], 3.0
+    sysm = closed_loop_euler_cascade(*_regime(regime, 0.01))
+    rng = np.random.default_rng(8)
+    z_grid = rng.uniform(-2.0, 2.0, size=(5, 1))
+    x_grid = rng.uniform(-5.0, 5.0, size=(6, 2))
+    grid = rng.uniform(-5.0, 5.0, size=(7, 3))
+    nz, nx = len(z_grid), len(x_grid)
+    rows = np.concatenate([np.column_stack([np.zeros((nz, 2)), z_grid]),
+                           np.column_stack([x_grid, np.zeros((nx, 1))]), grid])
+    stacked = list(grid_rollouts(_stacked_step(sysm), rows, T_list, horizon, period=sysm.period))
+    for _, _, states in stacked:
+        assert np.all(states[:, nz:nz + nx, 2] == 0.0)
+
+    def alone(step, Y0):
+        return [Trajectory(*run) for run in grid_rollouts(step, Y0, T_list, horizon,
+                                                          period=sysm.period)]
+
+    unforced = lambda T, k, x: sysm.f(T, k, x, np.zeros((len(x), 1)))
+    want = (alone(sysm.g, z_grid), alone(unforced, x_grid), alone(_stacked_step(sysm), grid))
+    blocks = (lambda s: s[:, :nz, 2:], lambda s: s[:, nz:nz + nx, :2], lambda s: s[:, nz + nx:])
+    for block, records in zip(blocks, want):
+        _assert_same_records([Trajectory(T, k0, block(s)) for T, k0, s in stacked], records)
+    # the demo's records are these
+    for got, records in zip(experiments._decay_records(sysm, z_grid, x_grid, grid, T_list,
+                                                       horizon), want):
+        _assert_same_records(got, records)
 
 
 def test_stacked_rollout_equals_per_k0_rollouts_with_overflowing_rows():
@@ -236,6 +279,9 @@ def test_trajectory_requires_initial_state():
         Trajectory(0.1, 0, np.zeros((5, 2)))
     run = Trajectory(0.1, 0, np.full((5, 3, 2), 3.0))
     assert run.norms.shape == (5, 3) and np.all(run.norms == math.hypot(3.0, 3.0))
+    # a record keeps the initial states and the norms, not the states
+    assert not hasattr(run, "states")
+    assert run.x0.shape == (3, 2) and np.all(run.x0 == 3.0)
 
 
 @settings(deadline=None, max_examples=30)

@@ -1,5 +1,7 @@
 """Registered experiments: configs, aliases, and reproducibility."""
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -245,3 +247,63 @@ def test_theorem_demo_composed_envelope_dominates_fit(theorem_demo):
     # columns: t, fitted cascade envelope, composed outer bound
     assert np.all(rows[:, 2] >= rows[:, 1] - 1e-9)
     assert theorem_demo.metrics["composed_bound_at_0"] >= 5.0
+
+
+THEOREM_WORKLOAD = {"T_list": [0.01, 0.02], "horizon_s": 20.0, "n_ball": 17, "grid_n": 21}
+# T outside T_list: the summability check rolls the driving grid out itself
+THEOREM_FALLBACK = {"T": 0.01, "T_list": [0.02], "horizon_s": 10.0, "n_ball": 9, "grid_n": 11}
+
+
+def test_theorem_demo_routes_one_stacked_rollout_per_period(monkeypatch):
+    """The driving, unforced and cascade grids share each step, and the
+    summability check reuses the driving run: the closed loop's f and g
+    are called exactly this often."""
+    calls = {"f": 0, "g": 0}
+    build = experiments.closed_loop_euler_cascade
+
+    def counted_build(*args):
+        sysm = build(*args)
+
+        def f(*a):
+            calls["f"] += 1
+            return sysm.f(*a)
+
+        def g(*a):
+            calls["g"] += 1
+            return sysm.g(*a)
+
+        return dataclasses.replace(sysm, f=f, g=g)
+
+    monkeypatch.setattr(experiments, "closed_loop_euler_cascade", counted_build)
+    assert run_named("cascade-theorem-demo", THEOREM_WORKLOAD).status == 0
+    assert calls == {"f": 3632, "g": 3000}
+
+
+# sha256 of every report file, recorded with Python 3.11 and numpy 2.4 on
+# x86-64; a different numpy build may round differently
+THEOREM_GOLDEN = [
+    (THEOREM_WORKLOAD, 0, 0, {
+        "envelopes.dat": "e077bb44eb9136b2b4552d9f17ba4a2bdc230375e71ae514efe7923d420430ff",
+        "metrics.json": "7b048a847b1ea7f44405b73c697b8befec3a3275efbeb7d09075231c39482039"}),
+    (THEOREM_WORKLOAD, 7, 0, {
+        "envelopes.dat": "4bb03495b436c7dcb3c5a6b7c3da68ba0aec58687c78d8ceefa47ba5e65b268e",
+        "metrics.json": "47470023cb1eb6b39b1225f39367be73bdeab8de40e17a469a420916f31bdb6e"}),
+    (THEOREM_FALLBACK, 0, 1, {
+        "envelopes.dat": "050338a3d740a374ac667157f5b5417e9ce08af30f37946ddc4d39342f3754eb",
+        "metrics.json": "f428df118faa737b1dcfd171570ba72b50ec4d1c39e7b061cd3fff6097798769"}),
+    (THEOREM_FALLBACK, 7, 1, {
+        "envelopes.dat": "215acd58d261038ac61043e092a71de19f55e7d41efec33defc50c50a2590ae5",
+        "metrics.json": "090afd10d7ee493ea600df674ce54689126b9b93257f3142b083e686f9418cdf"}),
+]
+
+
+@pytest.mark.parametrize("config, seed, code, digests", THEOREM_GOLDEN)
+def test_theorem_demo_reports_match_golden_digests(tmp_path, config, seed, code, digests):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report"
+    argv = ["run", "--experiment", "cascade-theorem-demo", "--config", str(cfg),
+            "--out", str(out), "--seed", str(seed)]
+    assert main(argv) == code
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())} == digests

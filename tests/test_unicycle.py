@@ -26,6 +26,7 @@ from dtaudit import (
     error_dynamics_field,
     euler_map,
     exact_proxy_map,
+    experiments,
     lyap_U,
     lyap_V,
     lyap_V_bounds,
@@ -422,6 +423,26 @@ def test_lyap_U_combines_V_and_W(validated_constants):
                 + validated_constants.eps_small * lyap_W(11, -0.4, refs, 0.01,
                                                          tail_tol=1e-12))
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.integers(0, 1500), min_size=1, max_size=8),
+       st.sampled_from([0.01, 0.02]), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_lyap_U_candidate_equals_lyap_U_to_the_bit(validated_constants, ks, T, x_e, y_e):
+    """The candidate's S(k) table, extended as larger k arrive in any
+    order, gives lyap_U's values bit for bit."""
+    refs, gains, c = validated_references(), validated_gains(), validated_constants
+    cand = experiments._lyap_U_candidate(refs, gains, c)
+    x = np.array([[x_e, y_e], [y_e, -x_e], [0.0, 0.0]])
+    for k in ks:
+        assert np.array_equal(cand.eval(T, k, x), lyap_U(k, x, refs, gains, c, T))
+
+
+def test_lyap_U_candidate_keeps_the_flag_check(validated_constants):
+    c = replace(validated_constants, flags=dict(validated_constants.flags, c1=False))
+    cand = experiments._lyap_U_candidate(validated_references(), validated_gains(), c)
+    with pytest.raises(PreconditionError, match="c1"):
+        cand.eval(0.01, 0, np.array([[1.0, 1.0]]))
 
 
 def test_chain_audit_passes_on_coarse_grid(validated_constants):
