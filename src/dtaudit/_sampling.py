@@ -3,6 +3,12 @@
 Sup-norms over compact boxes and balls are approximated by unscrambled
 Sobol points plus corner/axis/center points, so every audit sees the
 same samples on every run and violations are reproducible by index.
+
+The Sobol points are generated in this module, in up to 12 dimensions,
+from the Joe-Kuo direction numbers (Joe and Kuo, SIAM J. Sci. Comput.
+30(5), 2008) in Gray-code order (Antonov and Saleev, 1979). They equal
+scipy's unscrambled sequence, `qmc.Sobol(d, scramble=False)`, bit for
+bit, without the time and memory of importing scipy's statistics package.
 """
 
 from __future__ import annotations
@@ -48,16 +54,51 @@ class Box:
         return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
 
 
-def _sobol_unit(n: int, dim: int) -> np.ndarray:
-    # Unscrambled Sobol points are deterministic; drawing a power-of-two
-    # block keeps the balance property and silences the library warning.
-    if n <= 0:
-        return np.zeros((0, dim))
-    from scipy.stats import qmc  # deferred: importing it dominates start-up
+# Joe-Kuo rows (s, a, m_1..m_s) of dimensions 2..12; dimension 1 is van der Corput
+_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)), (3, 2, (1, 1, 1)),
+            (4, 1, (1, 1, 3, 3)), (4, 4, (1, 3, 5, 13)), (5, 2, (1, 1, 5, 5, 17)),
+            (5, 4, (1, 1, 5, 5, 5)), (5, 7, (1, 1, 7, 11, 19)), (5, 11, (1, 1, 5, 1, 1)),
+            (5, 13, (1, 1, 1, 3, 11)))
+_BITS = 30
 
-    m = int(np.ceil(np.log2(n)))
-    block = qmc.Sobol(d=dim, scramble=False).random_base2(m) if m > 0 else np.zeros((1, dim))
-    return block[:n]
+
+def _direction_numbers() -> np.ndarray:
+    """(_BITS, 12) table: row j holds direction number j of every dimension,
+    as an integer with _BITS bits, so that v_j = m_j 2^(_BITS - 1 - j)."""
+    rows = [[1 << (_BITS - 1 - j) for j in range(_BITS)]]
+    for s, a, m in _JOE_KUO:
+        v = [m_j << (_BITS - 1 - j) for j, m_j in enumerate(m)]
+        for j in range(s, _BITS):
+            x = v[j - s] ^ (v[j - s] >> s)
+            for k in range(1, s):  # coefficient a_k is bit s-1-k of a
+                if (a >> (s - 1 - k)) & 1:
+                    x ^= v[j - k]
+            v.append(x)
+        rows.append(v)
+    return np.array(rows, dtype=np.uint64).T
+
+
+_DIRECTIONS = _direction_numbers()
+
+
+def _sobol_unit(n: int, dim: int) -> np.ndarray:
+    """The first n unscrambled Sobol points in [0, 1)^dim.
+
+    Drawn as the power-of-two block that holds them, for the balance
+    property: the reflected Gray-code order doubles the block once per
+    direction number, starting from the origin.
+    """
+    max_dim = _DIRECTIONS.shape[1]
+    if not 1 <= dim <= max_dim:
+        raise ValueError(f"Sobol points need 1 <= dim <= {max_dim}, got {dim}")
+    if n < 0:
+        raise ValueError(f"number of Sobol points must be nonnegative, got {n}")
+    if n == 0:
+        return np.zeros((0, dim))
+    ints = np.zeros((1, dim), dtype=np.uint64)
+    for c in range(int(n - 1).bit_length()):
+        ints = np.concatenate([ints, ints[::-1] ^ _DIRECTIONS[c, :dim]])
+    return ints[:n] * 2.0 ** -_BITS
 
 
 def sample_box(box: Box, n: int = 4096) -> np.ndarray:

@@ -59,22 +59,42 @@ _KINDS = {dict: "an object", tuple: "a list", bool: "true or false", float: "a n
           int: "an integer", str: "a string"}
 
 
-def _with_defaults(params, defaults: dict, name: str) -> dict:
-    """`params` merged over `defaults`, every given value typed like its default.
+_LIMITS = {"positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0,
+           "at least 1": lambda v: v >= 1, "nonempty": len}
 
-    `name` is the dotted path of `params`; an unknown key at any depth is
-    an error that names it. A dict default is merged key by key. A float
-    default takes an int or a float, an int, bool or str default only its
-    own type (a bool is never a number), and a tuple default a list whose
-    elements are typed like its first element. A None default passes the
-    value through; the runner types it where it reads it.
+
+def _with_defaults(params, defaults: dict, name: str, limits: dict | None = None) -> dict:
+    """`params` merged over `defaults`, every given value typed like its default
+    and within its range in `limits`.
+
+    `name` is the dotted path of `params`; an unknown key at any depth, a
+    value of the wrong type and a value out of range are errors that name
+    it. A dict default is merged key by key. A float default takes an int
+    or a float, an int, bool or str default only its own type (a bool is
+    never a number), and a tuple default a list whose elements are typed
+    like its first element. A None default passes the value through; the
+    runner types it where it reads it.
+
+    A limit is one word of `_LIMITS` or several joined by ", ". On a list
+    "nonempty" tests the list and every other word each element.
     """
     params = params or {}
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown option(s) for {name}: {', '.join(unknown)}")
-    return {key: _typed(params[key], val, f"{name}.{key}") if key in params else val
-            for key, val in defaults.items()}
+    merged = {key: _typed(params[key], val, f"{name}.{key}") if key in params else val
+              for key, val in defaults.items()}
+    for key, limit in (limits or {}).items():
+        value, path = merged[key], f"{name}.{key}"
+        for word in limit.split(", "):
+            if isinstance(value, tuple) and word != "nonempty":
+                items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+            else:
+                items = [(path, value)]
+            for where, v in items:
+                if not _LIMITS[word](v):
+                    raise ConfigError(f"{where} must be {word}, got {v!r}")
+    return merged
 
 
 def _typed(value, default, path: str):
@@ -100,14 +120,6 @@ def _typed(value, default, path: str):
 
 def _rows(array) -> np.ndarray:
     return np.atleast_2d(np.asarray(array, dtype=float))
-
-
-def _periods(values, name: str) -> list[float]:
-    """Sampling periods of a config; there must be one, all positive."""
-    Ts = list(values)
-    if not Ts or not all(t > 0.0 for t in Ts):
-        raise ConfigError(f"{name}: sampling periods must be positive")
-    return Ts
 
 
 # --- double integrator under period-scaled feedback ------------------
@@ -156,15 +168,19 @@ _EXAMPLE1_DEFAULTS = {
     "table_T": 0.19,
     "table_steps": 300,
 }
+_EXAMPLE1_LIMITS = {"T_values": "nonempty", "n_random_T": "nonnegative",
+                    "n_states": "at least 1", "decay_horizon_s": "positive",
+                    "decay_rate": "positive", "nonconv_steps": "nonnegative",
+                    "table_T": "positive", "table_steps": "nonnegative"}
 
 
 def _run_example1(params: dict, seed: int) -> ExperimentResult:
-    p = _with_defaults(params, _EXAMPLE1_DEFAULTS, "example1")
+    p = _with_defaults(params, _EXAMPLE1_DEFAULTS, "example1", _EXAMPLE1_LIMITS)
     if p["T"] is not None:  # scalar shorthand for a single-period run
         T = _typed(p["T"], 0.0, "example1.T")
         p.update(T_values=(T,), table_T=T)
     T_values = list(p["T_values"])
-    if not T_values or any(not 0.0 < T < 0.5 for T in T_values):
+    if any(not 0.0 < T < 0.5 for T in T_values):
         raise ConfigError("example1 needs periods strictly inside (0, 0.5)")
     field = double_integrator_field()
     ctrl = period_scaled_feedback()
@@ -256,6 +272,8 @@ _COMPARE_DEFAULTS = {
     "gains": {"a1": 10.0, "a2": 70.0, "alpha_y": None, "scaled_factor": 0.5},
     "divergence_norm": 1e6,
 }
+_COMPARE_LIMITS = {"T": "positive", "horizon_s": "positive", "variants": "nonempty",
+                   "divergence_norm": "positive"}
 
 
 def _refs_from_config(r: dict, T: float) -> ReferenceSignal:
@@ -291,14 +309,10 @@ def run_comparison_experiment(config: dict | None = None) -> dict:
     A config it cannot run, such as T above the closed loop's T_max,
     raises ConfigError.
     """
-    cfg = _with_defaults(config, _COMPARE_DEFAULTS, "unicycle-compare")
+    cfg = _with_defaults(config, _COMPARE_DEFAULTS, "unicycle-compare", _COMPARE_LIMITS)
     T, g = cfg["T"], cfg["gains"]
-    if not T > 0.0:
-        raise ConfigError(f"T must be positive, got {T}")
     if cfg["plant"] not in ("euler", "exact-proxy"):
         raise ConfigError("plant must be 'euler' or 'exact-proxy'")
-    if not cfg["variants"]:
-        raise ConfigError("unicycle-compare needs at least one correction variant")
     x0 = np.asarray(cfg["initial_error"])
     if x0.shape != (3,):
         raise ConfigError("unicycle-compare.initial_error must be three numbers "
@@ -374,10 +388,14 @@ _CONSISTENCY_DEFAULTS = {
     "euler_slope_window": (1.85, 2.15),
     "modified_slope_min": 1.9,
 }
+_CONSISTENCY_LIMITS = {"T_list": "nonempty, positive", "k_set": "nonnegative",
+                       "n_samples": "nonnegative", "box_halfwidth": "nonnegative",
+                       "proxy_tol": "positive"}
 
 
 def _run_consistency(params: dict, seed: int) -> ExperimentResult:
-    p = _with_defaults(params, _CONSISTENCY_DEFAULTS, "consistency-sweep")
+    p = _with_defaults(params, _CONSISTENCY_DEFAULTS, "consistency-sweep",
+                       _CONSISTENCY_LIMITS)
     if p["plant"] != "unicycle":
         raise ConfigError("only the unicycle tracking-error plant is wired in")
     refs = _regime(p["regime"])[0]()
@@ -443,6 +461,8 @@ _LYAP_DEFAULTS = {
     "radius": 5.0,
     "margin_rows": True,
 }
+_LYAP_LIMITS = {"T": "positive", "L_pe": "positive", "grid_n": "at least 1",
+                "radius": "positive"}
 
 
 def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
@@ -487,8 +507,8 @@ def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
 
 
 def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
-    p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit")
-    T = _periods([p["T"]], "T")[0]
+    p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit", _LYAP_LIMITS)
+    T = p["T"]
     refs, gains = (build(T) for build in _regime(p["regime"]))
     grid_n, radius = p["grid_n"], p["radius"]
     consts = compute_case_constants(refs, gains, T, p["L_pe"], grid_n=grid_n, radius=radius)
@@ -547,11 +567,12 @@ _PE_DEFAULTS = {
     "mu": 600.0,
     "T_list": (0.01,),
 }
+_PE_LIMITS = {"L": "positive", "mu": "positive", "T_list": "nonempty, positive"}
 
 
 def _run_pe_check(params: dict, seed: int) -> ExperimentResult:
-    p = _with_defaults(params, _PE_DEFAULTS, "pe-check")
-    T_list = _periods(p["T_list"], "T_list")
+    p = _with_defaults(params, _PE_DEFAULTS, "pe-check", _PE_LIMITS)
+    T_list = list(p["T_list"])
     T0, schema = T_list[0], _COMPARE_DEFAULTS["refs"]
     if p["refs"] is not None:
         refs = _refs_from_config(_typed(p["refs"], schema, "pe-check.refs"), T0)
@@ -600,6 +621,12 @@ _THEOREM_DEFAULTS = {
     "n_ball": 33,
     "usc_x0_count": 8,
 }
+_THEOREM_LIMITS = {"T": "positive", "T_list": "nonempty, positive", "L_pe": "positive",
+                   "Delta": "positive", "Delta_z": "positive", "eta": "positive",
+                   "eps": "positive", "usc_L": "positive", "mu_grid": "nonempty, positive",
+                   "horizon_s": "positive", "grid_n": "at least 1", "radius": "positive",
+                   "theta_values": "nonempty", "k_stride": "at least 1",
+                   "n_ball": "nonnegative", "usc_x0_count": "nonnegative"}
 
 
 def _decay_records(sysm, z_grid, x_grid, grid, T_list, horizon_s):
@@ -626,9 +653,8 @@ def _decay_records(sysm, z_grid, x_grid, grid, T_list, horizon_s):
 
 
 def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
-    p = _with_defaults(params, _THEOREM_DEFAULTS, "cascade-theorem-demo")
-    T = _periods([p["T"]], "T")[0]
-    T_list = sorted(_periods(p["T_list"], "T_list"))
+    p = _with_defaults(params, _THEOREM_DEFAULTS, "cascade-theorem-demo", _THEOREM_LIMITS)
+    T, T_list = p["T"], sorted(p["T_list"])
     horizon_s, Delta, Delta_z = p["horizon_s"], p["Delta"], p["Delta_z"]
     refs, gains = validated_references(T), validated_gains("full")
     sysm = closed_loop_euler_cascade(refs, gains)

@@ -138,6 +138,17 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
     ("cascade-theorem-demo", {"mu_grid": 0.1}, "cascade-theorem-demo.mu_grid"),
     ("consistency-sweep", {"n_samples": "x"}, "consistency-sweep.n_samples"),
     ("consistency-sweep", {"held_input": [0.5, "a"]}, "consistency-sweep.held_input[1]"),
+    ("unicycle-compare", {"horizon_s": -1.0}, "unicycle-compare.horizon_s"),
+    ("unicycle-compare", {"divergence_norm": -1.0}, "unicycle-compare.divergence_norm"),
+    ("example1", {"n_states": 0}, "example1.n_states"),
+    ("example1", {"table_steps": -1}, "example1.table_steps"),
+    ("consistency-sweep", {"T_list": []}, "consistency-sweep.T_list"),
+    ("consistency-sweep", {"n_samples": -5}, "consistency-sweep.n_samples"),
+    ("consistency-sweep", {"k_set": [0, -7]}, "consistency-sweep.k_set[1]"),
+    ("lyapunov-audit", {"grid_n": 0}, "lyapunov-audit.grid_n"),
+    ("cascade-theorem-demo", {"theta_values": []}, "cascade-theorem-demo.theta_values"),
+    ("cascade-theorem-demo", {"n_ball": -1}, "cascade-theorem-demo.n_ball"),
+    ("pe-check", {"L": -1.0}, "pe-check.L"),
 ], ids=["compare-cos", "compare-rk4", "compare-T0", "compare-T-negative",
         "compare-T-above-T_max", "compare-negative-gain", "lyapunov-T0",
         "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0",
@@ -145,7 +156,11 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
         "lyapunov-float-grid_n", "lyapunov-str-margin_rows", "example1-str-T",
         "lyapunov-T-abc", "compare-T-abc", "compare-str-variants", "compare-short-initial_error",
         "example1-scalar-T_values", "consistency-scalar-k_set", "theorem-scalar-mu_grid",
-        "consistency-str-n_samples", "consistency-str-held_input"])
+        "consistency-str-n_samples", "consistency-str-held_input",
+        "compare-negative-horizon_s", "compare-negative-divergence_norm", "example1-n_states0",
+        "example1-negative-table_steps", "consistency-empty-T_list",
+        "consistency-negative-n_samples", "consistency-negative-k", "lyapunov-grid_n0",
+        "theorem-empty-theta_values", "theorem-negative-n_ball", "pe-negative-L"])
 def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params, key):
     out = tmp_path / "out"
     code = main(["run", "--experiment", experiment,
@@ -228,13 +243,35 @@ def test_unicycle_compare_report_is_strict_json(tmp_path):
 
 def test_cli_import_defers_scipy_submodules():
     """Starting the CLI loads neither scipy.stats nor scipy.linalg; the
-    sampler and the closed-form map import them when first used."""
+    closed-form map imports scipy.linalg when first used, and no run
+    imports scipy.stats."""
     code = ("import sys, dtaudit.cli; "
             "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(dtaudit.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_leave_scipy_stats_unimported(tmp_path):
+    """The sampler generates its Sobol points in-module, so a run that
+    samples boxes and balls loads no scipy.stats."""
+    runs = [("cascade-theorem-demo", {"T_list": [0.01, 0.02], "horizon_s": 20.0,
+                                      "n_ball": 17, "grid_n": 21}),
+            ("consistency-sweep", {}),
+            ("lyapunov-audit", {"grid_n": 9, "radius": 2.0})]
+    argvs = [["run", "--experiment", name, "--config",
+              write_config(tmp_path, params, f"{name}.json"), "--out", str(tmp_path / name)]
+             for name, params in runs]
+    code = ("import json, sys; from dtaudit.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, 'scipy.stats' in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(dtaudit.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded is False
 
 
 def test_case_constants_leave_scipy_optimize_unimported():

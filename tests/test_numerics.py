@@ -1,4 +1,5 @@
-"""Comparison-function algebra: shifts, composition, envelope fitting."""
+"""Comparison-function algebra: shifts, composition, envelope fitting;
+the Sobol sampler behind every grid."""
 
 import math
 
@@ -16,7 +17,8 @@ from dtaudit import (
     kl_compose,
     kl_shift,
 )
-from dtaudit import numerics
+from dtaudit import Box, numerics, sample_ball, sample_box
+from dtaudit._sampling import _sobol_unit
 from dtaudit.numerics import _DEFAULT_LAM_GRID, _DEFAULT_M_GRID, _log_M_needed
 
 
@@ -371,3 +373,29 @@ def test_fit_envelope_truncation_level():
     k = np.arange(len(norms))
     bound = np.maximum(M * norms[0] * np.exp(-lam * k * 0.5), 1e-3)
     assert np.all(norms <= bound + 1e-9)
+
+
+# --- Sobol sampler ------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_sobol_points_equal_scipy_unscrambled_sequence(dim):
+    from scipy.stats import qmc  # the reference; no module of the package imports it
+
+    for n in (1, 2, 3, 17, 64, 2048, 4096):
+        ref = qmc.Sobol(dim, scramble=False).random_base2(math.ceil(math.log2(n)))[:n]
+        assert np.array_equal(_sobol_unit(n, dim).view(np.uint64), ref.view(np.uint64))
+
+
+def test_sampler_rejects_unsupported_dim_and_negative_n():
+    for dim in (0, 13):
+        with pytest.raises(ValueError, match="1 <= dim <= 12"):
+            _sobol_unit(4, dim)
+    box = Box.centered(1.0, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_box(box, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_ball(1.0, 2, -1)
+    # no interior points: the corners and the center, plus the axis points of a ball
+    assert sample_box(box, 0).shape == (5, 2)
+    assert sample_ball(1.0, 2, 0).shape == (9, 2)
