@@ -297,13 +297,35 @@ THEOREM_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("config, seed, code, digests", THEOREM_GOLDEN)
-def test_theorem_demo_reports_match_golden_digests(tmp_path, config, seed, code, digests):
+EXAMPLE1_GOLDEN = [
+    ({}, 0, 0, {
+        "eigenvalues.dat": "65477689c7901799293560dfe4625138f31ca021c9ebd8925740bf27599b54b1",
+        "metrics.json": "464f4913786fcb1bd93d980ae885ca63cb38c8c8396b490ba86892cec3f76046",
+        "trajectory_euler.csv": "d878ac167319007637bc8b2e161c10aa6617a0f0afc36597c91922c43d7b5481",
+        "trajectory_exact.csv": "7de2ad7d4ccf2925d3d16497c0e18642d6378bcfcf84f7b7e9d03944341bcb57"}),
+    ({}, 7, 0, {
+        "eigenvalues.dat": "df1a806d2fc85d1836e9cf690788eff673a2ea52123451eb2e25259abec5f366",
+        "metrics.json": "c6329666bf8e1bf22eb31c2d99402b33ef5641b9da94d4a9bafecc129a96d854",
+        "trajectory_euler.csv": "5c348ecf1b5dfee0f0e32bb7701e9d1e4442e9c47beb7efd1b3aa9a7c8ad0641",
+        "trajectory_exact.csv": "625e3789758ae6884cb8e79de011c34a25e845ee4fefae9453255304d548102b"}),
+]
+
+
+def _report_digests(tmp_path, experiment, config, seed, code):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "report"
-    argv = ["run", "--experiment", "cascade-theorem-demo", "--config", str(cfg),
+    argv = ["run", "--experiment", experiment, "--config", str(cfg),
             "--out", str(out), "--seed", str(seed)]
     assert main(argv) == code
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())} == digests
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("config, seed, code, digests", THEOREM_GOLDEN)
+def test_theorem_demo_reports_match_golden_digests(tmp_path, config, seed, code, digests):
+    assert _report_digests(tmp_path, "cascade-theorem-demo", config, seed, code) == digests
+
+
+@pytest.mark.parametrize("config, seed, code, digests", EXAMPLE1_GOLDEN)
+def test_example1_reports_match_golden_digests(tmp_path, config, seed, code, digests):
+    assert _report_digests(tmp_path, "example1", config, seed, code) == digests
