@@ -103,14 +103,15 @@ class Trajectory:
             object.__setattr__(self, "norms", np.linalg.norm(states, axis=-1))
 
 
-def rollout(step, T: float, k0, Y0, steps: int, inputs=None):
+def rollout(step, T, k0, Y0, steps: int, inputs=None):
     """Iterate a row-independent batched map from index k0.
 
     `step(T, k, Y)` maps (rows, dim) states to the next ones; with a
     (steps, batch, dim_z) `inputs` array it is `step(T, k, Y, U)`, U the
     stepped rows of inputs[k - k0]. `k0` is an int or a (batch,) int
-    array of per-row start indices; in the second case `step` gets the
-    (rows,) array of the stepped rows' indices. Returns the
+    array of per-row start indices, and `T` a float or a (batch,) array
+    of per-row periods; in the array cases `step` gets the (rows,) array
+    of the stepped rows' indices or periods. Returns the
     (steps+1, batch, dim) states and, per row, the step i at which it
     first turned non-finite (-1 if never); that row is not stepped again
     and reads NaN after i.
@@ -123,6 +124,8 @@ def rollout(step, T: float, k0, Y0, steps: int, inputs=None):
         if k0.shape != (batch,):
             raise ValueError(f"per-row k0 must have shape ({batch},)")
         k0 = k0.astype(int)
+    if isinstance(T, np.ndarray) and T.shape != (batch,):
+        raise ValueError(f"per-row T must have shape ({batch},)")
     if inputs is not None:
         inputs = np.asarray(inputs, dtype=float)
         if inputs.shape[:2] != (steps, batch):
@@ -144,6 +147,8 @@ def rollout(step, T: float, k0, Y0, steps: int, inputs=None):
                 live, Y = rows[ok], Y[ok]
                 if isinstance(k0, np.ndarray):
                     k0 = k0[ok]
+                if isinstance(T, np.ndarray):
+                    T = T[ok]
                 if not len(live):
                     break
     return states, first_bad

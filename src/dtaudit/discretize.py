@@ -174,16 +174,38 @@ def exact_proxy_map(f: VectorField, controller=None, tol: float = 1e-10,
     return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), "exact-proxy", f.period)
 
 
+def _expm(M):
+    """exp(M) of a square matrix.
+
+    A nilpotent M (M^d exactly zero, d its order) takes the finite series
+    I + M + ... + M^(d-1)/(d-1)!. Any other M is scaled by 2^-s to a
+    1-norm of at most 1/2, summed as a Taylor series of 18 terms and
+    squared s times (Moler and Van Loan, SIAM Review 45(1), 2003).
+    """
+    d = len(M)
+    nilpotent = not np.linalg.matrix_power(M, d).any()
+    s = 0 if nilpotent else max(0, math.frexp(np.linalg.norm(M, 1))[1] + 1)
+    X = M / 2.0 ** s
+    E = term = np.eye(d)
+    for j in range(1, d if nilpotent else 19):
+        term = term @ X / j
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
     """Exact sampled map of x' = Ax + Bu under held feedback u = gain(T) x.
 
-    With E = expm([[A, B], [0, 0]] * T), E11 = exp(AT) and E12 is the
+    With E = exp([[A, B], [0, 0]] * T), E11 = exp(AT) and E12 is the
     integral of exp(As) B over one period (Van Loan, IEEE TAC 1978), so
     the closed loop is Phi(T) = E11 + E12 gain(T). `gain(T)` returns the
-    (dim_u, dim_x) feedback matrix; Phi is formed once per period.
+    (dim_u, dim_x) feedback matrix; Phi is formed once per period, with
+    the exponential computed in-module (`_expm`, no scipy). T is a float
+    or a (rows,) array of each row's own period; the rows' Phi(T)^T are
+    stacked once per distinct array.
     """
-    from scipy.linalg import expm
-
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
@@ -193,7 +215,7 @@ def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = A
     aug[:n, n:] = B
-    phis = {}
+    phis, stacks = {}, {}
 
     def closed_loop(T):
         phi = phis.get(T)
@@ -201,12 +223,22 @@ def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
             K = np.asarray(gain(T), dtype=float)
             if K.shape != (m, n):
                 raise ValueError(f"gain(T) must have shape ({m}, {n})")
-            E = expm(aug * T)
+            E = _expm(aug * T)
             phi = phis[T] = E[:n, :n] + E[:n, n:] @ K
         return phi
 
     def step(T, k, x):
-        return np.asarray(x, dtype=float) @ closed_loop(T).T
+        if isinstance(T, np.ndarray):
+            key = T.tobytes()
+            if key not in stacks:
+                stacks[key] = np.stack([closed_loop(t).T for t in T.tolist()])
+            PT = stacks[key]
+        else:
+            PT = closed_loop(T).T
+        # products summed in index order, not a BLAS product whose fused
+        # multiply-adds vary with the batch: each row gets the same bits
+        # from a float T as from its own entry of an array T
+        return (np.asarray(x, dtype=float)[..., :, None] * PT).sum(axis=-2)
 
     return ParameterizedMap(n, T_max, step, "exact")
 

@@ -220,16 +220,13 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
         decay = np.exp(-lam * np.arange(len(run.norms)) * run.T)[:, None]
         worst = float(np.max(run.norms[:, s0 > 0.0] / (s0[s0 > 0.0] * decay), initial=worst))
 
-    # the integrated plant keeps a unit-circle mode: generic states stall
+    # the integrated plant keeps a unit-circle mode: generic states stall;
+    # every period's stall states share one rollout, each row its own T
     x0_nc = np.array([[1.0, 0.3], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-
-    def stalled_fraction(T):
-        states = rollout(xmap.step, T, 0, x0_nc, p["nonconv_steps"])[0]
-        norms = np.linalg.norm(states, axis=2)
-        return np.min(norms, axis=0) / norms[0]
-
-    ratios = np.array([stalled_fraction(T) for T in T_values])
-    min_ratio = float(np.min(ratios))
+    states = rollout(xmap.step, np.repeat(T_values, len(x0_nc)), 0,
+                     np.tile(x0_nc, (len(T_values), 1)), p["nonconv_steps"])[0]
+    norms = np.linalg.norm(states, axis=2)
+    min_ratio = float(np.min(np.min(norms, axis=0) / norms[0]))
     nonconv_floor = p["nonconv_floor"]
 
     T_tab, ks = p["table_T"], np.arange(p["table_steps"] + 1)
@@ -396,6 +393,9 @@ _CONSISTENCY_LIMITS = {"T_list": "nonempty, positive", "k_set": "nonnegative",
 def _run_consistency(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _CONSISTENCY_DEFAULTS, "consistency-sweep",
                        _CONSISTENCY_LIMITS)
+    if len(set(p["T_list"])) != len(p["T_list"]):
+        raise ConfigError("consistency-sweep.T_list must hold distinct periods, "
+                          f"got {p['T_list']!r}")
     if p["plant"] != "unicycle":
         raise ConfigError("only the unicycle tracking-error plant is wired in")
     refs = _regime(p["regime"])[0]()
@@ -654,6 +654,9 @@ def _decay_records(sysm, z_grid, x_grid, grid, T_list, horizon_s):
 
 def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _THEOREM_DEFAULTS, "cascade-theorem-demo", _THEOREM_LIMITS)
+    if not p["eta"] < p["Delta"]:  # usc_probe needs eta in (0, Delta)
+        raise ConfigError("cascade-theorem-demo.eta must be below cascade-theorem-demo.Delta, "
+                          f"got eta={p['eta']!r} and Delta={p['Delta']!r}")
     T, T_list = p["T"], sorted(p["T_list"])
     horizon_s, Delta, Delta_z = p["horizon_s"], p["Delta"], p["Delta_z"]
     refs, gains = validated_references(T), validated_gains("full")

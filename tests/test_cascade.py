@@ -122,6 +122,24 @@ def test_rollout_rejects_mismatched_inputs():
         rollout(linear_cascade().f, 0.1, 0, np.zeros((3, 1)), 4, np.zeros((4, 2, 1)))
     with pytest.raises(ValueError, match="k0"):
         rollout(linear_cascade().f, 0.1, np.zeros(2, dtype=int), np.zeros((3, 1)), 4)
+    with pytest.raises(ValueError, match="per-row T"):
+        rollout(linear_cascade().f, np.full(2, 0.1), 0, np.zeros((3, 1)), 4)
+
+
+def test_rollout_keeps_each_live_rows_period_after_another_row_overflows():
+    """A per-row T is sliced with the live rows: the step multiplies each
+    row by its own T, so a row stepped with a neighbour's T would show."""
+    T = np.array([2.0, 1e200, 3.0, 0.5])
+
+    def step(T, k, Y):
+        assert T.shape == (len(Y),)
+        return Y * T[:, None]
+
+    states, first_bad = rollout(step, T, 0, np.ones((4, 1)), 6)
+    assert first_bad.tolist() == [-1, 2, -1, -1]
+    i = np.arange(7)
+    assert np.array_equal(states[:, [0, 2, 3], 0], np.column_stack([2.0 ** i, 3.0 ** i, 0.5 ** i]))
+    assert np.isnan(states[3:, 1]).all()
 
 
 # --- per-row start indices ------------------------------------------------------

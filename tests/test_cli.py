@@ -149,6 +149,10 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
     ("cascade-theorem-demo", {"theta_values": []}, "cascade-theorem-demo.theta_values"),
     ("cascade-theorem-demo", {"n_ball": -1}, "cascade-theorem-demo.n_ball"),
     ("pe-check", {"L": -1.0}, "pe-check.L"),
+    ("cascade-theorem-demo", {"eta": 5.0},
+     "cascade-theorem-demo.eta must be below cascade-theorem-demo.Delta"),
+    ("consistency-sweep", {"T_list": [0.01, 0.01]},
+     "consistency-sweep.T_list must hold distinct periods"),
 ], ids=["compare-cos", "compare-rk4", "compare-T0", "compare-T-negative",
         "compare-T-above-T_max", "compare-negative-gain", "lyapunov-T0",
         "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0",
@@ -160,7 +164,8 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
         "compare-negative-horizon_s", "compare-negative-divergence_norm", "example1-n_states0",
         "example1-negative-table_steps", "consistency-empty-T_list",
         "consistency-negative-n_samples", "consistency-negative-k", "lyapunov-grid_n0",
-        "theorem-empty-theta_values", "theorem-negative-n_ball", "pe-negative-L"])
+        "theorem-empty-theta_values", "theorem-negative-n_ball", "pe-negative-L",
+        "theorem-eta-not-below-Delta", "consistency-repeated-T"])
 def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params, key):
     out = tmp_path / "out"
     code = main(["run", "--experiment", experiment,
@@ -242,36 +247,44 @@ def test_unicycle_compare_report_is_strict_json(tmp_path):
 
 
 def test_cli_import_defers_scipy_submodules():
-    """Starting the CLI loads neither scipy.stats nor scipy.linalg; the
-    closed-form map imports scipy.linalg when first used, and no run
-    imports scipy.stats."""
+    """Starting the CLI loads no scipy module: the closed-form map computes
+    its exponential in-module, and no package module imports scipy."""
     code = ("import sys, dtaudit.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = dict(os.environ, PYTHONPATH=str(Path(dtaudit.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
 
 
-def test_runs_leave_scipy_stats_unimported(tmp_path):
-    """The sampler generates its Sobol points in-module, so a run that
-    samples boxes and balls loads no scipy.stats."""
-    runs = [("cascade-theorem-demo", {"T_list": [0.01, 0.02], "horizon_s": 20.0,
-                                      "n_ball": 17, "grid_n": 21}),
-            ("consistency-sweep", {}),
-            ("lyapunov-audit", {"grid_n": 9, "radius": 2.0})]
+REFUSE_SCIPY = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from dtaudit.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_experiment_runs_with_scipy_imports_refused(tmp_path):
+    """All six experiments run in a fresh interpreter whose import system
+    refuses scipy, each with the exit code its config has elsewhere here:
+    unicycle-compare's 1 is the scaled variant's known divergence."""
+    runs = [("example1", FAST_EXAMPLE1, 0), ("unicycle-compare", {}, 1),
+            ("consistency-sweep", {}, 0), ("lyapunov-audit", {}, 0), ("pe-check", {}, 0),
+            ("cascade-theorem-demo", {}, 0)]
     argvs = [["run", "--experiment", name, "--config",
               write_config(tmp_path, params, f"{name}.json"), "--out", str(tmp_path / name)]
-             for name, params in runs]
-    code = ("import json, sys; from dtaudit.cli import main; "
-            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-            "print(json.dumps([codes, 'scipy.stats' in sys.modules]))")
+             for name, params, _ in runs]
     env = dict(os.environ, PYTHONPATH=str(Path(dtaudit.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+    out = subprocess.run([sys.executable, "-c", REFUSE_SCIPY, json.dumps(argvs)], env=env,
                          capture_output=True, text=True, check=True, timeout=300)
-    codes, loaded = json.loads(out.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
-    assert loaded is False
+    assert json.loads(out.stdout.splitlines()[-1]) == [code for _, _, code in runs]
 
 
 def test_case_constants_leave_scipy_optimize_unimported():

@@ -171,6 +171,31 @@ def test_linear_exact_closed_loop_matrix():
         assert np.min(np.abs(moduli - 1.0)) <= 1e-14
 
 
+@pytest.mark.parametrize("theta", [0.1, 1.0, 3.0])
+def test_linear_exact_rotation_takes_the_scaled_series(theta):
+    """[[0, theta], [-theta, 0]] is not nilpotent; its exponential is the
+    rotation [[cos, sin], [-sin, cos]]."""
+    xmap = linear_exact_map([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [0.0]], lambda T: np.zeros((1, 2)))
+    c, s = math.cos(theta), math.sin(theta)
+    np.testing.assert_allclose(map_matrix(xmap, theta), [[c, s], [-s, c]], rtol=0, atol=1e-14)
+
+
+@given(st.lists(st.sampled_from([0.01, 0.03, 0.1, 0.19, 0.3, 0.37, 0.45, 0.499]),
+                min_size=1, max_size=16),
+       st.integers(0, 2 ** 31 - 1))
+def test_linear_exact_per_row_periods_equal_per_period_steps(Ts, seed):
+    """A (rows,) T steps each row as a float T does, alone or with the
+    other rows of its period, bit for bit."""
+    xmap = example1_exact_map()
+    T = np.array(Ts)
+    X = np.random.default_rng(seed).standard_normal((len(T), 2)) * 10.0 ** np.arange(-3, 5)[seed % 8]
+    got = xmap.step(T, 0, X)
+    for i, t in enumerate(Ts):
+        assert np.array_equal(got[i], xmap.step(t, 0, X[i]))
+    for t in set(Ts):
+        assert np.array_equal(got[T == t], xmap.step(t, 0, X[T == t]))
+
+
 def test_linear_exact_batches_rows_and_rejects_bad_shapes():
     xmap = example1_exact_map()
     X = np.array([[1.0, 0.3], [0.0, 1.0], [-2.0, 0.5]])
