@@ -83,8 +83,9 @@ class Trajectory:
     Built from the (steps+1, rows, dim) `states`, one trajectory per
     column, it keeps only their initial states `x0`, shape (rows, dim),
     and their norms `norms`, shape (steps+1, rows), with non-finite
-    states giving inf or NaN norms. Where a check names a trajectory, its
-    id counts the columns of all records before it plus its own column.
+    states giving inf or NaN norms; `from_norms` builds it from those two
+    directly. Where a check names a trajectory, its id counts the columns
+    of all records before it plus its own column.
     """
 
     T: float
@@ -101,6 +102,17 @@ class Trajectory:
         object.__setattr__(self, "x0", states[0].copy())
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "norms", np.linalg.norm(states, axis=-1))
+
+    @classmethod
+    def from_norms(cls, T: float, k0: int, x0: np.ndarray, norms: np.ndarray) -> "Trajectory":
+        """The record of (rows, dim) initial states and (steps+1, rows) norms,
+        both kept as given."""
+        if norms.ndim != 2 or len(norms) < 1 or x0.shape[:1] != norms.shape[1:]:
+            raise ValueError("need (rows, dim) x0 and (steps+1, rows) norms, steps >= 0")
+        run = object.__new__(cls)
+        for name, value in (("T", T), ("k0", k0), ("x0", x0), ("norms", norms)):
+            object.__setattr__(run, name, value)
+        return run
 
 
 def rollout(step, T, k0, Y0, steps: int, inputs=None):
@@ -154,31 +166,93 @@ def rollout(step, T, k0, Y0, steps: int, inputs=None):
     return states, first_bad
 
 
-def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf,
-                  period: float | None = None):
-    """Yield one (T, k0, states) record per sorted period and start index:
-    the (steps+1, rows, dim) states of the rows of Y0 rolled out over
-    `horizon` seconds (start indices `_k_probes(T, period)` unless k0_set
-    is given, `period` being that of the step's time variation).
+# Steps per `rollout` call of `_rollout_chunks`: its callers hold one
+# chunk of states at a time, never a whole horizon.
+_CHUNK = 128
 
-    All start indices of one period share one rollout, Y0 repeated once
-    per k0 with a per-row start index; the records come back in k0 order,
-    each a view of that rollout. A caller keeps `Trajectory` records
-    (initial states and norms only), so that a period's rollout is freed
-    once the views are dropped, before the next period's is made.
+
+def _rollout_chunks(step, T, k0, Y0, steps: int, inputs=None):
+    """`rollout` of the whole horizon, made in calls of at most `_CHUNK` steps.
+
+    Yields (i0, states, first_bad) per call: the (n, batch, dim) states of
+    steps i0, ..., i0 + n - 1 (the first chunk holds the initial states),
+    and each row's first non-finite step so far (-1 if none), one array
+    that later chunks update in place. Each call steps on from the last
+    states of the rows still finite, so a row that turned non-finite is
+    never stepped again and reads NaN after; once no row is left the
+    chunks stop. The step gets the rows, indices and periods that one
+    `rollout` would hand it, so every state has the same bits.
+    """
+    Y = np.array(Y0, dtype=float, ndmin=2)
+    batch, dim = Y.shape
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if inputs is not None:
+        inputs = np.asarray(inputs, dtype=float)
+    first_bad = np.full(batch, -1)
+    live = slice(None)
+    for c0 in range(0, max(steps, 1), _CHUNK):
+        n = min(_CHUNK, steps - c0)
+        U = None if inputs is None else inputs[c0:c0 + n, live]
+        states, bad = rollout(step, T, k0 + c0, Y, n, U)
+        rows = np.arange(batch)[live]
+        ok = bad < 0
+        Y = states[-1][ok]
+        if not ok.all():
+            first_bad[rows[~ok]] = c0 + bad[~ok]
+            live = rows[ok]
+            if isinstance(k0, np.ndarray):
+                k0 = k0[ok]
+            if isinstance(T, np.ndarray):
+                T = T[ok]
+        if len(rows) < batch:
+            full = np.full((n + 1, batch, dim), np.nan)
+            full[:, rows] = states
+            states = full
+        yield (0, states, first_bad) if c0 == 0 else (c0 + 1, states[1:], first_bad)
+        states = full = None  # not held while the next chunk is made
+        if not len(Y):
+            break
+
+
+def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf,
+                  period: float | None = None, parts=None):
+    """Yield `Trajectory` records of the rows of Y0 rolled out over `horizon`
+    seconds, per sorted period and start index (`_k_probes(T, period)`
+    unless k0_set is given, `period` being that of the step's time
+    variation).
+
+    `parts` is a sequence of (row slice, column slice) pairs of Y0, all
+    rows and all columns by default; every (T, k0) gives one record per
+    part, in order. All start indices of one period share one rollout, Y0
+    repeated once per k0 with a per-row start index, stepped in chunks
+    (`_rollout_chunks`) whose norms are written into each record's own
+    (steps+1, rows) array as they come, so no whole-horizon states are
+    ever held. A period's records come once all its steps are made.
     """
     Y0 = np.array(Y0, dtype=float, ndmin=2)
-    n = len(Y0)
+    n, dim = Y0.shape
+    parts = [(slice(None), slice(None))] if parts is None else list(parts)
+    widths = [len(range(n)[rs]) for rs, _ in parts]
     for T in sorted(float(t) for t in T_list):
         _check_period(T, T_max)
         k0s = [int(k0) for k0 in (_k_probes(T, period) if k0_set is None else k0_set)]
         if not k0s:
             continue
-        states = rollout(step, T, np.repeat(k0s, n), np.tile(Y0, (len(k0s), 1)),
-                         horizon_index(horizon, T))[0]
-        for i, k0 in enumerate(k0s):
-            yield T, k0, states[:, i * n:(i + 1) * n]
-        del states  # before the next period's rollout is made
+        steps = horizon_index(horizon, T)
+        norms = [[np.full((steps + 1, w), np.nan) for w in widths] for _ in k0s]
+        chunks = _rollout_chunks(step, T, np.repeat(k0s, n), np.tile(Y0, (len(k0s), 1)), steps)
+        for i0, states, _ in chunks:
+            states = states.reshape(len(states), len(k0s), n, dim)
+            for p, (rs, cs) in enumerate(parts):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    block = np.linalg.norm(states[:, :, rs, cs], axis=-1)
+                for i in range(len(k0s)):
+                    norms[i][p][i0:i0 + len(block)] = block[:, i]
+            states = block = None  # not held while the next chunk is made
+        for k0, per_part in zip(k0s, norms):
+            for (rs, cs), part_norms in zip(parts, per_part):
+                yield Trajectory.from_norms(T, k0, Y0[rs, cs].copy(), part_norms)
 
 
 def _stacked_step(sys: CascadeSystem):
@@ -347,10 +421,14 @@ def _usc_holds(sys, eps, L, T_list, mu, x0s) -> bool:
         m, per_k0 = len(inputs), n * len(inputs)
         U = np.tile(np.stack(inputs, axis=1), (1, n * len(k0s), 1))
         X0 = np.tile(np.repeat(x0s, m, axis=0), (len(k0s), 1))
-        states, first_bad = rollout(sys.f, T, np.repeat(k0s, per_k0), X0, ell, U)
-        states = states.reshape(ell + 1, len(k0s) * n, m, sys.dim_x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dev = np.max(np.linalg.norm(states - states[:, :, :1], axis=-1), axis=0)
+        # each row's largest deviation from its reference row (NaN once either is NaN)
+        dev = np.zeros((len(k0s) * n, m))
+        for _, states, first_bad in _rollout_chunks(sys.f, T, np.repeat(k0s, per_k0), X0,
+                                                    ell, U):
+            states = states.reshape(len(states), len(k0s) * n, m, sys.dim_x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dev = np.maximum(dev, np.max(np.linalg.norm(states - states[:, :, :1],
+                                                            axis=-1), axis=0))
         fail = (first_bad.reshape(-1, m) >= 0) | (dev > eps + _SLACK)
         if fail.any():
             r = int(np.argmax(fail.ravel()))

@@ -133,7 +133,11 @@ def double_integrator_field() -> VectorField:
         u = np.asarray(u, dtype=float)
         vel = s[..., 1]
         # the integrator may add a batch axis after the held input was formed
-        return np.stack([vel, vel * 0.0 + u[..., 0]], axis=-1)
+        acc = vel * 0.0 + u[..., 0]
+        out = np.empty(acc.shape + (2,))
+        out[..., 0] = vel
+        out[..., 1] = acc
+        return out
 
     return VectorField(2, 1, rhs)
 
@@ -642,14 +646,11 @@ def _decay_records(sysm, z_grid, x_grid, grid, T_list, horizon_s):
     dx, nz, nx = sysm.dim_x, len(z_grid), len(x_grid)
     rows = np.concatenate([np.column_stack([np.zeros((nz, dx)), z_grid]),
                            np.column_stack([x_grid, np.zeros((nx, sysm.dim_z))]), grid])
-    z_runs, x_runs, runs = [], [], []
-    for T, k0, states in grid_rollouts(_stacked_step(sysm), rows, T_list, horizon_s,
-                                       period=sysm.period):
-        z_runs.append(Trajectory(T, k0, states[:, :nz, dx:]))
-        x_runs.append(Trajectory(T, k0, states[:, nz:nz + nx, :dx]))
-        runs.append(Trajectory(T, k0, states[:, nz + nx:]))
-        del states  # so that a period's rollout dies before the next one is made
-    return z_runs, x_runs, runs
+    parts = ((slice(nz), slice(dx, None)), (slice(nz, nz + nx), slice(dx)),
+             (slice(nz + nx, None), slice(None)))
+    records = list(grid_rollouts(_stacked_step(sysm), rows, T_list, horizon_s,
+                                 period=sysm.period, parts=parts))
+    return records[0::3], records[1::3], records[2::3]
 
 
 def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
@@ -767,8 +768,7 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         # the driving record at (T, 0) when T is a decay period, else a run of its own
         z_run = next((run for run in z_runs if run.T == T and run.k0 == 0), None)
         if z_run is None:
-            (z_run,) = (Trajectory(*run) for run in
-                        grid_rollouts(sysm.g, z_grid, [T], horizon_s, k0_set=[0]))
+            (z_run,) = grid_rollouts(sysm.g, z_grid, [T], horizon_s, k0_set=[0])
         s0 = z_run.norms[0]
         # one contiguous row per trajectory: an axis-0 sum would add in another order
         terms = np.ascontiguousarray(np.asarray(cert.mu_fn(z_run.norms), dtype=float).T)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import CascadeSystem, Trajectory, _k_probes, _stacked_step, grid_rollouts
+from .cascade import CascadeSystem, _k_probes, _stacked_step, grid_rollouts
 from .discretize import ParameterizedMap
 from .numerics import ClassKFunction, KLBound
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _ratio
@@ -109,9 +109,8 @@ def _system_stepper(system):
 
 def _grid_rollouts(system, Delta, T_list, grid, horizon, k0_set=None):
     step, dim, T_max = _system_stepper(system)
-    return (Trajectory(*run) for run in grid_rollouts(step, _resolve_grid(grid, Delta, dim),
-                                                      T_list, horizon, k0_set, T_max,
-                                                      system.period))
+    return grid_rollouts(step, _resolve_grid(grid, Delta, dim), T_list, horizon, k0_set, T_max,
+                         system.period)
 
 
 def _first_escape(runs, bound_fn, detail_pass):

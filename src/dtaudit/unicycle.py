@@ -272,7 +272,7 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
     def f(T, k, x, z):
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        wr, vr, cx, cy, den = table(T, k)[:, k]
+        wr, vr, cx, cy, den = table(T, k).take(k, axis=1)
         x_e, y_e, th_e = x[..., 0], x[..., 1], z[..., 0]
         w = wr + a1 * th_e
         if variant == "none":
@@ -291,7 +291,7 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
     def g(T, k, z):
         z = np.asarray(z, dtype=float)
         th = z[..., 0]
-        wr = table(T, k)[0, k]
+        wr = table(T, k)[0].take(k)
         w = wr + a1 * th
         return (th + T * (wr - w))[..., None]
 

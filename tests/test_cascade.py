@@ -28,7 +28,8 @@ from dtaudit import (
     validated_gains,
     validated_references,
 )
-from dtaudit.cascade import _k_probes, _probe_inputs, _stacked_step, grid_rollouts, rollout
+from dtaudit.cascade import (_CHUNK, _k_probes, _probe_inputs, _rollout_chunks, _stacked_step,
+                             grid_rollouts, rollout)
 from dtaudit.numerics import horizon_index
 
 
@@ -172,7 +173,7 @@ def test_stacked_rollout_equals_per_k0_rollouts_unicycle(regime):
     Y0 = np.random.default_rng(5).uniform(-5.0, 5.0, size=(12, 3))
     _assert_stacked_equals_per_k0(step, T, _k_probes(T, sysm.period), Y0, 300)
     # grid_rollouts yields the same slices, in k0 order
-    got = [Trajectory(*run) for run in grid_rollouts(step, Y0, [T], 300 * T, period=sysm.period)]
+    got = list(grid_rollouts(step, Y0, [T], 300 * T, period=sysm.period))
     assert [(run.T, run.k0) for run in got] == [(T, k0) for k0 in _k_probes(T, sysm.period)]
     for run in got:
         want = rollout(step, T, run.k0, Y0, 300)[0]
@@ -202,19 +203,21 @@ def test_stacked_decay_grids_equal_separate_rollouts(regime):
     nz, nx = len(z_grid), len(x_grid)
     rows = np.concatenate([np.column_stack([np.zeros((nz, 2)), z_grid]),
                            np.column_stack([x_grid, np.zeros((nx, 1))]), grid])
-    stacked = list(grid_rollouts(_stacked_step(sysm), rows, T_list, horizon, period=sysm.period))
-    for _, _, states in stacked:
+    for T in T_list:
+        states = rollout(_stacked_step(sysm), T, 0, rows, horizon_index(horizon, T))[0]
         assert np.all(states[:, nz:nz + nx, 2] == 0.0)
 
     def alone(step, Y0):
-        return [Trajectory(*run) for run in grid_rollouts(step, Y0, T_list, horizon,
-                                                          period=sysm.period)]
+        return list(grid_rollouts(step, Y0, T_list, horizon, period=sysm.period))
 
     unforced = lambda T, k, x: sysm.f(T, k, x, np.zeros((len(x), 1)))
     want = (alone(sysm.g, z_grid), alone(unforced, x_grid), alone(_stacked_step(sysm), grid))
-    blocks = (lambda s: s[:, :nz, 2:], lambda s: s[:, nz:nz + nx, :2], lambda s: s[:, nz + nx:])
-    for block, records in zip(blocks, want):
-        _assert_same_records([Trajectory(T, k0, block(s)) for T, k0, s in stacked], records)
+    parts = ((slice(nz), slice(2, None)), (slice(nz, nz + nx), slice(2)),
+             (slice(nz + nx, None), slice(None)))
+    stacked = list(grid_rollouts(_stacked_step(sysm), rows, T_list, horizon,
+                                 period=sysm.period, parts=parts))
+    for p, records in enumerate(want):
+        _assert_same_records(stacked[p::3], records)
     # the demo's records are these
     for got, records in zip(experiments._decay_records(sysm, z_grid, x_grid, grid, T_list,
                                                        horizon), want):
@@ -235,6 +238,75 @@ def _assert_array_k_equals_int_k(call, k, *rows):
     for kk in np.unique(k).tolist():
         sel = k == kk
         assert np.array_equal(out[sel], np.asarray(call(kk, *(r[sel] for r in rows))))
+
+
+# --- chunked stepping -----------------------------------------------------------
+
+# rows whose column 0 turns inf at these steps: before, at and after each
+# chunk boundary, and past every horizon below
+_DEATHS = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK]
+_HORIZONS = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+def _dying_rows():
+    """Rows of `_doubling_step`: one per death step, then two that never die."""
+    return np.column_stack([[math.ldexp(1.0, 1024 - s) for s in _DEATHS] + [1.0, -3.0],
+                            np.linspace(-1.0, 1.0, len(_DEATHS) + 2)])
+
+
+def _doubling_step(T, k, Y, U=None):
+    """Column 0 doubles, so 2**(1024 - s) turns inf at step s; column 1 adds
+    k * T (and the input). A non-finite input raises: a row stepped after it
+    died fails the test."""
+    if not np.isfinite(Y).all():
+        raise AssertionError("a non-finite row was stepped")
+    nxt = Y[:, 1] + k * T
+    return np.column_stack([2.0 * Y[:, 0], nxt if U is None else nxt + U[:, 0]])
+
+
+@pytest.mark.parametrize("steps", _HORIZONS)
+def test_rollout_chunks_equal_one_rollout(steps):
+    """The chunks of `_rollout_chunks` laid end to end are the states of one
+    `rollout`, with the same first non-finite steps, for per-row k0, T and
+    inputs; once every row has died the chunks stop, the rest reading NaN."""
+    rng = np.random.default_rng(steps)
+    # the first three rows are all dead by step _CHUNK + 1, so the third
+    # chunk, if any, is never made
+    for Y0, length in ((_dying_rows(), steps + 1),
+                       (_dying_rows()[:3], min(steps, 2 * _CHUNK) + 1)):
+        n = len(Y0)
+        k0 = rng.integers(0, 50, size=n)
+        T = rng.uniform(0.1, 0.9, size=n)
+        U = rng.uniform(-1.0, 1.0, size=(steps, n, 1))
+        want, want_bad = rollout(_doubling_step, T, k0, Y0, steps, U)
+        chunks = list(_rollout_chunks(_doubling_step, T, k0, Y0, steps, U))
+        assert [i0 for i0, _, _ in chunks] == [0, *range(_CHUNK + 1, length, _CHUNK)]
+        got = np.concatenate([states for _, states, _ in chunks])
+        assert len(got) == length
+        assert np.array_equal(got, want[:length], equal_nan=True)
+        assert np.isnan(want[length:]).all()
+        assert np.array_equal(chunks[-1][2], want_bad)
+
+
+@pytest.mark.parametrize("steps", _HORIZONS)
+def test_chunked_records_equal_records_of_one_rollout(steps):
+    """`grid_rollouts` records, stepped in chunks, equal `Trajectory` records
+    of one whole-horizon rollout per start index, part by part."""
+    T, k0s, Y0 = 0.5, [0, 3, 40], _dying_rows()
+    parts = ((slice(None), slice(None)), (slice(2), slice(1, None)),
+             (slice(1, None), slice(1)))
+    got = list(grid_rollouts(_doubling_step, Y0, [T], steps * T, k0_set=k0s, parts=parts))
+    want = []
+    for k0 in k0s:
+        states, first_bad = rollout(_doubling_step, T, k0, Y0, steps)
+        want += [Trajectory(T, k0, states[:, rs, cs]) for rs, cs in parts]
+    assert sorted(set(first_bad[first_bad >= 0])) == [s for s in _DEATHS if s <= steps]
+    _assert_same_records(got, want)
+    for run in got:
+        assert run.norms.flags.c_contiguous and run.norms.base is None
+    # the default part is every row and column
+    _assert_same_records(list(grid_rollouts(_doubling_step, Y0, [T], steps * T, k0_set=k0s)),
+                         want[0::3])
 
 
 @pytest.mark.parametrize("regime", ["validated", "demo"])

@@ -4,11 +4,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dtaudit import ConfigError, experiments, list_experiments, run_named
+from dtaudit import (ConfigError, closed_loop_euler_cascade, experiments, list_experiments,
+                     run_named, sample_ball, validated_gains, validated_references)
 from dtaudit.cli import main
 from dtaudit.verdict import _plain
 
@@ -277,6 +279,22 @@ def test_theorem_demo_routes_one_stacked_rollout_per_period(monkeypatch):
     monkeypatch.setattr(experiments, "closed_loop_euler_cascade", counted_build)
     assert run_named("cascade-theorem-demo", THEOREM_WORKLOAD).status == 0
     assert calls == {"f": 3632, "g": 3000}
+
+
+def test_decay_records_hold_norms_not_whole_horizon_states():
+    """Tooling guard: at the workload config the three decay grids keep
+    about 7.7 MB of norms; one period's whole-horizon states alone would
+    add about 15 MB, and the peak was about 22 MB when they were kept."""
+    sysm = closed_loop_euler_cascade(validated_references(0.01), validated_gains("full"))
+    grids = (sample_ball(2.0, 1, 17), sample_ball(5.0, 2, 17), sample_ball(5.0, 3, 17))
+    tracemalloc.start()
+    try:
+        experiments._decay_records(sysm, *grids, THEOREM_WORKLOAD["T_list"],
+                                   THEOREM_WORKLOAD["horizon_s"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6
 
 
 # sha256 of every report file, recorded with Python 3.11 and numpy 2.4 on
