@@ -128,6 +128,31 @@ def rollout(step, T, k0, Y0, steps: int, inputs=None):
     first turned non-finite (-1 if never); that row is not stepped again
     and reads NaN after i.
     """
+    chunks = _rollout_chunks(step, T, k0, Y0, steps, inputs)
+    _, states, first_bad = next(chunks)
+    out = np.full((steps + 1, *states.shape[1:]), np.nan)
+    out[:len(states)] = states
+    for i0, states, _ in chunks:
+        out[i0:i0 + len(states)] = states
+    return out, first_bad
+
+
+# States per chunk of `_rollout_chunks`: its callers that keep only norms
+# hold one chunk of states at a time, never a whole horizon.
+_CHUNK = 128
+
+
+def _rollout_chunks(step, T, k0, Y0, steps: int, inputs=None):
+    """The states of `rollout`, made and yielded in chunks.
+
+    Yields (i0, states, first_bad) per chunk: the (n, batch, dim) states
+    of steps i0, ..., i0 + n - 1, n at most `_CHUNK` (the first chunk
+    starts with the initial states), and each row's first non-finite step
+    so far (-1 if none), one array that later chunks update in place. A
+    row that turned non-finite is never stepped again and reads NaN after;
+    once no row is left the chunks stop, and the steps after them read
+    NaN too.
+    """
     Y = np.array(Y0, dtype=float, ndmin=2)
     batch, dim = Y.shape
     if steps < 0:
@@ -142,75 +167,33 @@ def rollout(step, T, k0, Y0, steps: int, inputs=None):
         inputs = np.asarray(inputs, dtype=float)
         if inputs.shape[:2] != (steps, batch):
             raise ValueError(f"inputs must have shape ({steps}, {batch}, dim_z)")
-    states = np.full((steps + 1, batch, dim), np.nan)
-    states[0] = Y
     first_bad = np.full(batch, -1)
     live = slice(None)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(steps):
-            args = (T, k0 + i, Y) if inputs is None else (T, k0 + i, Y, inputs[i, live])
-            Y = np.asarray(step(*args), dtype=float).reshape(len(Y), dim)
-            states[i + 1, live] = Y
-            finite = np.isfinite(Y)
-            if not finite.all():
-                ok = finite.all(axis=1)
-                rows = np.arange(batch)[live]
-                first_bad[rows[~ok]] = i + 1
-                live, Y = rows[ok], Y[ok]
-                if isinstance(k0, np.ndarray):
-                    k0 = k0[ok]
-                if isinstance(T, np.ndarray):
-                    T = T[ok]
-                if not len(live):
-                    break
-    return states, first_bad
-
-
-# Steps per `rollout` call of `_rollout_chunks`: its callers hold one
-# chunk of states at a time, never a whole horizon.
-_CHUNK = 128
-
-
-def _rollout_chunks(step, T, k0, Y0, steps: int, inputs=None):
-    """`rollout` of the whole horizon, made in calls of at most `_CHUNK` steps.
-
-    Yields (i0, states, first_bad) per call: the (n, batch, dim) states of
-    steps i0, ..., i0 + n - 1 (the first chunk holds the initial states),
-    and each row's first non-finite step so far (-1 if none), one array
-    that later chunks update in place. Each call steps on from the last
-    states of the rows still finite, so a row that turned non-finite is
-    never stepped again and reads NaN after; once no row is left the
-    chunks stop. The step gets the rows, indices and periods that one
-    `rollout` would hand it, so every state has the same bits.
-    """
-    Y = np.array(Y0, dtype=float, ndmin=2)
-    batch, dim = Y.shape
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if inputs is not None:
-        inputs = np.asarray(inputs, dtype=float)
-    first_bad = np.full(batch, -1)
-    live = slice(None)
-    for c0 in range(0, max(steps, 1), _CHUNK):
-        n = min(_CHUNK, steps - c0)
-        U = None if inputs is None else inputs[c0:c0 + n, live]
-        states, bad = rollout(step, T, k0 + c0, Y, n, U)
-        rows = np.arange(batch)[live]
-        ok = bad < 0
-        Y = states[-1][ok]
-        if not ok.all():
-            first_bad[rows[~ok]] = c0 + bad[~ok]
-            live = rows[ok]
-            if isinstance(k0, np.ndarray):
-                k0 = k0[ok]
-            if isinstance(T, np.ndarray):
-                T = T[ok]
-        if len(rows) < batch:
-            full = np.full((n + 1, batch, dim), np.nan)
-            full[:, rows] = states
-            states = full
-        yield (0, states, first_bad) if c0 == 0 else (c0 + 1, states[1:], first_bad)
-        states = full = None  # not held while the next chunk is made
+    for i0 in range(0, steps + 1, _CHUNK):
+        states = np.full((min(_CHUNK, steps + 1 - i0), batch, dim), np.nan)
+        if i0 == 0:
+            states[0] = Y
+        # state s is made by step s - 1
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for s in range(max(i0, 1), i0 + len(states)):
+                i = s - 1
+                args = (T, k0 + i, Y) if inputs is None else (T, k0 + i, Y, inputs[i, live])
+                Y = np.asarray(step(*args), dtype=float).reshape(len(Y), dim)
+                states[s - i0, live] = Y
+                finite = np.isfinite(Y)
+                if not finite.all():
+                    ok = finite.all(axis=1)
+                    rows = np.arange(batch)[live]
+                    first_bad[rows[~ok]] = s
+                    live, Y = rows[ok], Y[ok]
+                    if isinstance(k0, np.ndarray):
+                        k0 = k0[ok]
+                    if isinstance(T, np.ndarray):
+                        T = T[ok]
+                    if not len(live):
+                        break
+        yield i0, states, first_bad
+        states = None  # not held while the next chunk is made
         if not len(Y):
             break
 

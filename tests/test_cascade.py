@@ -203,9 +203,13 @@ def test_stacked_decay_grids_equal_separate_rollouts(regime):
     nz, nx = len(z_grid), len(x_grid)
     rows = np.concatenate([np.column_stack([np.zeros((nz, 2)), z_grid]),
                            np.column_stack([x_grid, np.zeros((nx, 1))]), grid])
+    # the unforced rows keep z = 0 in every (T, k0) block of the stacked rollout
     for T in T_list:
-        states = rollout(_stacked_step(sysm), T, 0, rows, horizon_index(horizon, T))[0]
-        assert np.all(states[:, nz:nz + nx, 2] == 0.0)
+        k0s = _k_probes(T, sysm.period)
+        states = rollout(_stacked_step(sysm), T, np.repeat(k0s, len(rows)),
+                         np.tile(rows, (len(k0s), 1)), horizon_index(horizon, T))[0]
+        for b in range(len(k0s)):
+            assert np.all(states[:, b * len(rows) + nz:b * len(rows) + nz + nx, 2] == 0.0)
 
     def alone(step, Y0):
         return list(grid_rollouts(step, Y0, T_list, horizon, period=sysm.period))
@@ -264,28 +268,47 @@ def _doubling_step(T, k, Y, U=None):
     return np.column_stack([2.0 * Y[:, 0], nxt if U is None else nxt + U[:, 0]])
 
 
+def _row_by_row(step, T, k0, Y0, steps, U):
+    """Reference rollout: each row stepped alone until it turns non-finite."""
+    states = np.full((steps + 1, *Y0.shape), np.nan)
+    first_bad = np.full(len(Y0), -1)
+    for r in range(len(Y0)):
+        y = states[0, r] = Y0[r]
+        for i in range(steps):
+            with np.errstate(over="ignore"):
+                y = states[i + 1, r] = step(T[r], k0[r] + i, y[None], U[i, r][None])[0]
+            if not np.isfinite(y).all():
+                first_bad[r] = i + 1
+                break
+    return states, first_bad
+
+
 @pytest.mark.parametrize("steps", _HORIZONS)
 def test_rollout_chunks_equal_one_rollout(steps):
-    """The chunks of `_rollout_chunks` laid end to end are the states of one
-    `rollout`, with the same first non-finite steps, for per-row k0, T and
-    inputs; once every row has died the chunks stop, the rest reading NaN."""
+    """The chunks of `_rollout_chunks` laid end to end are the states of
+    each row stepped alone, with the same first non-finite steps, for
+    per-row k0, T and inputs, and `rollout` collects them; once every row
+    has died the chunks stop, the rest reading NaN."""
     rng = np.random.default_rng(steps)
-    # the first three rows are all dead by step _CHUNK + 1, so the third
-    # chunk, if any, is never made
+    # the first three rows are all dead by state _CHUNK + 1, so a chunk
+    # after the one holding it is never made
     for Y0, length in ((_dying_rows(), steps + 1),
-                       (_dying_rows()[:3], min(steps, 2 * _CHUNK) + 1)):
+                       (_dying_rows()[:3], min(steps + 1, 2 * _CHUNK))):
         n = len(Y0)
         k0 = rng.integers(0, 50, size=n)
         T = rng.uniform(0.1, 0.9, size=n)
         U = rng.uniform(-1.0, 1.0, size=(steps, n, 1))
-        want, want_bad = rollout(_doubling_step, T, k0, Y0, steps, U)
+        want, want_bad = _row_by_row(_doubling_step, T, k0, Y0, steps, U)
         chunks = list(_rollout_chunks(_doubling_step, T, k0, Y0, steps, U))
-        assert [i0 for i0, _, _ in chunks] == [0, *range(_CHUNK + 1, length, _CHUNK)]
+        assert [i0 for i0, _, _ in chunks] == list(range(0, length, _CHUNK))
         got = np.concatenate([states for _, states, _ in chunks])
         assert len(got) == length
         assert np.array_equal(got, want[:length], equal_nan=True)
         assert np.isnan(want[length:]).all()
         assert np.array_equal(chunks[-1][2], want_bad)
+        states, first_bad = rollout(_doubling_step, T, k0, Y0, steps, U)
+        assert np.array_equal(states, want, equal_nan=True)
+        assert np.array_equal(first_bad, want_bad)
 
 
 @pytest.mark.parametrize("steps", _HORIZONS)
