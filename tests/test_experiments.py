@@ -329,6 +329,54 @@ EXAMPLE1_GOLDEN = [
 ]
 
 
+# every unicycle experiment at its defaults and at a demo or user reference;
+# each config's text is hashed into its report headers, so keep it as recorded
+UNICYCLE_GOLDEN = [
+    ("unicycle-compare", {}, 0, 1, {
+        "errors_full.dat": "5fe5496bdc90dc675de4e5095654034f8b2a58c567b7a3879b2a7c8832633fa1",
+        "errors_none.dat": "268bde5285970cf16b0f787682ab6d468d4e81e09b62b3e33c23bb3c30e61a78",
+        "errors_scaled.dat": "5217c8e92ab051163d2990b882448de3cd524a251d90094c53e72d4df70a2696",
+        "metrics.json": "d6b0d71bb8f244e28233bfe3162caf4ca4e1b5b45f75898a797a9a35cf5d7142",
+        "trajectory_full.csv": "fd3e0dce0f3580cef67046d902bb63aa50717cc1f672de975fa8982cb1bb624b",
+        "trajectory_none.csv": "57446e1986a90dc4914b023e0ffcf51a9f449cc5f5989e4234c3db657baa6c44",
+        "trajectory_scaled.csv": "83eb653742d8ac9deaab355dde4615d1d6cb1ba1c0ba0e20538ecbda0c85570a"}),
+    ("consistency-sweep", {}, 0, 0, {
+        "consistency_euler.csv": "569f5db521be542724774f2e14df6c5fb390422c31bcdc4534cfcbd5214d6454",
+        "consistency_euler.dat": "b045e8ee6acdd5d78876a54e125fc4e5874b23508d17e2a536bd734cc338f8c2",
+        "consistency_modified_euler.csv": "333524bd1cce0b631d8f6aec96166d4042abdf8b42b7e34d71dfebb009a27012",
+        "consistency_modified_euler.dat": "88c3b41a07503281468ffff43b755089988b14a45163993a3edd3651c8ee330b",
+        "metrics.json": "539ba156b3b31d8ef88a8b779c811bf00540db0ea493dee68871c4518772f348"}),
+    ("lyapunov-audit", {}, 0, 0, {
+        "decrease_margins.csv": "82db2b584f8c768a7872bfe96c6258d84f67cdc0dc1cf537971b8ce485178e36",
+        "decrease_profile.dat": "b755b24370ac3ea1fd3da416c223e6fc2e27dcb50a8d806dbeaed953ffddb45c",
+        "metrics.json": "4971be69597674a9f01b353b2830ef1c6775fdec6bd9de87a30b136fd19e541a"}),
+    ("pe-check", {}, 0, 0, {
+        "metrics.json": "6ab0c00a4e553f4f91351175c484931822f1a1dda983a2f06f406ee77f4c871e",
+        "window_sums.dat": "4d0f81926a4eb43e825eb0c14e4ae5b95a25c0e2bc51a2a67d76f4ba53907d25"}),
+    ("lyapunov-audit", {"regime": "demo", "grid_n": 9, "radius": 2.0}, 0, 1, {
+        "metrics.json": "fc877d551a067f98bf7bc73ff641ec38e06d7e0f51193f4ff46d53a31a25b128"}),
+    ("consistency-sweep", {"regime": "demo"}, 0, 0, {
+        "consistency_euler.csv": "5c77b3d598afc7326b1bd06ec7ac6a51af02ede795fd3dc6a79e21338c55222c",
+        "consistency_euler.dat": "93e7fa8523d4a06fae50bf454c0064f3236ee2caba84e7e7a4dfd20042701311",
+        "consistency_modified_euler.csv": "1de8e9b987fe3839b5c10c4e7b20a0d444e12ca2b60043c429f728a377e3ec6f",
+        "consistency_modified_euler.dat": "9233b009558a3c5d528e60338ec0fec45e77d3cb4bbc100081ecbfe68ed6d937",
+        "metrics.json": "b46bab5a4fec87c61c7f048564ea8f844bb23a63e91ed9d7330cb9907aa23640"}),
+    ("pe-check", {"refs": {"vr": 1.0, "wr": {"kind": "sin", "amplitude": 1.0,
+                                             "frequency": 0.3333333333333333}}}, 0, 1, {
+        "metrics.json": "5b0c4ee971a65b2f6685fcd3ceff98ba6cd2b5918b6f17611c85630901bc4eec",
+        "window_sums.dat": "099b587e00c697233418bad8e5490e2e0c49dddab54dcfb62563172d632fd835"}),
+    ("unicycle-compare", {"refs": {"vr": 0.5, "wr": {"kind": "const", "amplitude": 0.3}}},
+     0, 1, {
+        "errors_full.dat": "7a076639da22e93d238b3f27c5a15312de23f32298301ac424c7bd9cf075e73e",
+        "errors_none.dat": "b97c858ca16beb6e7a976f8b09b98c9bfd4ace481110b80010fc912ba1f0f7c7",
+        "errors_scaled.dat": "b73bb2bf8db8186c65a4311e54b589cd68fd92cb64a8dd6742d0e1d3cf13054a",
+        "metrics.json": "9fb84b76ceafd09fe334230f01415d3de1449160ca158bcb26ece9e3e7dd603a",
+        "trajectory_full.csv": "fe3da957313b41cc79cd99a71349ee8b26078e1b0e79ba00ca4bf2f18287ddff",
+        "trajectory_none.csv": "494213353b23efddcc4ec2439b411b185dbafadc070581132585e937370f8ce6",
+        "trajectory_scaled.csv": "446e50dbf0709b1da59d5f02913f1fb83c2d00576394cb7172b40565f520ed85"}),
+]
+
+
 def _report_digests(tmp_path, experiment, config, seed, code):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
@@ -347,3 +395,9 @@ def test_theorem_demo_reports_match_golden_digests(tmp_path, config, seed, code,
 @pytest.mark.parametrize("config, seed, code, digests", EXAMPLE1_GOLDEN)
 def test_example1_reports_match_golden_digests(tmp_path, config, seed, code, digests):
     assert _report_digests(tmp_path, "example1", config, seed, code) == digests
+
+
+@pytest.mark.parametrize("experiment, config, seed, code, digests", UNICYCLE_GOLDEN)
+def test_unicycle_reports_match_golden_digests(tmp_path, experiment, config, seed, code,
+                                               digests):
+    assert _report_digests(tmp_path, experiment, config, seed, code) == digests
