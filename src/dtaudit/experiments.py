@@ -27,12 +27,10 @@ from .stability import (CertificateParams, LyapunovCandidate, PreconditionError,
                         check_summability, spuas_escape)
 # perfbench/layers.py wraps the sweeps under these names on this module
 from .stability import check_boundedness, falsify_spuas  # noqa: F401
-from .unicycle import (ControllerGains, ReferenceSignal, _chain_grid, _chain_pass,
-                       _energy_profile, _score_variant, _simulate_variant,
+from .unicycle import (_PRESETS, _chain_grid, _chain_pass, _energy_profile, _gains_from_spec,
+                       _preset, _refs_from_spec, _score_variant, _simulate_variant,
                        audit_lyapunov_chain, check_pe, closed_loop_euler_cascade,
-                       compute_case_constants, demo_gains, demo_references,
-                       error_dynamics_field, lyap_V, pe_window_sums, validated_gains,
-                       validated_references)
+                       compute_case_constants, error_dynamics_field, lyap_V, pe_window_sums)
 
 
 class ConfigError(ValueError):
@@ -60,7 +58,8 @@ _KINDS = {dict: "an object", tuple: "a list", bool: "true or false", float: "a n
 
 
 _LIMITS = {"positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0,
-           "at least 1": lambda v: v >= 1, "nonempty": len}
+           "at least 1": lambda v: v >= 1, "nonempty": len,
+           "'demo' or 'validated'": lambda v: v in _PRESETS}
 
 
 def _with_defaults(params, defaults: dict, name: str, limits: dict | None = None) -> dict:
@@ -82,7 +81,8 @@ def _with_defaults(params, defaults: dict, name: str, limits: dict | None = None
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown option(s) for {name}: {', '.join(unknown)}")
-    merged = {key: _typed(params[key], val, f"{name}.{key}") if key in params else val
+    # a default is parsed like a given value, so no default object leaks out
+    merged = {key: _typed(params.get(key, val), val, f"{name}.{key}")
               for key, val in defaults.items()}
     for key, limit in (limits or {}).items():
         value, path = merged[key], f"{name}.{key}"
@@ -269,33 +269,12 @@ _COMPARE_DEFAULTS = {
     "initial_error": (1.0, 1.0, 0.5),
     "plant": "euler",
     "variants": ("none", "scaled", "full"),
-    "refs": {"vr": 1.0, "wr": {"kind": "sin", "amplitude": 20.0, "frequency": 1.0}},
-    "gains": {"a1": 10.0, "a2": 70.0, "alpha_y": None, "scaled_factor": 0.5},
+    "refs": _PRESETS["demo"][0],
+    "gains": _PRESETS["demo"][1],
     "divergence_norm": 1e6,
 }
 _COMPARE_LIMITS = {"T": "positive", "horizon_s": "positive", "variants": "nonempty",
                    "divergence_norm": "positive"}
-
-
-def _refs_from_config(r: dict, T: float) -> ReferenceSignal:
-    """The reference signal of a typed `refs` config.
-
-    The uniform bound w_M dominates |v_r|, |omega_r| and the difference
-    quotient of omega_r: the amplitude times max(1, frequency) for `sin`.
-    """
-    vr0, wr = r["vr"], r["wr"]
-    amp, freq = wr["amplitude"], wr["frequency"]
-    if wr["kind"] == "sin":
-        if not freq > 0.0:
-            raise ConfigError(f"bad reference: frequency must be positive, got {freq}")
-        omega_r = lambda t: amp * np.sin(freq * np.asarray(t))
-        w_M, period = max(abs(vr0), abs(amp) * max(1.0, freq)), math.tau / freq
-    elif wr["kind"] == "const":
-        omega_r = lambda t: amp + 0.0 * np.asarray(t)
-        w_M, period = max(abs(vr0), abs(amp)), math.tau
-    else:
-        raise ConfigError(f"bad reference kind {wr['kind']!r}")
-    return ReferenceSignal(lambda t: vr0 + 0.0 * np.asarray(t), omega_r, T, w_M, period)
 
 
 def run_comparison_experiment(config: dict | None = None) -> dict:
@@ -318,12 +297,11 @@ def run_comparison_experiment(config: dict | None = None) -> dict:
     if x0.shape != (3,):
         raise ConfigError("unicycle-compare.initial_error must be three numbers "
                           "(x_e, y_e, theta_e)")
-    refs = _refs_from_config(cfg["refs"], T)
-    alpha_y = 2.0 - T if g["alpha_y"] is None else _typed(g["alpha_y"], 0.0,
-                                                          "unicycle-compare.gains.alpha_y")
-    try:  # a gain that is not positive or an unknown variant
-        gains = [ControllerGains(g["a1"], g["a2"], alpha_y, variant, g["scaled_factor"])
-                 for variant in cfg["variants"]]
+    if g["alpha_y"] is not None:
+        g = dict(g, alpha_y=_typed(g["alpha_y"], 0.0, "unicycle-compare.gains.alpha_y"))
+    try:  # a bad reference, a gain that is not positive or an unknown variant
+        refs = _refs_from_spec(cfg["refs"], T)
+        gains = [_gains_from_spec(g, T, variant) for variant in cfg["variants"]]
     except ValueError as err:
         raise ConfigError(str(err)) from err
     T_max = closed_loop_euler_cascade(refs, gains[0]).T_max
@@ -389,9 +367,9 @@ _CONSISTENCY_DEFAULTS = {
     "euler_slope_window": (1.85, 2.15),
     "modified_slope_min": 1.9,
 }
-_CONSISTENCY_LIMITS = {"T_list": "nonempty, positive", "k_set": "nonnegative",
-                       "n_samples": "nonnegative", "box_halfwidth": "nonnegative",
-                       "proxy_tol": "positive"}
+_CONSISTENCY_LIMITS = {"regime": "'demo' or 'validated'", "T_list": "nonempty, positive",
+                       "k_set": "nonnegative", "n_samples": "nonnegative",
+                       "box_halfwidth": "nonnegative", "proxy_tol": "positive"}
 
 
 def _run_consistency(params: dict, seed: int) -> ExperimentResult:
@@ -402,7 +380,7 @@ def _run_consistency(params: dict, seed: int) -> ExperimentResult:
                           f"got {p['T_list']!r}")
     if p["plant"] != "unicycle":
         raise ConfigError("only the unicycle tracking-error plant is wired in")
-    refs = _regime(p["regime"])[0]()
+    refs = _preset(p["regime"], p["T_list"][0])[0]
     held = np.asarray(p["held_input"])
     if held.shape != (2,):
         raise ConfigError("consistency-sweep.held_input must be a pair (v, omega)")
@@ -440,21 +418,7 @@ def _run_consistency(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("consistency-sweep", status, metrics, tables, plots)
 
 
-# --- tracking regimes --------------------------------------------------
-
-
-_REGIMES = {
-    "validated": (validated_references, lambda T: validated_gains("full")),
-    "demo": (demo_references, lambda T: demo_gains(T, "full")),
-}
-
-
-def _regime(name: str):
-    """Builders, as functions of T, of the references and the
-    full-correction gains of a named regime."""
-    if name not in _REGIMES:
-        raise ConfigError("regime must be 'validated' or 'demo'")
-    return _REGIMES[name]
+# --- Lyapunov chain audit ----------------------------------------------
 
 
 _LYAP_DEFAULTS = {
@@ -465,8 +429,8 @@ _LYAP_DEFAULTS = {
     "radius": 5.0,
     "margin_rows": True,
 }
-_LYAP_LIMITS = {"T": "positive", "L_pe": "positive", "grid_n": "at least 1",
-                "radius": "positive"}
+_LYAP_LIMITS = {"regime": "'demo' or 'validated'", "T": "positive", "L_pe": "positive",
+                "grid_n": "at least 1", "radius": "positive"}
 
 
 def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
@@ -513,7 +477,7 @@ def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
 def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit", _LYAP_LIMITS)
     T = p["T"]
-    refs, gains = (build(T) for build in _regime(p["regime"]))
+    refs, gains = _preset(p["regime"], T)
     grid_n, radius = p["grid_n"], p["radius"]
     consts = compute_case_constants(refs, gains, T, p["L_pe"], grid_n=grid_n, radius=radius)
     metrics = {"regime": p["regime"], "T": T, "constants": consts.to_json()}
@@ -564,9 +528,7 @@ def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
 
 
 _PE_DEFAULTS = {
-    "regime": "demo",
-    "refs": None,
-    "wr": None,
+    "refs": _PRESETS["demo"][0],
     "L": math.pi,
     "mu": 600.0,
     "T_list": (0.01,),
@@ -577,16 +539,11 @@ _PE_LIMITS = {"L": "positive", "mu": "positive", "T_list": "nonempty, positive"}
 def _run_pe_check(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _PE_DEFAULTS, "pe-check", _PE_LIMITS)
     T_list = list(p["T_list"])
-    T0, schema = T_list[0], _COMPARE_DEFAULTS["refs"]
-    if p["refs"] is not None:
-        refs = _refs_from_config(_typed(p["refs"], schema, "pe-check.refs"), T0)
-    elif p["wr"] is not None:
-        # shorthand: give just the turning-rate signal, constant if a number
-        wr = p["wr"] if isinstance(p["wr"], dict) else {"kind": "const", "amplitude": p["wr"]}
-        refs = _refs_from_config(dict(schema, wr=_typed(wr, schema["wr"], "pe-check.wr")), T0)
-    else:
-        refs = _regime(p["regime"])[0](T0)
-    L, mu = p["L"], p["mu"]
+    T0, L, mu = T_list[0], p["L"], p["mu"]
+    try:
+        refs = _refs_from_spec(p["refs"], T0)
+    except ValueError as err:  # a bad reference
+        raise ConfigError(str(err)) from err
 
     verdict = check_pe(refs, L, mu, T_list)
     sums = pe_window_sums(refs, T0, L, refs.period_steps(T0))
@@ -660,7 +617,7 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
                           f"got eta={p['eta']!r} and Delta={p['Delta']!r}")
     T, T_list = p["T"], sorted(p["T_list"])
     horizon_s, Delta, Delta_z = p["horizon_s"], p["Delta"], p["Delta_z"]
-    refs, gains = validated_references(T), validated_gains("full")
+    refs, gains = _preset("validated", T)
     sysm = closed_loop_euler_cascade(refs, gains)
     if T_list[-1] > sysm.T_max:
         raise ConfigError(f"T_list exceeds the admissible T_max {sysm.T_max}")

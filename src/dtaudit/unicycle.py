@@ -5,11 +5,11 @@ sampled tracking controller with an optional T-scaled correction input,
 and the V / W / U Lyapunov chain whose constants are computed (and
 validity-flagged) rather than assumed.
 
-Two parameter regimes are first class. The "demo" regime uses the large
-gains of the published simulations; its chain constants come out
-invalid, which the audits report rather than hide. The "validated"
-regime uses small reference bounds for which every constant is positive
-and all audits run.
+Two presets, in the table `_PRESETS`, are first class. The "demo" preset
+has the large gains of the published simulations; its chain constants
+come out invalid, which the audits report rather than hide. The
+"validated" preset has small reference bounds for which every constant
+is positive and all audits run.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ class ReferenceSignal:
     def period_steps(self, T: float) -> int:
         """Steps of period T that cover one reference period: ceil(period / T)."""
         return int(math.ceil(self.period / T))
-
-    def wr_k(self, k: int) -> float:
-        return float(self.omega_r(k * self.T))
 
 
 @dataclass(frozen=True)
@@ -499,7 +496,7 @@ def compute_case_constants(refs: ReferenceSignal, gains: ControllerGains, T_star
     # the k-free terms of both fits, formed once
     aX2, aY2, Tn2, X2m = alpha_x * X * X, alpha_y_tilde * Y * Y, T * n2, X[mask] * X[mask]
     for k, V, Vn, _, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi, tail_tol):
-        w = refs.wr_k(k)
+        w = float(refs.omega_r(k * T))
         dV = (Vn - V) / T
         K1_req = max(K1_req, float(np.max((dV + aX2 + gains.alpha_y * w * w * Y * Y) / Tn2)))
         resid = (Wn - W) / T - w * w * Y * Y + aY2
@@ -574,7 +571,7 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
                "W_sandwich_lo": math.inf, "W_sandwich_hi": -math.inf}
 
     for k, V, Vn, TS, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi, tail_tol):
-        w = refs.wr_k(k)
+        w = float(refs.omega_r(k * T))
         dV = (Vn - V) / T
         rhsV = -(aX2 + gains.alpha_y * w * w * Y * Y) + K1n2
         dW = (Wn - W) / T
@@ -606,28 +603,72 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
     return StabilityVerdict("pass", None, "Lyapunov chain holds on the grid", margins)
 
 
-# --- parameter regimes ------------------------------------------------
+# --- reference presets ------------------------------------------------
+
+
+# name -> (reference spec, gains spec), in the schema of the `refs` and
+# `gains` configs of the experiments; an alpha_y of None stands for 2 - T
+_PRESETS = {
+    # the published simulations: large, fast angular excitation
+    "demo": ({"vr": 1.0, "wr": {"kind": "sin", "amplitude": 20.0, "frequency": 1.0}},
+             {"a1": 10.0, "a2": 70.0, "alpha_y": None, "scaled_factor": 0.5}),
+    # small reference bounds, for which the whole constant chain is positive
+    "validated": ({"vr": 0.5, "wr": {"kind": "sin", "amplitude": 0.5, "frequency": 1.0}},
+                  {"a1": 1.0, "a2": 5.0, "alpha_y": 0.1, "scaled_factor": 0.5}),
+}
+
+
+def _refs_from_spec(spec: dict, T: float) -> ReferenceSignal:
+    """The reference signal of a spec: v_r = vr, and omega_r = amplitude *
+    sin(frequency t) for kind "sin" or the constant amplitude for "const".
+
+    The uniform bound w_M dominates |v_r|, |omega_r| and the difference
+    quotient of omega_r: the amplitude times max(1, frequency) for `sin`.
+    """
+    vr0, wr = spec["vr"], spec["wr"]
+    amp, freq = wr["amplitude"], wr["frequency"]
+    if wr["kind"] == "sin":
+        if not freq > 0.0:
+            raise ValueError(f"bad reference: frequency must be positive, got {freq}")
+        omega_r = lambda t: amp * np.sin(freq * np.asarray(t))
+        w_M, period = max(abs(vr0), abs(amp) * max(1.0, freq)), math.tau / freq
+    elif wr["kind"] == "const":
+        omega_r = lambda t: amp + 0.0 * np.asarray(t)
+        w_M, period = max(abs(vr0), abs(amp)), math.tau
+    else:
+        raise ValueError(f"bad reference kind {wr['kind']!r}")
+    return ReferenceSignal(lambda t: vr0 + 0.0 * np.asarray(t), omega_r, T, w_M, period)
+
+
+def _gains_from_spec(g: dict, T: float, use_correction: str) -> ControllerGains:
+    """The controller gains of a gains spec at period T."""
+    alpha_y = 2.0 - T if g["alpha_y"] is None else g["alpha_y"]
+    return ControllerGains(g["a1"], g["a2"], alpha_y, use_correction, g["scaled_factor"])
+
+
+def _preset(name: str, T: float, use_correction: str = "full"):
+    """References and gains of the preset `name` at period T."""
+    refs, gains = _PRESETS[name]
+    return _refs_from_spec(refs, T), _gains_from_spec(gains, T, use_correction)
 
 
 def demo_references(T: float = 0.01) -> ReferenceSignal:
     """Published simulation references: large, fast angular excitation."""
-    return ReferenceSignal(lambda t: 1.0 + 0.0 * np.asarray(t),
-                           lambda t: 20.0 * np.sin(np.asarray(t)), T, 20.0)
+    return _preset("demo", T)[0]
 
 
 def demo_gains(T: float = 0.01, use_correction: str = "none") -> ControllerGains:
     """Published simulation gains; chain constants are invalid here."""
-    return ControllerGains(10.0, 70.0, 2.0 - T, use_correction)
+    return _preset("demo", T, use_correction)[1]
 
 
 def validated_references(T: float = 0.01) -> ReferenceSignal:
     """Small-bound regime in which the whole constant chain is positive."""
-    return ReferenceSignal(lambda t: 0.5 + 0.0 * np.asarray(t),
-                           lambda t: 0.5 * np.sin(np.asarray(t)), T, 0.5)
+    return _preset("validated", T)[0]
 
 
 def validated_gains(use_correction: str = "full") -> ControllerGains:
-    return ControllerGains(1.0, 5.0, 0.1, use_correction)
+    return _preset("validated", 0.0, use_correction)[1]
 
 
 # --- comparison experiment: simulation and scoring --------------------

@@ -75,7 +75,8 @@ def test_unknown_experiment_is_exit_2(tmp_path, capsys):
 
 
 def test_falsified_run_is_exit_1_with_report(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"wr": 0})
+    params = {"refs": {"wr": {"kind": "const", "amplitude": 0.0}}}
+    cfg = write_config(tmp_path, params)
     out = tmp_path / "out"
     code = main(["run", "--experiment", "pe-check", "--config", cfg,
                  "--out", str(out)])
@@ -83,7 +84,7 @@ def test_falsified_run_is_exit_1_with_report(tmp_path, capsys):
     payload = json.loads((out / "metrics.json").read_text())
     assert payload["status"] == 1
     assert payload["seed"] == 0
-    assert payload["config_hash"] == config_digest("pe-check", {"wr": 0}, 0)
+    assert payload["config_hash"] == config_digest("pe-check", params, 0)
     assert payload["metrics"]["min_window_sum"] == 0.0
     dat = (out / "window_sums.dat").read_text().splitlines()
     assert dat[0] == f"# config={payload['config_hash']} seed=0"
@@ -119,7 +120,8 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
     ("cascade-theorem-demo", {"T": 0.0}, "T"),
     ("pe-check", {"T_list": [0.0]}, "T_list"),
     ("pe-check", {"T_list": [-0.01]}, "T_list"),
-    ("pe-check", {"wr": {"kind": "sin", "amplitude": 1.0, "frequency": 0.0}}, "frequency"),
+    ("pe-check", {"refs": {"wr": {"kind": "sin", "amplitude": 1.0, "frequency": 0.0}}},
+     "frequency"),
     ("pe-check", {"refs": {"vr": 1.0, "wr": {"kind": "sin", "amplitude": 1.0,
                                              "freqency": 3.0}}, "mu": 0.1},
      "pe-check.refs.wr: freqency"),
@@ -153,6 +155,7 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
      "cascade-theorem-demo.eta must be below cascade-theorem-demo.Delta"),
     ("consistency-sweep", {"T_list": [0.01, 0.01]},
      "consistency-sweep.T_list must hold distinct periods"),
+    ("lyapunov-audit", {"regime": "bogus"}, "lyapunov-audit.regime must be 'demo' or 'validated'"),
 ], ids=["compare-cos", "compare-rk4", "compare-T0", "compare-T-negative",
         "compare-T-above-T_max", "compare-negative-gain", "lyapunov-T0",
         "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0",
@@ -165,7 +168,7 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
         "example1-negative-table_steps", "consistency-empty-T_list",
         "consistency-negative-n_samples", "consistency-negative-k", "lyapunov-grid_n0",
         "theorem-empty-theta_values", "theorem-negative-n_ball", "pe-negative-L",
-        "theorem-eta-not-below-Delta", "consistency-repeated-T"])
+        "theorem-eta-not-below-Delta", "consistency-repeated-T", "lyapunov-unknown-regime"])
 def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params, key):
     out = tmp_path / "out"
     code = main(["run", "--experiment", experiment,
@@ -193,7 +196,7 @@ def test_bad_command_line_values_are_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("experiment, params", [
-    ("pe-check", {"wr": 0.8, "mu": 0.6, "L": 1.0}),
+    ("pe-check", {"refs": {"wr": {"kind": "const", "amplitude": 0.8}}, "mu": 0.6, "L": 1.0}),
     ("example1", FAST_EXAMPLE1),
     ("unicycle-compare", {"horizon_s": 1.0}),
     ("consistency-sweep", {"T_list": [0.003, 0.01, 0.03], "n_samples": 16, "k_set": [0, 7]}),

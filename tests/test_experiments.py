@@ -9,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dtaudit import (ConfigError, closed_loop_euler_cascade, experiments, list_experiments,
-                     run_named, sample_ball, validated_gains, validated_references)
+from dtaudit import (ConfigError, closed_loop_euler_cascade, demo_references, experiments,
+                     list_experiments, run_named, sample_ball, validated_gains,
+                     validated_references)
 from dtaudit.cli import main
 from dtaudit.verdict import _plain
 
@@ -40,7 +41,8 @@ def test_inline_name_must_match_requested_experiment():
     with pytest.raises(ConfigError, match="pe-check"):
         run_named("example1", {"name": "pe-check"})
     # a matching inline name is just dropped
-    res = run_named("pe-check", {"name": "pe-check", "wr": 0})
+    res = run_named("pe-check", {"name": "pe-check",
+                                 "refs": {"wr": {"kind": "const", "amplitude": 0.0}}})
     assert res.status == 1
 
 
@@ -49,6 +51,11 @@ def test_unknown_option_is_named_in_the_error():
         run_named("example1", {"bogus": 3})
     with pytest.raises(ConfigError, match="wrr"):
         run_named("pe-check", {"wrr": 0})
+    # pe-check takes its reference only as `refs`
+    with pytest.raises(ConfigError, match="pe-check: wr"):
+        run_named("pe-check", {"wr": 0})
+    with pytest.raises(ConfigError, match="pe-check: regime"):
+        run_named("pe-check", {"regime": "demo"})
 
 
 @pytest.mark.parametrize("name, defaults", [
@@ -64,6 +71,17 @@ def test_defaults_pass_their_own_parser_unchanged(name, defaults):
     element of every default must have the first one's type."""
     merged = experiments._with_defaults(defaults, defaults, name)
     assert repr(merged) == repr(defaults)
+
+
+def test_merged_config_shares_no_default_object():
+    """The config a run hands back is its own: editing it changes neither
+    the defaults nor the demo preset they are read from."""
+    out = experiments.run_comparison_experiment({"horizon_s": 0.01})
+    out["config"]["refs"]["wr"]["amplitude"] = 1.0
+    out["config"]["gains"]["a1"] = 1.0
+    assert experiments._COMPARE_DEFAULTS["refs"]["wr"]["amplitude"] == 20.0
+    assert experiments._COMPARE_DEFAULTS["gains"]["a1"] == 10.0
+    assert demo_references().w_M == 20.0
 
 
 def test_typed_parser_casts_ints_to_floats_but_never_bools():
@@ -105,12 +123,13 @@ def test_example1_same_seed_reproduces_metrics():
         assert np.array_equal(a.tables[stem][1], b.tables[stem][1])
 
 
-def test_pe_check_turn_rate_shorthand():
-    res = run_named("pe-check", {"wr": 0})
+def test_pe_check_constant_turn_rate():
+    res = run_named("pe-check", {"refs": {"wr": {"kind": "const", "amplitude": 0.0}}})
     assert res.status == 1
     assert res.metrics["min_window_sum"] == 0.0
     assert res.metrics["verdict"]["kind"] == "falsified"
-    res = run_named("pe-check", {"wr": 0.8, "mu": 0.6, "L": 1.0})
+    res = run_named("pe-check", {"refs": {"wr": {"kind": "const", "amplitude": 0.8}},
+                                 "mu": 0.6, "L": 1.0})
     assert res.status == 0
     assert res.metrics["min_window_sum"] >= 0.6
 
@@ -127,8 +146,8 @@ def test_pe_check_full_reference_description():
 
 def test_pe_check_covers_the_whole_reference_period():
     """omega_r = sin(t/3) has period 6 pi; its weak windows lie past 2 pi."""
-    res = run_named("pe-check", {"wr": {"kind": "sin", "amplitude": 1.0,
-                                        "frequency": 1.0 / 3.0},
+    res = run_named("pe-check", {"refs": {"wr": {"kind": "sin", "amplitude": 1.0,
+                                                 "frequency": 1.0 / 3.0}},
                                  "L": 2.0, "mu": 0.2})
     assert res.status == 1
     witness = res.metrics["verdict"]["witness"]

@@ -1,20 +1,27 @@
 """The benchmark's layer trace (perfbench/layers.py) still finds the
 attributes it patches, records spans through them, leaves the metrics
-as an untraced run has them, and puts each attribute back."""
+as an untraced run has them, and puts each attribute back; its
+micro-cases (perfbench/micro.py) still run against the package."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from dtaudit import cli, unicycle
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def _load(stem):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}",
+                                                  ROOT / "perfbench" / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_layers():
+    return _load("layers")
 
 
 def test_layer_trace_patches_and_restores_every_attribute():
@@ -52,3 +59,15 @@ def test_layer_trace_theorem_demo_records_fit_and_summability():
     assert tracer.counts["numerics.fit_kl_envelope.samples"] > 0
     assert traced.status == untraced.status == 0
     assert traced.metrics == untraced.metrics
+
+
+def test_micro_cases_run_against_the_package(monkeypatch):
+    """Every micro metric the benchmark declares comes out as a positive
+    time; each case is timed for a moment only, since no time is checked."""
+    micro = _load("micro")
+    monkeypatch.setattr(micro, "MIN_SECONDS", 0.0)
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+                if m["name"].startswith("micro.")}
+    out = micro.micro_metrics(0)
+    assert set(out) == declared
+    assert all(unit == "us" and value > 0.0 for value, unit in out.values())

@@ -184,7 +184,7 @@ def test_full_correction_V_difference_matches_closed_form(regime):
         nxt = f(T, k, X, np.zeros((200, 1)))
         dV = (lyap_V(k + 1, nxt[:, 0], nxt[:, 1], refs, gains, T)
               - lyap_V(k, x, y, refs, gains, T))
-        w, wp = refs.wr_k(k), refs.wr_k(k - 1)
+        w, wp = float(refs.omega_r(k * T)), float(refs.omega_r((k - 1) * T))
         vth = redesign_correction(k, x, y, refs, gains, T)
         closed = (x * x * (-2.0 * a2 * T + eps * T * w * w)
                   - T * gains.alpha_y * w * w * y * y
@@ -412,6 +412,19 @@ def test_case_constants_demo_regime_invalid():
         lyap_U(0, np.array([1.0, 1.0]), demo_references(), demo_gains(0.01), c, 0.01)
     with pytest.raises(PreconditionError, match="c1"):
         audit_lyapunov_chain(demo_references(), demo_gains(0.01), c, 0.01)
+
+
+def test_chain_reads_omega_r_at_the_audited_period():
+    """The constants and the chain audit step at their own T; the T the
+    references were built with must not enter."""
+    gains, T = validated_gains(), 0.02
+    runs = []
+    for T_refs in (T, 0.01):
+        refs = validated_references(T_refs)
+        c = compute_case_constants(refs, gains, T, 2.0, grid_n=11)
+        runs.append((c.to_json(), audit_lyapunov_chain(refs, gains, c, T, grid_n=11).to_json()))
+    assert runs[1] == runs[0]
+    assert runs[0][0]["K1"] == 1e-9
 
 
 def test_lyap_U_combines_V_and_W(validated_constants):
