@@ -393,6 +393,31 @@ UNICYCLE_GOLDEN = [
         "trajectory_full.csv": "fe3da957313b41cc79cd99a71349ee8b26078e1b0e79ba00ca4bf2f18287ddff",
         "trajectory_none.csv": "494213353b23efddcc4ec2439b411b185dbafadc070581132585e937370f8ce6",
         "trajectory_scaled.csv": "446e50dbf0709b1da59d5f02913f1fb83c2d00576394cb7172b40565f520ed85"}),
+    ("lyapunov-audit", {"T": 0.02, "grid_n": 21}, 0, 0, {
+        "decrease_margins.csv": "4f12ea1bd47886b334b8dcaa2e27d693eb15344d5efafc05d85b354c46948ef6",
+        "decrease_profile.dat": "71eb70989d21fea1b377e32916173bfe98ad3a5b67e29f36bb48d098c61ba04b",
+        "metrics.json": "4887defdec1dca640ac2e2e7fcf596d8bc938c019dae49cae5b56d8521ba4063"}),
+    ("lyapunov-audit", {"margin_rows": False, "grid_n": 9}, 0, 0, {
+        "decrease_profile.dat": "828bcd468afadc32c5db9aa729d30e45f6f4bb5bc9eec508c179b765d5cbba24",
+        "metrics.json": "080a26080b26d793c75e6282e3e24376894323ba21c7ffba848040146641bf14"}),
+    # `scaled` diverges at step 101
+    ("unicycle-compare", {"plant": "exact-proxy", "horizon_s": 1.5}, 0, 1, {
+        "errors_full.dat": "b7ed1cacedec04b05ef3da6b0dd8ac3144470e97afce8243022c57c8e304a4d6",
+        "errors_none.dat": "17930edf450455161ed4677ab1a0258ea57c7d9079f83a5aebb02cbd8a7c9d69",
+        "errors_scaled.dat": "959c6459a597d69ea144f1b57829a1be7ef270db86bb136a238fded9a0ad8815",
+        "metrics.json": "24c6b3ba360d665b453222b6a3f5c09167d3253c1e0ed7012aa5596394612c2a",
+        "trajectory_full.csv": "d8365eccfa9539d2cd774d9b827bd3446b70efcdde1d5e8cc7429572d1b2b080",
+        "trajectory_none.csv": "6cccf83cfc56f2976b14cb0070a48e305162d60299dbe14ff9991c175ab01c65",
+        "trajectory_scaled.csv": "dbf4aa67d6bc777e005bef53529310f09a833a67a1454f4016381edfaa305d57"}),
+    # every variant diverges at step 0
+    ("unicycle-compare", {"initial_error": [2e6, 0.0, 0.0]}, 0, 1, {
+        "errors_full.dat": "e1756bada3449922ec60f8cd15d8f69ee497b7cbe5655fb69c769a2a68c5f469",
+        "errors_none.dat": "e1756bada3449922ec60f8cd15d8f69ee497b7cbe5655fb69c769a2a68c5f469",
+        "errors_scaled.dat": "e1756bada3449922ec60f8cd15d8f69ee497b7cbe5655fb69c769a2a68c5f469",
+        "metrics.json": "cf3923417d25dd4a6f763d0176e9322795aa759b000aaa7d718785fc93e56b73",
+        "trajectory_full.csv": "538d0a68478b9a96e66ddf199e09807e5bcbb878e8ee4093f4f22453412f6f17",
+        "trajectory_none.csv": "538d0a68478b9a96e66ddf199e09807e5bcbb878e8ee4093f4f22453412f6f17",
+        "trajectory_scaled.csv": "538d0a68478b9a96e66ddf199e09807e5bcbb878e8ee4093f4f22453412f6f17"}),
 ]
 
 
