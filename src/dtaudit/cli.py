@@ -18,6 +18,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._integrate import IntegrationError, QuadratureError
 from .cascade import DivergenceError
 from .experiments import (ConfigError, ExperimentResult, list_experiments,
@@ -62,7 +64,9 @@ def emit_report(result: ExperimentResult, out_dir, digest: str, seed: int) -> li
             path = out / f"{stem}.{suffix}"
             lines = [header, prefix + sep.join(cols)]
             if rows.size:
-                lines.extend(sep.join(repr(float(v)) for v in row) for row in rows)
+                # Python floats print as numpy floats do; an int column as 1.0
+                lines.extend(sep.join(map(repr, row))
+                             for row in np.asarray(rows, dtype=float).tolist())
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
     return written

@@ -23,13 +23,15 @@ from .discretize import (VectorField, consistency_order, euler_map,
 from .numerics import (ClassKFunction, fit_kl_envelope, horizon_index,
                        kl_compose)
 from .stability import (CertificateParams, LyapunovCandidate, PreconditionError,
-                        audit_lyapunov, boundedness_escape, build_ugb_certificate,
+                        _LyapunovChecks, boundedness_escape, build_ugb_certificate,
                         check_summability, spuas_escape)
-# perfbench/layers.py wraps the sweeps under these names on this module
-from .stability import check_boundedness, falsify_spuas  # noqa: F401
-from .unicycle import (_PRESETS, _chain_grid, _chain_pass, _energy_profile, _gains_from_spec,
-                       _preset, _refs_from_spec, _score_variant, _simulate_variant,
-                       audit_lyapunov_chain, check_pe, closed_loop_euler_cascade,
+# perfbench/layers.py wraps the sweeps and the Lyapunov audits under these
+# names on this module
+from .stability import audit_lyapunov, check_boundedness, falsify_spuas  # noqa: F401
+from .unicycle import audit_lyapunov_chain  # noqa: F401
+from .unicycle import (_PRESETS, _ChainChecks, _chain_grid, _chain_pass, _energy_profile,
+                       _gains_from_spec, _preset, _refs_from_spec, _score_variant,
+                       _simulate_variant, check_pe, closed_loop_euler_cascade,
                        compute_case_constants, error_dynamics_field, lyap_V, pe_window_sums)
 
 
@@ -474,6 +476,38 @@ def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
     )
 
 
+def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
+    """The audits of `lyapunov-audit` from one pass over the period.
+
+    Each k's closed-loop step feeds the chain checks, the definition-style
+    checks of U = V + eps_small W, the decrease margins at the probe indices
+    (with `margin_rows`) and the decrease profile at every seventh k. U at k
+    and at k + 1 on the step are the bits of `_lyap_U_candidate`'s `eval`:
+    (-T) S = -(T S), and S(k) does not depend on the range it is built in.
+    Returns the chain and definition verdicts, the margin rows (none if a
+    probe index fails its checks) and the profile rows (k, t, min margin).
+    """
+    X, Y = _chain_grid(grid_n, radius)
+    pts = np.stack([X, Y], axis=-1)
+    cand = _lyap_U_candidate(refs, gains, consts)
+    chain = _ChainChecks(refs, gains, consts, T, X, Y)
+    definition = _LyapunovChecks(cand, pts, 0.0)
+    probe = _LyapunovChecks(cand, pts, 0.0, collect_margins=True)
+    probes = set(_k_probes(T, refs.period)) if margin_rows else set()
+    n2 = np.sum(pts ** 2, axis=-1)
+    eps = consts.eps_small
+    prof = []
+    for k, V, Vn, TS, W, Wn in _chain_pass(refs, gains, T, X, Y, refs.period_steps(T)):
+        chain.check(k, V, Vn, TS, W, Wn)
+        U, Un = V + eps * W, Vn + eps * Wn
+        definition.check(T, k, U, lambda: Un)
+        if k in probes:
+            probe.check(T, k, U, lambda: Un)
+        if k % 7 == 0:
+            prof.append((k, k * T, float(np.min(-consts.c3_tilde * n2 - (Un - U) / T))))
+    return chain.result(), definition.result(), probe.result().margins.get("rows", []), prof
+
+
 def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit", _LYAP_LIMITS)
     T = p["T"]
@@ -485,40 +519,13 @@ def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
         metrics["violated_flag"] = consts.first_violated()
         return ExperimentResult("lyapunov-audit", 1, metrics, {}, {})
 
-    chain = audit_lyapunov_chain(refs, gains, consts, T, grid_n=grid_n, radius=radius)
+    chain, definition, rows, prof = _audit_pass(refs, gains, consts, T, grid_n, radius,
+                                                p["margin_rows"])
     metrics["chain"] = chain.to_json()
-
-    # the same function, audited against the definition-style conditions
-    sysm = closed_loop_euler_cascade(refs, gains)
-
-    def unforced(TT, k, x):
-        x = np.asarray(x, dtype=float)
-        return sysm.f(TT, k, x, np.zeros(x.shape[:-1] + (1,)))
-
-    F = ParameterizedMap(2, sysm.T_max, unforced, "custom", sysm.period)
-    cand = _lyap_U_candidate(refs, gains, consts)
-    X, Y = _chain_grid(grid_n, radius)
-    pts = np.stack([X, Y], axis=-1)
-    k_hi = refs.period_steps(T)
-    Delta = radius * math.sqrt(2.0) + 1.0
-
-    definition = audit_lyapunov(cand, F, Delta, 0.0, [T], pts, k_set=range(k_hi + 1))
     metrics["definition_audit"] = definition.to_json()
-
-    tables, plots = {}, {}
-    if p["margin_rows"]:
-        probe = audit_lyapunov(cand, F, Delta, 0.0, [T], pts, collect_margins=True)
-        rows = probe.margins.get("rows", [])
-        tables["decrease_margins"] = (["sample_id", "norm", "bound", "measured", "margin"],
-                                      _rows(rows))
-    # U = V + eps_small W at k and k + 1, every seventh k of the period
-    n2 = np.sum(pts ** 2, axis=-1)
-    eps = consts.eps_small
-    prof = []
-    for k, V, Vn, _, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi, stride=7):
-        dU = ((Vn + eps * Wn) - (V + eps * W)) / T
-        prof.append((k, k * T, float(np.min(-consts.c3_tilde * n2 - dU))))
-    plots["decrease_profile"] = (["k", "t", "min_margin"], _rows(prof))
+    tables = ({"decrease_margins": (["sample_id", "norm", "bound", "measured", "margin"],
+                                    _rows(rows))} if p["margin_rows"] else {})
+    plots = {"decrease_profile": (["k", "t", "min_margin"], _rows(prof))}
 
     status = 0 if (chain.kind == "pass" and definition.kind == "pass") else 1
     return ExperimentResult("lyapunov-audit", status, metrics, tables, plots)

@@ -179,6 +179,76 @@ def check_boundedness(system, kappa: ClassKFunction, c: float, Delta: float,
                               kappa, c)
 
 
+class _LyapunovChecks:
+    """The per-(T, k) checks of `audit_lyapunov` on the grid Y, in its order,
+    with its running margins, for callers that step the grid themselves.
+    Once a check has falsified, `falsified` holds its verdict and `check`
+    does nothing."""
+
+    def __init__(self, V: LyapunovCandidate, Y, nu: float, decrease_form: str = "as-printed",
+                 collect_margins: bool = False):
+        self.Y, self.norms = Y, np.linalg.norm(Y, axis=1)
+        # the k-free bounds, formed once: the sandwich, the decrease rate, and
+        # the Lipschitz bound on the consecutive grid pairs (Y[j], Y[j + 1])
+        self.lo, self.hi, a3 = (np.asarray(f(self.norms), dtype=float)
+                                for f in (V.alpha1, V.alpha2, V.alpha3))
+        self.rhs = ((lambda T: -T * (a3 + nu)) if decrease_form == "as-printed"
+                    else (lambda T: -T * a3 + T * nu))
+        gap = np.linalg.norm(Y[:-1] - Y[1:], axis=1)
+        self.lip = np.asarray(V.L_mod(np.maximum(self.norms[:-1], self.norms[1:])),
+                              dtype=float) * gap
+        self.keep = gap > 1e-12
+        self.worst = {"sandwich_lo": 0.0, "sandwich_hi": 0.0, "decrease": -math.inf,
+                      "lipschitz": 0.0}
+        self.rows = [] if collect_margins else None
+        self.falsified = None
+
+    def check(self, T: float, k: int, v, next_v) -> None:
+        """Check V's values `v` at (T, k) on the grid; `next_v()` gives V at
+        (T, k + 1) on the grid's step and is called once the sandwich holds."""
+        if self.falsified is not None:
+            return
+        Y, lo, hi, lip, worst = self.Y, self.lo, self.hi, self.lip, self.worst
+        v = np.asarray(v, dtype=float)
+        bad = _first_violation(
+            _one_step(v >= lo - _SLACK, T, k, Y, v, lo, "lower sandwich bound violated"),
+            _one_step(v <= hi + _SLACK, T, k, Y, v, hi, "upper sandwich bound violated"))
+        if bad is None:
+            rhs = self.rhs(T)
+            dv = np.asarray(next_v(), dtype=float) - v
+            lhs = np.abs(v[:-1] - v[1:])
+            bad = _first_violation(
+                _one_step(dv <= rhs + _SLACK, T, k, Y, dv, rhs, "decrease condition violated"),
+                _one_step(lhs <= lip + _SLACK, T, k, Y, lhs, lip, "Lipschitz modulus violated"))
+        if bad is not None:
+            self.falsified = bad
+            return
+        if self.rows is not None:
+            self.rows.append(np.column_stack([np.arange(len(Y)), self.norms, rhs, dv, rhs - dv]))
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst["sandwich_lo"] = max(worst["sandwich_lo"],
+                                       float(np.max(np.where(v > 0, lo / v, 0.0))))
+            worst["sandwich_hi"] = max(worst["sandwich_hi"],
+                                       float(np.max(np.where(hi > 0, v / hi, 0.0))))
+            worst["decrease"] = max(worst["decrease"], float(np.max(dv - rhs)))
+            if np.any(self.keep):
+                worst["lipschitz"] = max(
+                    worst["lipschitz"],
+                    float(np.max(lhs[self.keep] / np.maximum(lip[self.keep], 1e-300))))
+
+    def result(self) -> StabilityVerdict:
+        """The falsified verdict, or the pass; collected margin rows are
+        (sample_id, norm, bound, measured, margin) per state per (T, k)."""
+        if self.falsified is not None:
+            return self.falsified
+        margins = dict(self.worst)
+        if self.rows is not None:
+            margins["rows"] = np.concatenate(self.rows) if self.rows else np.empty((0, 5))
+        return StabilityVerdict("pass", None, "sandwich, decrease and Lipschitz claims hold",
+                                margins)
+
+
 def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: float,
                    T_list, grid, decrease_form: str = "as-printed",
                    k_set=None, collect_margins: bool = False) -> StabilityVerdict:
@@ -193,55 +263,14 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
     if decrease_form not in ("as-printed", "conventional"):
         raise ValueError("decrease_form must be 'as-printed' or 'conventional'")
     Y = _resolve_grid(grid, Delta, F.dim)
-    norms = np.linalg.norm(Y, axis=1)
-    # the k-free bounds, formed once: the sandwich, the decrease rate, and
-    # the Lipschitz bound on the consecutive grid pairs (Y[j], Y[j + 1])
-    lo, hi, a3 = (np.asarray(f(norms), dtype=float) for f in (V.alpha1, V.alpha2, V.alpha3))
-    gap = np.linalg.norm(Y[:-1] - Y[1:], axis=1)
-    lip = np.asarray(V.L_mod(np.maximum(norms[:-1], norms[1:])), dtype=float) * gap
-    keep = gap > 1e-12
-    worst = {"sandwich_lo": 0.0, "sandwich_hi": 0.0, "decrease": -math.inf, "lipschitz": 0.0}
-    rows = []
-
+    checks = _LyapunovChecks(V, Y, nu, decrease_form, collect_margins)
     for T in sorted(float(t) for t in T_list):
-        rhs = -T * (a3 + nu) if decrease_form == "as-printed" else -T * a3 + T * nu
         for k in (_k_probes(T, F.period) if k_set is None else k_set):
             k = int(k)
-            v = np.asarray(V.eval(T, k, Y), dtype=float)
-            bad = _first_violation(
-                _one_step(v >= lo - _SLACK, T, k, Y, v, lo, "lower sandwich bound violated"),
-                _one_step(v <= hi + _SLACK, T, k, Y, v, hi, "upper sandwich bound violated"))
-            if bad is not None:
-                return bad
-
-            Yn = np.asarray(F.step(T, k, Y), dtype=float)
-            dv = np.asarray(V.eval(T, k + 1, Yn), dtype=float) - v
-            lhs = np.abs(v[:-1] - v[1:])
-            bad = _first_violation(
-                _one_step(dv <= rhs + _SLACK, T, k, Y, dv, rhs, "decrease condition violated"),
-                _one_step(lhs <= lip + _SLACK, T, k, Y, lhs, lip, "Lipschitz modulus violated"))
-            if bad is not None:
-                return bad
-            if collect_margins:
-                rows.extend(
-                    (int(i), float(norms[i]), float(rhs[i]), float(dv[i]), float(rhs[i] - dv[i]))
-                    for i in range(len(Y)))
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                worst["sandwich_lo"] = max(worst["sandwich_lo"],
-                                           float(np.max(np.where(v > 0, lo / v, 0.0))))
-                worst["sandwich_hi"] = max(worst["sandwich_hi"],
-                                           float(np.max(np.where(hi > 0, v / hi, 0.0))))
-                worst["decrease"] = max(worst["decrease"], float(np.max(dv - rhs)))
-                if np.any(keep):
-                    worst["lipschitz"] = max(
-                        worst["lipschitz"],
-                        float(np.max(lhs[keep] / np.maximum(lip[keep], 1e-300))))
-
-    margins = dict(worst)
-    if collect_margins:
-        margins["rows"] = rows
-    return StabilityVerdict("pass", None, "sandwich, decrease and Lipschitz claims hold", margins)
+            checks.check(T, k, V.eval(T, k, Y), lambda: V.eval(T, k + 1, F.step(T, k, Y)))
+            if checks.falsified is not None:
+                return checks.falsified
+    return checks.result()
 
 
 def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,

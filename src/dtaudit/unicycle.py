@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cascade import CascadeSystem, _stacked_step, rollout
+from .cascade import CascadeSystem, _rollout_chunks, _stacked_step
 from .discretize import VectorField, exact_proxy_map
 # perfbench/layers.py wraps the map builder under this name on this module
 from .discretize import euler_map  # noqa: F401
@@ -543,6 +543,79 @@ def lyap_U(k: int, x, refs: ReferenceSignal, gains: ControllerGains,
         k, y_e, refs, T, tail_tol=1e-12)
 
 
+class _ChainChecks:
+    """The per-k checks of `audit_lyapunov_chain` on one grid, in its order,
+    with its running margins.
+
+    `check` takes one `_chain_pass` row, so `audit_lyapunov_chain` and a
+    caller with its own pass over the same grid drive the same checks. Once
+    a check has falsified, `falsified` holds its verdict and `check` does
+    nothing.
+    """
+
+    def __init__(self, refs: ReferenceSignal, gains: ControllerGains,
+                 constants: CaseStudyConstants, T: float, X, Y):
+        bad = constants.first_violated()
+        if bad is not None:
+            raise PreconditionError(f"constant flag violated: {bad}")
+        c = self.c = constants
+        self.refs, self.alpha_y, self.T, self.Y = refs, gains.alpha_y, T, Y
+        self.pts = np.stack([X, Y], axis=-1)
+        self.n2 = n2 = X * X + Y * Y
+        # the k-free bounds, formed once
+        self.lo_V, self.hi, self.lo_U, self.rhsU = (c.c1 * n2, c.c2 * n2, c.c1 / 2.0 * n2,
+                                                    -c.c3_tilde * n2)
+        self.aX2, self.K1n2 = c.alpha_x * X * X, T * c.K1 * n2
+        self.aY2, self.K2X2 = c.alpha_y_tilde * Y * Y, c.K2 * X * X
+        self.margins = {"V_decrease": math.inf, "W_decrease": math.inf, "U_decrease": math.inf,
+                        "V_lo": math.inf, "V_hi": -math.inf, "U_lo": math.inf, "U_hi": -math.inf,
+                        "W_sandwich_lo": math.inf, "W_sandwich_hi": -math.inf}
+        self.falsified = None
+
+    def check(self, k, V, Vn, TS, W, Wn) -> None:
+        """Check the chain at step index k from its `_chain_pass` row."""
+        if self.falsified is not None:
+            return
+        c, T, pts, Y = self.c, self.T, self.pts, self.Y
+        w = float(self.refs.omega_r(k * T))
+        dV = (Vn - V) / T
+        rhsV = -(self.aX2 + self.alpha_y * w * w * Y * Y) + self.K1n2
+        dW = (Wn - W) / T
+        rhsW = w * w * Y * Y - self.aY2 + self.K2X2
+        U = V + c.eps_small * W
+        dU = (Vn + c.eps_small * Wn - U) / T
+        ratioV, ratioU = V / self.n2, U / self.n2
+        rhsU = self.rhsU
+        self.falsified = _first_violation(
+            _one_step(ratioV >= c.c1 - _SLACK, T, k, pts, V, self.lo_V,
+                      "V lower sandwich violated"),
+            _one_step(ratioV <= c.c2 + _SLACK, T, k, pts, V, self.hi, "V upper sandwich violated"),
+            _one_step(dV <= rhsV + _SLACK, T, k, pts, dV, rhsV, "V decrease violated"),
+            # the W sandwich c4 <= T*S(k) <= c3, upper side first
+            ([TS <= c.c3 + _SLACK, TS >= c.c4 - _SLACK],
+             lambda i: Witness.of(T, k, pts[0], k, TS, (c.c3, c.c4)[i]), "W sandwich violated"),
+            _one_step(dW <= rhsW + _SLACK, T, k, pts, dW, rhsW, "W decrease violated"),
+            _one_step(ratioU >= c.c1 / 2.0 - _SLACK, T, k, pts, U, self.lo_U,
+                      "U lower sandwich violated"),
+            _one_step(ratioU <= c.c2 + _SLACK, T, k, pts, U, self.hi, "U upper sandwich violated"),
+            _one_step(dU <= rhsU + _SLACK, T, k, pts, dU, rhsU, "U decrease violated"))
+        if self.falsified is not None:
+            return
+
+        margins = self.margins
+        for key, val in (("V_lo", ratioV), ("V_decrease", rhsV - dV), ("W_sandwich_lo", TS),
+                         ("W_decrease", rhsW - dW), ("U_lo", ratioU), ("U_decrease", rhsU - dU)):
+            margins[key] = min(margins[key], float(np.min(val)))
+        for key, val in (("V_hi", ratioV), ("W_sandwich_hi", TS), ("U_hi", ratioU)):
+            margins[key] = max(margins[key], float(np.max(val)))
+
+    def result(self) -> StabilityVerdict:
+        """The falsified verdict, or the pass with the margins so far."""
+        if self.falsified is not None:
+            return self.falsified
+        return StabilityVerdict("pass", None, "Lyapunov chain holds on the grid", self.margins)
+
+
 def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
                          constants: CaseStudyConstants, T: float,
                          grid_n: int = 41, radius: float = 5.0,
@@ -555,52 +628,14 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
     the fitted K2, the U sandwich, and the U-decrease at rate c3_tilde.
     Any violation falsifies with the exact sample.
     """
-    bad = constants.first_violated()
-    if bad is not None:
-        raise PreconditionError(f"constant flag violated: {bad}")
-    c = constants
-    k_hi = refs.period_steps(T) if k_max is None else int(k_max)
     X, Y = _chain_grid(grid_n, radius)
-    pts = np.stack([X, Y], axis=-1)
-    n2 = X * X + Y * Y
-    # the k-free bounds, formed once
-    lo_V, hi, lo_U, rhsU = c.c1 * n2, c.c2 * n2, c.c1 / 2.0 * n2, -c.c3_tilde * n2
-    aX2, K1n2, aY2, K2X2 = c.alpha_x * X * X, T * c.K1 * n2, c.alpha_y_tilde * Y * Y, c.K2 * X * X
-    margins = {"V_decrease": math.inf, "W_decrease": math.inf, "U_decrease": math.inf,
-               "V_lo": math.inf, "V_hi": -math.inf, "U_lo": math.inf, "U_hi": -math.inf,
-               "W_sandwich_lo": math.inf, "W_sandwich_hi": -math.inf}
-
-    for k, V, Vn, TS, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi, tail_tol):
-        w = float(refs.omega_r(k * T))
-        dV = (Vn - V) / T
-        rhsV = -(aX2 + gains.alpha_y * w * w * Y * Y) + K1n2
-        dW = (Wn - W) / T
-        rhsW = w * w * Y * Y - aY2 + K2X2
-        U = V + c.eps_small * W
-        dU = (Vn + c.eps_small * Wn - U) / T
-        ratioV, ratioU = V / n2, U / n2
-        bad = _first_violation(
-            _one_step(ratioV >= c.c1 - _SLACK, T, k, pts, V, lo_V, "V lower sandwich violated"),
-            _one_step(ratioV <= c.c2 + _SLACK, T, k, pts, V, hi, "V upper sandwich violated"),
-            _one_step(dV <= rhsV + _SLACK, T, k, pts, dV, rhsV, "V decrease violated"),
-            # the W sandwich c4 <= T*S(k) <= c3, upper side first
-            ([TS <= c.c3 + _SLACK, TS >= c.c4 - _SLACK],
-             lambda i: Witness.of(T, k, pts[0], k, TS, (c.c3, c.c4)[i]), "W sandwich violated"),
-            _one_step(dW <= rhsW + _SLACK, T, k, pts, dW, rhsW, "W decrease violated"),
-            _one_step(ratioU >= c.c1 / 2.0 - _SLACK, T, k, pts, U, lo_U,
-                      "U lower sandwich violated"),
-            _one_step(ratioU <= c.c2 + _SLACK, T, k, pts, U, hi, "U upper sandwich violated"),
-            _one_step(dU <= rhsU + _SLACK, T, k, pts, dU, rhsU, "U decrease violated"))
-        if bad is not None:
-            return bad
-
-        for key, val in (("V_lo", ratioV), ("V_decrease", rhsV - dV), ("W_sandwich_lo", TS),
-                         ("W_decrease", rhsW - dW), ("U_lo", ratioU), ("U_decrease", rhsU - dU)):
-            margins[key] = min(margins[key], float(np.min(val)))
-        for key, val in (("V_hi", ratioV), ("W_sandwich_hi", TS), ("U_hi", ratioU)):
-            margins[key] = max(margins[key], float(np.max(val)))
-
-    return StabilityVerdict("pass", None, "Lyapunov chain holds on the grid", margins)
+    checks = _ChainChecks(refs, gains, constants, T, X, Y)
+    k_hi = refs.period_steps(T) if k_max is None else int(k_max)
+    for row in _chain_pass(refs, gains, T, X, Y, k_hi, tail_tol):
+        checks.check(*row)
+        if checks.falsified is not None:
+            break
+    return checks.result()
 
 
 # --- reference presets ------------------------------------------------
@@ -688,13 +723,17 @@ def _simulate_variant(refs, gains, T, x0, steps, plant, bad_norm):
             except IntegrationError:
                 return np.full_like(Y, np.nan)  # a failed step diverges
 
-    states = rollout(step, T, 0, x0, steps)[0][:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~(np.linalg.norm(states, axis=1) <= bad_norm)
-    if np.any(bad):
-        first_bad = int(np.argmax(bad))
-        return states[:first_bad], True, first_bad
-    return states, False, None
+    # the states after the first divergent step are dropped, so the
+    # rollout stops after the chunk that holds it
+    chunks = []
+    for i0, states, _ in _rollout_chunks(step, T, 0, x0, steps):
+        chunks.append(states[:, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~(np.linalg.norm(states[:, 0], axis=1) <= bad_norm)
+        if np.any(bad):
+            first_bad = i0 + int(np.argmax(bad))
+            return np.concatenate(chunks)[:first_bad], True, first_bad
+    return np.concatenate(chunks), False, None
 
 
 def _score_variant(states, refs, gains, T, diverged, first_bad):

@@ -219,14 +219,18 @@ def test_rerun_is_byte_identical(tmp_path, capsys, experiment, params):
 def test_emit_report_handles_empty_tables(tmp_path):
     result = ExperimentResult("toy", 0, {"answer": 42},
                               {"empty": (["a", "b"], np.zeros((0, 2)))},
-                              {"flat": (["x", "y"], np.array([[1.0, 2.0]]))})
+                              {"flat": (["x", "y"], np.array([[1.0, 2.0]])),
+                               "ints": (["k", "n"], np.array([[1, -2], [0, 3]]))})
     written = emit_report(result, tmp_path / "r", "abcdef012345", 3)
     names = sorted(p.name for p in written)
-    assert names == ["empty.csv", "flat.dat", "metrics.json"]
+    assert names == ["empty.csv", "flat.dat", "ints.dat", "metrics.json"]
     csv_lines = (tmp_path / "r" / "empty.csv").read_text().splitlines()
     assert csv_lines == ["# config=abcdef012345 seed=3", "a,b"]
     flat = (tmp_path / "r" / "flat.dat").read_text().splitlines()
     assert flat[-1] == "1.0 2.0"
+    # an int column is written as a float
+    ints = (tmp_path / "r" / "ints.dat").read_text().splitlines()
+    assert ints[-2:] == ["1.0 -2.0", "0.0 3.0"]
     payload = json.loads((tmp_path / "r" / "metrics.json").read_text())
     assert payload["metrics"] == {"answer": 42}
 

@@ -9,9 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dtaudit import (ConfigError, closed_loop_euler_cascade, demo_references, experiments,
-                     list_experiments, run_named, sample_ball, validated_gains,
-                     validated_references)
+from dtaudit import (ConfigError, ParameterizedMap, audit_lyapunov, cascade,
+                     closed_loop_euler_cascade, demo_references, experiments, list_experiments,
+                     run_named, sample_ball, unicycle, validated_gains, validated_references)
 from dtaudit.cli import main
 from dtaudit.verdict import _plain
 
@@ -236,6 +236,104 @@ def test_lyapunov_audit_validated_regime_passes():
     # every profiled step keeps a nonnegative decrease margin
     prof = res.plots["decrease_profile"][1]
     assert np.all(prof[:, 2] >= -1e-9)
+
+
+def _separate_lyapunov_audits(refs, gains, c, T, grid_n, radius):
+    """The audits of `lyapunov-audit` as separate loops: the chain audit,
+    the definition audit over the period and at the probe indices with
+    margin rows, each stepping the unforced closed loop itself, and the
+    decrease profile from its own stride-7 chain pass."""
+    chain = unicycle.audit_lyapunov_chain(refs, gains, c, T, grid_n=grid_n, radius=radius)
+    sysm = closed_loop_euler_cascade(refs, gains)
+    F = ParameterizedMap(2, sysm.T_max, lambda TT, k, x: sysm.f(TT, k, x, np.zeros((len(x), 1))),
+                         "custom", sysm.period)
+    cand = experiments._lyap_U_candidate(refs, gains, c)
+    X, Y = unicycle._chain_grid(grid_n, radius)
+    pts = np.stack([X, Y], axis=-1)
+    Delta = radius * math.sqrt(2.0) + 1.0
+    definition = audit_lyapunov(cand, F, Delta, 0.0, [T], pts,
+                                k_set=range(refs.period_steps(T) + 1))
+    probe = audit_lyapunov(cand, F, Delta, 0.0, [T], pts, collect_margins=True)
+    n2 = np.sum(pts ** 2, axis=-1)
+    eps = c.eps_small
+    prof = [(k, k * T, float(np.min(-c.c3_tilde * n2 - ((Vn + eps * Wn) - (V + eps * W)) / T)))
+            for k, V, Vn, _, W, Wn in unicycle._chain_pass(refs, gains, T, X, Y,
+                                                           refs.period_steps(T), stride=7)]
+    return chain, definition, probe.margins.get("rows", []), prof
+
+
+# c3_tilde = 0.009 breaks the U decrease at k = 577 but not at the probe
+# indices 0, 1, 314 and 627, where it holds up to about 0.0099
+@pytest.mark.parametrize("doctor, chain_kind, definition_kind, has_rows", [
+    ({}, "pass", "pass", True),
+    ({"c2": "half c1"}, "falsified", "falsified", False),
+    ({"c3": 0.05, "c3_tilde": 1e3}, "falsified", "falsified", False),
+    ({"c3_tilde": 0.009}, "falsified", "falsified", True),
+])
+def test_lyapunov_audit_pass_equals_the_separate_audits(doctor, chain_kind, definition_kind,
+                                                        has_rows):
+    """One pass gives the verdicts (kind, witness, detail, margins), margin
+    rows and decrease profile of the separate audits, falsified or not."""
+    T, grid_n, radius = 0.01, 9, 5.0
+    refs, gains = unicycle._preset("validated", T)
+    c = unicycle.compute_case_constants(refs, gains, T, 2.0, grid_n=grid_n, radius=radius)
+    if doctor.get("c2") == "half c1":
+        doctor = {"c2": 0.5 * c.c1}
+    c = dataclasses.replace(c, **doctor)
+    got = experiments._audit_pass(refs, gains, c, T, grid_n, radius, True)
+    want = _separate_lyapunov_audits(refs, gains, c, T, grid_n, radius)
+    assert (got[0].kind, got[1].kind, len(got[2]) > 0) == (chain_kind, definition_kind,
+                                                             has_rows)
+    assert got[0] == want[0] and got[1] == want[1]
+    assert got[0].to_json() == want[0].to_json() and got[1].to_json() == want[1].to_json()
+    assert np.array_equal(experiments._rows(got[2]), experiments._rows(want[2]))
+    assert got[3] == want[3]
+
+
+def test_lyapunov_audit_steps_the_closed_loop_once_per_k_and_pass(monkeypatch):
+    """The constants fit and the audits each make one pass over the 630
+    indices of the period: 1,260 closed-loop steps, where fitting, chain,
+    definition audit, probes and profile stepping apart made 1,984."""
+    calls = {"f": 0}
+
+    def counted(build):
+        def counted_build(*args):
+            sysm = build(*args)
+
+            def f(*a):
+                calls["f"] += 1
+                return sysm.f(*a)
+
+            return dataclasses.replace(sysm, f=f)
+        return counted_build
+
+    for module in (experiments, unicycle):
+        monkeypatch.setattr(module, "closed_loop_euler_cascade",
+                            counted(module.closed_loop_euler_cascade))
+    assert run_named("lyapunov-audit", {}).status == 0
+    assert calls == {"f": 1260}
+
+
+def test_unicycle_compare_stops_stepping_a_diverged_variant(monkeypatch):
+    """At defaults `scaled` diverges at step 101: its rollout ends with the
+    chunk that holds that step, while the other variants run all 1,000."""
+    calls = {}
+    build = unicycle.closed_loop_euler_cascade
+
+    def counted_build(refs, gains):
+        sysm = build(refs, gains)
+
+        def f(*a):
+            calls[gains.use_correction] = calls.get(gains.use_correction, 0) + 1
+            return sysm.f(*a)
+
+        return dataclasses.replace(sysm, f=f)
+
+    monkeypatch.setattr(unicycle, "closed_loop_euler_cascade", counted_build)
+    res = run_named("unicycle-compare", {})
+    assert res.metrics["variants"]["scaled"]["first_divergent_step"] == 101
+    assert calls["none"] == calls["full"] == 1000
+    assert calls["scaled"] <= cascade._CHUNK
 
 
 @pytest.fixture(scope="module")
