@@ -267,7 +267,8 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
     for T in sorted(float(t) for t in T_list):
         for k in (_k_probes(T, F.period) if k_set is None else k_set):
             k = int(k)
-            checks.check(T, k, V.eval(T, k, Y), lambda: V.eval(T, k + 1, F.step(T, k, Y)))
+            checks.check(T, k, V.eval(T, k, Y),
+                         lambda: V.eval(T, k + 1, np.asarray(F.step(T, k, Y), dtype=float)))
             if checks.falsified is not None:
                 return checks.falsified
     return checks.result()
