@@ -429,6 +429,15 @@ THEOREM_GOLDEN = [
     (THEOREM_FALLBACK, 7, 1, {
         "envelopes.dat": "215acd58d261038ac61043e092a71de19f55e7d41efec33defc50c50a2590ae5",
         "metrics.json": "090afd10d7ee493ea600df674ce54689126b9b93257f3142b083e686f9418cdf"}),
+    # the growth certificate passes and summability is inconclusive at this
+    # horizon; the U candidate runs at T = 0.02, and at T = 0.005 its S(k)
+    # table grows past k = 1,024
+    ({"T": 0.02, "T_list": [0.02], "horizon_s": 10.0, "n_ball": 9, "grid_n": 11}, 0, 1, {
+        "envelopes.dat": "bd3219aea441d4d307b130ac49f02f546c9a42151c895effc1b71200829dc3e2",
+        "metrics.json": "5b59063685c3c115b6a5b8adee79fd58e51bb69237bdd90d61b98c98ff96527e"}),
+    ({"T": 0.005, "T_list": [0.01], "horizon_s": 10.0, "n_ball": 9, "grid_n": 11}, 0, 1, {
+        "envelopes.dat": "0126ea71bdd1dea488e937801b530eba658414e488f29b3545b37ec90af0ef90",
+        "metrics.json": "8a4cf81edd284f1e39f044437c48f5db41fdfad841cfafdeb562227c42b9a82b"}),
 ]
 
 
