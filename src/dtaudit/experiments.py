@@ -22,17 +22,17 @@ from .discretize import (VectorField, consistency_order, euler_map,
                          ParameterizedMap)
 from .numerics import (ClassKFunction, fit_kl_envelope, horizon_index,
                        kl_compose)
-from .stability import (CertificateParams, LyapunovCandidate, PreconditionError,
-                        _LyapunovChecks, boundedness_escape, build_ugb_certificate,
-                        check_summability, spuas_escape)
+from .stability import (CertificateParams, LyapunovCandidate, _LyapunovChecks,
+                        boundedness_escape, build_ugb_certificate, check_summability,
+                        spuas_escape)
 # perfbench/layers.py wraps the sweeps and the Lyapunov audits under these
 # names on this module
 from .stability import audit_lyapunov, check_boundedness, falsify_spuas  # noqa: F401
 from .unicycle import audit_lyapunov_chain  # noqa: F401
-from .unicycle import (_PRESETS, _ChainChecks, _chain_grid, _chain_pass, _energy_profile,
-                       _gains_from_spec, _preset, _refs_from_spec, _score_variant,
-                       _simulate_variant, check_pe, closed_loop_euler_cascade,
-                       compute_case_constants, error_dynamics_field, lyap_V, pe_window_sums)
+from .unicycle import (_PRESETS, _ChainChecks, _chain_grid, _chain_pass, _gains_from_spec,
+                       _preset, _refs_from_spec, _score_variant, _simulate_variant, check_pe,
+                       closed_loop_euler_cascade, compute_case_constants,
+                       error_dynamics_field, lyap_U, pe_window_sums)
 
 
 class ConfigError(ValueError):
@@ -302,7 +302,7 @@ def run_comparison_experiment(config: dict | None = None) -> dict:
     if g["alpha_y"] is not None:
         g = dict(g, alpha_y=_typed(g["alpha_y"], 0.0, "unicycle-compare.gains.alpha_y"))
     try:  # a bad reference, a gain that is not positive or an unknown variant
-        refs = _refs_from_spec(cfg["refs"], T)
+        refs = _refs_from_spec(cfg["refs"])
         gains = [_gains_from_spec(g, T, variant) for variant in cfg["variants"]]
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -382,7 +382,7 @@ def _run_consistency(params: dict, seed: int) -> ExperimentResult:
                           f"got {p['T_list']!r}")
     if p["plant"] != "unicycle":
         raise ConfigError("only the unicycle tracking-error plant is wired in")
-    refs = _preset(p["regime"], p["T_list"][0])[0]
+    refs = _refs_from_spec(_PRESETS[p["regime"]][0])
     held = np.asarray(p["held_input"])
     if held.shape != (2,):
         raise ConfigError("consistency-sweep.held_input must be a pair (v, omega)")
@@ -436,39 +436,9 @@ _LYAP_LIMITS = {"regime": "'demo' or 'validated'", "T": "positive", "L_pe": "pos
 
 
 def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
-    """The combined function U = V + eps_small W with the comparison
-    functions its constant chain gives.
-
-    `eval` is `lyap_U` with S(k) read from one table per period, built on
-    first use and extended over the new range only when a larger k
-    arrives; every S(k) has the same bits whatever the range it is
-    computed in, so the values are those of `lyap_U`.
-    """
-    tables = {}  # T -> S(k) at k = 0..n-1
-
-    def energy(T, k):
-        tab = tables.get(T, np.empty(0))
-        if len(tab) <= k:  # at least double it, computing the new range only
-            hi = max(k, 2 * len(tab), 63)
-            tab = tables[T] = np.concatenate([tab, _energy_profile(refs, T, len(tab), hi,
-                                                                   1e-12)])
-        return tab[k]
-
-    def U(T, k, x):
-        bad = consts.first_violated()
-        if bad is not None:
-            raise PreconditionError(f"constant flag violated: {bad}")
-        k = int(k)
-        if k < 0:
-            raise ValueError("step index must be nonnegative")
-        x = np.asarray(x, dtype=float)
-        x_e, y_e = x[..., 0], x[..., 1]
-        W = -T * energy(T, k) * y_e * y_e
-        return np.asarray(lyap_V(k, x_e, y_e, refs, gains, T) + consts.eps_small * W,
-                          dtype=float)
-
+    """`lyap_U` with the comparison functions its constant chain gives."""
     return LyapunovCandidate(
-        eval=U,
+        eval=lambda T, k, x: np.asarray(lyap_U(int(k), x, refs, gains, consts, T), dtype=float),
         alpha1=ClassKFunction.power(consts.c1 / 2.0, 2.0),
         alpha2=ClassKFunction.power(consts.c2, 2.0),
         alpha3=ClassKFunction.power(consts.c3_tilde, 2.0),
@@ -482,8 +452,8 @@ def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
     Each k's closed-loop step feeds the chain checks, the definition-style
     checks of U = V + eps_small W, the decrease margins at the probe indices
     (with `margin_rows`) and the decrease profile at every seventh k. U at k
-    and at k + 1 on the step are the bits of `_lyap_U_candidate`'s `eval`:
-    (-T) S = -(T S), and S(k) does not depend on the range it is built in.
+    and at k + 1 on the step are the bits of `lyap_U`: (-T) S = -(T S), and
+    both read S(k) from the reference's table.
     Returns the chain and definition verdicts, the margin rows (none if a
     probe index fails its checks) and the profile rows (k, t, min margin).
     """
@@ -548,7 +518,7 @@ def _run_pe_check(params: dict, seed: int) -> ExperimentResult:
     T_list = list(p["T_list"])
     T0, L, mu = T_list[0], p["L"], p["mu"]
     try:
-        refs = _refs_from_spec(p["refs"], T0)
+        refs = _refs_from_spec(p["refs"])
     except ValueError as err:  # a bad reference
         raise ConfigError(str(err)) from err
 

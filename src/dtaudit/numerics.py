@@ -158,10 +158,9 @@ class KLBound:
 
     Forms:
       exp          M * s * exp(-lam * t), M >= 1, lam > 0
-      sigma-kappa  sigma(kappa(s) * exp(shift - t))
       composite    the cascade composition of three shifted bounds and a
                    gain (see `kl_compose`); kept structurally because the
-                   composition leaves the two parametric families
+                   composition leaves the parametric family
     """
 
     form: str
@@ -171,11 +170,6 @@ class KLBound:
         if self.form == "exp":
             if not (self.params["M"] >= 1.0 and self.params["lam"] > 0.0):
                 raise ValueError("exp form needs M >= 1 and lam > 0")
-        elif self.form == "sigma-kappa":
-            if not isinstance(self.params["sigma"], ClassKFunction) or not isinstance(
-                self.params["kappa"], ClassKFunction
-            ):
-                raise ValueError("sigma-kappa form stores two ClassKFunction values")
         elif self.form != "composite":
             raise ValueError(f"unknown form {self.form!r}")
 
@@ -183,18 +177,11 @@ class KLBound:
     def exponential(cls, M: float, lam: float) -> "KLBound":
         return cls("exp", {"M": float(M), "lam": float(lam)})
 
-    @classmethod
-    def sigma_kappa(cls, sigma: ClassKFunction, kappa: ClassKFunction, shift: float = 0.0) -> "KLBound":
-        return cls("sigma-kappa", {"sigma": sigma, "kappa": kappa, "shift": float(shift)})
-
     def __call__(self, s, t):
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         if self.form == "exp":
             out = self.params["M"] * s * np.exp(-self.params["lam"] * t)
-        elif self.form == "sigma-kappa":
-            p = self.params
-            out = np.asarray(p["sigma"](p["kappa"](s) * np.exp(p["shift"] - t)))
         else:
             p = self.params
             b1, b2, b3, gamma = p["b1"], p["b2"], p["b3"], p["gamma"]
@@ -210,12 +197,6 @@ class KLBound:
     def to_json(self) -> dict:
         if self.form == "exp":
             return {"kind": "exp", "params": dict(self.params)}
-        if self.form == "sigma-kappa":
-            p = self.params
-            return {
-                "kind": "sigma-kappa",
-                "params": {"sigma": p["sigma"].to_json(), "kappa": p["kappa"].to_json(), "shift": p["shift"]},
-            }
         p = self.params
         return {
             "kind": "composite",
@@ -235,12 +216,6 @@ class KLBound:
         kind, params = obj["kind"], obj["params"]
         if kind == "exp":
             return cls.exponential(params["M"], params["lam"])
-        if kind == "sigma-kappa":
-            return cls.sigma_kappa(
-                ClassKFunction.from_json(params["sigma"]),
-                ClassKFunction.from_json(params["kappa"]),
-                params["shift"],
-            )
         return cls(
             "composite",
             {
@@ -282,9 +257,6 @@ def kl_shift(beta: KLBound, c: float) -> KLBound:
     if beta.form == "exp":
         p = beta.params
         return KLBound.exponential(p["M"] * math.exp(p["lam"] * c), p["lam"])
-    if beta.form == "sigma-kappa":
-        p = beta.params
-        return KLBound.sigma_kappa(p["sigma"], p["kappa"], p["shift"] + c)
     # composite: the half-time slots absorb c/2, the tail slot absorbs c
     p = dict(beta.params)
     p["b1"] = kl_shift(p["b1"], c / 2.0)

@@ -228,14 +228,14 @@ class _LyapunovChecks:
 
         with np.errstate(divide="ignore", invalid="ignore"):
             worst["sandwich_lo"] = max(worst["sandwich_lo"],
-                                       float(np.max(np.where(v > 0, lo / v, 0.0))))
+                                       float(np.where(v > 0, lo / v, 0.0).max()))
             worst["sandwich_hi"] = max(worst["sandwich_hi"],
-                                       float(np.max(np.where(hi > 0, v / hi, 0.0))))
-            worst["decrease"] = max(worst["decrease"], float(np.max(dv - rhs)))
+                                       float(np.where(hi > 0, v / hi, 0.0).max()))
+            worst["decrease"] = max(worst["decrease"], float((dv - rhs).max()))
             if np.any(self.keep):
                 worst["lipschitz"] = max(
                     worst["lipschitz"],
-                    float(np.max(lhs[self.keep] / np.maximum(lip[self.keep], 1e-300))))
+                    float((lhs[self.keep] / np.maximum(lip[self.keep], 1e-300)).max()))
 
     def result(self) -> StabilityVerdict:
         """The falsified verdict, or the pass; collected margin rows are

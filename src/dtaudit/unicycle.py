@@ -15,7 +15,7 @@ is positive and all audits run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,13 +77,16 @@ class ReferenceSignal:
     Lyapunov chain audit one period of start indices, and the error
     dynamics and closed loop built on the references declare it as the
     period of their time variation.
+
+    The decay-weighted excitation S(k) of each period is summed once, into
+    a table that `_energy_profile` extends and serves.
     """
 
     v_r: callable
     omega_r: callable
-    T: float
     w_M: float
     period: float = math.tau
+    _energy: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def period_steps(self, T: float) -> int:
         """Steps of period T that cover one reference period: ceil(period / T)."""
@@ -353,26 +356,37 @@ def lyap_V_bounds(gains: ControllerGains, w_M: float, T_star: float) -> tuple[fl
     return c1, c2, c1 > 0.0
 
 
-def _energy_profile(refs: ReferenceSignal, T: float, k_lo: int, k_hi: int,
-                    tail_tol: float) -> np.ndarray:
-    """S(k) = sum_{i=k}^{k+N} e^{(k-i)T} omega_r(iT)^2 for k = k_lo..k_hi.
+# the truncated tail of S(k), below 2 w_M^2 e^{-NT}, stays under this
+_TAIL_TOL = 1e-12
 
-    N is set by `tail_tol`. Every S(k) sums the same N + 1 products in the
-    same order, so its bits do not depend on k_lo or k_hi.
+
+def _energy_profile(refs: ReferenceSignal, T: float, k_lo: int, k_hi: int) -> np.ndarray:
+    """S(k) = sum_{i=k}^{k+N} e^{(k-i)T} omega_r(iT)^2 for k = k_lo..k_hi,
+    read from the reference's table for period T.
+
+    N is set by `_TAIL_TOL`. Every S(k) sums the same N + 1 products in the
+    same order, so its bits do not depend on the range it is summed in: the
+    table sums only the new range, at least doubling it, when a larger k
+    arrives, and a summed range is never written to.
     """
-    if not tail_tol > 0.0:
-        raise ValueError("tail_tol must be positive")
-    # the geometric tail past N is below 2 w_M^2 e^{-NT}
-    N = int(math.ceil(math.log(2.0 * refs.w_M * refs.w_M / tail_tol) / T))
-    i = np.arange(k_lo, k_hi + N + 1)
-    decay = np.exp((k_lo - i[:N + 1]) * T)
-    w2 = np.asarray(refs.omega_r(i * T), dtype=float) ** 2
-    return np.array([np.sum(decay * w2[j:j + N + 1]) for j in range(k_hi - k_lo + 1)])
+    if k_lo < 0:
+        raise ValueError("step index must be nonnegative")
+    tab = refs._energy.get(T, np.empty(0))
+    if len(tab) <= k_hi:
+        lo, hi = len(tab), max(k_hi, 2 * len(tab), 63)
+        N = int(math.ceil(math.log(2.0 * refs.w_M * refs.w_M / _TAIL_TOL) / T))
+        i = np.arange(lo, hi + N + 1)
+        decay = np.exp((lo - i[:N + 1]) * T)
+        w2 = np.asarray(refs.omega_r(i * T), dtype=float) ** 2
+        tab = np.concatenate([tab, [np.sum(decay * w2[j:j + N + 1]) for j in range(hi - lo + 1)]])
+        tab.flags.writeable = False
+        refs._energy[T] = tab
+    return tab[k_lo:k_hi + 1]
 
 
-def lyap_W(k: int, y_e, refs: ReferenceSignal, T: float, tail_tol: float = 1e-10):
-    """Decay-weighted future excitation times -T y_e^2, truncated by tail_tol."""
-    S = float(_energy_profile(refs, T, k, k, tail_tol)[0])
+def lyap_W(k: int, y_e, refs: ReferenceSignal, T: float):
+    """Decay-weighted future excitation S(k) times -T y_e^2."""
+    S = float(_energy_profile(refs, T, k, k)[0])
     y_e = np.asarray(y_e, dtype=float)
     out = -T * S * y_e * y_e
     return out if out.ndim else float(out)
@@ -446,10 +460,9 @@ def _chain_grid(grid_n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     return X[keep], Y[keep]
 
 
-def _chain_pass(refs: ReferenceSignal, gains: ControllerGains, T: float, X, Y,
-                k_hi: int, tail_tol: float = 1e-12, stride: int = 1):
+def _chain_pass(refs: ReferenceSignal, gains: ControllerGains, T: float, X, Y, k_hi: int):
     """One pass over the chain: step the full-correction closed loop from
-    the grid (X, Y) at zero heading error for k = 0, stride, ... <= k_hi.
+    the grid (X, Y) at zero heading error for k = 0..k_hi.
 
     Yields (k, V, Vn, TS, W, Wn) per k: V at k on the grid and at k + 1 on
     its step, the weight TS = T S(k), and W = -T S y^2 at k and k + 1.
@@ -457,8 +470,8 @@ def _chain_pass(refs: ReferenceSignal, gains: ControllerGains, T: float, X, Y,
     fstep = closed_loop_euler_cascade(refs, replace(gains, use_correction="full")).f
     pts = np.stack([X, Y], axis=-1)
     z0 = np.zeros((len(X), 1))
-    S = _energy_profile(refs, T, 0, k_hi + 1, tail_tol)
-    for k in range(0, k_hi + 1, stride):
+    S = _energy_profile(refs, T, 0, k_hi + 1)
+    for k in range(k_hi + 1):
         out = fstep(T, k, pts, z0)
         Xn, Yn = out[..., 0], out[..., 1]
         TS = T * S[k]
@@ -468,8 +481,7 @@ def _chain_pass(refs: ReferenceSignal, gains: ControllerGains, T: float, X, Y,
 
 def compute_case_constants(refs: ReferenceSignal, gains: ControllerGains, T_star: float,
                            L_pe: float, grid_n: int = 41, radius: float = 5.0,
-                           k_max: int | None = None,
-                           tail_tol: float = 1e-12) -> CaseStudyConstants:
+                           k_max: int | None = None) -> CaseStudyConstants:
     """Assemble the constant chain, fitting K1 and K2 on the state grid.
 
     The fits always use the full-correction closed loop (the chain is a
@@ -495,7 +507,7 @@ def compute_case_constants(refs: ReferenceSignal, gains: ControllerGains, T_star
     mask = X != 0.0
     # the k-free terms of both fits, formed once
     aX2, aY2, Tn2, X2m = alpha_x * X * X, alpha_y_tilde * Y * Y, T * n2, X[mask] * X[mask]
-    for k, V, Vn, _, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi, tail_tol):
+    for k, V, Vn, _, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi):
         w = float(refs.omega_r(k * T))
         dV = (Vn - V) / T
         K1_req = max(K1_req, float(np.max((dV + aX2 + gains.alpha_y * w * w * Y * Y) / Tn2)))
@@ -533,14 +545,14 @@ def compute_case_constants(refs: ReferenceSignal, gains: ControllerGains, T_star
 
 def lyap_U(k: int, x, refs: ReferenceSignal, gains: ControllerGains,
            constants: CaseStudyConstants, T: float):
-    """Combined function V + eps_small * W; requires all constants valid."""
+    """Combined function U = V + eps_small * W, the U every audit of the chain
+    evaluates; requires all constants valid."""
     bad = constants.first_violated()
     if bad is not None:
         raise PreconditionError(f"constant flag violated: {bad}")
     x = np.asarray(x, dtype=float)
     x_e, y_e = x[..., 0], x[..., 1]
-    return lyap_V(k, x_e, y_e, refs, gains, T) + constants.eps_small * lyap_W(
-        k, y_e, refs, T, tail_tol=1e-12)
+    return lyap_V(k, x_e, y_e, refs, gains, T) + constants.eps_small * lyap_W(k, y_e, refs, T)
 
 
 class _ChainChecks:
@@ -605,9 +617,9 @@ class _ChainChecks:
         margins = self.margins
         for key, val in (("V_lo", ratioV), ("V_decrease", rhsV - dV), ("W_sandwich_lo", TS),
                          ("W_decrease", rhsW - dW), ("U_lo", ratioU), ("U_decrease", rhsU - dU)):
-            margins[key] = min(margins[key], float(np.min(val)))
+            margins[key] = min(margins[key], float(val.min()))
         for key, val in (("V_hi", ratioV), ("W_sandwich_hi", TS), ("U_hi", ratioU)):
-            margins[key] = max(margins[key], float(np.max(val)))
+            margins[key] = max(margins[key], float(val.max()))
 
     def result(self) -> StabilityVerdict:
         """The falsified verdict, or the pass with the margins so far."""
@@ -619,8 +631,7 @@ class _ChainChecks:
 def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
                          constants: CaseStudyConstants, T: float,
                          grid_n: int = 41, radius: float = 5.0,
-                         k_max: int | None = None,
-                         tail_tol: float = 1e-12) -> StabilityVerdict:
+                         k_max: int | None = None) -> StabilityVerdict:
     """Pointwise audit of the whole inequality chain on the state grid.
 
     Checks, for every grid state and step index: the V sandwich, the
@@ -631,7 +642,7 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
     X, Y = _chain_grid(grid_n, radius)
     checks = _ChainChecks(refs, gains, constants, T, X, Y)
     k_hi = refs.period_steps(T) if k_max is None else int(k_max)
-    for row in _chain_pass(refs, gains, T, X, Y, k_hi, tail_tol):
+    for row in _chain_pass(refs, gains, T, X, Y, k_hi):
         checks.check(*row)
         if checks.falsified is not None:
             break
@@ -653,7 +664,7 @@ _PRESETS = {
 }
 
 
-def _refs_from_spec(spec: dict, T: float) -> ReferenceSignal:
+def _refs_from_spec(spec: dict) -> ReferenceSignal:
     """The reference signal of a spec: v_r = vr, and omega_r = amplitude *
     sin(frequency t) for kind "sin" or the constant amplitude for "const".
 
@@ -672,7 +683,7 @@ def _refs_from_spec(spec: dict, T: float) -> ReferenceSignal:
         w_M, period = max(abs(vr0), abs(amp)), math.tau
     else:
         raise ValueError(f"bad reference kind {wr['kind']!r}")
-    return ReferenceSignal(lambda t: vr0 + 0.0 * np.asarray(t), omega_r, T, w_M, period)
+    return ReferenceSignal(lambda t: vr0 + 0.0 * np.asarray(t), omega_r, w_M, period)
 
 
 def _gains_from_spec(g: dict, T: float, use_correction: str) -> ControllerGains:
@@ -684,12 +695,12 @@ def _gains_from_spec(g: dict, T: float, use_correction: str) -> ControllerGains:
 def _preset(name: str, T: float, use_correction: str = "full"):
     """References and gains of the preset `name` at period T."""
     refs, gains = _PRESETS[name]
-    return _refs_from_spec(refs, T), _gains_from_spec(gains, T, use_correction)
+    return _refs_from_spec(refs), _gains_from_spec(gains, T, use_correction)
 
 
 def demo_references(T: float = 0.01) -> ReferenceSignal:
-    """Published simulation references: large, fast angular excitation."""
-    return _preset("demo", T)[0]
+    """Published simulation references: large, fast angular excitation (T does not enter)."""
+    return _refs_from_spec(_PRESETS["demo"][0])
 
 
 def demo_gains(T: float = 0.01, use_correction: str = "none") -> ControllerGains:
@@ -698,12 +709,12 @@ def demo_gains(T: float = 0.01, use_correction: str = "none") -> ControllerGains
 
 
 def validated_references(T: float = 0.01) -> ReferenceSignal:
-    """Small-bound regime in which the whole constant chain is positive."""
-    return _preset("validated", T)[0]
+    """Small-bound references, with the whole constant chain positive (T does not enter)."""
+    return _refs_from_spec(_PRESETS["validated"][0])
 
 
 def validated_gains(use_correction: str = "full") -> ControllerGains:
-    return _preset("validated", 0.0, use_correction)[1]
+    return _gains_from_spec(_PRESETS["validated"][1], 0.0, use_correction)
 
 
 # --- comparison experiment: simulation and scoring --------------------

@@ -160,7 +160,7 @@ def test_excitation_audit_levels_and_runtime():
     strong = check_pe(demo_references(), L=math.pi, mu=600.0, T_list=[0.01])
     zero_refs = demo_references()
     zero_refs = type(zero_refs)(zero_refs.v_r, lambda t: 0.0 * np.asarray(t),
-                                zero_refs.T, zero_refs.w_M)
+                                zero_refs.w_M)
     dead = check_pe(zero_refs, L=math.pi, mu=600.0, T_list=[0.01])
     elapsed = time.perf_counter() - t0
     assert strong.kind == "pass"

@@ -258,7 +258,8 @@ def _separate_lyapunov_audits(refs, gains, c, T, grid_n, radius):
     eps = c.eps_small
     prof = [(k, k * T, float(np.min(-c.c3_tilde * n2 - ((Vn + eps * Wn) - (V + eps * W)) / T)))
             for k, V, Vn, _, W, Wn in unicycle._chain_pass(refs, gains, T, X, Y,
-                                                           refs.period_steps(T), stride=7)]
+                                                           refs.period_steps(T))
+            if k % 7 == 0]
     return chain, definition, probe.margins.get("rows", []), prof
 
 

@@ -418,7 +418,7 @@ def _nan_interconnection():
 def _nan_refs():
     # omega_r(kT) is NaN from k = 30 on, with T = 0.1
     return ReferenceSignal(lambda t: 1.0 + 0.0 * np.asarray(t),
-                           lambda t: np.where(np.asarray(t) < 2.95, 1.0, np.nan), 0.1, 2.0)
+                           lambda t: np.where(np.asarray(t) < 2.95, 1.0, np.nan), 2.0)
 
 
 def _nan_pe():

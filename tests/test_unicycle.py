@@ -1,5 +1,6 @@
 """Tracking case study: controller, excitation, and the constant chain."""
 
+import collections
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -36,16 +37,17 @@ from dtaudit import (
     redesign_correction,
     run_comparison_experiment,
     simulate_cascade,
+    unicycle,
     validated_gains,
     validated_references,
 )
 from dtaudit.cascade import _stacked_step, rollout
 
 
-def const_refs(vr, wr, T=0.01, w_M=None):
+def const_refs(vr, wr, w_M=None):
     return ReferenceSignal(lambda t: vr + 0.0 * np.asarray(t),
                            lambda t: wr + 0.0 * np.asarray(t),
-                           T, max(abs(vr), abs(wr)) if w_M is None else w_M)
+                           max(abs(vr), abs(wr)) if w_M is None else w_M)
 
 
 def test_gain_validation():
@@ -111,7 +113,7 @@ def test_correction_domain_error_reports_the_offending_row_k():
     from zero at every other k."""
     T = 0.01
     refs = ReferenceSignal(lambda t: 1.0 + 0.0 * np.asarray(t),
-                           lambda t: np.asarray(t) - 7 * T, T, 1.0)
+                           lambda t: np.asarray(t) - 7 * T, 1.0)
     gains = ControllerGains(1.0, 100.0, 0.1, use_correction="full")
     k = np.array([2, 9, 7, 4])
     x_e, y_e = np.array([1.0, -1.0, 0.5, 2.0]), np.array([0.5, 1.0, -2.0, 1.0])
@@ -354,13 +356,13 @@ def test_lyap_V_hand_value_and_bounds():
 
 def test_lyap_W_constant_rate_closed_form():
     """Constant omega_r = w gives W = -T y^2 w^2 / (1 - e^{-T})."""
-    refs = const_refs(0.5, 2.0, T=0.1, w_M=2.0)
+    refs = const_refs(0.5, 2.0, w_M=2.0)
     got = lyap_W(0, 3.0, refs, T=0.1)
     assert got == pytest.approx(-3.6 / (1.0 - np.exp(-0.1)), rel=1e-9)
     assert got == pytest.approx(-37.829995, abs=1e-5)
     assert lyap_W(4, 0.0, refs, T=0.1) == 0.0
-    with pytest.raises(ValueError):
-        lyap_W(0, 1.0, refs, T=0.1, tail_tol=0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        lyap_W(-1, 1.0, refs, T=0.1)
 
 
 def test_lyap_W_bounds_formulas():
@@ -433,22 +435,88 @@ def test_lyap_U_combines_V_and_W(validated_constants):
     x = np.array([0.7, -0.4])
     got = lyap_U(11, x, refs, gains, validated_constants, 0.01)
     expected = (lyap_V(11, 0.7, -0.4, refs, gains, 0.01)
-                + validated_constants.eps_small * lyap_W(11, -0.4, refs, 0.01,
-                                                         tail_tol=1e-12))
+                + validated_constants.eps_small * lyap_W(11, -0.4, refs, 0.01))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def _direct_S(refs, T, k):
+    """S(k) as one direct sum at k alone: N + 1 products, N set by the tail tolerance."""
+    N = int(math.ceil(math.log(2.0 * refs.w_M * refs.w_M / unicycle._TAIL_TOL) / T))
+    i = np.arange(k, k + N + 1)
+    return np.sum(np.exp((k - i) * T) * np.asarray(refs.omega_r(i * T), dtype=float) ** 2)
+
+
 @settings(deadline=None, max_examples=25)
-@given(st.lists(st.integers(0, 1500), min_size=1, max_size=8),
-       st.sampled_from([0.01, 0.02]), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
-def test_lyap_U_candidate_equals_lyap_U_to_the_bit(validated_constants, ks, T, x_e, y_e):
-    """The candidate's S(k) table, extended as larger k arrive in any
-    order, gives lyap_U's values bit for bit."""
+@given(st.lists(st.tuples(st.integers(0, 1500), st.sampled_from([0.005, 0.01, 0.02]),
+                          st.sampled_from(["lyap_W", "candidate", "chain"])),
+                min_size=1, max_size=8),
+       st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_every_reader_of_S_gets_the_direct_sum_to_the_bit(validated_constants, reads, x_e,
+                                                           y_e):
+    """lyap_W, the audited U candidate and the chain pass read S(k) from the
+    reference's table; with k and T arriving in any order, so that the table
+    grows in any pattern, each read has the bits of a direct sum at k alone."""
     refs, gains, c = validated_references(), validated_gains(), validated_constants
     cand = experiments._lyap_U_candidate(refs, gains, c)
     x = np.array([[x_e, y_e], [y_e, -x_e], [0.0, 0.0]])
-    for k in ks:
-        assert np.array_equal(cand.eval(T, k, x), lyap_U(k, x, refs, gains, c, T))
+    for k, T, reader in reads:
+        S = _direct_S(refs, T, k)
+        if reader == "lyap_W":
+            assert lyap_W(k, y_e, refs, T) == -T * S * y_e * y_e
+        elif reader == "candidate":
+            U = lyap_V(k, x[:, 0], x[:, 1], refs, gains, T) + c.eps_small * (
+                -T * S * x[:, 1] * x[:, 1])
+            assert np.array_equal(cand.eval(T, k, x), U)
+        else:  # the last row of a pass over a one-point grid up to k
+            row = collections.deque(unicycle._chain_pass(
+                refs, gains, T, np.array([x_e]), np.array([y_e]), k), maxlen=1)[0]
+            assert row[0] == k and row[3] == T * S
+
+
+def test_S_tables_shared_across_threads():
+    """Threads that read S(k) of one reference at growing k and two periods
+    may sum a range twice, but every read keeps the direct sum's bits."""
+    refs = validated_references()
+    calls = [(T, 40 * i) for i in range(60) for T in (0.01, 0.02)]
+    expected = {(T, k): -T * _direct_S(refs, T, k) for T, k in calls}
+
+    def work(offset):
+        order = calls[offset:] + calls[:offset]
+        return [(T, k, lyap_W(k, 1.0, refs, T)) for T, k in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(work, 7 * j) for j in range(6)]
+            results = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        assert len(result) == len(calls)
+        for T, k, got in result:
+            assert got == expected[(T, k)]
+
+
+def test_constants_audit_and_lyap_W_sum_each_S_once():
+    """Tooling guard: on one reference and period, the constant fit, the
+    chain audit and 630 lyap_W calls sum each S(k) once, in one call of
+    omega_r on an array longer than the N + 1 products of one S(k)."""
+    base, gains, T = validated_references(), validated_gains(), 0.01
+    N = int(math.ceil(math.log(2.0 * base.w_M * base.w_M / unicycle._TAIL_TOL) / T))
+    lengths = []
+
+    def omega_r(t):
+        if np.ndim(t) and np.size(t) > N:
+            lengths.append(np.size(t))
+        return base.omega_r(t)
+
+    refs = replace(base, omega_r=omega_r)
+    c = compute_case_constants(refs, gains, T, 2.0, grid_n=11)
+    assert audit_lyapunov_chain(refs, gains, c, T, grid_n=11).kind == "pass"
+    for k in range(630):
+        lyap_W(k, 1.0, refs, T)
+    assert lengths == [refs.period_steps(T) + 2 + N]
 
 
 def test_lyap_U_candidate_keeps_the_flag_check(validated_constants):
@@ -484,7 +552,7 @@ def test_chain_margins_are_lyap_U_and_lyap_W_to_the_bit(validated_constants):
     ratios = [lyap_U(k, pts, refs, gains, c, 0.01) / n2 for k in range(51)]
     assert m["U_lo"] == min(float(np.min(r)) for r in ratios)
     assert m["U_hi"] == max(float(np.max(r)) for r in ratios)
-    weights = [-lyap_W(k, 1.0, refs, 0.01, 1e-12) for k in range(51)]
+    weights = [-lyap_W(k, 1.0, refs, 0.01) for k in range(51)]
     assert m["W_sandwich_lo"] == min(weights)
     assert m["W_sandwich_hi"] == max(weights)
 
