@@ -257,13 +257,6 @@ class ConsistencyReport:
         if any(e < 0 for e in self.max_errors):
             raise ValueError("max_errors must be nonnegative")
 
-    def to_json(self) -> dict:
-        return {
-            "T_samples": list(self.T_samples),
-            "max_errors": list(self.max_errors),
-            "slope": self.slope,
-        }
-
 
 def _fit_loglog_slope(Ts, errors):
     pts = [(T, e) for T, e in zip(Ts, errors) if e > 1e-14]

@@ -358,7 +358,6 @@ def _run_unicycle_compare(params: dict, seed: int) -> ExperimentResult:
 
 
 _CONSISTENCY_DEFAULTS = {
-    "plant": "unicycle",
     "regime": "validated",
     "held_input": (0.5, 0.3),
     "T_list": tuple(float(t) for t in np.logspace(-3.0, -1.0, 9)),
@@ -380,8 +379,6 @@ def _run_consistency(params: dict, seed: int) -> ExperimentResult:
     if len(set(p["T_list"])) != len(p["T_list"]):
         raise ConfigError("consistency-sweep.T_list must hold distinct periods, "
                           f"got {p['T_list']!r}")
-    if p["plant"] != "unicycle":
-        raise ConfigError("only the unicycle tracking-error plant is wired in")
     refs = _refs_from_spec(_PRESETS[p["regime"]][0])
     held = np.asarray(p["held_input"])
     if held.shape != (2,):

@@ -104,23 +104,6 @@ class ClassKFunction:
             out = _integral_reciprocal_eval(p["phi"], s)
         return out if out.ndim else float(out)
 
-    # --- serialization ---------------------------------------------------
-    def to_json(self) -> dict:
-        if self.kind == "tabulated":
-            return {"kind": self.kind, "params": {"xs": list(self.params["xs"]), "ys": list(self.params["ys"])}}
-        if self.kind == "integral-reciprocal":
-            return {"kind": self.kind, "params": {"phi": self.params["phi"].to_json()}}
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ClassKFunction":
-        kind, params = obj["kind"], dict(obj["params"])
-        if kind == "tabulated":
-            return cls.tabulated(params["xs"], params["ys"])
-        if kind == "integral-reciprocal":
-            return cls("integral-reciprocal", {"phi": ClassKFunction.from_json(params["phi"])})
-        return cls(kind, params)
-
 
 def _integral_reciprocal_eval(phi: ClassKFunction, s: np.ndarray) -> np.ndarray:
     """rho(s) = int_0^s 1/phi(max(tau, 1)) dtau, vectorized with closed forms
@@ -195,39 +178,10 @@ class KLBound:
         return out if out.ndim else float(out)
 
     def to_json(self) -> dict:
-        if self.form == "exp":
-            return {"kind": "exp", "params": dict(self.params)}
-        p = self.params
-        return {
-            "kind": "composite",
-            "params": {
-                "b1": p["b1"].to_json(),
-                "b2": p["b2"].to_json(),
-                "b3": p["b3"].to_json(),
-                "gamma": p["gamma"].to_json(),
-                "outer_scale": p["outer_scale"],
-                "inner_scale": p["inner_scale"],
-                "tail_scale": p["tail_scale"],
-            },
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "KLBound":
-        kind, params = obj["kind"], obj["params"]
-        if kind == "exp":
-            return cls.exponential(params["M"], params["lam"])
-        return cls(
-            "composite",
-            {
-                "b1": cls.from_json(params["b1"]),
-                "b2": cls.from_json(params["b2"]),
-                "b3": cls.from_json(params["b3"]),
-                "gamma": ClassKFunction.from_json(params["gamma"]),
-                "outer_scale": params["outer_scale"],
-                "inner_scale": params["inner_scale"],
-                "tail_scale": params["tail_scale"],
-            },
-        )
+        """The `exp` form as written into reports; a composite has no JSON form."""
+        if self.form != "exp":
+            raise ValueError("only an exp-form KLBound has a JSON form")
+        return {"kind": "exp", "params": dict(self.params)}
 
 
 def horizon_index(L: float, T: float) -> int:
@@ -300,6 +254,14 @@ def _log_M_needed(logn, tau, lam_grid) -> np.ndarray:
     return np.array([np.max(logn + lam * tau) for lam in lam_grid])
 
 
+def _log_ratios(norms, active, slack) -> np.ndarray:
+    """log(|phi(k)| - slack) - log(|phi(k0)|) per sample of (steps+1, rows)
+    norms, -inf at the samples the envelope need not cover."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logn = np.log(norms - slack) - np.log(norms[0])
+    return np.where(active, logn, -np.inf)
+
+
 def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
                     slack: float = 1e-9) -> KLBound:
     """Fit the smallest exponential envelope dominating every trajectory.
@@ -320,32 +282,30 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
     M_grid = np.asarray(_DEFAULT_M_GRID if M_grid is None else M_grid, dtype=float)
     lam_grid = np.asarray(_DEFAULT_LAM_GRID if lam_grid is None else lam_grid, dtype=float)
 
-    # per record: taus (steps+1,), log-norm ratios (steps+1, rows) with
-    # -inf at the samples the envelope need not cover
-    taus, lognorms, ti = [], [], 0
+    # per record: taus (steps+1,) and the per-step maxima of its log-norm
+    # ratios; only the witness path forms the full ratios again
+    taus, peaks, ti = [], [], 0
     for run in runs:
         norms = np.asarray(run.norms, dtype=float)
-        s0 = norms[0]
         active = ~(norms <= nu + slack)
-        leaves_zero = (s0 <= 0.0) & active.any(axis=0)
+        leaves_zero = (norms[0] <= 0.0) & active.any(axis=0)
         if leaves_zero.any():
             j = int(np.argmax(leaves_zero))
             raise EnvelopeFalsified((ti + j, run.k0 + int(np.argmax(active[:, j]))))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logn = np.log(norms - slack) - np.log(s0)
-        lognorms.append(np.where(active, logn, -np.inf))
+        peaks.append(np.max(_log_ratios(norms, active, slack), axis=1))
         taus.append(np.arange(len(norms)) * run.T)
         ti += norms.shape[1]
 
-    need_max = _log_M_needed(np.concatenate([np.max(logn, axis=1) for logn in lognorms]),
-                             np.concatenate(taus), lam_grid)
+    need_max = _log_M_needed(np.concatenate(peaks), np.concatenate(taus), lam_grid)
     logM = np.log(M_grid)
     feasible = need_max[None, :] <= logM[:, None] + 1e-12  # (M, lam)
     if not feasible.any():
         # witness: first sample beating even the loosest envelope (M_max, lam_min);
         # a NaN sample counts as beating it
         lam, ti = float(np.min(lam_grid)), 0
-        for run, tau, logn in zip(runs, taus, lognorms):
+        for run, tau in zip(runs, taus):
+            norms = np.asarray(run.norms, dtype=float)
+            logn = _log_ratios(norms, ~(norms <= nu + slack), slack)
             beats = ~(logn + lam * tau[:, None] - np.max(logM) <= 1e-12).T  # columns, then steps
             if beats.any():
                 j, i = np.argwhere(beats)[0]

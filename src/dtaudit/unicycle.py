@@ -510,9 +510,9 @@ def compute_case_constants(refs: ReferenceSignal, gains: ControllerGains, T_star
     for k, V, Vn, _, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi):
         w = float(refs.omega_r(k * T))
         dV = (Vn - V) / T
-        K1_req = max(K1_req, float(np.max((dV + aX2 + gains.alpha_y * w * w * Y * Y) / Tn2)))
+        K1_req = max(K1_req, float(((dV + aX2 + gains.alpha_y * w * w * Y * Y) / Tn2).max()))
         resid = (Wn - W) / T - w * w * Y * Y + aY2
-        K2_req = max(K2_req, float(np.max(resid[mask] / X2m)))
+        K2_req = max(K2_req, float((resid[mask] / X2m).max()))
     K1 = max(K1_req, 1e-9)
     K2 = max(K2_req, 0.0)
 

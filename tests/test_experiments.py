@@ -157,7 +157,7 @@ def test_pe_check_covers_the_whole_reference_period():
 
 
 def test_consistency_sweep_only_knows_the_unicycle_plant():
-    with pytest.raises(ConfigError, match="unicycle"):
+    with pytest.raises(ConfigError, match="plant"):
         run_named("consistency-sweep", {"plant": "pendulum"})
 
 

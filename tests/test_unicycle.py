@@ -249,6 +249,32 @@ def test_exact_proxy_single_state_step_equals_its_batch_row():
     assert np.array_equal(one, pmap.step(0.01, 3, x[None, :])[0])
 
 
+def _phi(a, t):
+    """(e^{iat} - 1) / (ia), with its limit t at a = 0."""
+    return t if a == 0.0 else (np.exp(1j * a * t) - 1.0) / (1j * a)
+
+
+def test_exact_proxy_matches_the_closed_form_error_flow():
+    """Under a held input (v, w) and constant references (v_r, w_r),
+    z = x_e + i y_e solves z' = -iwz - v + v_r e^{i theta}, so
+    z(t) = e^{-iwt} [z0 - v phi(w, t) + v_r e^{i theta0} phi(w_r, t)] and
+    theta(t) = theta0 + (w_r - w) t: the SE(2) exponential in the error
+    coordinates. The proxy meets it within its own tolerance."""
+    X0 = np.random.default_rng(3).uniform(-2.0, 2.0, (32, 3))
+    z0, th0 = X0[:, 0] + 1j * X0[:, 1], X0[:, 2]
+    worst = 0.0
+    for vr, wr in ((0.5, 0.3), (1.0, 0.0), (0.8, -1.2)):
+        field = error_dynamics_field(const_refs(vr, wr))
+        for v, w in ((0.5, 0.3), (0.4, 0.0), (1.2, -0.7)):
+            pmap = exact_proxy_map(field, np.array([v, w]), tol=1e-12)
+            for T in (0.001, 0.01, 0.1, 0.5):
+                z = np.exp(-1j * w * T) * (z0 - v * _phi(w, T) + vr * np.exp(1j * th0) * _phi(wr, T))
+                want = np.column_stack([z.real, z.imag, th0 + (wr - w) * T])
+                for k in (0, 3):
+                    worst = max(worst, float(np.max(np.abs(pmap(T, k, X0) - want))))
+    assert worst <= 1e-12
+
+
 def test_heading_recursion_is_exactly_geometric():
     refs = demo_references()
     gains = demo_gains()
