@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .numerics import ClassKFunction, _check_period, horizon_index
+from .numerics import _CHUNK, ClassKFunction, _check_period, horizon_index
 from .verdict import _SLACK, StabilityVerdict, Witness, _ratio
 
 __all__ = [
@@ -128,18 +128,11 @@ def rollout(step, T, k0, Y0, steps: int, inputs=None):
     first turned non-finite (-1 if never); that row is not stepped again
     and reads NaN after i.
     """
-    chunks = _rollout_chunks(step, T, k0, Y0, steps, inputs)
-    _, states, first_bad = next(chunks)
-    out = np.full((steps + 1, *states.shape[1:]), np.nan)
-    out[:len(states)] = states
-    for i0, states, _ in chunks:
+    for i0, states, first_bad in _rollout_chunks(step, T, k0, Y0, steps, inputs):
+        if i0 == 0:
+            out = np.full((steps + 1, *states.shape[1:]), np.nan)
         out[i0:i0 + len(states)] = states
     return out, first_bad
-
-
-# States per chunk of `_rollout_chunks`: its callers that keep only norms
-# hold one chunk of states at a time, never a whole horizon.
-_CHUNK = 128
 
 
 def _rollout_chunks(step, T, k0, Y0, steps: int, inputs=None):
@@ -152,6 +145,11 @@ def _rollout_chunks(step, T, k0, Y0, steps: int, inputs=None):
     row that turned non-finite is never stepped again and reads NaN after;
     once no row is left the chunks stop, and the steps after them read
     NaN too.
+
+    Without `inputs`, a step carrying a chunk stepper `step.chunk(T, k, Y, n)`,
+    the (n, rows, dim) states of n steps from the rows Y at indices k, makes
+    each chunk in one call. Only a map whose rows are independent carries
+    one: a row that dies is stepped to the end of its chunk, then reads NaN.
     """
     Y = np.array(Y0, dtype=float, ndmin=2)
     batch, dim = Y.shape
@@ -167,33 +165,59 @@ def _rollout_chunks(step, T, k0, Y0, steps: int, inputs=None):
         inputs = np.asarray(inputs, dtype=float)
         if inputs.shape[:2] != (steps, batch):
             raise ValueError(f"inputs must have shape ({steps}, {batch}, dim_z)")
+    chunk = getattr(step, "chunk", None) if inputs is None else None
     first_bad = np.full(batch, -1)
     live = slice(None)
-    for i0 in range(0, steps + 1, _CHUNK):
-        states = np.full((min(_CHUNK, steps + 1 - i0), batch, dim), np.nan)
+
+    def blank(i0, n):
+        states = np.full((n, batch, dim), np.nan)
         if i0 == 0:
             states[0] = Y
-        # state s is made by step s - 1
+        return states
+
+    def drop(s, ok):  # the live rows that are not `ok` died at state(s) s
+        nonlocal live, k0, T
+        rows = np.arange(batch)[live]
+        first_bad[rows[~ok]], live = s, rows[ok]
+        k0 = k0[ok] if isinstance(k0, np.ndarray) else k0
+        T = T[ok] if isinstance(T, np.ndarray) else T
+
+    for i0 in range(0, steps + 1, _CHUNK):
+        n = min(_CHUNK, steps + 1 - i0)
+        s0 = max(i0, 1)  # state s is made by step s - 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for s in range(max(i0, 1), i0 + len(states)):
-                i = s - 1
-                args = (T, k0 + i, Y) if inputs is None else (T, k0 + i, Y, inputs[i, live])
-                Y = np.asarray(step(*args), dtype=float).reshape(len(Y), dim)
-                states[s - i0, live] = Y
-                finite = np.isfinite(Y)
-                if not finite.all():
-                    ok = finite.all(axis=1)
-                    rows = np.arange(batch)[live]
-                    first_bad[rows[~ok]] = s
-                    live, Y = rows[ok], Y[ok]
-                    if isinstance(k0, np.ndarray):
-                        k0 = k0[ok]
-                    if isinstance(T, np.ndarray):
-                        T = T[ok]
-                    if not len(live):
-                        break
+            if chunk is not None and s0 < i0 + n:
+                new = np.asarray(chunk(T, k0 + (s0 - 1), Y, i0 + n - s0), dtype=float)
+                died = np.full(len(Y), len(new))
+                if not np.isfinite(new).all():
+                    finite = np.isfinite(new).all(axis=2)
+                    died = np.where(finite.all(axis=0), died, np.argmin(finite, axis=0))
+                    new[np.arange(len(new))[:, None] > died] = np.nan
+                if s0 == i0 and isinstance(live, slice):
+                    states = new  # every row live: the chunk's states are the chunk
+                else:
+                    states = blank(i0, n)
+                    states[s0 - i0:, live] = new
+                ok = died == len(new)
+                Y = new[-1, ok]
+                if not ok.all():
+                    drop(s0 + died[~ok], ok)
+            else:
+                states = blank(i0, n)
+                for s in range(s0, i0 + n):
+                    i = s - 1
+                    args = (T, k0 + i, Y) if inputs is None else (T, k0 + i, Y, inputs[i, live])
+                    Y = np.asarray(step(*args), dtype=float).reshape(len(Y), dim)
+                    states[s - i0, live] = Y
+                    finite = np.isfinite(Y)
+                    if not finite.all():
+                        ok = finite.all(axis=1)
+                        drop(s, ok)
+                        Y = Y[ok]
+                        if not len(Y):
+                            break
         yield i0, states, first_bad
-        states = None  # not held while the next chunk is made
+        states = new = None  # not held while the next chunk is made
         if not len(Y):
             break
 
@@ -239,7 +263,8 @@ def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = 
 
 
 def _stacked_step(sys: CascadeSystem):
-    """Batched step of the stacked state (x, z) of a cascade."""
+    """Batched step of the stacked state (x, z) of a cascade, carrying the
+    chunk stepper that `f` and `g` both carry as `stacked_chunk`, if any."""
     dx, dz = sys.dim_x, sys.dim_z
 
     def step(T, k, Y):
@@ -248,6 +273,9 @@ def _stacked_step(sys: CascadeSystem):
         Zn = np.asarray(sys.g(T, k, Z), dtype=float)
         return np.concatenate([Xn.reshape(len(Y), dx), Zn.reshape(len(Y), dz)], axis=1)
 
+    chunk = getattr(sys.f, "stacked_chunk", None)
+    if chunk is not None and getattr(sys.g, "stacked_chunk", None) is chunk:
+        step.chunk = chunk
     return step
 
 

@@ -204,7 +204,8 @@ def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
     (dim_u, dim_x) feedback matrix; Phi is formed once per period, with
     the exponential computed in-module (`_expm`, no scipy). T is a float
     or a (rows,) array of each row's own period; the rows' Phi(T)^T are
-    stacked once per distinct array.
+    stacked once per distinct array. The rows are independent, so the step
+    carries a chunk stepper (see `cascade._rollout_chunks`).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -240,6 +241,13 @@ def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
         # from a float T as from its own entry of an array T
         return (np.asarray(x, dtype=float)[..., :, None] * PT).sum(axis=-2)
 
+    def chunk(T, k, x, n):
+        out = np.empty((n, *np.shape(x)))
+        for i in range(n):
+            x = out[i] = step(T, k, x)
+        return out
+
+    step.chunk = chunk
     return ParameterizedMap(n, T_max, step, "exact")
 
 

@@ -14,13 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import (Trajectory, _k_probes, _stacked_step,
+from .cascade import (_k_probes, _rollout_chunks, _stacked_step,
                       check_interconnection_bound, grid_rollouts, rollout,
                       usc_probe)
 from .discretize import (VectorField, consistency_order, euler_map,
                          exact_proxy_map, linear_exact_map, modified_euler_map,
                          ParameterizedMap)
-from .numerics import (ClassKFunction, fit_kl_envelope, horizon_index,
+from .numerics import (_CHUNK, ClassKFunction, fit_kl_envelope, horizon_index,
                        kl_compose)
 from .stability import (CertificateParams, LyapunovCandidate, _LyapunovChecks,
                         boundedness_escape, build_ugb_certificate, check_summability,
@@ -124,6 +124,18 @@ def _rows(array) -> np.ndarray:
     return np.atleast_2d(np.asarray(array, dtype=float))
 
 
+def _largest_ratio(runs, rate: float) -> float:
+    """Largest |phi(k)| / (|phi(k0)| exp(-rate (k - k0) T)) with |phi(k0)| > 0."""
+    worst = 0.0
+    for run in runs:
+        keep = run.norms[0] > 0.0
+        for i0 in range(0, len(run.norms), _CHUNK):
+            block = run.norms[i0:i0 + _CHUNK, keep]
+            decay = np.exp(-rate * np.arange(i0, i0 + len(block)) * run.T)[:, None]
+            worst = float(np.max(block / (run.norms[0, keep] * decay), initial=worst))
+    return worst
+
+
 # --- double integrator under period-scaled feedback ------------------
 
 
@@ -214,25 +226,23 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     x0 = rng.standard_normal((p["n_states"], 2))
     x0 = x0 * rng.uniform(0.1, 10.0, size=(len(x0), 1))
 
-    horizon = p["decay_horizon_s"]
-    runs = [Trajectory(T, 0, rollout(emap.step, T, 0, x0, min(horizon_index(horizon, T), 2000))[0])
-            for T in T_decay]
+    # at most 2,000 steps per period: horizon_index(2000 T, T) is 2000
+    runs = [next(grid_rollouts(emap.step, x0, [T], min(p["decay_horizon_s"], 2000 * T),
+                               k0_set=[0])) for T in T_decay]
     lam = p["decay_rate"]
     beta = fit_kl_envelope(runs, lam_grid=[lam])
     b = float(beta.params["M"])
-    worst = 0.0
-    for run in runs:
-        s0 = run.norms[0]
-        decay = np.exp(-lam * np.arange(len(run.norms)) * run.T)[:, None]
-        worst = float(np.max(run.norms[:, s0 > 0.0] / (s0[s0 > 0.0] * decay), initial=worst))
+    worst = _largest_ratio(runs, lam)
 
     # the integrated plant keeps a unit-circle mode: generic states stall;
-    # every period's stall states share one rollout, each row its own T
-    x0_nc = np.array([[1.0, 0.3], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-    states = rollout(xmap.step, np.repeat(T_values, len(x0_nc)), 0,
-                     np.tile(x0_nc, (len(T_values), 1)), p["nonconv_steps"])[0]
-    norms = np.linalg.norm(states, axis=2)
-    min_ratio = float(np.min(np.min(norms, axis=0) / norms[0]))
+    # every period's stall states share one rollout, each row its own T, and
+    # each row keeps its smallest norm (NaN if every row died and it stopped)
+    x0_nc = np.tile([[1.0, 0.3], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]], (len(T_values), 1))
+    lo = norms0 = np.linalg.norm(x0_nc, axis=1)
+    for i0, states, _ in _rollout_chunks(xmap.step, np.repeat(T_values, 4), 0, x0_nc,
+                                         p["nonconv_steps"]):
+        lo = np.minimum(lo, np.linalg.norm(states, axis=2).min(axis=0))
+    min_ratio = float(np.min(lo / norms0)) if i0 + len(states) > p["nonconv_steps"] else math.nan
     nonconv_floor = p["nonconv_floor"]
 
     T_tab, ks = p["table_T"], np.arange(p["table_steps"] + 1)
@@ -717,10 +727,7 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     cert_verdict, summable = growth_certificate()
 
     beta_c, cascade_verdict = decay("cascade", runs)
-    kappa = 0.0
-    for run in runs:
-        s0 = run.norms[0]
-        kappa = float(np.max(run.norms[:, s0 > 0.0] / s0[s0 > 0.0], initial=kappa))
+    kappa = _largest_ratio(runs, 0.0)
     bounded = boundedness_escape(runs, ClassKFunction.linear(kappa * (1.0 + 1e-9)), 0.0)
     metrics["cascade"].update(kappa_gain=kappa * (1.0 + 1e-9), bounded=bounded.to_json())
 

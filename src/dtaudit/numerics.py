@@ -196,6 +196,11 @@ def horizon_index(L: float, T: float) -> int:
     return int(math.floor(ratio * (1.0 + 1e-12) + 1e-12))
 
 
+# Steps per block of trajectory work: the states per chunk of the rollouts,
+# and the steps per block of the reductions over a record's norms.
+_CHUNK = 128
+
+
 def _check_period(T: float, T_max: float) -> None:
     """Reject a sampling period outside (0, T_max]."""
     if not (0.0 < T <= T_max):
@@ -254,11 +259,11 @@ def _log_M_needed(logn, tau, lam_grid) -> np.ndarray:
     return np.array([np.max(logn + lam * tau) for lam in lam_grid])
 
 
-def _log_ratios(norms, active, slack) -> np.ndarray:
-    """log(|phi(k)| - slack) - log(|phi(k0)|) per sample of (steps+1, rows)
-    norms, -inf at the samples the envelope need not cover."""
+def _log_ratios(norms, norms0, active, slack) -> np.ndarray:
+    """log(|phi(k)| - slack) - log(|phi(k0)| = norms0) per sample of (steps,
+    rows) norms, -inf at the samples the envelope need not cover."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        logn = np.log(norms - slack) - np.log(norms[0])
+        logn = np.log(norms - slack) - np.log(norms0)
     return np.where(active, logn, -np.inf)
 
 
@@ -283,16 +288,22 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
     lam_grid = np.asarray(_DEFAULT_LAM_GRID if lam_grid is None else lam_grid, dtype=float)
 
     # per record: taus (steps+1,) and the per-step maxima of its log-norm
-    # ratios; only the witness path forms the full ratios again
+    # ratios, taken `_CHUNK` steps at a time; only the witness path forms a
+    # record's full ratios again
     taus, peaks, ti = [], [], 0
     for run in runs:
         norms = np.asarray(run.norms, dtype=float)
-        active = ~(norms <= nu + slack)
-        leaves_zero = (norms[0] <= 0.0) & active.any(axis=0)
+        peak, ever = np.empty(len(norms)), np.zeros(norms.shape[1], dtype=bool)
+        for i0 in range(0, len(norms), _CHUNK):
+            block = norms[i0:i0 + _CHUNK]
+            active = ~(block <= nu + slack)
+            ever |= active.any(axis=0)
+            peak[i0:i0 + len(block)] = np.max(_log_ratios(block, norms[0], active, slack), axis=1)
+        leaves_zero = (norms[0] <= 0.0) & ever
         if leaves_zero.any():
             j = int(np.argmax(leaves_zero))
-            raise EnvelopeFalsified((ti + j, run.k0 + int(np.argmax(active[:, j]))))
-        peaks.append(np.max(_log_ratios(norms, active, slack), axis=1))
+            raise EnvelopeFalsified((ti + j, run.k0 + int(np.argmax(~(norms[:, j] <= nu + slack)))))
+        peaks.append(peak)
         taus.append(np.arange(len(norms)) * run.T)
         ti += norms.shape[1]
 
@@ -305,7 +316,7 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
         lam, ti = float(np.min(lam_grid)), 0
         for run, tau in zip(runs, taus):
             norms = np.asarray(run.norms, dtype=float)
-            logn = _log_ratios(norms, ~(norms <= nu + slack), slack)
+            logn = _log_ratios(norms, norms[0], ~(norms <= nu + slack), slack)
             beats = ~(logn + lam * tau[:, None] - np.max(logM) <= 1e-12).T  # columns, then steps
             if beats.any():
                 j, i = np.argwhere(beats)[0]

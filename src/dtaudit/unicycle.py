@@ -245,15 +245,19 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
     per-period table built on first use and rebuilt at double the size when
     a larger k arrives; a built table is never written to. The heading
     recursion `g` reads only theta, which makes the autonomous driver
-    exact: theta(k+1) = (1 - T*a1) * theta(k).
+    exact: theta(k+1) = (1 - T*a1) * theta(k). `f` and `g` carry the chunk
+    stepper of the stacked (x, z) state as `stacked_chunk`: per chunk it
+    reads the table and runs `g` with its w, cos and sin, and per step it
+    makes only `f`'s (x_e, y_e) update.
     """
     a1, a2, variant = gains.a1, gains.a2, gains.use_correction
     factor = gains.correction_factor
     tables = {}  # T -> (5, n) rows omega_r, v_r, cx, cy, den at k = 0..n-1
 
-    def table(T, k):
-        """The table of period T, built or doubled until it covers k."""
+    def table(T, k, steps=1):
+        """The table of period T, built or doubled until it covers k + steps - 1."""
         lo, hi = (k.min(initial=0), k.max(initial=0)) if isinstance(k, np.ndarray) else (k, k)
+        hi = hi + steps - 1
         if lo < 0:
             raise ValueError("step index must be nonnegative")
         tab = tables.get(T)
@@ -269,32 +273,59 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
             tables[T] = tab
         return tab
 
-    def f(T, k, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        wr, vr, cx, cy, den = table(T, k).take(k, axis=1)
-        x_e, y_e, th_e = x[..., 0], x[..., 1], z[..., 0]
-        w = wr + a1 * th_e
+    def heading(T, wr, th):
+        """theta at k + 1 and w = omega_r + a1 theta at k, from omega_r(kT)."""
+        w = wr + a1 * th
+        return th + T * (wr - w), w
+
+    def advance(T, x, w, vr, vc, vs, cx, cy, den, out):
+        """(x_e, y_e) at k + 1 into out[..., :2]; vc, vs: v_r cos, v_r sin of theta."""
+        x_e, y_e = x[..., 0], x[..., 1]
         if variant == "none":
             vth = 0.0  # still added below: it turns a -0.0 of v into 0.0, as the composed map does
         elif variant == "scaled":
             vth = factor * (cx * x_e - cy * y_e)
         else:
-            _check_denominator(k, T, den)
             vth = (cx * x_e - cy * y_e) / den
         v = vr + a2 * x_e + T * vth
-        out = np.empty(x.shape)
-        out[..., 0] = x_e + T * (w * y_e - v + vr * np.cos(th_e))
-        out[..., 1] = y_e + T * (-w * x_e + vr * np.sin(th_e))
+        np.add(x_e, T * (w * y_e - v + vc), out=out[..., 0])
+        np.add(y_e, T * (-w * x_e + vs), out=out[..., 1])
         return out
 
-    def g(T, k, z):
-        z = np.asarray(z, dtype=float)
-        th = z[..., 0]
-        wr = table(T, k)[0].take(k)
-        w = wr + a1 * th
-        return (th + T * (wr - w))[..., None]
+    def f(T, k, x, z):
+        x = np.asarray(x, dtype=float)
+        th_e = np.asarray(z, dtype=float)[..., 0]
+        wr, vr, cx, cy, den = table(T, k).take(k, axis=1)
+        if variant == "full":
+            _check_denominator(k, T, den)
+        return advance(T, x, wr + a1 * th_e, vr, vr * np.cos(th_e), vr * np.sin(th_e),
+                       cx, cy, den, np.empty(x.shape))
 
+    def g(T, k, z):
+        th = np.asarray(z, dtype=float)[..., 0]
+        return heading(T, table(T, k)[0].take(k), th)[0][..., None]
+
+    def chunk(T, k, Y, n):
+        k = np.broadcast_to(k, len(Y))
+        w, vr, cx, cy, den = table(T, k, n).take(np.arange(n)[:, None] + k, axis=1)
+        th = np.repeat(Y[None, :, 2], n + 1, axis=0)
+        for i in range(n):  # g, leaving w where omega_r was
+            th[i + 1], w[i] = heading(T, w[i], th[i])
+        out = np.empty((n, len(Y), 3))
+        out[:, :, 2] = th[1:]
+        vc = vr * np.cos(th[:-1])
+        vs = np.multiply(vr, np.sin(th[:-1], out=th[:-1]), out=th[:-1])
+        x = Y
+        for i in range(n):
+            x = advance(T, x, w[i], vr[i], vc[i], vs[i], cx[i], cy[i], den[i], out[i])
+        hit = np.abs(den) < 1e-12
+        if variant == "full" and hit.any():  # the first one of a row still live there
+            hit[1:] &= np.logical_and.accumulate(np.isfinite(out[:-1]).all(axis=2), axis=0)
+            for i, r in np.argwhere(hit)[:1]:
+                raise CorrectionDomainError(k[r] + i, T, den[i, r])
+        return out
+
+    f.stacked_chunk = g.stacked_chunk = chunk
     T_max = (1.0 - 1e-12) / max(a1, a2)
     return CascadeSystem(2, 1, f, g, T_max, refs.period)
 

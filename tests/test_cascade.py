@@ -1,6 +1,7 @@
 """Cascade simulation and the structural-hypothesis audits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from dtaudit import (
     error_dynamics_field,
     exact_proxy_map,
     experiments,
+    linear_exact_map,
     modified_euler_map,
     simulate_cascade,
     simulate_driven,
+    unicycle,
     usc_probe,
     validated_gains,
     validated_references,
@@ -330,6 +333,143 @@ def test_chunked_records_equal_records_of_one_rollout(steps):
     # the default part is every row and column
     _assert_same_records(list(grid_rollouts(_doubling_step, Y0, [T], steps * T, k0_set=k0s)),
                          want[0::3])
+
+
+# --- chunk steppers -------------------------------------------------------------
+
+
+def _doubling_chunk(T, k, Y, n):
+    """n steps of `_doubling_step` in one call, dead rows stepped on."""
+    out = np.empty((n, *Y.shape))
+    for i in range(n):
+        Y = out[i] = np.column_stack([2.0 * Y[:, 0], Y[:, 1] + (k + i) * T])
+    return out
+
+
+def _chunked_doubling_step(T, k, Y):
+    return _doubling_step(T, k, Y)
+
+
+_chunked_doubling_step.chunk = _doubling_chunk
+
+
+def _per_step(step):
+    """The step without its chunk stepper."""
+    return lambda T, k, Y: step(T, k, Y)
+
+
+def _assert_same_rollout(got, want):
+    """Two `rollout` results are equal bit for bit, NaNs included."""
+    assert got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("steps", _HORIZONS)
+def test_chunk_stepper_chunks_equal_the_step_by_step_chunks(steps):
+    """A step's chunk stepper makes the chunks the step-by-step loop makes:
+    the same starts, states, NaNs after each row's death and first
+    non-finite steps, for per-row k0 and T, deaths on both sides of chunk
+    boundaries, and the early stop once every row has died."""
+    rng = np.random.default_rng(steps)
+    for Y0 in (_dying_rows(), _dying_rows()[:3]):
+        k0 = rng.integers(0, 50, size=len(Y0))
+        T = rng.uniform(0.1, 0.9, size=len(Y0))
+        got = list(_rollout_chunks(_chunked_doubling_step, T, k0, Y0, steps))
+        want = list(_rollout_chunks(_doubling_step, T, k0, Y0, steps))
+        assert [i0 for i0, _, _ in got] == [i0 for i0, _, _ in want]
+        for (_, a, bad_a), (_, b, bad_b) in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert np.array_equal(bad_a, bad_b)
+        _assert_same_rollout(rollout(_chunked_doubling_step, T, k0, Y0, steps),
+                             rollout(_doubling_step, T, k0, Y0, steps))
+
+
+def test_chunk_stepper_is_not_used_with_inputs():
+    """A driven rollout steps one step at a time: the chunk stepper cannot
+    take inputs."""
+    def step(T, k, Y, U):
+        return Y + U
+
+    step.chunk = lambda *args: pytest.fail("chunk stepper called with inputs")
+    states, _ = rollout(step, 0.1, 0, np.zeros((2, 1)), 3, np.ones((3, 2, 1)))
+    assert np.array_equal(states[:, :, 0], [[0, 0], [1, 1], [2, 2], [3, 3]])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 3 * _CHUNK + 2), st.booleans(), st.integers(0, 2 ** 31 - 1))
+def test_linear_exact_chunk_path_equals_the_step_path(steps, per_row_T, seed):
+    """`linear_exact_map` steps a chunk per call with the bits of one call
+    per step, for a float or a per-row T, with rows that overflow inside a
+    chunk, at a chunk boundary or never."""
+    rng = np.random.default_rng(seed)
+    # every state grows by at least 10^0.17 per step
+    pmap = linear_exact_map([[8.0, 1.0], [0.0, 8.0]], [[0.0], [1.0]], lambda T: [[0.0, 0.0]])
+    assert hasattr(pmap.step, "chunk")
+    rows = 12
+    T = rng.uniform(0.05, 1.0, size=rows) if per_row_T else float(rng.uniform(0.05, 1.0))
+    Y0 = rng.standard_normal((rows, 2)) * 10.0 ** rng.uniform(0.0, 300.0, size=(rows, 1))
+    Y0[0] = [1e306, -1e306]  # overflows within 12 steps
+    got = rollout(pmap.step, T, 0, Y0, steps)
+    _assert_same_rollout(got, rollout(_per_step(pmap.step), T, 0, Y0, steps))
+    assert got[1][0] >= 0 or steps < 12
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["none", "scaled", "full"]), st.sampled_from(["demo", "validated"]),
+       st.booleans(), st.integers(0, 2 * _CHUNK + 3), st.integers(0, 2 ** 31 - 1))
+def test_unicycle_chunk_path_equals_the_step_path(variant, preset, per_row_k0, steps, seed):
+    """The closed loop's stacked (x, z) step makes a chunk per call with the
+    bits of `f` and `g` called once per step, for every correction variant
+    of both presets, an int or per-row k0 and horizons across chunk
+    boundaries, with rows that diverge. Each path builds its own system,
+    so their reference tables grow differently."""
+    rng = np.random.default_rng(seed)
+    T = float(rng.uniform(0.002, 0.0125))
+    rows = 9
+    Y0 = rng.uniform(-2.0, 2.0, size=(rows, 3))
+    # the demo preset's `scaled` variant diverges, so these rows overflow
+    # at steps all over a chunk there; the last one overflows in step 0
+    Y0[:4, :2] *= 10.0 ** rng.uniform(200.0, 308.0, size=(4, 1))
+    Y0[4, :2] = [1.7e308, -1.7e308]
+    k0 = rng.integers(0, 800, size=rows) if per_row_k0 else int(rng.integers(0, 800))
+
+    def stacked():
+        step = _stacked_step(closed_loop_euler_cascade(*unicycle._preset(preset, T, variant)))
+        assert hasattr(step, "chunk")
+        return step
+
+    got = rollout(stacked(), T, k0, Y0, steps)
+    _assert_same_rollout(got, rollout(_per_step(stacked()), T, k0, Y0, steps))
+    assert got[1][4] == (1 if steps else -1)
+
+
+def test_a_replaced_step_f_or_g_is_what_a_rollout_steps():
+    """A map or cascade whose `step`, `f` or `g` was replaced through
+    `dataclasses.replace` rolls out through its own functions, one call per
+    step, so wrappers see every step."""
+    pmap = linear_exact_map([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
+                            lambda T: [[-1.0 / T, -2.0 / T]])
+    calls = []
+    counted = replace(pmap, step=lambda T, k, x: calls.append(k) or pmap.step(T, k, x))
+    assert np.array_equal(rollout(counted.step, 0.19, 0, [1.0, 0.3], 300)[0],
+                          rollout(pmap.step, 0.19, 0, [1.0, 0.3], 300)[0])
+    assert calls == list(range(300))
+
+    sysm = closed_loop_euler_cascade(validated_references(), validated_gains())
+    assert hasattr(_stacked_step(sysm), "chunk")
+    for name in ("f", "g"):
+        calls, fn = [], getattr(sysm, name)
+
+        def wrapped(T, k, *args, fn=fn, calls=calls):
+            calls.append(k)
+            return fn(T, k, *args)
+
+        step = _stacked_step(replace(sysm, **{name: wrapped}))
+        assert not hasattr(step, "chunk")
+        got = rollout(step, 0.01, 5, [1.0, -0.5, 0.3], 300)
+        _assert_same_rollout(got, rollout(_stacked_step(sysm), 0.01, 5, [1.0, -0.5, 0.3], 300))
+        assert calls == list(range(5, 305))
 
 
 @pytest.mark.parametrize("regime", ["validated", "demo"])

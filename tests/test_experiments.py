@@ -1,5 +1,6 @@
 """Registered experiments: configs, aliases, and reproducibility."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -413,6 +414,66 @@ def test_decay_records_hold_norms_not_whole_horizon_states():
     finally:
         tracemalloc.stop()
     assert peak < 14e6
+
+
+def test_example1_keeps_norms_not_whole_horizon_states():
+    """Tooling guard: example1 takes its decay records' norms and its stall
+    check's smallest norms chunk by chunk. With the stall check's
+    10,001 x 16 x 2 states and each decay period's 2,001 x 100 x 2 states
+    kept whole, a warm default run peaked at 10.8 MB of traced memory."""
+    run_named("example1", None)
+    tracemalloc.start()
+    try:
+        run_named("example1", None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+def _chunk_counting(build, calls):
+    """`build` whose closed loops count their f, g and chunk-stepper calls;
+    the counting f and g carry the counting chunk stepper, so rollouts still
+    step in chunks."""
+    def counted_build(*args):
+        sysm = build(*args)
+        chunk = sysm.f.stacked_chunk
+
+        def f(*a):
+            calls["f"] += 1
+            return sysm.f(*a)
+
+        def g(*a):
+            calls["g"] += 1
+            return sysm.g(*a)
+
+        def counted_chunk(T, k, Y, n):
+            calls["chunks"] += 1
+            calls["chunk_steps"] += n
+            return chunk(T, k, Y, n)
+
+        f.stacked_chunk = g.stacked_chunk = counted_chunk
+        return dataclasses.replace(sysm, f=f, g=g)
+    return counted_build
+
+
+def test_theorem_demo_and_compare_roll_the_closed_loop_out_in_chunks(monkeypatch):
+    """The theorem demo's decay rollouts (2,000 and 1,000 steps) and
+    `unicycle-compare`'s Euler variants (1,000 steps each, `scaled` only
+    through its divergent first chunk) step the closed loop a chunk per
+    call: no rollout calls `g`, and `f` is left to the one-step audits and
+    the driven USC rollouts."""
+    calls = collections.Counter()
+    monkeypatch.setattr(experiments, "closed_loop_euler_cascade",
+                        _chunk_counting(experiments.closed_loop_euler_cascade, calls))
+    assert run_named("cascade-theorem-demo", THEOREM_WORKLOAD).status == 0
+    assert calls == {"chunks": 16 + 8, "chunk_steps": 3000, "f": 3632 - 3000}
+    calls.clear()
+    monkeypatch.setattr(unicycle, "closed_loop_euler_cascade",
+                        _chunk_counting(unicycle.closed_loop_euler_cascade, calls))
+    res = run_named("unicycle-compare", {})
+    assert res.metrics["variants"]["scaled"]["first_divergent_step"] == 101
+    assert calls == {"chunks": 8 + 1 + 8, "chunk_steps": 1000 + (cascade._CHUNK - 1) + 1000}
 
 
 # sha256 of every report file, recorded with Python 3.11 and numpy 2.4 on

@@ -147,6 +147,22 @@ def test_correction_domain_error_reports_the_offending_row_k():
     assert np.array_equal(got, emap.step(T, k[keep], np.column_stack([X, Z])[keep])[:, :2])
     assert np.array_equal(f(T, 2, X, Z), emap.step(T, 2, np.column_stack([X, Z]))[:, :2])
 
+    # a chunked rollout reports the k, T and den of the step-by-step one,
+    # and no row that died before it reached k = 7: the first row, started
+    # at k = 5, overflows in its first step
+    sysm = closed_loop_euler_cascade(refs, gains)
+    chunked, per_step = _stacked_step(sysm), _stacked_step(replace(sysm, f=lambda *a: sysm.f(*a)))
+    assert hasattr(chunked, "chunk") and not hasattr(per_step, "chunk")
+    Y0 = np.array([[1e306, 1e306, 0.0], [1.0, 0.5, 0.1], [0.5, -1.0, 0.2]])
+    runs = []
+    for step in (chunked, per_step):
+        with pytest.raises(CorrectionDomainError) as err:
+            rollout(step, T, np.array([5, 3, 9]), Y0, 300)
+        assert (err.value.k, err.value.T, err.value.den) == (7, T, 0.0)
+        runs.append(rollout(step, T, np.array([5, 9]), Y0[[0, 2]], 300))
+        assert runs[-1][1][0] == 1
+    assert runs[0][0].tobytes() == runs[1][0].tobytes()
+
 
 @settings(max_examples=50, deadline=None)
 @given(x_e=st.floats(min_value=-5.0, max_value=5.0),
