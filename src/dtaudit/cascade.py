@@ -410,10 +410,10 @@ def usc_probe(sys: CascadeSystem, Delta: float, eta: float, eps: float, L: float
         raise ValueError("need eta in (0, Delta)")
     if not (eps > 0.0 and L > 0.0):
         raise ValueError("need eps > 0 and L > 0")
+    if any(float(m) <= 0.0 for m in mu_grid):
+        raise ValueError("mu grid must be positive")
     x0s = sample_ball(eta, sys.dim_x, x0_count)
     for mu in sorted((float(m) for m in mu_grid), reverse=True):
-        if mu <= 0.0:
-            raise ValueError("mu grid must be positive")
         if _usc_holds(sys, eps, L, T_list, mu, x0s):
             return mu
     return 0.0
@@ -438,8 +438,9 @@ def _usc_holds(sys, eps, L, T_list, mu, x0s) -> bool:
                                                     ell, U):
             states = states.reshape(len(states), len(k0s) * n, m, sys.dim_x)
             with np.errstate(over="ignore", invalid="ignore"):
-                dev = np.maximum(dev, np.max(np.linalg.norm(states - states[:, :, :1],
-                                                            axis=-1), axis=0))
+                d = states - states[:, :, :1]
+                sq = np.multiply(d, d, out=d).sum(axis=-1)  # the norm's sums, with no copy of d
+                dev = np.maximum(dev, np.sqrt(sq.max(axis=0)))
         fail = (first_bad.reshape(-1, m) >= 0) | (dev > eps + _SLACK)
         if fail.any():
             r = int(np.argmax(fail.ravel()))

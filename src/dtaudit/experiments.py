@@ -56,28 +56,47 @@ class ExperimentResult:
 
 
 _KINDS = {dict: "an object", tuple: "a list", bool: "true or false", float: "a number",
-          int: "an integer", str: "a string"}
+          int: "an integer", str: "a string", type(None): "null or a number"}
 
 
 _LIMITS = {"positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0,
-           "at least 1": lambda v: v >= 1, "nonempty": len,
-           "'demo' or 'validated'": lambda v: v in _PRESETS}
+           "at least 1": lambda v: v >= 1, "'demo' or 'validated'": lambda v: v in _PRESETS,
+           "'euler' or 'exact-proxy'": lambda v: v in ("euler", "exact-proxy"), "nonempty": len,
+           "a pair": lambda v: len(v) == 2, "three numbers": lambda v: len(v) == 3}
+_WHOLE = ("nonempty", "a pair", "three numbers")
+
+# option name -> its range, in every experiment that has the option
+_RANGES = {
+    "T": "positive", "T_list": "nonempty, positive", "table_T": "positive", "L": "positive",
+    "T_values": "nonempty", "mu_grid": "nonempty, positive", "theta_values": "nonempty",
+    "variants": "nonempty", "horizon_s": "positive", "decay_horizon_s": "positive",
+    "L_pe": "positive", "usc_L": "positive", "decay_rate": "positive", "mu": "positive",
+    "divergence_norm": "positive", "proxy_tol": "positive", "radius": "positive",
+    "Delta": "positive", "Delta_z": "positive", "eta": "positive", "eps": "positive",
+    "n_random_T": "nonnegative", "nonconv_steps": "nonnegative", "table_steps": "nonnegative",
+    "n_samples": "nonnegative", "box_halfwidth": "nonnegative", "k_set": "nonnegative",
+    "n_ball": "nonnegative", "usc_x0_count": "nonnegative", "n_states": "at least 1",
+    "grid_n": "at least 1", "k_stride": "at least 1", "regime": "'demo' or 'validated'",
+    "plant": "'euler' or 'exact-proxy'", "held_input": "a pair",
+    "euler_slope_window": "a pair", "initial_error": "three numbers",
+}
 
 
-def _with_defaults(params, defaults: dict, name: str, limits: dict | None = None) -> dict:
+def _with_defaults(params, defaults: dict, name: str) -> dict:
     """`params` merged over `defaults`, every given value typed like its default
-    and within its range in `limits`.
+    and within its range in `_RANGES`.
 
     `name` is the dotted path of `params`; an unknown key at any depth, a
     value of the wrong type and a value out of range are errors that name
     it. A dict default is merged key by key. A float default takes an int
     or a float, an int, bool or str default only its own type (a bool is
     never a number), and a tuple default a list whose elements are typed
-    like its first element. A None default passes the value through; the
-    runner types it where it reads it.
+    like its first element. A None default takes null or a number, read
+    as a float.
 
-    A limit is one word of `_LIMITS` or several joined by ", ". On a list
-    "nonempty" tests the list and every other word each element.
+    A range is one word of `_LIMITS` or several joined by ", ". It tests a
+    typed value that is not null; on a list the words in `_WHOLE` test the
+    list and every other word each element.
     """
     params = params or {}
     unknown = sorted(set(params) - set(defaults))
@@ -86,10 +105,10 @@ def _with_defaults(params, defaults: dict, name: str, limits: dict | None = None
     # a default is parsed like a given value, so no default object leaks out
     merged = {key: _typed(params.get(key, val), val, f"{name}.{key}")
               for key, val in defaults.items()}
-    for key, limit in (limits or {}).items():
-        value, path = merged[key], f"{name}.{key}"
-        for word in limit.split(", "):
-            if isinstance(value, tuple) and word != "nonempty":
+    for key, value in merged.items():
+        path = f"{name}.{key}"
+        for word in _RANGES[key].split(", ") if key in _RANGES and value is not None else ():
+            if isinstance(value, tuple) and word not in _WHOLE:
                 items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
             else:
                 items = [(path, value)]
@@ -101,8 +120,8 @@ def _with_defaults(params, defaults: dict, name: str, limits: dict | None = None
 
 def _typed(value, default, path: str):
     """`value` checked against the type of `default`; see `_with_defaults`."""
-    if default is None:
-        return value
+    if value is None and default is None:
+        return None
     if isinstance(default, dict):
         if isinstance(value, dict):
             return _with_defaults(value, default, path)
@@ -112,7 +131,7 @@ def _typed(value, default, path: str):
     elif isinstance(value, bool) or isinstance(default, bool):
         if type(value) is type(default):
             return value
-    elif isinstance(default, float):
+    elif isinstance(default, (float, type(None))):
         if isinstance(value, (int, float)):
             return float(value)
     elif isinstance(value, type(default)):
@@ -186,17 +205,12 @@ _EXAMPLE1_DEFAULTS = {
     "table_T": 0.19,
     "table_steps": 300,
 }
-_EXAMPLE1_LIMITS = {"T_values": "nonempty", "n_random_T": "nonnegative",
-                    "n_states": "at least 1", "decay_horizon_s": "positive",
-                    "decay_rate": "positive", "nonconv_steps": "nonnegative",
-                    "table_T": "positive", "table_steps": "nonnegative"}
 
 
 def _run_example1(params: dict, seed: int) -> ExperimentResult:
-    p = _with_defaults(params, _EXAMPLE1_DEFAULTS, "example1", _EXAMPLE1_LIMITS)
+    p = _with_defaults(params, _EXAMPLE1_DEFAULTS, "example1")
     if p["T"] is not None:  # scalar shorthand for a single-period run
-        T = _typed(p["T"], 0.0, "example1.T")
-        p.update(T_values=(T,), table_T=T)
+        p.update(T_values=(p["T"],), table_T=p["T"])
     T_values = list(p["T_values"])
     if any(not 0.0 < T < 0.5 for T in T_values):
         raise ConfigError("example1 needs periods strictly inside (0, 0.5)")
@@ -233,6 +247,7 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     beta = fit_kl_envelope(runs, lam_grid=[lam])
     b = float(beta.params["M"])
     worst = _largest_ratio(runs, lam)
+    del runs  # the records are not needed again; the stall check reuses their memory
 
     # the integrated plant keeps a unit-circle mode: generic states stall;
     # every period's stall states share one rollout, each row its own T, and
@@ -261,7 +276,7 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
         "envelope_b": b,
         "envelope_rate": lam,
         "measured_sup_ratio": worst,
-        "n_trajectories": len(runs) * len(x0),
+        "n_trajectories": len(T_decay) * len(x0),
         "nonconvergence_min_ratio": min_ratio,
         "nonconvergence_floor": nonconv_floor,
         "spectra": [{"T": r[0], "euler_eig_deviation": r[1], "exact_spectral_radius": r[2]}
@@ -285,8 +300,6 @@ _COMPARE_DEFAULTS = {
     "gains": _PRESETS["demo"][1],
     "divergence_norm": 1e6,
 }
-_COMPARE_LIMITS = {"T": "positive", "horizon_s": "positive", "variants": "nonempty",
-                   "divergence_norm": "positive"}
 
 
 def run_comparison_experiment(config: dict | None = None) -> dict:
@@ -301,16 +314,8 @@ def run_comparison_experiment(config: dict | None = None) -> dict:
     A config it cannot run, such as T above the closed loop's T_max,
     raises ConfigError.
     """
-    cfg = _with_defaults(config, _COMPARE_DEFAULTS, "unicycle-compare", _COMPARE_LIMITS)
+    cfg = _with_defaults(config, _COMPARE_DEFAULTS, "unicycle-compare")
     T, g = cfg["T"], cfg["gains"]
-    if cfg["plant"] not in ("euler", "exact-proxy"):
-        raise ConfigError("plant must be 'euler' or 'exact-proxy'")
-    x0 = np.asarray(cfg["initial_error"])
-    if x0.shape != (3,):
-        raise ConfigError("unicycle-compare.initial_error must be three numbers "
-                          "(x_e, y_e, theta_e)")
-    if g["alpha_y"] is not None:
-        g = dict(g, alpha_y=_typed(g["alpha_y"], 0.0, "unicycle-compare.gains.alpha_y"))
     try:  # a bad reference, a gain that is not positive or an unknown variant
         refs = _refs_from_spec(cfg["refs"])
         gains = [_gains_from_spec(g, T, variant) for variant in cfg["variants"]]
@@ -323,7 +328,7 @@ def run_comparison_experiment(config: dict | None = None) -> dict:
 
     out = {"config": cfg, "variants": {}}
     for gain in gains:
-        states, diverged, first_bad = _simulate_variant(refs, gain, T, x0, steps,
+        states, diverged, first_bad = _simulate_variant(refs, gain, T, cfg["initial_error"], steps,
                                                         cfg["plant"], cfg["divergence_norm"])
         rows, metrics = _score_variant(states, refs, gain, T, diverged, first_bad)
         out["variants"][gain.use_correction] = {"rows": rows, "metrics": metrics}
@@ -378,23 +383,15 @@ _CONSISTENCY_DEFAULTS = {
     "euler_slope_window": (1.85, 2.15),
     "modified_slope_min": 1.9,
 }
-_CONSISTENCY_LIMITS = {"regime": "'demo' or 'validated'", "T_list": "nonempty, positive",
-                       "k_set": "nonnegative", "n_samples": "nonnegative",
-                       "box_halfwidth": "nonnegative", "proxy_tol": "positive"}
 
 
 def _run_consistency(params: dict, seed: int) -> ExperimentResult:
-    p = _with_defaults(params, _CONSISTENCY_DEFAULTS, "consistency-sweep",
-                       _CONSISTENCY_LIMITS)
+    p = _with_defaults(params, _CONSISTENCY_DEFAULTS, "consistency-sweep")
     if len(set(p["T_list"])) != len(p["T_list"]):
         raise ConfigError("consistency-sweep.T_list must hold distinct periods, "
                           f"got {p['T_list']!r}")
     refs = _refs_from_spec(_PRESETS[p["regime"]][0])
     held = np.asarray(p["held_input"])
-    if held.shape != (2,):
-        raise ConfigError("consistency-sweep.held_input must be a pair (v, omega)")
-    if len(p["euler_slope_window"]) != 2:
-        raise ConfigError("consistency-sweep.euler_slope_window must be a pair (lo, hi)")
     field = error_dynamics_field(refs)
     ref_map = exact_proxy_map(field, held, tol=p["proxy_tol"])
     box = Box.centered(p["box_halfwidth"], 3)
@@ -438,8 +435,6 @@ _LYAP_DEFAULTS = {
     "radius": 5.0,
     "margin_rows": True,
 }
-_LYAP_LIMITS = {"regime": "'demo' or 'validated'", "T": "positive", "L_pe": "positive",
-                "grid_n": "at least 1", "radius": "positive"}
 
 
 def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
@@ -486,7 +481,7 @@ def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
 
 
 def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
-    p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit", _LYAP_LIMITS)
+    p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit")
     T = p["T"]
     refs, gains = _preset(p["regime"], T)
     grid_n, radius = p["grid_n"], p["radius"]
@@ -517,11 +512,10 @@ _PE_DEFAULTS = {
     "mu": 600.0,
     "T_list": (0.01,),
 }
-_PE_LIMITS = {"L": "positive", "mu": "positive", "T_list": "nonempty, positive"}
 
 
 def _run_pe_check(params: dict, seed: int) -> ExperimentResult:
-    p = _with_defaults(params, _PE_DEFAULTS, "pe-check", _PE_LIMITS)
+    p = _with_defaults(params, _PE_DEFAULTS, "pe-check")
     T_list = list(p["T_list"])
     T0, L, mu = T_list[0], p["L"], p["mu"]
     try:
@@ -566,12 +560,6 @@ _THEOREM_DEFAULTS = {
     "n_ball": 33,
     "usc_x0_count": 8,
 }
-_THEOREM_LIMITS = {"T": "positive", "T_list": "nonempty, positive", "L_pe": "positive",
-                   "Delta": "positive", "Delta_z": "positive", "eta": "positive",
-                   "eps": "positive", "usc_L": "positive", "mu_grid": "nonempty, positive",
-                   "horizon_s": "positive", "grid_n": "at least 1", "radius": "positive",
-                   "theta_values": "nonempty", "k_stride": "at least 1",
-                   "n_ball": "nonnegative", "usc_x0_count": "nonnegative"}
 
 
 def _decay_records(sysm, z_grid, x_grid, grid, T_list, horizon_s):
@@ -595,7 +583,7 @@ def _decay_records(sysm, z_grid, x_grid, grid, T_list, horizon_s):
 
 
 def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
-    p = _with_defaults(params, _THEOREM_DEFAULTS, "cascade-theorem-demo", _THEOREM_LIMITS)
+    p = _with_defaults(params, _THEOREM_DEFAULTS, "cascade-theorem-demo")
     if not p["eta"] < p["Delta"]:  # usc_probe needs eta in (0, Delta)
         raise ConfigError("cascade-theorem-demo.eta must be below cascade-theorem-demo.Delta, "
                           f"got eta={p['eta']!r} and Delta={p['Delta']!r}")

@@ -80,9 +80,6 @@ class CertificateParams:
 class UGBCertificate:
     """Transformed-function certificate produced by `build_ugb_certificate`."""
 
-    phi_growth: ClassKFunction
-    gamma1_tilde: ClassKFunction
-    gamma2_tilde: ClassKFunction
     c: float
     rho_built: ClassKFunction
     mu_fn: ClassKFunction
@@ -385,7 +382,7 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
     phi1 = float(p.phi(1.0))
     mu = _build_mu(p.gamma1, p.gamma2, phi1, float(np.max(z_norm)))
     W_eval = lambda T, k, x: rho(V.eval(T, k, x))
-    cert = UGBCertificate(p.phi, p.gamma1, p.gamma2, float(rho(2.0 * p.c)), rho, mu, W_eval)
+    cert = UGBCertificate(float(rho(2.0 * p.c)), rho, mu, W_eval)
     # the k-free bounds, formed once
     lo = np.asarray(p.alpha1(x_norm), dtype=float)
     hi = np.asarray(p.alpha2(x_norm), dtype=float) + p.c

@@ -144,21 +144,26 @@ def _correction_coefficients(w, gains: ControllerGains, T: float):
     return cx, cy, den
 
 
-def _correction_pieces(k, x_e, y_e, refs: ReferenceSignal, gains: ControllerGains,
-                       T: float):
-    """Numerator and denominator of the correction quotient."""
-    cx, cy, den = _correction_coefficients(_ref(refs.omega_r, k * T), gains, T)
-    return cx * x_e - cy * y_e, den
+def _correction(variant: str, factor: float, x_e, y_e, cx, cy, den):
+    """The correction input of a variant: zero for "none", factor times the
+    numerator cx x_e - cy y_e for "scaled", the quotient by den for "full"."""
+    if variant == "none":
+        return np.zeros_like(x_e, dtype=float)
+    num = cx * x_e - cy * y_e
+    return factor * num if variant == "scaled" else num / den
+
+
+_DEN_TOL = 1e-12  # a correction denominator smaller than this in size has vanished
 
 
 def _check_denominator(k, T: float, den) -> None:
     """Raise CorrectionDomainError at the first row whose denominator vanished."""
     if isinstance(k, np.ndarray):
-        bad = np.abs(den) < 1e-12
+        bad = np.abs(den) < _DEN_TOL
         if bad.any():
             i = int(np.argmax(np.broadcast_to(bad, k.shape)))
             raise CorrectionDomainError(k[i], T, float(np.broadcast_to(den, k.shape)[i]))
-    elif abs(den) < 1e-12:
+    elif abs(den) < _DEN_TOL:
         raise CorrectionDomainError(k, T, den)
 
 
@@ -177,18 +182,9 @@ def redesign_correction(k, x_e, y_e, refs: ReferenceSignal, gains: ControllerGai
     x_e^2 and x_e y_e of V(k+1) - V(k). At w = 0 it reduces to
     a2^2 x_e / (2 (1 - a2 T)), free of eps, as V is.
     """
-    num, den = _correction_pieces(k, x_e, y_e, refs, gains, T)
+    cx, cy, den = _correction_coefficients(_ref(refs.omega_r, k * T), gains, T)
     _check_denominator(k, T, den)
-    return num / den
-
-
-def _correction_value(k, x_e, y_e, refs, gains, T):
-    if gains.use_correction == "none":
-        return np.zeros_like(np.asarray(x_e, dtype=float))
-    if gains.use_correction == "scaled":
-        num, _ = _correction_pieces(k, x_e, y_e, refs, gains, T)
-        return gains.correction_factor * num
-    return redesign_correction(k, x_e, y_e, refs, gains, T)
+    return _correction("full", gains.correction_factor, x_e, y_e, cx, cy, den)
 
 
 def _control_values(T: float, k, x_e, y_e, th_e, refs: ReferenceSignal,
@@ -197,7 +193,10 @@ def _control_values(T: float, k, x_e, y_e, th_e, refs: ReferenceSignal,
     wr = _ref(refs.omega_r, k * T)
     vr = _ref(refs.v_r, k * T)
     w = wr + gains.a1 * th_e
-    vth = _correction_value(k, x_e, y_e, refs, gains, T)
+    cx, cy, den = _correction_coefficients(wr, gains, T)
+    if gains.use_correction == "full":
+        _check_denominator(k, T, den)
+    vth = _correction(gains.use_correction, gains.correction_factor, x_e, y_e, cx, cy, den)
     v = vr + gains.a2 * x_e + T * vth
     return v, w, vth
 
@@ -281,13 +280,8 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
     def advance(T, x, w, vr, vc, vs, cx, cy, den, out):
         """(x_e, y_e) at k + 1 into out[..., :2]; vc, vs: v_r cos, v_r sin of theta."""
         x_e, y_e = x[..., 0], x[..., 1]
-        if variant == "none":
-            vth = 0.0  # still added below: it turns a -0.0 of v into 0.0, as the composed map does
-        elif variant == "scaled":
-            vth = factor * (cx * x_e - cy * y_e)
-        else:
-            vth = (cx * x_e - cy * y_e) / den
-        v = vr + a2 * x_e + T * vth
+        # "none" still adds its zeros: they turn a -0.0 of v into 0.0, as the composed map does
+        v = vr + a2 * x_e + T * _correction(variant, factor, x_e, y_e, cx, cy, den)
         np.add(x_e, T * (w * y_e - v + vc), out=out[..., 0])
         np.add(y_e, T * (-w * x_e + vs), out=out[..., 1])
         return out
@@ -318,7 +312,7 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
         x = Y
         for i in range(n):
             x = advance(T, x, w[i], vr[i], vc[i], vs[i], cx[i], cy[i], den[i], out[i])
-        hit = np.abs(den) < 1e-12
+        hit = np.abs(den) < _DEN_TOL
         if variant == "full" and hit.any():  # the first one of a row still live there
             hit[1:] &= np.logical_and.accumulate(np.isfinite(out[:-1]).all(axis=2), axis=0)
             for i, r in np.argwhere(hit)[:1]:

@@ -156,6 +156,12 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
     ("consistency-sweep", {"T_list": [0.01, 0.01]},
      "consistency-sweep.T_list must hold distinct periods"),
     ("lyapunov-audit", {"regime": "bogus"}, "lyapunov-audit.regime must be 'demo' or 'validated'"),
+    ("example1", {"T": True}, "example1.T"),
+    ("unicycle-compare", {"gains": {"alpha_y": "x"}}, "unicycle-compare.gains.alpha_y"),
+    ("consistency-sweep", {"euler_slope_window": [1.9]},
+     "consistency-sweep.euler_slope_window must be a pair"),
+    ("consistency-sweep", {"held_input": [0.5]}, "consistency-sweep.held_input must be a pair"),
+    ("example1", {"T": -0.1}, "example1.T must be positive"),
 ], ids=["compare-cos", "compare-rk4", "compare-T0", "compare-T-negative",
         "compare-T-above-T_max", "compare-negative-gain", "lyapunov-T0",
         "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0",
@@ -168,7 +174,9 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
         "example1-negative-table_steps", "consistency-empty-T_list",
         "consistency-negative-n_samples", "consistency-negative-k", "lyapunov-grid_n0",
         "theorem-empty-theta_values", "theorem-negative-n_ball", "pe-negative-L",
-        "theorem-eta-not-below-Delta", "consistency-repeated-T", "lyapunov-unknown-regime"])
+        "theorem-eta-not-below-Delta", "consistency-repeated-T", "lyapunov-unknown-regime",
+        "example1-bool-T", "compare-str-alpha_y", "consistency-short-euler_slope_window",
+        "consistency-short-held_input", "example1-negative-T"])
 def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params, key):
     out = tmp_path / "out"
     code = main(["run", "--experiment", experiment,

@@ -74,6 +74,33 @@ def test_defaults_pass_their_own_parser_unchanged(name, defaults):
     assert repr(merged) == repr(defaults)
 
 
+def test_every_range_names_an_option_and_known_words():
+    """The one range table holds no dead entry: each key is an option of some
+    experiment, at any depth, and each of its words is a range word."""
+    options = set()
+
+    def walk(defaults):
+        for key, val in defaults.items():
+            options.add(key)
+            if isinstance(val, dict):
+                walk(val)
+
+    for defaults in (experiments._EXAMPLE1_DEFAULTS, experiments._COMPARE_DEFAULTS,
+                     experiments._CONSISTENCY_DEFAULTS, experiments._LYAP_DEFAULTS,
+                     experiments._PE_DEFAULTS, experiments._THEOREM_DEFAULTS):
+        walk(defaults)
+    assert set(experiments._RANGES) <= options
+    for key, words in experiments._RANGES.items():
+        assert set(words.split(", ")) <= set(experiments._LIMITS), key
+    assert set(experiments._WHOLE) <= set(experiments._LIMITS)
+
+
+def test_null_default_is_typed_as_a_float():
+    """A null default takes a number as a float, so the config echo reads 2.0."""
+    out = experiments.run_comparison_experiment({"gains": {"alpha_y": 2}})
+    assert repr(out["config"]["gains"]["alpha_y"]) == "2.0"
+
+
 def test_merged_config_shares_no_default_object():
     """The config a run hands back is its own: editing it changes neither
     the defaults nor the demo preset they are read from."""
