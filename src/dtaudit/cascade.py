@@ -410,7 +410,7 @@ def usc_probe(sys: CascadeSystem, Delta: float, eta: float, eps: float, L: float
         raise ValueError("need eta in (0, Delta)")
     if not (eps > 0.0 and L > 0.0):
         raise ValueError("need eps > 0 and L > 0")
-    if any(float(m) <= 0.0 for m in mu_grid):
+    if any(not float(m) > 0.0 for m in mu_grid):  # NaN included
         raise ValueError("mu grid must be positive")
     x0s = sample_ball(eta, sys.dim_x, x0_count)
     for mu in sorted((float(m) for m in mu_grid), reverse=True):

@@ -29,8 +29,9 @@ from .stability import (CertificateParams, LyapunovCandidate, _LyapunovChecks,
 # names on this module
 from .stability import audit_lyapunov, check_boundedness, falsify_spuas  # noqa: F401
 from .unicycle import audit_lyapunov_chain  # noqa: F401
-from .unicycle import (_PRESETS, _ChainChecks, _chain_grid, _chain_pass, _gains_from_spec,
-                       _preset, _refs_from_spec, _score_variant, _simulate_variant, check_pe,
+from .unicycle import (_PRESETS, _ChainChecks, _U_step, _chain_grid, _chain_pass,
+                       _gains_from_spec, _preset, _refs_from_spec, _score_variant,
+                       _simulate_variant, check_pe,
                        closed_loop_euler_cascade, compute_case_constants,
                        error_dynamics_field, lyap_U, pe_window_sums)
 
@@ -451,32 +452,37 @@ def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
 def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
     """The audits of `lyapunov-audit` from one pass over the period.
 
-    Each k's closed-loop step feeds the chain checks, the definition-style
+    Each block of the chain pass feeds the chain checks, the definition-style
     checks of U = V + eps_small W, the decrease margins at the probe indices
-    (with `margin_rows`) and the decrease profile at every seventh k. U at k
-    and at k + 1 on the step are the bits of `lyap_U`: (-T) S = -(T S), and
-    both read S(k) from the reference's table.
+    (with `margin_rows`) and the decrease profile at every seventh k, which
+    share one U and one U(k + 1) - U(k). U at k and at k + 1 on the step are
+    the bits of `lyap_U`: (-T) S = -(T S), and both read S(k) from the
+    reference's table.
     Returns the chain and definition verdicts, the margin rows (none if a
     probe index fails its checks) and the profile rows (k, t, min margin).
     """
     X, Y = _chain_grid(grid_n, radius)
     pts = np.stack([X, Y], axis=-1)
     cand = _lyap_U_candidate(refs, gains, consts)
-    chain = _ChainChecks(refs, gains, consts, T, X, Y)
+    chain = _ChainChecks(gains, consts, T, X, Y)
     definition = _LyapunovChecks(cand, pts, 0.0)
     probe = _LyapunovChecks(cand, pts, 0.0, collect_margins=True)
-    probes = set(_k_probes(T, refs.period)) if margin_rows else set()
-    n2 = np.sum(pts ** 2, axis=-1)
-    eps = consts.eps_small
+    k_hi = refs.period_steps(T)
+    is_probe = np.zeros(k_hi + 1, dtype=bool)
+    is_probe[_k_probes(T, refs.period) if margin_rows else []] = True
+    rate = -consts.c3_tilde * np.sum(pts ** 2, axis=-1)
     prof = []
-    for k, V, Vn, TS, W, Wn in _chain_pass(refs, gains, T, X, Y, refs.period_steps(T)):
-        chain.check(k, V, Vn, TS, W, Wn)
-        U, Un = V + eps * W, Vn + eps * Wn
-        definition.check(T, k, U, lambda: Un)
-        if k in probes:
-            probe.check(T, k, U, lambda: Un)
-        if k % 7 == 0:
-            prof.append((k, k * T, float(np.min(-consts.c3_tilde * n2 - (Un - U) / T))))
+    for block in _chain_pass(refs, gains, T, X, Y, k_hi):
+        ks = block[0]
+        U, dU = _U_step(block, consts.eps_small)
+        chain.check(block, U, dU)
+        definition.check(T, ks, U, lambda: dU)
+        at = is_probe[ks]
+        if at.any():
+            probe.check(T, ks[at], U[at], lambda: dU[at])
+        at = ks % 7 == 0
+        prof += [(k, k * T, m) for k, m in zip(ks[at].tolist(),
+                                               np.min(rate - dU[at] / T, axis=1).tolist())]
     return chain.result(), definition.result(), probe.result().margins.get("rows", []), prof
 
 

@@ -200,6 +200,10 @@ def horizon_index(L: float, T: float) -> int:
 # and the steps per block of the reductions over a record's norms.
 _CHUNK = 128
 
+# Elements (step indices x grid states) per block of a one-step audit's
+# pass over the step indices: 4 indices of a 41 x 41 grid, 18 of a 21 x 21.
+_BLOCK = 8192
+
 
 def _check_period(T: float, T_max: float) -> None:
     """Reject a sampling period outside (0, T_max]."""

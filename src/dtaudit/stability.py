@@ -17,7 +17,8 @@ from ._sampling import Box, sample_ball, sample_box
 from .cascade import CascadeSystem, _k_probes, _stacked_step, grid_rollouts
 from .discretize import ParameterizedMap
 from .numerics import ClassKFunction, KLBound
-from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _ratio
+from .verdict import (_SLACK, StabilityVerdict, Witness, _first_failing_row, _first_violation,
+                      _one_step, _ratio)
 
 __all__ = [
     "LyapunovCandidate",
@@ -179,8 +180,8 @@ def check_boundedness(system, kappa: ClassKFunction, c: float, Delta: float,
 class _LyapunovChecks:
     """The per-(T, k) checks of `audit_lyapunov` on the grid Y, in its order,
     with its running margins, for callers that step the grid themselves.
-    Once a check has falsified, `falsified` holds its verdict and `check`
-    does nothing."""
+    `check` takes a block of step indices at once. Once a check has
+    falsified, `falsified` holds its verdict and `check` does nothing."""
 
     def __init__(self, V: LyapunovCandidate, Y, nu: float, decrease_form: str = "as-printed",
                  collect_margins: bool = False):
@@ -192,36 +193,42 @@ class _LyapunovChecks:
         self.rhs = ((lambda T: -T * (a3 + nu)) if decrease_form == "as-printed"
                     else (lambda T: -T * a3 + T * nu))
         gap = np.linalg.norm(Y[:-1] - Y[1:], axis=1)
-        self.lip = np.asarray(V.L_mod(np.maximum(self.norms[:-1], self.norms[1:])),
-                              dtype=float) * gap
-        self.keep = gap > 1e-12
+        self.lip = lip = np.asarray(V.L_mod(np.maximum(self.norms[:-1], self.norms[1:])),
+                                    dtype=float) * gap
+        # a pair of (numerically) equal states enters the worst ratio as 0
+        self.lip_div = np.where(gap > 1e-12, np.maximum(lip, 1e-300), np.inf)
         self.worst = {"sandwich_lo": 0.0, "sandwich_hi": 0.0, "decrease": -math.inf,
                       "lipschitz": 0.0}
         self.rows = [] if collect_margins else None
         self.falsified = None
 
-    def check(self, T: float, k: int, v, next_v) -> None:
-        """Check V's values `v` at (T, k) on the grid; `next_v()` gives V at
-        (T, k + 1) on the grid's step and is called once the sandwich holds."""
+    def check(self, T: float, ks, v, dv) -> None:
+        """Check V's values `v` (a row per step index of `ks`) on the grid;
+        `dv()` gives V at k + 1 on the grid's step minus `v`, and is called
+        unless the sandwich fails at the first index. The witness is that of
+        the first index at which a check fails, taken one index at a time."""
         if self.falsified is not None:
             return
         Y, lo, hi, lip, worst = self.Y, self.lo, self.hi, self.lip, self.worst
         v = np.asarray(v, dtype=float)
-        bad = _first_violation(
-            _one_step(v >= lo - _SLACK, T, k, Y, v, lo, "lower sandwich bound violated"),
-            _one_step(v <= hi + _SLACK, T, k, Y, v, hi, "upper sandwich bound violated"))
-        if bad is None:
-            rhs = self.rhs(T)
-            dv = np.asarray(next_v(), dtype=float) - v
-            lhs = np.abs(v[:-1] - v[1:])
-            bad = _first_violation(
-                _one_step(dv <= rhs + _SLACK, T, k, Y, dv, rhs, "decrease condition violated"),
-                _one_step(lhs <= lip + _SLACK, T, k, Y, lhs, lip, "Lipschitz modulus violated"))
-        if bad is not None:
-            self.falsified = bad
+        rhs = self.rhs(T)
+        entries = [(v >= lo - _SLACK, v, lo, "lower sandwich bound violated"),
+                   (v <= hi + _SLACK, v, hi, "upper sandwich bound violated")]
+        if _first_failing_row(entries[0][0], entries[1][0]) != 0:
+            dv = np.asarray(dv(), dtype=float)
+            lhs = np.abs(v[:, :-1] - v[:, 1:])
+            entries += [(dv <= rhs + _SLACK, dv, rhs, "decrease condition violated"),
+                        (lhs <= lip + _SLACK, lhs, lip, "Lipschitz modulus violated")]
+        b = _first_failing_row(*(ok for ok, _, _, _ in entries))
+        if b is not None:
+            k = int(ks[b])
+            self.falsified = _first_violation(*(_one_step(ok[b], T, k, Y, measured[b], bound, detail)
+                                                for ok, measured, bound, detail in entries))
             return
         if self.rows is not None:
-            self.rows.append(np.column_stack([np.arange(len(Y)), self.norms, rhs, dv, rhs - dv]))
+            B, n = v.shape
+            self.rows.append(np.column_stack([np.tile(np.arange(n), B), np.tile(self.norms, B),
+                                              np.tile(rhs, B), dv.ravel(), (rhs - dv).ravel()]))
 
         with np.errstate(divide="ignore", invalid="ignore"):
             worst["sandwich_lo"] = max(worst["sandwich_lo"],
@@ -229,10 +236,7 @@ class _LyapunovChecks:
             worst["sandwich_hi"] = max(worst["sandwich_hi"],
                                        float(np.where(hi > 0, v / hi, 0.0).max()))
             worst["decrease"] = max(worst["decrease"], float((dv - rhs).max()))
-            if np.any(self.keep):
-                worst["lipschitz"] = max(
-                    worst["lipschitz"],
-                    float((lhs[self.keep] / np.maximum(lip[self.keep], 1e-300)).max()))
+            worst["lipschitz"] = max(worst["lipschitz"], float((lhs / self.lip_div).max()))
 
     def result(self) -> StabilityVerdict:
         """The falsified verdict, or the pass; collected margin rows are
@@ -264,8 +268,9 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
     for T in sorted(float(t) for t in T_list):
         for k in (_k_probes(T, F.period) if k_set is None else k_set):
             k = int(k)
-            checks.check(T, k, V.eval(T, k, Y),
-                         lambda: V.eval(T, k + 1, np.asarray(F.step(T, k, Y), dtype=float)))
+            v = np.asarray(V.eval(T, k, Y), dtype=float)[None]  # a block of one k
+            checks.check(T, (k,), v, lambda: np.asarray(
+                V.eval(T, k + 1, np.asarray(F.step(T, k, Y), dtype=float)), dtype=float) - v)
             if checks.falsified is not None:
                 return checks.falsified
     return checks.result()

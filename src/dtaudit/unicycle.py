@@ -24,9 +24,10 @@ from .discretize import VectorField, exact_proxy_map
 # perfbench/layers.py wraps the map builder under this name on this module
 from .discretize import euler_map  # noqa: F401
 from ._integrate import IntegrationError
-from .numerics import horizon_index
+from .numerics import _BLOCK, horizon_index
 from .stability import PreconditionError
-from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step
+from .verdict import (_SLACK, StabilityVerdict, Witness, _first_failing_row, _first_violation,
+                      _one_step)
 
 __all__ = [
     "ReferenceSignal",
@@ -157,12 +158,14 @@ _DEN_TOL = 1e-12  # a correction denominator smaller than this in size has vanis
 
 
 def _check_denominator(k, T: float, den) -> None:
-    """Raise CorrectionDomainError at the first row whose denominator vanished."""
+    """Raise CorrectionDomainError at the first entry, in C order, whose
+    denominator vanished; for a (B, 1) column k, the first k of the block."""
     if isinstance(k, np.ndarray):
         bad = np.abs(den) < _DEN_TOL
         if bad.any():
-            i = int(np.argmax(np.broadcast_to(bad, k.shape)))
-            raise CorrectionDomainError(k[i], T, float(np.broadcast_to(den, k.shape)[i]))
+            bad, k, den = np.broadcast_arrays(bad, k, den)
+            i = int(np.argmax(bad))
+            raise CorrectionDomainError(k.flat[i], T, float(den.flat[i]))
     elif abs(den) < _DEN_TOL:
         raise CorrectionDomainError(k, T, den)
 
@@ -365,12 +368,15 @@ def check_pe(refs: ReferenceSignal, L: float, mu: float, T_list) -> StabilityVer
 
 def lyap_V(k: int, x_e, y_e, refs: ReferenceSignal, gains: ControllerGains, T: float):
     """Quadratic with a reference-weighted cross term, eps = alpha_y + T."""
-    eps = gains.alpha_y + T
-    wm1 = float(refs.omega_r((k - 1) * T))
-    x_e = np.asarray(x_e, dtype=float)
-    y_e = np.asarray(y_e, dtype=float)
-    out = x_e * x_e + y_e * y_e - eps * wm1 * x_e * y_e
+    out = _V_form(gains.alpha_y + T, float(refs.omega_r((k - 1) * T)),
+                  np.asarray(x_e, dtype=float), np.asarray(y_e, dtype=float))
     return out if out.ndim else float(out)
+
+
+def _V_form(eps, wm1, x_e, y_e):
+    """V's quadratic at cross weight eps * wm1, wm1 = omega_r((k - 1) T): a
+    float, or a (B, 1) column of them against (B, rows) states."""
+    return x_e * x_e + y_e * y_e - eps * wm1 * x_e * y_e
 
 
 def lyap_V_bounds(gains: ControllerGains, w_M: float, T_star: float) -> tuple[float, float, bool]:
@@ -487,21 +493,30 @@ def _chain_grid(grid_n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _chain_pass(refs: ReferenceSignal, gains: ControllerGains, T: float, X, Y, k_hi: int):
     """One pass over the chain: step the full-correction closed loop from
-    the grid (X, Y) at zero heading error for k = 0..k_hi.
+    the grid (X, Y) at zero heading error for k = 0..k_hi, one block of
+    step indices per closed-loop call.
 
-    Yields (k, V, Vn, TS, W, Wn) per k: V at k on the grid and at k + 1 on
-    its step, the weight TS = T S(k), and W = -T S y^2 at k and k + 1.
+    Yields blocks (ks, w, V, Vn, TS, W, Wn) of about `_BLOCK` elements: the
+    block's step indices ks, the column w = omega_r(kT), V at k on the grid
+    and at k + 1 on its step (a row per k), the column TS = T S(k), and
+    W = -T S y^2 at k and k + 1. The omega_r values are scalar calls, as
+    `lyap_V` makes them, so every row has the bits of its k alone.
     """
     fstep = closed_loop_euler_cascade(refs, replace(gains, use_correction="full")).f
     pts = np.stack([X, Y], axis=-1)
-    z0 = np.zeros((len(X), 1))
+    z0 = np.zeros((1, 1, 1))
+    eps = gains.alpha_y + T
     S = _energy_profile(refs, T, 0, k_hi + 1)
-    for k in range(k_hi + 1):
-        out = fstep(T, k, pts, z0)
+    # om[k + 1] = omega_r(kT) for k = -1..k_hi
+    om = np.array([float(refs.omega_r(k * T)) for k in range(-1, k_hi + 1)])
+    B = max(1, _BLOCK // len(X))
+    for k0 in range(0, k_hi + 1, B):
+        ks = np.arange(k0, min(k0 + B, k_hi + 1))
+        out = fstep(T, ks[:, None], np.broadcast_to(pts, (len(ks),) + pts.shape), z0)
         Xn, Yn = out[..., 0], out[..., 1]
-        TS = T * S[k]
-        yield (k, lyap_V(k, X, Y, refs, gains, T), lyap_V(k + 1, Xn, Yn, refs, gains, T),
-               TS, -TS * Y * Y, -T * S[k + 1] * Yn * Yn)
+        w, TS = om[ks + 1, None], T * S[ks, None]
+        yield (ks, w, _V_form(eps, om[ks, None], X, Y), _V_form(eps, w, Xn, Yn),
+               TS, -TS * Y * Y, -T * S[ks + 1, None] * Yn * Yn)
 
 
 def compute_case_constants(refs: ReferenceSignal, gains: ControllerGains, T_star: float,
@@ -532,12 +547,11 @@ def compute_case_constants(refs: ReferenceSignal, gains: ControllerGains, T_star
     mask = X != 0.0
     # the k-free terms of both fits, formed once
     aX2, aY2, Tn2, X2m = alpha_x * X * X, alpha_y_tilde * Y * Y, T * n2, X[mask] * X[mask]
-    for k, V, Vn, _, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi):
-        w = float(refs.omega_r(k * T))
+    for _, w, V, Vn, _, W, Wn in _chain_pass(refs, gains, T, X, Y, k_hi):
         dV = (Vn - V) / T
         K1_req = max(K1_req, float(((dV + aX2 + gains.alpha_y * w * w * Y * Y) / Tn2).max()))
         resid = (Wn - W) / T - w * w * Y * Y + aY2
-        K2_req = max(K2_req, float((resid[mask] / X2m).max()))
+        K2_req = max(K2_req, float((resid[:, mask] / X2m).max()))
     K1 = max(K1_req, 1e-9)
     K2 = max(K2_req, 0.0)
 
@@ -580,23 +594,30 @@ def lyap_U(k: int, x, refs: ReferenceSignal, gains: ControllerGains,
     return lyap_V(k, x_e, y_e, refs, gains, T) + constants.eps_small * lyap_W(k, y_e, refs, T)
 
 
+def _U_step(block, eps_small: float):
+    """U = V + eps_small W at k on a `_chain_pass` block, and U at k + 1 on
+    the step minus U, in `lyap_U`'s operation order."""
+    _, _, V, Vn, _, W, Wn = block
+    U = V + eps_small * W
+    return U, Vn + eps_small * Wn - U
+
+
 class _ChainChecks:
     """The per-k checks of `audit_lyapunov_chain` on one grid, in its order,
     with its running margins.
 
-    `check` takes one `_chain_pass` row, so `audit_lyapunov_chain` and a
+    `check` takes one `_chain_pass` block, so `audit_lyapunov_chain` and a
     caller with its own pass over the same grid drive the same checks. Once
     a check has falsified, `falsified` holds its verdict and `check` does
     nothing.
     """
 
-    def __init__(self, refs: ReferenceSignal, gains: ControllerGains,
-                 constants: CaseStudyConstants, T: float, X, Y):
+    def __init__(self, gains: ControllerGains, constants: CaseStudyConstants, T: float, X, Y):
         bad = constants.first_violated()
         if bad is not None:
             raise PreconditionError(f"constant flag violated: {bad}")
         c = self.c = constants
-        self.refs, self.alpha_y, self.T, self.Y = refs, gains.alpha_y, T, Y
+        self.alpha_y, self.T, self.Y = gains.alpha_y, T, Y
         self.pts = np.stack([X, Y], axis=-1)
         self.n2 = n2 = X * X + Y * Y
         # the k-free bounds, formed once
@@ -609,34 +630,40 @@ class _ChainChecks:
                         "W_sandwich_lo": math.inf, "W_sandwich_hi": -math.inf}
         self.falsified = None
 
-    def check(self, k, V, Vn, TS, W, Wn) -> None:
-        """Check the chain at step index k from its `_chain_pass` row."""
+    def check(self, block, U, dU) -> None:
+        """Check the chain on a `_chain_pass` block, given its `_U_step`.
+
+        The witness is that of the first k at which a check fails, with the
+        checks taken in order at that k.
+        """
         if self.falsified is not None:
             return
         c, T, pts, Y = self.c, self.T, self.pts, self.Y
-        w = float(self.refs.omega_r(k * T))
+        ks, w, V, Vn, TS, W, Wn = block
         dV = (Vn - V) / T
         rhsV = -(self.aX2 + self.alpha_y * w * w * Y * Y) + self.K1n2
         dW = (Wn - W) / T
         rhsW = w * w * Y * Y - self.aY2 + self.K2X2
-        U = V + c.eps_small * W
-        dU = (Vn + c.eps_small * Wn - U) / T
+        dU = dU / T
         ratioV, ratioU = V / self.n2, U / self.n2
         rhsU = self.rhsU
-        self.falsified = _first_violation(
-            _one_step(ratioV >= c.c1 - _SLACK, T, k, pts, V, self.lo_V,
-                      "V lower sandwich violated"),
-            _one_step(ratioV <= c.c2 + _SLACK, T, k, pts, V, self.hi, "V upper sandwich violated"),
-            _one_step(dV <= rhsV + _SLACK, T, k, pts, dV, rhsV, "V decrease violated"),
-            # the W sandwich c4 <= T*S(k) <= c3, upper side first
-            ([TS <= c.c3 + _SLACK, TS >= c.c4 - _SLACK],
-             lambda i: Witness.of(T, k, pts[0], k, TS, (c.c3, c.c4)[i]), "W sandwich violated"),
-            _one_step(dW <= rhsW + _SLACK, T, k, pts, dW, rhsW, "W decrease violated"),
-            _one_step(ratioU >= c.c1 / 2.0 - _SLACK, T, k, pts, U, self.lo_U,
-                      "U lower sandwich violated"),
-            _one_step(ratioU <= c.c2 + _SLACK, T, k, pts, U, self.hi, "U upper sandwich violated"),
-            _one_step(dU <= rhsU + _SLACK, T, k, pts, dU, rhsU, "U decrease violated"))
-        if self.falsified is not None:
+        entries = [(ratioV >= c.c1 - _SLACK, V, self.lo_V, "V lower sandwich violated"),
+                   (ratioV <= c.c2 + _SLACK, V, self.hi, "V upper sandwich violated"),
+                   (dV <= rhsV + _SLACK, dV, rhsV, "V decrease violated"),
+                   (dW <= rhsW + _SLACK, dW, rhsW, "W decrease violated"),
+                   (ratioU >= c.c1 / 2.0 - _SLACK, U, self.lo_U, "U lower sandwich violated"),
+                   (ratioU <= c.c2 + _SLACK, U, self.hi, "U upper sandwich violated"),
+                   (dU <= rhsU + _SLACK, dU, rhsU, "U decrease violated")]
+        # the W sandwich c4 <= T*S(k) <= c3, upper side first
+        TS_ok = np.concatenate([TS <= c.c3 + _SLACK, TS >= c.c4 - _SLACK], axis=1)
+        b = _first_failing_row(TS_ok, *(ok for ok, _, _, _ in entries))
+        if b is not None:
+            k, ts = int(ks[b]), TS[b, 0]
+            per_k = [_one_step(ok[b], T, k, pts, measured[b], np.broadcast_to(bound, ok.shape)[b],
+                               detail) for ok, measured, bound, detail in entries]
+            per_k.insert(3, (TS_ok[b], lambda i: Witness.of(T, k, pts[0], k, ts, (c.c3, c.c4)[i]),
+                             "W sandwich violated"))
+            self.falsified = _first_violation(*per_k)
             return
 
         margins = self.margins
@@ -665,10 +692,10 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
     Any violation falsifies with the exact sample.
     """
     X, Y = _chain_grid(grid_n, radius)
-    checks = _ChainChecks(refs, gains, constants, T, X, Y)
+    checks = _ChainChecks(gains, constants, T, X, Y)
     k_hi = refs.period_steps(T) if k_max is None else int(k_max)
-    for row in _chain_pass(refs, gains, T, X, Y, k_hi):
-        checks.check(*row)
+    for block in _chain_pass(refs, gains, T, X, Y, k_hi):
+        checks.check(block, *_U_step(block, constants.eps_small))
         if checks.falsified is not None:
             break
     return checks.result()

@@ -110,6 +110,13 @@ def _first_violation(*checks) -> StabilityVerdict | None:
     return None
 
 
+def _first_failing_row(*oks) -> int | None:
+    """The first index along the leading axis (a block's step indices) at
+    which any of the pass masks `oks` fails, or None."""
+    bad = np.logical_or.reduce([~np.asarray(ok).reshape(len(ok), -1).all(axis=1) for ok in oks])
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def _one_step(ok, T, k, pts, measured, bound, detail):
     """A `_first_violation` entry for a one-step check at (T, k) over the
     rows `pts`: its failing row j witnesses (T, k, pts[j], k, measured[j],

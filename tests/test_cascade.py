@@ -695,9 +695,12 @@ def test_usc_probe_batched_matches_per_row_loop():
     assert grid[-1] < mu < grid[0]  # the grid brackets the threshold
 
 
-@pytest.mark.parametrize("grid", [[0.2, -1.0], [-1.0, 0.2], [0.2, 0.0]])
+@pytest.mark.parametrize("grid", [[0.2, -1.0], [-1.0, 0.2], [0.2, 0.0],
+                                  [math.nan], [math.nan, 0.2], [0.2, math.nan]])
 def test_usc_probe_checks_the_whole_mu_grid_before_probing(grid):
-    """A bad grid value is an error even where a larger value passes first."""
+    """A bad grid value is an error even where a larger value passes first.
+    A NaN is not positive: unchecked, [nan] read as "every mu failed" (0.0)
+    and [nan, 0.2] as 0.2."""
     sysm = closed_loop_euler_cascade(validated_references(), validated_gains("full"))
     with pytest.raises(ValueError, match="mu grid must be positive"):
         usc_probe(sysm, 5.0, 2.0, 0.5, 2.0, [0.01], grid, x0_count=2)

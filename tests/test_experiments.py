@@ -270,7 +270,8 @@ def _separate_lyapunov_audits(refs, gains, c, T, grid_n, radius):
     """The audits of `lyapunov-audit` as separate loops: the chain audit,
     the definition audit over the period and at the probe indices with
     margin rows, each stepping the unforced closed loop itself, and the
-    decrease profile from its own stride-7 chain pass."""
+    decrease profile at every seventh k from `lyap_U` on the grid and on
+    its one-step image."""
     chain = unicycle.audit_lyapunov_chain(refs, gains, c, T, grid_n=grid_n, radius=radius)
     sysm = closed_loop_euler_cascade(refs, gains)
     F = ParameterizedMap(2, sysm.T_max, lambda TT, k, x: sysm.f(TT, k, x, np.zeros((len(x), 1))),
@@ -283,15 +284,13 @@ def _separate_lyapunov_audits(refs, gains, c, T, grid_n, radius):
                                 k_set=range(refs.period_steps(T) + 1))
     probe = audit_lyapunov(cand, F, Delta, 0.0, [T], pts, collect_margins=True)
     n2 = np.sum(pts ** 2, axis=-1)
-    eps = c.eps_small
-    prof = [(k, k * T, float(np.min(-c.c3_tilde * n2 - ((Vn + eps * Wn) - (V + eps * W)) / T)))
-            for k, V, Vn, _, W, Wn in unicycle._chain_pass(refs, gains, T, X, Y,
-                                                           refs.period_steps(T))
-            if k % 7 == 0]
+    prof = [(k, k * T, float(np.min(-c.c3_tilde * n2 - (
+                cand.eval(T, k + 1, F.step(T, k, pts)) - cand.eval(T, k, pts)) / T)))
+            for k in range(0, refs.period_steps(T) + 1, 7)]
     return chain, definition, probe.margins.get("rows", []), prof
 
 
-# c3_tilde = 0.009 breaks the U decrease at k = 577 but not at the probe
+# c3_tilde = 0.009 breaks the U decrease at k = 223 but not at the probe
 # indices 0, 1, 314 and 627, where it holds up to about 0.0099
 @pytest.mark.parametrize("doctor, chain_kind, definition_kind, has_rows", [
     ({}, "pass", "pass", True),
@@ -321,17 +320,22 @@ def test_lyapunov_audit_pass_equals_the_separate_audits(doctor, chain_kind, defi
 
 def test_lyapunov_audit_steps_the_closed_loop_once_per_k_and_pass(monkeypatch):
     """The constants fit and the audits each make one pass over the 630
-    indices of the period: 1,260 closed-loop steps, where fitting, chain,
-    definition audit, probes and profile stepping apart made 1,984."""
-    calls = {"f": 0}
+    indices of the period: every (k, grid state) pair of the 1,680-state
+    grid is stepped exactly twice, 2,116,800 stepped pairs, where fitting,
+    chain, definition audit, probes and profile stepping apart made 1,984
+    per-k steps. A call may step a block of indices, with k a (B, 1)
+    column against (B, rows, 2) states."""
+    pairs = np.zeros(630, dtype=np.int64)
 
     def counted(build):
         def counted_build(*args):
             sysm = build(*args)
 
-            def f(*a):
-                calls["f"] += 1
-                return sysm.f(*a)
+            def f(T, k, x, z):
+                x = np.asarray(x)
+                assert x.shape[-2:] == (1680, 2)
+                np.add.at(pairs, np.broadcast_to(k, x.shape[:-1]).ravel(), 1)
+                return sysm.f(T, k, x, z)
 
             return dataclasses.replace(sysm, f=f)
         return counted_build
@@ -340,7 +344,8 @@ def test_lyapunov_audit_steps_the_closed_loop_once_per_k_and_pass(monkeypatch):
         monkeypatch.setattr(module, "closed_loop_euler_cascade",
                             counted(module.closed_loop_euler_cascade))
     assert run_named("lyapunov-audit", {}).status == 0
-    assert calls == {"f": 1260}
+    assert pairs.sum() == 2 * 630 * 1680
+    assert np.all(pairs == 2 * 1680)
 
 
 def test_unicycle_compare_stops_stepping_a_diverged_variant(monkeypatch):
@@ -425,6 +430,23 @@ def test_theorem_demo_routes_one_stacked_rollout_per_period(monkeypatch):
     monkeypatch.setattr(experiments, "closed_loop_euler_cascade", counted_build)
     assert run_named("cascade-theorem-demo", THEOREM_WORKLOAD).status == 0
     assert calls == {"f": 3632, "g": 3000}
+
+
+def test_lyapunov_audit_pass_keeps_blocks_small():
+    """Tooling guard: the audit pass of `lyapunov-audit` at its defaults
+    steps four step indices of the 1,680-state grid per block; its traced
+    peak was 0.99 MB one index at a time and is about 1.7 MB in blocks."""
+    T = 0.01
+    refs, gains = unicycle._preset("validated", T)
+    c = unicycle.compute_case_constants(refs, gains, T, 2.0)
+    experiments._audit_pass(refs, gains, c, T, 41, 5.0, True)
+    tracemalloc.start()
+    try:
+        experiments._audit_pass(refs, gains, c, T, 41, 5.0, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_decay_records_hold_norms_not_whole_horizon_states():

@@ -133,10 +133,12 @@ def test_correction_domain_error_reports_the_offending_row_k():
             for kk, a, b in zip(k[keep], x_e[keep], y_e[keep])]
     assert np.array_equal(got, want)
 
-    # the fused closed-loop step reports the same row, from its table
+    # the fused closed-loop step reports the same row, from its table, also
+    # for a (B, 1) column of k against (B, rows, 2) states
     f = closed_loop_euler_cascade(refs, gains).f
     X, Z = np.column_stack([x_e, y_e]), y_e[:, None]
-    for kk, XX, ZZ in ((k, X, Z), (7, X[2], Z[2])):
+    for kk, XX, ZZ in ((k, X, Z), (7, X[2], Z[2]),
+                       (k[:, None], np.broadcast_to(X, (4, 4, 2)), np.zeros((1, 1, 1)))):
         with pytest.raises(CorrectionDomainError) as err:
             f(T, kk, XX, ZZ)
         assert (err.value.k, err.value.T, err.value.den) == (7, T, 0.0)
@@ -509,10 +511,10 @@ def test_every_reader_of_S_gets_the_direct_sum_to_the_bit(validated_constants, r
             U = lyap_V(k, x[:, 0], x[:, 1], refs, gains, T) + c.eps_small * (
                 -T * S * x[:, 1] * x[:, 1])
             assert np.array_equal(cand.eval(T, k, x), U)
-        else:  # the last row of a pass over a one-point grid up to k
-            row = collections.deque(unicycle._chain_pass(
+        else:  # the last row of the last block of a pass over a one-point grid up to k
+            block = collections.deque(unicycle._chain_pass(
                 refs, gains, T, np.array([x_e]), np.array([y_e]), k), maxlen=1)[0]
-            assert row[0] == k and row[3] == T * S
+            assert block[0][-1] == k and block[4][-1, 0] == T * S
 
 
 def test_S_tables_shared_across_threads():
@@ -668,3 +670,74 @@ def test_chain_audit_names_the_smaller_k(validated_constants):
                                    T=0.01, grid_n=5, radius=2.0, k_max=3)
     assert verdict.detail == "W sandwich violated"
     assert verdict.witness.k == 3
+
+
+def test_K1_grid_artifact_is_pinned(validated_constants):
+    """The fitted K1 is a property of the fitting grid (README, "Known
+    findings"): the grid-41 constants pass the chain audit on their own
+    grid and are falsified on the 81 x 81 grid of the same box, and at
+    grid_n 51 the fit gives K1 = 0.2225, for which the T_tilde flag fails."""
+    refs, gains, c = validated_references(), validated_gains(), validated_constants
+    assert audit_lyapunov_chain(refs, gains, c, 0.01).kind == "pass"
+    verdict = audit_lyapunov_chain(refs, gains, c, 0.01, grid_n=81)
+    assert verdict.to_json() == {
+        "kind": "falsified", "detail": "V decrease violated", "margins": {},
+        "witness": {"T": 0.01, "k0": 86, "initial_state": [-0.125, -5.0], "k": 86,
+                    "measured": -0.42135405450522967, "bound": -0.4224416362933345}}
+    res = experiments.run_named("lyapunov-audit", {"grid_n": 51})
+    assert (res.status, res.metrics["violated_flag"]) == (1, "T_tilde")
+    assert res.metrics["constants"]["K1"] == pytest.approx(0.2225, abs=5e-5)
+
+
+def _per_k_chain_rows(refs, gains, T, X, Y, k_hi):
+    """The chain pass one k at a time from public calls: (k, omega_r(kT),
+    V, Vn, T S(k), W, Wn) with the full-correction closed loop's step."""
+    f = closed_loop_euler_cascade(refs, replace(gains, use_correction="full")).f
+    pts = np.stack([X, Y], axis=-1)
+    for k in range(k_hi + 1):
+        out = f(T, k, pts, np.zeros((len(X), 1)))
+        Xn, Yn = out[:, 0], out[:, 1]
+        yield (k, float(refs.omega_r(k * T)), lyap_V(k, X, Y, refs, gains, T),
+               lyap_V(k + 1, Xn, Yn, refs, gains, T), -lyap_W(k, 1.0, refs, T),
+               lyap_W(k, Y, refs, T), lyap_W(k + 1, Yn, refs, T))
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid_n=st.integers(2, 25), k_max=st.integers(0, 80),
+       T=st.sampled_from([0.01, 0.02]))
+def test_chain_blocks_equal_the_per_k_pass_to_the_bit(grid_n, k_max, T):
+    """Every block row of the chain pass has the bits of the per-k oracle,
+    for k_max of 0, of a block's multiple and of neither, and the blocks
+    cover k = 0..k_max once, in order."""
+    refs, gains = validated_references(), validated_gains()
+    X, Y = unicycle._chain_grid(grid_n, 2.0)
+    rows = [row for ks, w, V, Vn, TS, W, Wn in unicycle._chain_pass(refs, gains, T, X, Y, k_max)
+            for row in zip(ks.tolist(), w[:, 0].tolist(), V, Vn, TS[:, 0].tolist(), W, Wn)]
+    want = list(_per_k_chain_rows(refs, gains, T, X, Y, k_max))
+    assert [r[0] for r in rows] == list(range(k_max + 1))
+    for got, exp in zip(rows, want):
+        assert got[:2] == exp[:2] and got[4] == exp[4]
+        for a, b in zip(got[2:4] + got[5:], exp[2:4] + exp[5:]):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("doctor, detail, k", [
+    ({}, None, None),
+    ({"c3_tilde": 0.009}, "U decrease violated", 223),
+    ({"c3": 0.1025}, "W sandwich violated", 3),
+    # the U decrease, last in the check order, fails at k = 0 before the W sandwich
+    ({"c3": 0.1025, "c3_tilde": 1e3}, "U decrease violated", 0),
+])
+def test_chain_audit_is_the_same_one_k_per_block(monkeypatch, validated_constants, doctor,
+                                                 detail, k):
+    """With one step index per block the chain audit gives the verdict,
+    witness and margins of the default blocks, also where a check first
+    fails in the middle of a block (k = 223 on the 9 x 9 grid, in the block
+    of 102 indices from k = 204)."""
+    refs, gains = validated_references(), validated_gains()
+    c = replace(compute_case_constants(refs, gains, 0.01, 2.0, grid_n=9), **doctor)
+    default = audit_lyapunov_chain(refs, gains, c, 0.01, grid_n=9).to_json()
+    monkeypatch.setattr(unicycle, "_BLOCK", 1)
+    assert audit_lyapunov_chain(refs, gains, c, 0.01, grid_n=9).to_json() == default
+    assert default["detail"] == (detail or "Lyapunov chain holds on the grid")
+    assert default.get("witness", {}).get("k") == k
