@@ -16,7 +16,7 @@ def scalar(update):
     def step(T, k, y):
         y = np.asarray(y, dtype=float)
         return update(T, k, y)
-    return ParameterizedMap(1, 0.2, step, "custom")
+    return ParameterizedMap(1, 0.2, step)
 
 contraction = scalar(lambda T, k, y: (1.0 - 3.0 * T) * y)
 expansion = scalar(lambda T, k, y: (1.0 + 0.5 * T) * y)

@@ -56,8 +56,11 @@ _E = (
 )
 
 
-def rk45_integrate(rhs, t0: float, t1: float, x0: np.ndarray, tol: float = 1e-10,
-                   max_steps: int = 100_000) -> np.ndarray:
+_MAX_STEPS = 100_000  # accepted and rejected RK45 steps per call before giving up
+_MAX_DEPTH = 40  # adaptive Simpson's refinement limit
+
+
+def rk45_integrate(rhs, t0: float, t1: float, x0: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Integrate dx/dt = rhs(t, x) from t0 to t1 with local error < tol.
 
     ``x0`` has shape (batch, dim); ``rhs`` must accept and return that
@@ -68,7 +71,7 @@ def rk45_integrate(rhs, t0: float, t1: float, x0: np.ndarray, tol: float = 1e-10
     """
     x = np.array(x0, dtype=float)
     if x.ndim == 1:
-        return rk45_integrate(rhs, t0, t1, x[None, :], tol, max_steps)[0]
+        return rk45_integrate(rhs, t0, t1, x[None, :], tol)[0]
     span = t1 - t0
     if span == 0.0:
         return x
@@ -79,7 +82,7 @@ def rk45_integrate(rhs, t0: float, t1: float, x0: np.ndarray, tol: float = 1e-10
         raise IntegrationError("non-finite right-hand side", t)
     atol = rtol = tol
     stages = [None] * 7
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         last = (span > 0 and t + h >= t1) or (span < 0 and t + h <= t1)
         if last:
             h = t1 - t
@@ -117,8 +120,7 @@ def rk45_integrate(rhs, t0: float, t1: float, x0: np.ndarray, tol: float = 1e-10
     raise IntegrationError("step budget exhausted", t)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
-                     max_depth: int = 40) -> np.ndarray:
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> np.ndarray:
     """Adaptive Simpson integral of a vector-valued f over [a, b].
 
     ``f(t)`` may return a scalar or an array; the refinement is shared
@@ -126,7 +128,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
     """
     fa, fm, fb = f(a), f((a + b) / 2.0), f(b)
     whole = (b - a) / 6.0 * (np.asarray(fa) + 4.0 * np.asarray(fm) + np.asarray(fb))
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
 from .numerics import _CHUNK, ClassKFunction, _check_period, horizon_index
-from .verdict import _SLACK, StabilityVerdict, Witness, _ratio
+from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _ratio
 
 __all__ = [
     "CascadeSystem",
@@ -326,6 +326,13 @@ def _k_probes(T: float, period: float | None):
     return sorted({0, 1, P // 2, P - 1})
 
 
+def _worst_row(T, k, pts, lhs, rhs) -> Witness:
+    """The witness at the worst row, argmax(lhs - rhs), not the first failing
+    one (the theorem demo reports it); argmax returns a NaN row first."""
+    i = int(np.argmax(lhs - rhs))
+    return Witness.of(T, k, pts[i], k, lhs[i], rhs[i])
+
+
 def check_interconnection_bound(sys: CascadeSystem, gamma1: ClassKFunction,
                                 gamma2: ClassKFunction, gamma3: ClassKFunction,
                                 domain: Box, T_list, n_samples: int = 4096,
@@ -351,19 +358,18 @@ def check_interconnection_bound(sys: CascadeSystem, gamma1: ClassKFunction,
     for T in sorted(float(t) for t in T_list):
         rhs2 = T * g2 * g3
         for k in (_k_probes(T, sys.period) if k_set is None else k_set):
-            F = np.asarray(sys.f(T, int(k), X, Z), dtype=float)
-            F0 = np.asarray(sys.f(T, int(k), X, Z0), dtype=float)
+            k = int(k)
+            F = np.asarray(sys.f(T, k, X, Z), dtype=float)
+            F0 = np.asarray(sys.f(T, k, X, Z0), dtype=float)
             lhs1 = np.linalg.norm(F, axis=1)
             lhs2 = np.linalg.norm(F - F0, axis=1)
-            for lhs, rhs, tag in ((lhs1, rhs1, "growth"), (lhs2, rhs2, "interconnection")):
-                if not np.all(lhs <= rhs + _SLACK):
-                    # the witness is the worst row, not the first failing one
-                    # (the theorem demo reports it); argmax returns a NaN row first
-                    i = int(np.argmax(lhs - rhs))
-                    return StabilityVerdict.falsify(
-                        Witness.of(T, int(k), pts[i], int(k), float(lhs[i]), float(rhs[i])),
-                        f"{tag} bound violated",
-                    )
+            bad = _first_violation(
+                (lhs1 <= rhs1 + _SLACK, lambda _: _worst_row(T, k, pts, lhs1, rhs1),
+                 "growth bound violated"),
+                (lhs2 <= rhs2 + _SLACK, lambda _: _worst_row(T, k, pts, lhs2, rhs2),
+                 "interconnection bound violated"))
+            if bad is not None:
+                return bad
             worst1 = max(worst1, float(np.max(_ratio(lhs1, rhs1))))
             worst2 = max(worst2, float(np.max(_ratio(lhs2, rhs2))))
     return StabilityVerdict.ok("both interconnection bounds hold on the sample",

@@ -65,12 +65,7 @@ class ParameterizedMap:
     dim: int
     T_max: float
     step: callable
-    label: str
     period: float | None = None
-
-    def __post_init__(self):
-        if self.label not in ("euler", "modified-euler", "exact-proxy", "exact", "custom"):
-            raise ValueError(f"unknown label {self.label!r}")
 
     def __call__(self, T, k, x):
         _check_period(T, self.T_max)
@@ -131,7 +126,7 @@ def euler_map(f: VectorField, controller=None, T_max: float = math.inf) -> Param
         x = np.asarray(x, dtype=float)
         return x + T * np.asarray(f(k * T, x, u_of(T, k, x)), dtype=float)
 
-    return ParameterizedMap(f.dim_x, T_max, step, "euler", f.period)
+    return ParameterizedMap(f.dim_x, T_max, step, f.period)
 
 
 def modified_euler_map(f: VectorField, controller=None, T_max: float = math.inf,
@@ -151,7 +146,7 @@ def modified_euler_map(f: VectorField, controller=None, T_max: float = math.inf,
                                k * T, (k + 1) * T, tol=tol)
         return x + inc
 
-    return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), "modified-euler", f.period)
+    return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), f.period)
 
 
 def exact_proxy_map(f: VectorField, controller=None, tol: float = 1e-10,
@@ -171,7 +166,7 @@ def exact_proxy_map(f: VectorField, controller=None, tol: float = 1e-10,
         return rk45_integrate(lambda t, y: np.asarray(f(t, y, u), dtype=float),
                               k * T, (k + 1) * T, x, tol=tol)
 
-    return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), "exact-proxy", f.period)
+    return ParameterizedMap(f.dim_x, T_max, _by_distinct_k(step), f.period)
 
 
 def _expm(M):
@@ -248,7 +243,7 @@ def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
         return out
 
     step.chunk = chunk
-    return ParameterizedMap(n, T_max, step, "exact")
+    return ParameterizedMap(n, T_max, step)
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,17 @@ from .discretize import (VectorField, consistency_order, euler_map,
                          ParameterizedMap)
 from .numerics import (_CHUNK, ClassKFunction, fit_kl_envelope, horizon_index,
                        kl_compose)
-from .stability import (CertificateParams, LyapunovCandidate, _LyapunovChecks,
-                        boundedness_escape, build_ugb_certificate, check_summability,
-                        spuas_escape)
+from .stability import (CertificateParams, boundedness_escape, build_ugb_certificate,
+                        check_summability, spuas_escape)
 # perfbench/layers.py wraps the sweeps and the Lyapunov audits under these
 # names on this module
 from .stability import audit_lyapunov, check_boundedness, falsify_spuas  # noqa: F401
 from .unicycle import audit_lyapunov_chain  # noqa: F401
-from .unicycle import (_PRESETS, _ChainChecks, _U_step, _chain_grid, _chain_pass,
-                       _gains_from_spec, _preset, _refs_from_spec, _score_variant,
+from .unicycle import (_PRESETS, _audit_pass, _chain_grid, _gains_from_spec,
+                       _lyap_U_candidate, _preset, _refs_from_spec, _score_variant,
                        _simulate_variant, check_pe,
                        closed_loop_euler_cascade, compute_case_constants,
-                       error_dynamics_field, lyap_U, pe_window_sums)
+                       error_dynamics_field, pe_window_sums)
 
 
 class ConfigError(ValueError):
@@ -436,54 +435,6 @@ _LYAP_DEFAULTS = {
     "radius": 5.0,
     "margin_rows": True,
 }
-
-
-def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
-    """`lyap_U` with the comparison functions its constant chain gives."""
-    return LyapunovCandidate(
-        eval=lambda T, k, x: np.asarray(lyap_U(int(k), x, refs, gains, consts, T), dtype=float),
-        alpha1=ClassKFunction.power(consts.c1 / 2.0, 2.0),
-        alpha2=ClassKFunction.power(consts.c2, 2.0),
-        alpha3=ClassKFunction.power(consts.c3_tilde, 2.0),
-        L_mod=ClassKFunction.linear(2.0 * (consts.c2 + consts.eps_small * consts.c3)),
-    )
-
-
-def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
-    """The audits of `lyapunov-audit` from one pass over the period.
-
-    Each block of the chain pass feeds the chain checks, the definition-style
-    checks of U = V + eps_small W, the decrease margins at the probe indices
-    (with `margin_rows`) and the decrease profile at every seventh k, which
-    share one U and one U(k + 1) - U(k). U at k and at k + 1 on the step are
-    the bits of `lyap_U`: (-T) S = -(T S), and both read S(k) from the
-    reference's table.
-    Returns the chain and definition verdicts, the margin rows (none if a
-    probe index fails its checks) and the profile rows (k, t, min margin).
-    """
-    X, Y = _chain_grid(grid_n, radius)
-    pts = np.stack([X, Y], axis=-1)
-    cand = _lyap_U_candidate(refs, gains, consts)
-    chain = _ChainChecks(gains, consts, T, X, Y)
-    definition = _LyapunovChecks(cand, pts, 0.0)
-    probe = _LyapunovChecks(cand, pts, 0.0, collect_margins=True)
-    k_hi = refs.period_steps(T)
-    is_probe = np.zeros(k_hi + 1, dtype=bool)
-    is_probe[_k_probes(T, refs.period) if margin_rows else []] = True
-    rate = -consts.c3_tilde * np.sum(pts ** 2, axis=-1)
-    prof = []
-    for block in _chain_pass(refs, gains, T, X, Y, k_hi):
-        ks = block[0]
-        U, dU = _U_step(block, consts.eps_small)
-        chain.check(block, U, dU)
-        definition.check(T, ks, U, lambda: dU)
-        at = is_probe[ks]
-        if at.any():
-            probe.check(T, ks[at], U[at], lambda: dU[at])
-        at = ks % 7 == 0
-        prof += [(k, k * T, m) for k, m in zip(ks[at].tolist(),
-                                               np.min(rate - dU[at] / T, axis=1).tolist())]
-    return chain.result(), definition.result(), probe.result().margins.get("rows", []), prof
 
 
 def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:

@@ -17,8 +17,7 @@ from ._sampling import Box, sample_ball, sample_box
 from .cascade import CascadeSystem, _k_probes, _stacked_step, grid_rollouts
 from .discretize import ParameterizedMap
 from .numerics import ClassKFunction, KLBound
-from .verdict import (_SLACK, StabilityVerdict, Witness, _first_failing_row, _first_violation,
-                      _one_step, _ratio)
+from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _ratio
 
 __all__ = [
     "LyapunovCandidate",
@@ -84,7 +83,6 @@ class UGBCertificate:
     c: float
     rho_built: ClassKFunction
     mu_fn: ClassKFunction
-    W_eval: callable
 
 
 def _resolve_grid(grid, radius: float, dim: int) -> np.ndarray:
@@ -206,24 +204,21 @@ class _LyapunovChecks:
         """Check V's values `v` (a row per step index of `ks`) on the grid;
         `dv()` gives V at k + 1 on the grid's step minus `v`, and is called
         unless the sandwich fails at the first index. The witness is that of
-        the first index at which a check fails, taken one index at a time."""
+        the first index at which a check fails (see `_first_violation`)."""
         if self.falsified is not None:
             return
         Y, lo, hi, lip, worst = self.Y, self.lo, self.hi, self.lip, self.worst
         v = np.asarray(v, dtype=float)
         rhs = self.rhs(T)
-        entries = [(v >= lo - _SLACK, v, lo, "lower sandwich bound violated"),
-                   (v <= hi + _SLACK, v, hi, "upper sandwich bound violated")]
-        if _first_failing_row(entries[0][0], entries[1][0]) != 0:
+        checks = [(v >= lo - _SLACK, v, lo, "lower sandwich bound violated"),
+                  (v <= hi + _SLACK, v, hi, "upper sandwich bound violated")]
+        if all(ok[0].all() for ok, *_ in checks):
             dv = np.asarray(dv(), dtype=float)
             lhs = np.abs(v[:, :-1] - v[:, 1:])
-            entries += [(dv <= rhs + _SLACK, dv, rhs, "decrease condition violated"),
-                        (lhs <= lip + _SLACK, lhs, lip, "Lipschitz modulus violated")]
-        b = _first_failing_row(*(ok for ok, _, _, _ in entries))
-        if b is not None:
-            k = int(ks[b])
-            self.falsified = _first_violation(*(_one_step(ok[b], T, k, Y, measured[b], bound, detail)
-                                                for ok, measured, bound, detail in entries))
+            checks += [(dv <= rhs + _SLACK, dv, rhs, "decrease condition violated"),
+                       (lhs <= lip + _SLACK, lhs, lip, "Lipschitz modulus violated")]
+        self.falsified = _first_violation(*(_one_step(ok, T, ks, Y, *rest) for ok, *rest in checks))
+        if self.falsified is not None:
             return
         if self.rows is not None:
             B, n = v.shape
@@ -386,8 +381,7 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
     z_norm = np.linalg.norm(Z, axis=1)
     phi1 = float(p.phi(1.0))
     mu = _build_mu(p.gamma1, p.gamma2, phi1, float(np.max(z_norm)))
-    W_eval = lambda T, k, x: rho(V.eval(T, k, x))
-    cert = UGBCertificate(float(rho(2.0 * p.c)), rho, mu, W_eval)
+    cert = UGBCertificate(float(rho(2.0 * p.c)), rho, mu)
     # the k-free bounds, formed once
     lo = np.asarray(p.alpha1(x_norm), dtype=float)
     hi = np.asarray(p.alpha2(x_norm), dtype=float) + p.c

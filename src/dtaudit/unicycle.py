@@ -15,19 +15,18 @@ is positive and all audits run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .cascade import CascadeSystem, _rollout_chunks, _stacked_step
+from .cascade import CascadeSystem, _k_probes, _rollout_chunks, _stacked_step
 from .discretize import VectorField, exact_proxy_map
 # perfbench/layers.py wraps the map builder under this name on this module
 from .discretize import euler_map  # noqa: F401
 from ._integrate import IntegrationError
-from .numerics import _BLOCK, horizon_index
-from .stability import PreconditionError
-from .verdict import (_SLACK, StabilityVerdict, Witness, _first_failing_row, _first_violation,
-                      _one_step)
+from .numerics import _BLOCK, ClassKFunction, horizon_index
+from .stability import LyapunovCandidate, PreconditionError, _LyapunovChecks
+from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _plain
 
 __all__ = [
     "ReferenceSignal",
@@ -476,11 +475,7 @@ class CaseStudyConstants:
         return None
 
     def to_json(self) -> dict:
-        out = {name: getattr(self, name) for name in (
-            "c1", "c2", "alpha_x", "K1", "c3", "c4", "K2", "alpha_y_tilde",
-            "eps_small", "c3_tilde", "T_tilde", "mu_pe", "L_pe", "T_star")}
-        out["flags"] = dict(self.flags)
-        return out
+        return _plain(asdict(self))
 
 
 def _chain_grid(grid_n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -625,6 +620,8 @@ class _ChainChecks:
                                                     -c.c3_tilde * n2)
         self.aX2, self.K1n2 = c.alpha_x * X * X, T * c.K1 * n2
         self.aY2, self.K2X2 = c.alpha_y_tilde * Y * Y, c.K2 * X * X
+        # the W sandwich c4 <= T*S(k) <= c3, upper side first, is witnessed at the first state
+        self.W_at, self.W_bound = self.pts[[0, 0]], np.array([c.c3, c.c4])
         self.margins = {"V_decrease": math.inf, "W_decrease": math.inf, "U_decrease": math.inf,
                         "V_lo": math.inf, "V_hi": -math.inf, "U_lo": math.inf, "U_hi": -math.inf,
                         "W_sandwich_lo": math.inf, "W_sandwich_hi": -math.inf}
@@ -647,23 +644,18 @@ class _ChainChecks:
         dU = dU / T
         ratioV, ratioU = V / self.n2, U / self.n2
         rhsU = self.rhsU
-        entries = [(ratioV >= c.c1 - _SLACK, V, self.lo_V, "V lower sandwich violated"),
-                   (ratioV <= c.c2 + _SLACK, V, self.hi, "V upper sandwich violated"),
-                   (dV <= rhsV + _SLACK, dV, rhsV, "V decrease violated"),
-                   (dW <= rhsW + _SLACK, dW, rhsW, "W decrease violated"),
-                   (ratioU >= c.c1 / 2.0 - _SLACK, U, self.lo_U, "U lower sandwich violated"),
-                   (ratioU <= c.c2 + _SLACK, U, self.hi, "U upper sandwich violated"),
-                   (dU <= rhsU + _SLACK, dU, rhsU, "U decrease violated")]
-        # the W sandwich c4 <= T*S(k) <= c3, upper side first
-        TS_ok = np.concatenate([TS <= c.c3 + _SLACK, TS >= c.c4 - _SLACK], axis=1)
-        b = _first_failing_row(TS_ok, *(ok for ok, _, _, _ in entries))
-        if b is not None:
-            k, ts = int(ks[b]), TS[b, 0]
-            per_k = [_one_step(ok[b], T, k, pts, measured[b], np.broadcast_to(bound, ok.shape)[b],
-                               detail) for ok, measured, bound, detail in entries]
-            per_k.insert(3, (TS_ok[b], lambda i: Witness.of(T, k, pts[0], k, ts, (c.c3, c.c4)[i]),
-                             "W sandwich violated"))
-            self.falsified = _first_violation(*per_k)
+        checks = (
+            (ratioV >= c.c1 - _SLACK, pts, V, self.lo_V, "V lower sandwich violated"),
+            (ratioV <= c.c2 + _SLACK, pts, V, self.hi, "V upper sandwich violated"),
+            (dV <= rhsV + _SLACK, pts, dV, rhsV, "V decrease violated"),
+            (np.concatenate([TS <= c.c3 + _SLACK, TS >= c.c4 - _SLACK], axis=1), self.W_at,
+             np.broadcast_to(TS, (len(ks), 2)), self.W_bound, "W sandwich violated"),
+            (dW <= rhsW + _SLACK, pts, dW, rhsW, "W decrease violated"),
+            (ratioU >= c.c1 / 2.0 - _SLACK, pts, U, self.lo_U, "U lower sandwich violated"),
+            (ratioU <= c.c2 + _SLACK, pts, U, self.hi, "U upper sandwich violated"),
+            (dU <= rhsU + _SLACK, pts, dU, rhsU, "U decrease violated"))
+        self.falsified = _first_violation(*(_one_step(ok, T, ks, *rest) for ok, *rest in checks))
+        if self.falsified is not None:
             return
 
         margins = self.margins
@@ -699,6 +691,54 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
         if checks.falsified is not None:
             break
     return checks.result()
+
+
+def _lyap_U_candidate(refs, gains, consts) -> LyapunovCandidate:
+    """`lyap_U` with the comparison functions its constant chain gives."""
+    return LyapunovCandidate(
+        eval=lambda T, k, x: np.asarray(lyap_U(int(k), x, refs, gains, consts, T), dtype=float),
+        alpha1=ClassKFunction.power(consts.c1 / 2.0, 2.0),
+        alpha2=ClassKFunction.power(consts.c2, 2.0),
+        alpha3=ClassKFunction.power(consts.c3_tilde, 2.0),
+        L_mod=ClassKFunction.linear(2.0 * (consts.c2 + consts.eps_small * consts.c3)),
+    )
+
+
+def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
+    """The audits of `lyapunov-audit` from one chain pass over the period.
+
+    Each block of the chain pass feeds the chain checks, the definition-style
+    checks of U = V + eps_small W, the decrease margins at the probe indices
+    (with `margin_rows`) and the decrease profile at every seventh k, which
+    share one U and one U(k + 1) - U(k). U at k and at k + 1 on the step are
+    the bits of `lyap_U`: (-T) S = -(T S), and both read S(k) from the
+    reference's table.
+    Returns the chain and definition verdicts, the margin rows (none if a
+    probe index fails its checks) and the profile rows (k, t, min margin).
+    """
+    X, Y = _chain_grid(grid_n, radius)
+    pts = np.stack([X, Y], axis=-1)
+    cand = _lyap_U_candidate(refs, gains, consts)
+    chain = _ChainChecks(gains, consts, T, X, Y)
+    definition = _LyapunovChecks(cand, pts, 0.0)
+    probe = _LyapunovChecks(cand, pts, 0.0, collect_margins=True)
+    k_hi = refs.period_steps(T)
+    is_probe = np.zeros(k_hi + 1, dtype=bool)
+    is_probe[_k_probes(T, refs.period) if margin_rows else []] = True
+    rate = -consts.c3_tilde * np.sum(pts ** 2, axis=-1)
+    prof = []
+    for block in _chain_pass(refs, gains, T, X, Y, k_hi):
+        ks = block[0]
+        U, dU = _U_step(block, consts.eps_small)
+        chain.check(block, U, dU)
+        definition.check(T, ks, U, lambda: dU)
+        at = is_probe[ks]
+        if at.any():
+            probe.check(T, ks[at], U[at], lambda: dU[at])
+        at = ks % 7 == 0
+        prof += [(k, k * T, m) for k, m in zip(ks[at].tolist(),
+                                               np.min(rate - dU[at] / T, axis=1).tolist())]
+    return chain.result(), definition.result(), probe.result().margins.get("rows", []), prof
 
 
 # --- reference presets ------------------------------------------------

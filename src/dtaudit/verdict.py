@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,15 +79,7 @@ class StabilityVerdict:
     def to_json(self) -> dict:
         out = {"kind": self.kind, "detail": self.detail, "margins": _plain(self.margins)}
         if self.witness is not None:
-            w = self.witness
-            out["witness"] = {
-                "T": w.T,
-                "k0": w.k0,
-                "initial_state": list(w.initial_state),
-                "k": w.k,
-                "measured": w.measured,
-                "bound": w.bound,
-            }
+            out["witness"] = _plain(asdict(self.witness))
         return out
 
 
@@ -95,33 +87,48 @@ def _first_violation(*checks) -> StabilityVerdict | None:
     """The falsified verdict of the first failing check, or None.
 
     Each check is an `(ok, witness_at, detail)` entry, taken in order.
-    `ok` is the pass mask of the check, any shape, stated as the
-    condition that must hold (`lhs <= rhs + _SLACK`), so a NaN always
-    falsifies. The first failing entry in C order is handed to
-    `witness_at` as an int for a 0-d or 1-d mask and as an index tuple
-    otherwise. A falsified verdict is falsy: callers test `is not None`.
+    `ok` is the pass mask of the check, stated as the condition that must
+    hold (`lhs <= rhs + _SLACK`), so a NaN always falsifies. When every
+    mask has two or more dimensions, the checks share a leading axis (a
+    block's step indices): the witness is at the first index along it at
+    which any check fails, in the first check failing there, at that
+    check's first failing entry there in C order. Otherwise it is the
+    first failing entry, in C order, of the first failing check. The entry
+    is handed to `witness_at` as an int for a 0-d or 1-d mask and as an
+    index tuple otherwise. A falsified verdict is falsy: callers test
+    `is not None`.
     """
-    for ok, witness_at, detail in checks:
-        ok = np.asarray(ok, dtype=bool)
+    checks = [(np.asarray(ok, dtype=bool), witness_at, detail)
+              for ok, witness_at, detail in checks]
+    for first, (ok, _, _) in enumerate(checks):
         if not ok.all():
-            first = int(np.argmin(ok))
-            idx = np.unravel_index(first, ok.shape) if ok.ndim > 1 else first
-            return StabilityVerdict.falsify(witness_at(idx), detail)
-    return None
-
-
-def _first_failing_row(*oks) -> int | None:
-    """The first index along the leading axis (a block's step indices) at
-    which any of the pass masks `oks` fails, or None."""
-    bad = np.logical_or.reduce([~np.asarray(ok).reshape(len(ok), -1).all(axis=1) for ok in oks])
-    return int(np.argmax(bad)) if bad.any() else None
+            break
+    else:
+        return None
+    lead = ()
+    if min(ok.ndim for ok, _, _ in checks) >= 2:
+        holds = [ok.reshape(len(ok), -1).all(axis=1) for ok, _, _ in checks]
+        lead = (int(np.argmin(np.logical_and.reduce(holds))),)
+        first = next(i for i, h in enumerate(holds) if not h[lead])
+    ok, witness_at, detail = checks[first]
+    ok = ok[lead]
+    j = int(np.argmin(ok))
+    idx = lead + np.unravel_index(j, ok.shape) if lead or ok.ndim > 1 else j
+    return StabilityVerdict.falsify(witness_at(idx), detail)
 
 
 def _one_step(ok, T, k, pts, measured, bound, detail):
-    """A `_first_violation` entry for a one-step check at (T, k) over the
-    rows `pts`: its failing row j witnesses (T, k, pts[j], k, measured[j],
-    bound[j])."""
-    return ok, lambda j: Witness.of(T, k, pts[j], k, measured[j], bound[j]), detail
+    """A `_first_violation` entry for a one-step check over the rows `pts`.
+
+    For an int k, its failing row j witnesses (T, k, pts[j], k,
+    measured[j], bound[j]). For a block's step indices k, `measured` is a
+    (B, n) array, `bound` broadcasts to it, and its failing entry (b, j)
+    witnesses (T, k[b], pts[j], k[b], measured[b, j], bound[b, j]).
+    """
+    if isinstance(k, (int, np.integer)):
+        return ok, lambda j: Witness.of(T, k, pts[j], k, measured[j], bound[j]), detail
+    return ok, lambda bj: Witness.of(T, k[bj[0]], pts[bj[1]], k[bj[0]], measured[bj],
+                                     np.broadcast_to(bound, np.shape(measured))[bj]), detail
 
 
 def _ratio(lhs, rhs) -> np.ndarray:

@@ -155,7 +155,6 @@ def example1_exact_map():
 
 def test_linear_exact_scalar_exponential():
     xmap = linear_exact_map([[-1.0]], [[1.0]], lambda T: np.zeros((1, 1)))
-    assert xmap.label == "exact"
     for T in (0.01, 0.5, 1.0, 2.0):
         got = float(np.asarray(xmap.step(T, 3, [1.0]))[0])
         assert abs(got - math.exp(-T)) <= 1e-15

@@ -275,8 +275,8 @@ def _separate_lyapunov_audits(refs, gains, c, T, grid_n, radius):
     chain = unicycle.audit_lyapunov_chain(refs, gains, c, T, grid_n=grid_n, radius=radius)
     sysm = closed_loop_euler_cascade(refs, gains)
     F = ParameterizedMap(2, sysm.T_max, lambda TT, k, x: sysm.f(TT, k, x, np.zeros((len(x), 1))),
-                         "custom", sysm.period)
-    cand = experiments._lyap_U_candidate(refs, gains, c)
+                         sysm.period)
+    cand = unicycle._lyap_U_candidate(refs, gains, c)
     X, Y = unicycle._chain_grid(grid_n, radius)
     pts = np.stack([X, Y], axis=-1)
     Delta = radius * math.sqrt(2.0) + 1.0
@@ -308,7 +308,7 @@ def test_lyapunov_audit_pass_equals_the_separate_audits(doctor, chain_kind, defi
     if doctor.get("c2") == "half c1":
         doctor = {"c2": 0.5 * c.c1}
     c = dataclasses.replace(c, **doctor)
-    got = experiments._audit_pass(refs, gains, c, T, grid_n, radius, True)
+    got = unicycle._audit_pass(refs, gains, c, T, grid_n, radius, True)
     want = _separate_lyapunov_audits(refs, gains, c, T, grid_n, radius)
     assert (got[0].kind, got[1].kind, len(got[2]) > 0) == (chain_kind, definition_kind,
                                                              has_rows)
@@ -439,10 +439,10 @@ def test_lyapunov_audit_pass_keeps_blocks_small():
     T = 0.01
     refs, gains = unicycle._preset("validated", T)
     c = unicycle.compute_case_constants(refs, gains, T, 2.0)
-    experiments._audit_pass(refs, gains, c, T, 41, 5.0, True)
+    unicycle._audit_pass(refs, gains, c, T, 41, 5.0, True)
     tracemalloc.start()
     try:
-        experiments._audit_pass(refs, gains, c, T, 41, 5.0, True)
+        unicycle._audit_pass(refs, gains, c, T, 41, 5.0, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -28,8 +28,7 @@ from dtaudit import (
 
 
 def scalar_map(update, T_max=np.inf):
-    return ParameterizedMap(1, T_max, lambda T, k, Y: update(T, np.asarray(Y, dtype=float)),
-                            "custom")
+    return ParameterizedMap(1, T_max, lambda T, k, Y: update(T, np.asarray(Y, dtype=float)))
 
 
 def contraction(a1):

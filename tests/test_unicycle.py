@@ -501,7 +501,7 @@ def test_every_reader_of_S_gets_the_direct_sum_to_the_bit(validated_constants, r
     reference's table; with k and T arriving in any order, so that the table
     grows in any pattern, each read has the bits of a direct sum at k alone."""
     refs, gains, c = validated_references(), validated_gains(), validated_constants
-    cand = experiments._lyap_U_candidate(refs, gains, c)
+    cand = unicycle._lyap_U_candidate(refs, gains, c)
     x = np.array([[x_e, y_e], [y_e, -x_e], [0.0, 0.0]])
     for k, T, reader in reads:
         S = _direct_S(refs, T, k)
@@ -565,7 +565,7 @@ def test_constants_audit_and_lyap_W_sum_each_S_once():
 
 def test_lyap_U_candidate_keeps_the_flag_check(validated_constants):
     c = replace(validated_constants, flags=dict(validated_constants.flags, c1=False))
-    cand = experiments._lyap_U_candidate(validated_references(), validated_gains(), c)
+    cand = unicycle._lyap_U_candidate(validated_references(), validated_gains(), c)
     with pytest.raises(PreconditionError, match="c1"):
         cand.eval(0.01, 0, np.array([[1.0, 1.0]]))
 
@@ -687,6 +687,28 @@ def test_K1_grid_artifact_is_pinned(validated_constants):
     res = experiments.run_named("lyapunov-audit", {"grid_n": 51})
     assert (res.status, res.metrics["violated_flag"]) == (1, "T_tilde")
     assert res.metrics["constants"]["K1"] == pytest.approx(0.2225, abs=5e-5)
+
+
+@pytest.mark.parametrize("T, TK1, U_excess", [(0.01, 0.0029258, -0.005682),
+                                               (0.002, 0.0031400, -0.005564)])
+def test_direction_sweep_pins_K1_and_the_U_decrease(T, TK1, U_excess):
+    """Over 3,600 unit directions and every k of the period, the V-decrease
+    remainder T K1 does not shrink with T (so no T-uniform K1 exists), while
+    U = V + eps_small W still decreases at rate c3_tilde with the grid-41
+    constants of that T: max(dU/T + c3_tilde |e|^2) stays below -0.0055."""
+    refs, gains = unicycle._preset("validated", T)
+    c = compute_case_constants(refs, gains, T, 2.0)
+    th = np.arange(3600) * (math.tau / 3600)
+    X, Y = np.cos(th), np.sin(th)
+    TK1_req = U_req = -math.inf
+    for block in unicycle._chain_pass(refs, gains, T, X, Y, refs.period_steps(T)):
+        _, w, V, Vn, _, _, _ = block
+        TK1_req = max(TK1_req, float(((Vn - V) / T + c.alpha_x * X * X
+                                      + gains.alpha_y * w * w * Y * Y).max()))
+        U_req = max(U_req, float((unicycle._U_step(block, c.eps_small)[1] / T).max()))
+    U_req += c.c3_tilde
+    assert (TK1_req, U_req) == (pytest.approx(TK1, abs=5e-8), pytest.approx(U_excess, abs=5e-7))
+    assert TK1_req > 0.0025 and U_req <= -0.0055
 
 
 def _per_k_chain_rows(refs, gains, T, X, Y, k_hi):
