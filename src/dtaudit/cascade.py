@@ -60,17 +60,13 @@ class CascadeSystem:
 
 @dataclass(frozen=True, eq=False)
 class InputSequence:
-    """Input samples omega(start), omega(start+1), ... with cached sup norm."""
+    """Input samples omega(start), omega(start+1), ..."""
 
     start: int
     values: np.ndarray
-    sup_norm: float = field(init=False)
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "values", values)
-        sup = float(np.max(np.linalg.norm(values, axis=1))) if len(values) else 0.0
-        object.__setattr__(self, "sup_norm", sup)
+        object.__setattr__(self, "values", np.atleast_2d(np.asarray(self.values, dtype=float)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -378,8 +374,6 @@ def check_interconnection_bound(sys: CascadeSystem, gamma1: ClassKFunction,
 
 def _probe_inputs(dim_z: int, mu: float, length: int):
     """Deterministic bounded-norm input families: constants, alternating, random."""
-    if length <= 0:
-        return []
     out = []
     unit = np.ones(dim_z) / math.sqrt(dim_z)
     out.append(np.tile(mu * unit, (length, 1)))

@@ -90,10 +90,7 @@ def _resolve_controller(controller, dim_u: int):
             raise ValueError(f"held input must have shape ({dim_u},)")
 
     def held(T, k, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return const
-        return np.broadcast_to(const, (x.shape[0], dim_u))
+        return np.broadcast_to(const, np.shape(x)[:-1] + (dim_u,))
 
     return held
 

@@ -9,6 +9,7 @@ series destined for CSV and gnuplot files.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,8 +56,8 @@ class ExperimentResult:
     plots: dict
 
 
-_KINDS = {dict: "an object", tuple: "a list", bool: "true or false", float: "a number",
-          int: "an integer", str: "a string", type(None): "null or a number"}
+_KINDS = {dict: "an object", tuple: "a list", bool: "true or false", float: "a finite number",
+          int: "an integer", str: "a string", type(None): "null or a finite number"}
 
 
 _LIMITS = {"positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0,
@@ -88,11 +89,11 @@ def _with_defaults(params, defaults: dict, name: str) -> dict:
 
     `name` is the dotted path of `params`; an unknown key at any depth, a
     value of the wrong type and a value out of range are errors that name
-    it. A dict default is merged key by key. A float default takes an int
-    or a float, an int, bool or str default only its own type (a bool is
+    it. A dict default is merged key by key. A float default takes a finite
+    int or float, an int, bool or str default only its own type (a bool is
     never a number), and a tuple default a list whose elements are typed
-    like its first element. A None default takes null or a number, read
-    as a float.
+    like its first element. A None default takes null or a finite number,
+    read as a float.
 
     A range is one word of `_LIMITS` or several joined by ", ". It tests a
     typed value that is not null; on a list the words in `_WHOLE` test the
@@ -132,7 +133,9 @@ def _typed(value, default, path: str):
         if type(value) is type(default):
             return value
     elif isinstance(default, (float, type(None))):
-        if isinstance(value, (int, float)):
+        # a finite float, or an int a float holds: not JSON Infinity or NaN,
+        # nor an int beyond the largest float
+        if isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
             return float(value)
     elif isinstance(value, type(default)):
         return value
@@ -641,8 +644,8 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         d *= 1.0 + 1e-9
 
         cert_params = CertificateParams(
-            alpha1=ClassKFunction.power(consts.c1 / 2.0, 2.0),
-            alpha2=ClassKFunction.power(consts.c2, 2.0),
+            alpha1=cand.alpha1,
+            alpha2=cand.alpha2,
             c=0.0,
             gamma1=ClassKFunction.linear(d),
             gamma2=ClassKFunction.linear(d),

@@ -109,30 +109,21 @@ def _integral_reciprocal_eval(phi: ClassKFunction, s: np.ndarray) -> np.ndarray:
     """rho(s) = int_0^s 1/phi(max(tau, 1)) dtau, vectorized with closed forms
     for the parametric phi kinds and adaptive Simpson otherwise."""
     s = np.asarray(s, dtype=float)
-    phi1 = float(phi(1.0))
-    below = np.minimum(s, 1.0) / phi1
-    above = np.zeros_like(s)
-    mask = s > 1.0
+    sv = np.atleast_1d(s)
+    below = np.minimum(sv, 1.0) / float(phi(1.0))
+    above = np.zeros_like(sv)
+    mask = sv > 1.0
     if np.any(mask):
-        sv = s[mask] if s.ndim else np.asarray([float(s)])
-        if phi.kind == "linear":
-            g = phi.params["gain"]
-            upper = np.log(sv) / g
-        elif phi.kind == "power" and phi.params["exponent"] < 1.0:
+        sv = sv[mask]
+        if phi.kind == "power" and phi.params["exponent"] != 1.0:
             g, pexp = phi.params["gain"], phi.params["exponent"]
-            upper = (np.power(sv, 1.0 - pexp) - 1.0) / (g * (1.0 - pexp))
-        elif phi.kind == "power":  # exponent == 1 passed the precondition
-            upper = np.log(sv) / phi.params["gain"]
+            above[mask] = (np.power(sv, 1.0 - pexp) - 1.0) / (g * (1.0 - pexp))
+        elif phi.kind in ("linear", "power"):  # gain * s, as a power with exponent 1
+            above[mask] = np.log(sv) / phi.params["gain"]
         else:
-            upper = np.array([
-                float(adaptive_simpson(lambda tau: 1.0 / phi(tau), 1.0, float(v), tol=1e-10))
-                for v in sv
-            ])
-        if s.ndim:
-            above[mask] = upper
-        else:
-            above = upper[0]
-    return below + above
+            above[mask] = [float(adaptive_simpson(lambda tau: 1.0 / phi(tau), 1.0, float(v),
+                                                  tol=1e-10)) for v in sv]
+    return (below + above).reshape(s.shape)
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,6 @@ class CertificateParams:
 class UGBCertificate:
     """Transformed-function certificate produced by `build_ugb_certificate`."""
 
-    c: float
     rho_built: ClassKFunction
     mu_fn: ClassKFunction
 
@@ -231,7 +230,8 @@ class _LyapunovChecks:
             worst["sandwich_hi"] = max(worst["sandwich_hi"],
                                        float(np.where(hi > 0, v / hi, 0.0).max()))
             worst["decrease"] = max(worst["decrease"], float((dv - rhs).max()))
-            worst["lipschitz"] = max(worst["lipschitz"], float((lhs / self.lip_div).max()))
+            worst["lipschitz"] = max(worst["lipschitz"],
+                                     float((lhs / self.lip_div).max(initial=0.0)))
 
     def result(self) -> StabilityVerdict:
         """The falsified verdict, or the pass; collected margin rows are
@@ -327,16 +327,11 @@ def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
 
 
 def _reciprocal_integral_diverges(phi: ClassKFunction) -> bool:
-    # analytic check of the integral of 1/phi over [1, infinity)
-    if phi.kind == "power":
-        return phi.params["exponent"] <= 1.0
-    if phi.kind == "linear":
-        return True
-    if phi.kind == "affine-capped":
-        return True  # dominated by a constant or affine growth either way
-    if phi.kind in ("tabulated", "integral-reciprocal"):
-        return True  # bounded resp. logarithmic growth beyond the table
-    return False
+    # analytic check of the integral of 1/phi over [1, infinity): it diverges
+    # for a power up to exponent 1, and for every other kind, which grows at
+    # most affinely (linear, affine-capped), stays bounded beyond its table
+    # (tabulated) or grows logarithmically (integral-reciprocal)
+    return phi.kind != "power" or phi.params["exponent"] <= 1.0
 
 
 def _build_mu(gamma1: ClassKFunction, gamma2: ClassKFunction, phi1: float,
@@ -381,7 +376,7 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
     z_norm = np.linalg.norm(Z, axis=1)
     phi1 = float(p.phi(1.0))
     mu = _build_mu(p.gamma1, p.gamma2, phi1, float(np.max(z_norm)))
-    cert = UGBCertificate(float(rho(2.0 * p.c)), rho, mu)
+    cert = UGBCertificate(rho, mu)
     # the k-free bounds, formed once
     lo = np.asarray(p.alpha1(x_norm), dtype=float)
     hi = np.asarray(p.alpha2(x_norm), dtype=float) + p.c

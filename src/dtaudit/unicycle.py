@@ -117,20 +117,17 @@ class ControllerGains:
 
 
 def _ref(signal, t):
-    """A reference at time t: a Python float for a scalar t, a float array
-    for an array t (the times of a per-row step index k)."""
-    if isinstance(t, np.ndarray):
-        return np.asarray(signal(t), dtype=float)
-    return float(signal(t))
+    """A reference at time t, or at the times of a per-row step index k,
+    as a float array."""
+    return np.asarray(signal(t), dtype=float)
 
 
 def _cube(w):
-    """w ** 3 in Python float arithmetic, also for an array w: numpy's array
+    """w ** 3 in Python float arithmetic, for every shape of w: numpy's array
     power differs from it in the last bit on some values, which would make
     an array-k step differ from the int-k steps of its rows."""
-    if isinstance(w, np.ndarray):
-        return np.array([v ** 3 for v in w.ravel().tolist()]).reshape(w.shape)
-    return w ** 3
+    w = np.asarray(w, dtype=float)
+    return np.array([v ** 3 for v in w.ravel().tolist()]).reshape(w.shape)
 
 
 def _correction_coefficients(w, gains: ControllerGains, T: float):
@@ -159,14 +156,11 @@ _DEN_TOL = 1e-12  # a correction denominator smaller than this in size has vanis
 def _check_denominator(k, T: float, den) -> None:
     """Raise CorrectionDomainError at the first entry, in C order, whose
     denominator vanished; for a (B, 1) column k, the first k of the block."""
-    if isinstance(k, np.ndarray):
-        bad = np.abs(den) < _DEN_TOL
-        if bad.any():
-            bad, k, den = np.broadcast_arrays(bad, k, den)
-            i = int(np.argmax(bad))
-            raise CorrectionDomainError(k.flat[i], T, float(den.flat[i]))
-    elif abs(den) < _DEN_TOL:
-        raise CorrectionDomainError(k, T, den)
+    bad = np.abs(den) < _DEN_TOL
+    if bad.any():
+        bad, k, den = np.broadcast_arrays(bad, k, den)
+        i = int(np.argmax(bad))
+        raise CorrectionDomainError(k.flat[i], T, float(den.flat[i]))
 
 
 def redesign_correction(k, x_e, y_e, refs: ReferenceSignal, gains: ControllerGains,
@@ -790,8 +784,8 @@ def _preset(name: str, T: float, use_correction: str = "full"):
     return _refs_from_spec(refs), _gains_from_spec(gains, T, use_correction)
 
 
-def demo_references(T: float = 0.01) -> ReferenceSignal:
-    """Published simulation references: large, fast angular excitation (T does not enter)."""
+def demo_references() -> ReferenceSignal:
+    """Published simulation references: large, fast angular excitation."""
     return _refs_from_spec(_PRESETS["demo"][0])
 
 

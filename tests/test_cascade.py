@@ -154,7 +154,7 @@ def _regime(name, T):
     """References and full-correction gains; the demo regime's |omega_r| = 20
     is where numpy's array cube and Python's float cube part ways."""
     if name == "demo":
-        return demo_references(T), demo_gains(T, "full")
+        return demo_references(), demo_gains(T, "full")
     return validated_references(T), validated_gains("full")
 
 
@@ -519,11 +519,6 @@ def test_simulate_driven_rejects_short_input():
     with pytest.raises(ValueError):
         simulate_driven(linear_cascade(), 0.5, 0, [1.0],
                         InputSequence(0, np.zeros((3, 1))), steps=5)
-
-
-def test_input_sequence_caches_sup_norm():
-    omega = InputSequence(2, [[3.0], [-4.0], [1.0]])
-    assert omega.sup_norm == 4.0
 
 
 def test_trajectory_requires_initial_state():

@@ -1,6 +1,7 @@
 """Command-line contract: reports, digests, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -162,6 +163,13 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
      "consistency-sweep.euler_slope_window must be a pair"),
     ("consistency-sweep", {"held_input": [0.5]}, "consistency-sweep.held_input must be a pair"),
     ("example1", {"T": -0.1}, "example1.T must be positive"),
+    ("unicycle-compare", {"horizon_s": math.inf},
+     "unicycle-compare.horizon_s must be a finite number"),
+    ("pe-check", {"L": math.inf}, "pe-check.L must be a finite number"),
+    ("lyapunov-audit", {"L_pe": math.inf}, "lyapunov-audit.L_pe must be a finite number"),
+    ("example1", {"nonconv_floor": math.nan}, "example1.nonconv_floor must be a finite number"),
+    ("unicycle-compare", {"horizon_s": 10 ** 400},
+     "unicycle-compare.horizon_s must be a finite number"),
 ], ids=["compare-cos", "compare-rk4", "compare-T0", "compare-T-negative",
         "compare-T-above-T_max", "compare-negative-gain", "lyapunov-T0",
         "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0",
@@ -176,7 +184,9 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
         "theorem-empty-theta_values", "theorem-negative-n_ball", "pe-negative-L",
         "theorem-eta-not-below-Delta", "consistency-repeated-T", "lyapunov-unknown-regime",
         "example1-bool-T", "compare-str-alpha_y", "consistency-short-euler_slope_window",
-        "consistency-short-held_input", "example1-negative-T"])
+        "consistency-short-held_input", "example1-negative-T", "compare-infinite-horizon_s",
+        "pe-infinite-L", "lyapunov-infinite-L_pe", "example1-nan-nonconv_floor",
+        "compare-int-beyond-float-horizon_s"])
 def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params, key):
     out = tmp_path / "out"
     code = main(["run", "--experiment", experiment,

@@ -253,6 +253,15 @@ def test_lyapunov_audit_demo_regime_reports_broken_constant():
     assert "chain" not in res.metrics
 
 
+def test_lyapunov_audit_on_a_one_state_grid_has_no_pair_to_compare():
+    """grid_n = 1 is in range; the Lipschitz check has no consecutive pair,
+    so its worst ratio stays at 0.0 instead of reducing an empty array."""
+    res = run_named("lyapunov-audit", {"grid_n": 1})
+    assert res.status == 0
+    assert res.metrics["definition_audit"]["kind"] == "pass"
+    assert res.metrics["definition_audit"]["margins"]["lipschitz"] == 0.0
+
+
 def test_lyapunov_audit_validated_regime_passes():
     res = run_named("lyapunov-audit", {"grid_n": 9, "radius": 2.0})
     assert res.status == 0

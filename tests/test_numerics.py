@@ -70,6 +70,29 @@ def test_class_k_monotone(a, b):
         assert f(lo) <= f(hi) + 1e-12
 
 
+@pytest.mark.parametrize("gain, exponent", [(1.0, 2.0), (0.5, 0.5), (2.0, 3.0), (1.5, 1.0)])
+def test_integral_reciprocal_of_a_power_matches_the_closed_form(gain, exponent):
+    """rho(s) = s / phi(1) below 1 and 1/phi(1) + int_1^s dtau / (g tau^p)
+    above, for every exponent p: (s^(1-p) - 1) / (g (1-p)), or ln(s) / g at
+    p = 1; a float for a float s, an array of the shape of an array s."""
+    rho = ClassKFunction("integral-reciprocal", {"phi": ClassKFunction.power(gain, exponent)})
+    p = exponent
+
+    def closed(s):
+        if s <= 1.0:
+            return s / gain
+        tail = math.log(s) if p == 1.0 else (s ** (1.0 - p) - 1.0) / (1.0 - p)
+        return (1.0 + tail) / gain
+
+    s = [0.0, 0.25, 1.0, 1.5, 5.0, 40.0]
+    got = rho(np.array(s).reshape(2, 3))
+    assert got.shape == (2, 3)
+    assert got.ravel() == pytest.approx([closed(v) for v in s], rel=1e-13)
+    assert isinstance(rho(5.0), float) and rho(5.0) == pytest.approx(closed(5.0), rel=1e-13)
+    if (gain, exponent) == (1.0, 2.0):
+        assert rho(5.0) == pytest.approx(1.8, rel=1e-15)  # 1 + (1 - 1/5)
+
+
 # --- KL bounds and shifting ------------------------------------------------
 
 

@@ -343,7 +343,6 @@ def test_certificate_builds_logarithmic_budget_for_linear_growth():
     # mu folds both gains: gamma1 + gamma2 / phi(1)
     assert cert.mu_fn.kind == "linear"
     assert cert.mu_fn.params["gain"] == pytest.approx(2.0)
-    assert cert.c == 0.0
 
 
 def test_certificate_slope_and_budget_shape():

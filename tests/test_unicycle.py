@@ -192,7 +192,7 @@ def test_full_correction_V_difference_matches_closed_form(regime):
                     + T^2 v_T (eps w - 2 T w) y + T^4 v_T^2."""
     T = 0.01
     if regime == "demo":
-        refs, gains = demo_references(T), demo_gains(T, use_correction="full")
+        refs, gains = demo_references(), demo_gains(T, use_correction="full")
     else:
         refs, gains = validated_references(T), validated_gains("full")
     f = closed_loop_euler_cascade(refs, gains).f
@@ -423,6 +423,18 @@ def test_lyap_W_bounds_formulas():
 def validated_constants():
     return compute_case_constants(validated_references(), validated_gains(),
                                   T_star=0.01, L_pe=2.0)
+
+
+def test_unused_period_bounds_are_pinned(validated_constants):
+    """`compute_case_constants` discards T3_star and T5_star = c4 / 4. On the
+    validated preset at L_pe = 2, T5_star lies below the audited T = 0.01;
+    whether the chain needs T <= T5_star cannot be read from the abstract."""
+    c = validated_constants
+    assert (c.mu_pe, c.c4) == (0.13811236791693113, 0.021617022260932612)
+    c3, c4, T3, T5 = lyap_W_bounds(c.mu_pe, c.L_pe, validated_references().w_M)
+    assert (c3, c4) == (c.c3, c.c4)
+    assert (T3, T5) == (1.59362426004004, 0.005404255565233153)
+    assert T5 < c.T_star == 0.01
 
 
 def test_case_constants_frozen_values(validated_constants):

@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dtaudit import (CertificateParams, ClassKFunction, ParameterizedMap, audit_lyapunov,
-                     audit_lyapunov_chain, build_ugb_certificate, closed_loop_euler_cascade,
-                     compute_case_constants, lyap_U, lyap_W, run_named, unicycle)
+from dtaudit import (Box, CertificateParams, ClassKFunction, ParameterizedMap, audit_lyapunov,
+                     audit_lyapunov_chain, build_ugb_certificate, check_interconnection_bound,
+                     closed_loop_euler_cascade, compute_case_constants, lyap_U, lyap_W,
+                     run_named, unicycle)
 from dtaudit.verdict import Witness, _first_violation
 
 T = 0.01
@@ -130,3 +131,58 @@ def test_doctored_interconnection_witness_replays():
     x, z = np.array([[-5.0, -5.0]]), np.array([[2.0]])
     gap = inflated(T, 0, x, z) - inflated(T, 0, x, np.zeros_like(z))
     assert float(np.linalg.norm(gap, axis=1)[0]) == verdict["witness"]["measured"]
+
+
+# the interconnection gains the theorem demo fits at its default config, on
+# 2,048 Sobol points of this box at the probe indices of each period
+HELD_OUT_GAINS = (1.0002946169981626, 0.9297508978985854)
+HELD_OUT_BOX = Box((-5.0, -5.0, -2.0), (5.0, 5.0, 2.0))
+
+
+@pytest.mark.parametrize("T_list, n_samples, every_k, detail, witness", [
+    ([0.01, 0.02, 0.05], 16384, False, "interconnection bound violated",
+     (0.01, 0, (-4.9481201171875, -4.8443603515625, 1.199951171875),
+      0.08865883057290799, 0.08841256687744424)),
+    ([0.01], 2048, True, None, None),
+    ([0.02], 2048, True, None, None),
+    ([0.05], 2048, True, "growth bound violated",
+     (0.05, 10, (-0.0634765625, -3.8134765625, -0.115234375),
+      3.816882177312702, 3.8168694222709774)),
+], ids=["16384-points", "every-k-T0.01", "every-k-T0.02", "every-k-T0.05"])
+def test_theorem_interconnection_gains_on_a_held_out_sample(T_list, n_samples, every_k,
+                                                            detail, witness):
+    """The default-config gains pass on the sample they were fitted on; on
+    a denser Sobol sample, or at every k < floor(2 pi / T), these outcomes
+    are pinned, and each falsification's witness replays to the bit."""
+    refs, gains = unicycle._preset("validated", T)
+    sysm = closed_loop_euler_cascade(refs, gains)
+    g1, c = HELD_OUT_GAINS
+    gamma1, gamma2 = ClassKFunction.linear(g1), ClassKFunction.affine_capped(c, c)
+    k_set = range(int(math.tau // T_list[0])) if every_k else None
+    verdict = check_interconnection_bound(sysm, gamma1, gamma2, ClassKFunction.identity(),
+                                          HELD_OUT_BOX, T_list, n_samples=n_samples, k_set=k_set)
+    if detail is None:
+        assert verdict.kind == "pass"
+        return
+    w = verdict.witness
+    assert (verdict.kind, verdict.detail) == ("falsified", detail)
+    assert (w.T, w.k0, w.initial_state, w.measured, w.bound) == witness
+    assert w.k == w.k0
+    xz = np.array([w.initial_state])
+    x, z = xz[:, :2], xz[:, 2:]
+    F = sysm.f(w.T, w.k, x, z)
+    if detail == "growth bound violated":
+        assert float(np.linalg.norm(F, axis=1)[0]) == w.measured
+        assert float(gamma1(np.linalg.norm(xz, axis=1))[0]) == w.bound
+    else:
+        gap = F - sysm.f(w.T, w.k, x, np.zeros_like(z))
+        assert float(np.linalg.norm(gap, axis=1)[0]) == w.measured
+        xn, zn = np.linalg.norm(x, axis=1), np.linalg.norm(z, axis=1)
+        assert float((w.T * gamma2(xn) * zn)[0]) == w.bound
+
+
+def test_held_out_gains_are_the_theorem_demos_default_fit():
+    res = run_named("cascade-theorem-demo", {})
+    inter = res.metrics["interconnection"]
+    assert (inter["gamma1_gain"], inter["gamma2_gain"]) == HELD_OUT_GAINS
+    assert inter["verdict"]["kind"] == "pass"
