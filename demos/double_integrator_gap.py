@@ -57,7 +57,7 @@ for _ in range(20):
     for k in range(int(20.0 / T)):
         x = approx.step(T, k, x)
         states.append(x)
-    trajs.append(Trajectory(T, 0, np.asarray(states)[:, None]))  # one row per record
+    trajs.append(Trajectory.of_states(T, 0, np.asarray(states)[:, None]))  # one row per record
 env = fit_kl_envelope(trajs)
 print("\nfitted first-order decay envelope:", env.params)
 

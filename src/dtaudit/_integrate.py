@@ -137,7 +137,8 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
     flm, frm = f(lm), f(rm)
     left = (m - a) / 6.0 * (np.asarray(fa) + 4.0 * np.asarray(flm) + np.asarray(fm))
     right = (b - m) / 6.0 * (np.asarray(fm) + 4.0 * np.asarray(frm) + np.asarray(fb))
-    err = np.max(np.abs(left + right - whole))
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite integrand too
+        err = np.max(np.abs(left + right - whole))
     if not np.isfinite(err):
         raise QuadratureError("non-finite integrand", (a, b))
     if err <= 15.0 * tol:

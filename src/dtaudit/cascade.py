@@ -9,7 +9,7 @@ interconnection-growth bound and the semiglobal continuity
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,39 +76,32 @@ class InputSequence:
 class Trajectory:
     """Rows rolled out together from index k0 at period T.
 
-    Built from the (steps+1, rows, dim) `states`, one trajectory per
-    column, it keeps only their initial states `x0`, shape (rows, dim),
-    and their norms `norms`, shape (steps+1, rows), with non-finite
-    states giving inf or NaN norms; `from_norms` builds it from those two
-    directly. Where a check names a trajectory, its id counts the columns
-    of all records before it plus its own column.
+    It keeps their initial states `x0`, shape (rows, dim), and their norms
+    `norms`, shape (steps+1, rows), both as given; `of_states` builds it
+    from the (steps+1, rows, dim) states, one trajectory per column, with
+    non-finite states giving inf or NaN norms. Where a check names a
+    trajectory, its id counts the columns of all records before it plus
+    its own column.
     """
 
     T: float
     k0: int
-    states: InitVar[np.ndarray]
-    x0: np.ndarray = field(init=False)
-    norms: np.ndarray = field(init=False)
+    x0: np.ndarray
+    norms: np.ndarray
 
-    def __post_init__(self, states):
+    def __post_init__(self):
+        if self.norms.ndim != 2 or len(self.norms) < 1 or self.x0.shape[:1] != self.norms.shape[1:]:
+            raise ValueError("need (rows, dim) x0 and (steps+1, rows) norms, steps >= 0")
+
+    @classmethod
+    def of_states(cls, T: float, k0: int, states) -> "Trajectory":
+        """The record of the (steps+1, rows, dim) `states`."""
         states = np.asarray(states, dtype=float)
         if states.ndim != 3 or len(states) < 1:
             raise ValueError("states must have shape (steps+1, rows, dim), steps >= 0")
         # a copy, so that the record does not keep a rollout's whole array alive
-        object.__setattr__(self, "x0", states[0].copy())
         with np.errstate(over="ignore", invalid="ignore"):
-            object.__setattr__(self, "norms", np.linalg.norm(states, axis=-1))
-
-    @classmethod
-    def from_norms(cls, T: float, k0: int, x0: np.ndarray, norms: np.ndarray) -> "Trajectory":
-        """The record of (rows, dim) initial states and (steps+1, rows) norms,
-        both kept as given."""
-        if norms.ndim != 2 or len(norms) < 1 or x0.shape[:1] != norms.shape[1:]:
-            raise ValueError("need (rows, dim) x0 and (steps+1, rows) norms, steps >= 0")
-        run = object.__new__(cls)
-        for name, value in (("T", T), ("k0", k0), ("x0", x0), ("norms", norms)):
-            object.__setattr__(run, name, value)
-        return run
+            return cls(T, k0, states[0].copy(), np.linalg.norm(states, axis=-1))
 
 
 def rollout(step, T, k0, Y0, steps: int, inputs=None):
@@ -255,7 +248,7 @@ def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = 
             states = block = None  # not held while the next chunk is made
         for k0, per_part in zip(k0s, norms):
             for (rs, cs), part_norms in zip(parts, per_part):
-                yield Trajectory.from_norms(T, k0, Y0[rs, cs].copy(), part_norms)
+                yield Trajectory(T, k0, Y0[rs, cs].copy(), part_norms)
 
 
 def _stacked_step(sys: CascadeSystem):

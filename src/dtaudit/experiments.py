@@ -444,6 +444,8 @@ def _run_lyapunov_audit(params: dict, seed: int) -> ExperimentResult:
     p = _with_defaults(params, _LYAP_DEFAULTS, "lyapunov-audit")
     T = p["T"]
     refs, gains = _preset(p["regime"], T)
+    if T > (T_max := closed_loop_euler_cascade(refs, gains).T_max):
+        raise ConfigError(f"T exceeds the admissible T_max {T_max}")
     grid_n, radius = p["grid_n"], p["radius"]
     consts = compute_case_constants(refs, gains, T, p["L_pe"], grid_n=grid_n, radius=radius)
     metrics = {"regime": p["regime"], "T": T, "constants": consts.to_json()}
@@ -551,8 +553,8 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     horizon_s, Delta, Delta_z = p["horizon_s"], p["Delta"], p["Delta_z"]
     refs, gains = _preset("validated", T)
     sysm = closed_loop_euler_cascade(refs, gains)
-    if T_list[-1] > sysm.T_max:
-        raise ConfigError(f"T_list exceeds the admissible T_max {sysm.T_max}")
+    if max(T, T_list[-1]) > sysm.T_max:
+        raise ConfigError(f"T or T_list exceeds the admissible T_max {sysm.T_max}")
     consts = compute_case_constants(refs, gains, T, p["L_pe"], grid_n=p["grid_n"],
                                     radius=p["radius"])
     if not consts.all_valid:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._integrate import adaptive_simpson
+from .verdict import _SLACK
 
 __all__ = [
     "ClassKFunction",
@@ -43,7 +44,6 @@ class ClassKFunction:
       power             gain * s**exponent
       affine-capped     min(offset + gain * s, cap); offset > 0 gives a
                         class-N (nondecreasing, not zero at zero) function
-      tabulated         monotone interpolation of strictly increasing samples
       integral-reciprocal  s -> int_0^s q, q = 1/phi(max(tau,1)) for a stored
                         class-K_inf phi; produced by the boundedness
                         certificate builder, closed form below s=1 and
@@ -57,15 +57,8 @@ class ClassKFunction:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("linear", "power", "affine-capped", "tabulated", "integral-reciprocal"):
+        if self.kind not in ("linear", "power", "affine-capped", "integral-reciprocal"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "tabulated":
-            xs = np.asarray(self.params["xs"], dtype=float)
-            ys = np.asarray(self.params["ys"], dtype=float)
-            if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
-                raise ValueError("tabulated kind needs matching 1-d sample arrays")
-            if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
-                raise ValueError("tabulated samples must be strictly increasing")
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -81,10 +74,6 @@ class ClassKFunction:
         return cls("affine-capped", {"offset": float(offset), "gain": float(gain), "cap": float(cap)})
 
     @classmethod
-    def tabulated(cls, xs, ys) -> "ClassKFunction":
-        return cls("tabulated", {"xs": tuple(float(v) for v in xs), "ys": tuple(float(v) for v in ys)})
-
-    @classmethod
     def identity(cls) -> "ClassKFunction":
         return cls.linear(1.0)
 
@@ -98,8 +87,6 @@ class ClassKFunction:
             out = p["gain"] * np.power(s, p["exponent"])
         elif self.kind == "affine-capped":
             out = np.minimum(p["offset"] + p["gain"] * s, p["cap"])
-        elif self.kind == "tabulated":
-            out = np.interp(s, p["xs"], p["ys"])
         else:
             out = _integral_reciprocal_eval(p["phi"], s)
         return out if out.ndim else float(out)
@@ -203,20 +190,16 @@ def _check_period(T: float, T_max: float) -> None:
 
 
 def kl_shift(beta: KLBound, c: float) -> KLBound:
-    """Return beta_tilde with beta(s, t) <= beta_tilde(s, t + c) for all s, t >= 0."""
+    """Return beta_tilde with beta(s, t) <= beta_tilde(s, t + c) for all s, t >= 0,
+    for an exp-form beta; a composite raises ValueError, as in `KLBound.to_json`."""
     if c < 0.0:
         raise ValueError("shift must be nonnegative")
     if c == 0.0:
         return beta
-    if beta.form == "exp":
-        p = beta.params
-        return KLBound.exponential(p["M"] * math.exp(p["lam"] * c), p["lam"])
-    # composite: the half-time slots absorb c/2, the tail slot absorbs c
-    p = dict(beta.params)
-    p["b1"] = kl_shift(p["b1"], c / 2.0)
-    p["b2"] = kl_shift(p["b2"], c / 2.0)
-    p["b3"] = kl_shift(p["b3"], c)
-    return KLBound("composite", p)
+    if beta.form != "exp":
+        raise ValueError("only an exp-form KLBound can be shifted")
+    p = beta.params
+    return KLBound.exponential(p["M"] * math.exp(p["lam"] * c), p["lam"])
 
 
 def kl_compose(beta1: KLBound, beta2: KLBound, beta3: KLBound, gamma: ClassKFunction,
@@ -254,27 +237,27 @@ def _log_M_needed(logn, tau, lam_grid) -> np.ndarray:
     return np.array([np.max(logn + lam * tau) for lam in lam_grid])
 
 
-def _log_ratios(norms, norms0, active, slack) -> np.ndarray:
-    """log(|phi(k)| - slack) - log(|phi(k0)| = norms0) per sample of (steps,
+def _log_ratios(norms, norms0, active) -> np.ndarray:
+    """log(|phi(k)| - _SLACK) - log(|phi(k0)| = norms0) per sample of (steps,
     rows) norms, -inf at the samples the envelope need not cover."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        logn = np.log(norms - slack) - np.log(norms0)
+        logn = np.log(norms - _SLACK) - np.log(norms0)
     return np.where(active, logn, -np.inf)
 
 
-def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
-                    slack: float = 1e-9) -> KLBound:
+def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None) -> KLBound:
     """Fit the smallest exponential envelope dominating every trajectory.
 
     `trajectories` yields `cascade.Trajectory` records, one trajectory
     per column of each. The fit accepts (M, lam) when
-    |phi(k)| <= max(M * |phi(k0)| * exp(-lam * (k - k0) * T), nu) + slack
-    at every recorded index, prefers the smallest M and then the largest
-    lam, and raises `EnvelopeFalsified` with a (trajectory, k) witness
-    when no grid point works: the trajectory id is the flat (record,
-    column) index and the witness the first such sample, taking records
-    in order, then columns, then steps. A NaN sample satisfies no
-    envelope, so a trajectory that turns NaN is always falsified.
+    |phi(k)| <= max(M * |phi(k0)| * exp(-lam * (k - k0) * T), nu) + _SLACK
+    at every recorded index, the slack of the escape checks that audit it.
+    It prefers the smallest M and then the largest lam, and raises
+    `EnvelopeFalsified` with a (trajectory, k) witness when no grid point
+    works: the trajectory id is the flat (record, column) index and the
+    witness the first such sample, taking records in order, then columns,
+    then steps. A NaN sample satisfies no envelope, so a trajectory that
+    turns NaN is always falsified.
     """
     runs = list(trajectories)
     if not runs:
@@ -291,13 +274,13 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
         peak, ever = np.empty(len(norms)), np.zeros(norms.shape[1], dtype=bool)
         for i0 in range(0, len(norms), _CHUNK):
             block = norms[i0:i0 + _CHUNK]
-            active = ~(block <= nu + slack)
+            active = ~(block <= nu + _SLACK)
             ever |= active.any(axis=0)
-            peak[i0:i0 + len(block)] = np.max(_log_ratios(block, norms[0], active, slack), axis=1)
+            peak[i0:i0 + len(block)] = np.max(_log_ratios(block, norms[0], active), axis=1)
         leaves_zero = (norms[0] <= 0.0) & ever
         if leaves_zero.any():
             j = int(np.argmax(leaves_zero))
-            raise EnvelopeFalsified((ti + j, run.k0 + int(np.argmax(~(norms[:, j] <= nu + slack)))))
+            raise EnvelopeFalsified((ti + j, run.k0 + int(np.argmax(~(norms[:, j] <= nu + _SLACK)))))
         peaks.append(peak)
         taus.append(np.arange(len(norms)) * run.T)
         ti += norms.shape[1]
@@ -311,7 +294,7 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None,
         lam, ti = float(np.min(lam_grid)), 0
         for run, tau in zip(runs, taus):
             norms = np.asarray(run.norms, dtype=float)
-            logn = _log_ratios(norms, norms[0], ~(norms <= nu + slack), slack)
+            logn = _log_ratios(norms, norms[0], ~(norms <= nu + _SLACK))
             beats = ~(logn + lam * tau[:, None] - np.max(logM) <= 1e-12).T  # columns, then steps
             if beats.any():
                 j, i = np.argwhere(beats)[0]

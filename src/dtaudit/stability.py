@@ -180,15 +180,13 @@ class _LyapunovChecks:
     `check` takes a block of step indices at once. Once a check has
     falsified, `falsified` holds its verdict and `check` does nothing."""
 
-    def __init__(self, V: LyapunovCandidate, Y, nu: float, decrease_form: str = "as-printed",
-                 collect_margins: bool = False):
+    def __init__(self, V: LyapunovCandidate, Y, nu: float, collect_margins: bool = False):
         self.Y, self.norms = Y, np.linalg.norm(Y, axis=1)
         # the k-free bounds, formed once: the sandwich, the decrease rate, and
         # the Lipschitz bound on the consecutive grid pairs (Y[j], Y[j + 1])
         self.lo, self.hi, a3 = (np.asarray(f(self.norms), dtype=float)
                                 for f in (V.alpha1, V.alpha2, V.alpha3))
-        self.rhs = ((lambda T: -T * (a3 + nu)) if decrease_form == "as-printed"
-                    else (lambda T: -T * a3 + T * nu))
+        self.rate = a3 + nu
         gap = np.linalg.norm(Y[:-1] - Y[1:], axis=1)
         self.lip = lip = np.asarray(V.L_mod(np.maximum(self.norms[:-1], self.norms[1:])),
                                     dtype=float) * gap
@@ -208,7 +206,7 @@ class _LyapunovChecks:
             return
         Y, lo, hi, lip, worst = self.Y, self.lo, self.hi, self.lip, self.worst
         v = np.asarray(v, dtype=float)
-        rhs = self.rhs(T)
+        rhs = -T * self.rate
         checks = [(v >= lo - _SLACK, v, lo, "lower sandwich bound violated"),
                   (v <= hi + _SLACK, v, hi, "upper sandwich bound violated")]
         if all(ok[0].all() for ok, *_ in checks):
@@ -246,20 +244,16 @@ class _LyapunovChecks:
 
 
 def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: float,
-                   T_list, grid, decrease_form: str = "as-printed",
-                   k_set=None, collect_margins: bool = False) -> StabilityVerdict:
+                   T_list, grid, k_set=None, collect_margins: bool = False) -> StabilityVerdict:
     """Audit the sandwich, decrease, and Lipschitz claims of a candidate V.
 
     The decrease condition is checked in the stated one-sided form
-    dV <= -T*(alpha3(|y|) + nu) by default; decrease_form="conventional"
-    checks the practical variant dV <= -T*alpha3(|y|) + T*nu instead.
+    dV <= -T*(alpha3(|y|) + nu).
     """
     if not (Delta > 0.0 and nu >= 0.0):
         raise ValueError("need Delta > 0 and nu >= 0")
-    if decrease_form not in ("as-printed", "conventional"):
-        raise ValueError("decrease_form must be 'as-printed' or 'conventional'")
     Y = _resolve_grid(grid, Delta, F.dim)
-    checks = _LyapunovChecks(V, Y, nu, decrease_form, collect_margins)
+    checks = _LyapunovChecks(V, Y, nu, collect_margins)
     for T in sorted(float(t) for t in T_list):
         for k in (_k_probes(T, F.period) if k_set is None else k_set):
             k = int(k)
@@ -329,21 +323,8 @@ def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
 def _reciprocal_integral_diverges(phi: ClassKFunction) -> bool:
     # analytic check of the integral of 1/phi over [1, infinity): it diverges
     # for a power up to exponent 1, and for every other kind, which grows at
-    # most affinely (linear, affine-capped), stays bounded beyond its table
-    # (tabulated) or grows logarithmically (integral-reciprocal)
+    # most affinely (linear, affine-capped) or logarithmically (integral-reciprocal)
     return phi.kind != "power" or phi.params["exponent"] <= 1.0
-
-
-def _build_mu(gamma1: ClassKFunction, gamma2: ClassKFunction, phi1: float,
-              s_max: float) -> ClassKFunction:
-    """mu(s) = gamma1(s) + gamma2(s)/phi(1), kept linear when both gains are."""
-    if gamma1.kind == "linear" and gamma2.kind == "linear":
-        return ClassKFunction.linear(gamma1.params["gain"] + gamma2.params["gain"] / phi1)
-    xs = np.linspace(0.0, max(2.0 * s_max, 1.0), 257)
-    ys = np.asarray(gamma1(xs), dtype=float) + np.asarray(gamma2(xs), dtype=float) / phi1
-    if np.any(np.diff(ys) <= 0):
-        raise ValueError("combined gain is not strictly increasing on the sampled range")
-    return ClassKFunction.tabulated(xs, ys)
 
 
 def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
@@ -352,16 +333,18 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
                           k_set=None) -> tuple[UGBCertificate, StabilityVerdict]:
     """Verify the certificate inequalities and build the transformed function.
 
-    Checks the three claimed inequalities of `cert_params` on the sampled
-    domain, constructs the slope q(s) = 1/phi(max(s,1)), its integral rho,
-    and W = rho(V), then audits the one-step growth
-    W(k+1, f(k,x,z)) - W(k,x) <= T * mu(|z|) on the same samples.
+    Checks the three claimed inequalities of `cert_params` (linear gamma1 and
+    gamma2) on the sampled domain, builds q(s) = 1/phi(max(s,1)), its
+    integral rho and W = rho(V), and audits on the same samples the growth
+    W(k+1, f(k,x,z)) - W(k,x) <= T * mu(|z|), mu = gamma1 + gamma2/phi(1).
     """
     p = cert_params
     if not _reciprocal_integral_diverges(p.phi):
         raise PreconditionError(
             "growth function has a convergent reciprocal integral; "
             "the transformed function cannot be unbounded")
+    if not p.gamma1.kind == p.gamma2.kind == "linear":
+        raise PreconditionError("the certificate gains gamma1 and gamma2 must be linear")
     if isinstance(domain, Box):
         pts = sample_box(domain, n_samples)
     else:  # an explicit (m, dim_x + dim_z) array of stacked states
@@ -374,8 +357,7 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
     Z0 = np.zeros_like(Z)
     x_norm = np.linalg.norm(X, axis=1)
     z_norm = np.linalg.norm(Z, axis=1)
-    phi1 = float(p.phi(1.0))
-    mu = _build_mu(p.gamma1, p.gamma2, phi1, float(np.max(z_norm)))
+    mu = ClassKFunction.linear(p.gamma1.params["gain"] + p.gamma2.params["gain"] / p.phi(1.0))
     cert = UGBCertificate(rho, mu)
     # the k-free bounds, formed once
     lo = np.asarray(p.alpha1(x_norm), dtype=float)

@@ -326,7 +326,7 @@ def test_chunked_records_equal_records_of_one_rollout(steps):
     want = []
     for k0 in k0s:
         states, first_bad = rollout(_doubling_step, T, k0, Y0, steps)
-        want += [Trajectory(T, k0, states[:, rs, cs]) for rs, cs in parts]
+        want += [Trajectory.of_states(T, k0, states[:, rs, cs]) for rs, cs in parts]
     assert sorted(set(first_bad[first_bad >= 0])) == [s for s in _DEATHS if s <= steps]
     _assert_same_records(got, want)
     for run in got:
@@ -523,14 +523,24 @@ def test_simulate_driven_rejects_short_input():
 
 def test_trajectory_requires_initial_state():
     with pytest.raises(ValueError):
-        Trajectory(0.1, 0, np.zeros((0, 3, 2)))
+        Trajectory.of_states(0.1, 0, np.zeros((0, 3, 2)))
     with pytest.raises(ValueError):  # one (steps+1, dim) row is not a record
-        Trajectory(0.1, 0, np.zeros((5, 2)))
-    run = Trajectory(0.1, 0, np.full((5, 3, 2), 3.0))
+        Trajectory.of_states(0.1, 0, np.zeros((5, 2)))
+    run = Trajectory.of_states(0.1, 0, np.full((5, 3, 2), 3.0))
     assert run.norms.shape == (5, 3) and np.all(run.norms == math.hypot(3.0, 3.0))
     # a record keeps the initial states and the norms, not the states
     assert not hasattr(run, "states")
     assert run.x0.shape == (3, 2) and np.all(run.x0 == 3.0)
+
+
+@pytest.mark.parametrize("x0, norms", [
+    (np.zeros((3, 2)), np.zeros((0, 3))),  # no initial step
+    (np.zeros((3, 2)), np.zeros(5)),  # norms of one row, not a record
+    (np.zeros((2, 2)), np.zeros((5, 3))),  # two initial states for three rows
+])
+def test_trajectory_checks_the_shapes_of_its_fields(x0, norms):
+    with pytest.raises(ValueError, match="norms"):
+        Trajectory(0.1, 0, x0, norms)
 
 
 @settings(deadline=None, max_examples=30)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dtaudit
+from dtaudit import cli
 from dtaudit.cli import config_digest, emit_report, main
 from dtaudit.experiments import ExperimentResult
 
@@ -110,6 +111,29 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+# constructor arguments of the numeric errors that take more than a message
+_ERROR_ARGS = {"IntegrationError": ("step size underflow", 0.5),
+               "QuadratureError": ("refinement limit reached", (0.0, 1.0)),
+               "DivergenceError": ("non-finite state at k=3", 3),
+               "EnvelopeFalsified": ((0, 3),)}
+
+
+@pytest.mark.parametrize("error", cli._NUMERIC_ERRORS, ids=lambda e: e.__name__)
+def test_every_numeric_error_is_exit_3(tmp_path, capsys, monkeypatch, error):
+    """Whatever numeric error a run raises, the command reports a numeric
+    failure, exits 3 and writes no report."""
+    def failing_run(name, params, seed=0):
+        raise error(*_ERROR_ARGS.get(error.__name__, ("overflow in the step",)))
+
+    monkeypatch.setattr(cli, "run_named", failing_run)
+    out = tmp_path / "out"
+    code = main(["run", "--experiment", "pe-check", "--config", write_config(tmp_path, {}),
+                 "--out", str(out)])
+    assert code == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, params, key", [
     ("unicycle-compare", {"refs": {"wr": {"kind": "cos"}}}, "reference kind"),
     ("unicycle-compare", {"plant": "rk4"}, "plant"),
@@ -170,6 +194,9 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
     ("example1", {"nonconv_floor": math.nan}, "example1.nonconv_floor must be a finite number"),
     ("unicycle-compare", {"horizon_s": 10 ** 400},
      "unicycle-compare.horizon_s must be a finite number"),
+    ("lyapunov-audit", {"T": 0.5}, "T_max"),  # above the validated closed loop's T_max
+    ("lyapunov-audit", {"T": 0.25}, "T_max"),
+    ("cascade-theorem-demo", {"T": 0.5}, "T_max"),
 ], ids=["compare-cos", "compare-rk4", "compare-T0", "compare-T-negative",
         "compare-T-above-T_max", "compare-negative-gain", "lyapunov-T0",
         "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0",
@@ -186,7 +213,8 @@ def test_numeric_failure_is_exit_3(tmp_path, capsys):
         "example1-bool-T", "compare-str-alpha_y", "consistency-short-euler_slope_window",
         "consistency-short-held_input", "example1-negative-T", "compare-infinite-horizon_s",
         "pe-infinite-L", "lyapunov-infinite-L_pe", "example1-nan-nonconv_floor",
-        "compare-int-beyond-float-horizon_s"])
+        "compare-int-beyond-float-horizon_s", "lyapunov-T-above-T_max",
+        "lyapunov-T0.25-above-T_max", "theorem-T-above-T_max"])
 def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params, key):
     out = tmp_path / "out"
     code = main(["run", "--experiment", experiment,

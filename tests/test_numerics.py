@@ -58,8 +58,6 @@ def test_class_k_shapes():
     assert pw(2.0) == 12.0
     assert aff(1.0) == 3.0
     assert aff(100.0) == 5.0  # cap
-    tab = ClassKFunction.tabulated([0.0, 1.0, 2.0], [0.0, 3.0, 5.0])
-    assert tab(0.5) == pytest.approx(1.5)
 
 
 @given(st.floats(0.0, 20.0), st.floats(0.0, 20.0))
@@ -107,6 +105,14 @@ def test_kl_shift_exponential_identity():
 def test_kl_shift_zero_is_identity():
     beta = KLBound.exponential(2.0, 3.0)
     assert kl_shift(beta, 0.0) is beta
+
+
+def test_kl_shift_rejects_a_composite():
+    beta = KLBound.exponential(2.0, 1.0)
+    composed = kl_compose(beta, beta, beta, ClassKFunction.linear(1.0))
+    assert kl_shift(composed, 0.0) is composed
+    with pytest.raises(ValueError, match="exp-form"):
+        kl_shift(composed, 0.5)
 
 
 def test_kl_shift_point_check():
@@ -188,7 +194,7 @@ def test_kl_compose_monotone_sampled():
 
 
 def test_fit_envelope_zero_trajectory():
-    traj = Trajectory(0.1, 0, np.zeros((20, 1, 1)))
+    traj = Trajectory.of_states(0.1, 0, np.zeros((20, 1, 1)))
     beta = fit_kl_envelope([traj])
     assert beta.params["M"] == 1.0
 
@@ -197,7 +203,7 @@ def test_fit_envelope_geometric_decay():
     # norms 0.9^k at T=1 admit lam up to -ln(0.9) = 0.10536; the log grid
     # point just below is 0.1
     states = (0.9 ** np.arange(60))[:, None, None]
-    beta = fit_kl_envelope([Trajectory(1.0, 0, states)])
+    beta = fit_kl_envelope([Trajectory.of_states(1.0, 0, states)])
     assert beta.params["M"] == 1.0
     assert beta.params["lam"] == pytest.approx(0.1, abs=1e-12)
     assert beta.params["lam"] <= -math.log(0.9) + 1e-12
@@ -206,7 +212,7 @@ def test_fit_envelope_geometric_decay():
 def test_fit_envelope_divergent_witness():
     states = (1.1 ** np.arange(150))[:, None, None]
     with pytest.raises(EnvelopeFalsified) as err:
-        fit_kl_envelope([Trajectory(1.0, 0, states)])
+        fit_kl_envelope([Trajectory.of_states(1.0, 0, states)])
     traj_id, k = err.value.witness
     assert traj_id == 0
     assert k > 50  # growth only beats the loosest envelope at large k
@@ -215,7 +221,7 @@ def test_fit_envelope_divergent_witness():
 def test_fit_envelope_nan_sample_is_falsified():
     """A trajectory that turns NaN gets no envelope: the NaN sample is the
     witness."""
-    traj = Trajectory(0.1, 0, np.array([1.0, 0.9, 0.8, np.nan])[:, None, None])
+    traj = Trajectory.of_states(0.1, 0, np.array([1.0, 0.9, 0.8, np.nan])[:, None, None])
     with pytest.raises(EnvelopeFalsified) as err:
         fit_kl_envelope([traj])
     assert err.value.witness == (0, 3)
@@ -227,8 +233,9 @@ def test_fit_envelope_loosest_witness_maps_back_to_trajectory_and_index():
     zero-start columns, and its step offset by the record's k0."""
     T, nu, slack = 0.5, 0.0, 1e-9
     k = np.arange(120)
-    trajs = [Trajectory(T, 3, np.stack([0.8 ** k[:40], np.zeros(40)], axis=1)[:, :, None]),
-             Trajectory(T, 11, np.stack([0.9 ** k, 1.3 ** k], axis=1)[:, :, None])]
+    trajs = [Trajectory.of_states(T, 3,
+                                  np.stack([0.8 ** k[:40], np.zeros(40)], axis=1)[:, :, None]),
+             Trajectory.of_states(T, 11, np.stack([0.9 ** k, 1.3 ** k], axis=1)[:, :, None])]
     M_max, lam_min = 1.25 ** 42, 1e-4
     expect, ti = None, 0
     for traj in trajs:
@@ -253,7 +260,8 @@ def test_fit_envelope_zero_start_witness():
     states[:, 0] = 1.0
     states[4:, 1] = 0.5
     with pytest.raises(EnvelopeFalsified) as err:
-        fit_kl_envelope([Trajectory(0.1, 0, np.ones((5, 1, 1))), Trajectory(0.1, 7, states)])
+        fit_kl_envelope([Trajectory.of_states(0.1, 0, np.ones((5, 1, 1))),
+                         Trajectory.of_states(0.1, 7, states)])
     assert err.value.witness == (2, 11)
 
 
@@ -270,7 +278,7 @@ def test_fit_envelope_per_lam_max_equals_broadcast_formula():
         ks = np.arange(n)
         norms = rng.uniform(0.1, 5.0) * np.exp(-rng.uniform(0.2, 2.0) * ks * T)
         norms *= 1.0 + rng.uniform(0.0, 2.0, n) * (ks > 0)
-        trajs.append(Trajectory(T, int(rng.integers(0, 9)), norms[:, None, None]))
+        trajs.append(Trajectory.of_states(T, int(rng.integers(0, 9)), norms[:, None, None]))
         active = norms > slack
         taus.append(ks[active] * T)
         lognorms.append(np.log(norms[active] - slack) - np.log(norms[0]))
@@ -283,7 +291,7 @@ def test_fit_envelope_per_lam_max_equals_broadcast_formula():
     mi = int(np.argmax(feasible.any(axis=1)))
     li = int(np.max(np.nonzero(feasible[mi])[0]))
     assert 0 < mi and 0 < li < len(lam_grid) - 1  # an interior choice
-    beta = fit_kl_envelope(trajs, M_grid=M_grid, lam_grid=lam_grid, slack=slack)
+    beta = fit_kl_envelope(trajs, M_grid=M_grid, lam_grid=lam_grid)
     assert beta.params == {"M": M_grid[mi], "lam": lam_grid[li]}
 
 
@@ -346,7 +354,7 @@ def test_fit_envelope_per_step_maxima_equal_full_sample_fit(seed, n_records, nu)
         nan_from = rng.integers(1, steps + 2, rows)
         norms[k >= np.where(rng.uniform(size=rows) < 0.2, nan_from, steps + 1)] = np.nan
         norms[0, rng.uniform(size=rows) < 0.05] = np.nan
-        runs.append(Trajectory(T, int(rng.integers(0, 9)), norms[:, :, None]))
+        runs.append(Trajectory.of_states(T, int(rng.integers(0, 9)), norms[:, :, None]))
 
     swept = []
     sweep = numerics._log_M_needed
@@ -374,8 +382,8 @@ def test_fit_envelope_keeps_per_step_maxima_not_every_ratio():
     alone exceed that."""
     rng = np.random.default_rng(0)
     k = np.arange(201)[:, None]
-    runs = [Trajectory.from_norms(0.01, 0, np.ones((50, 3)),
-                                  rng.uniform(0.5, 2.0, 50) * np.exp(-0.5 * k * 0.01))
+    runs = [Trajectory(0.01, 0, np.ones((50, 3)),
+                       rng.uniform(0.5, 2.0, 50) * np.exp(-0.5 * k * 0.01))
             for _ in range(40)]
     size = sum(run.norms.nbytes for run in runs)
     tracemalloc.start()
@@ -393,7 +401,7 @@ def test_fit_envelope_sound(rate, scale, n):
     """Any accepted envelope dominates every sample it was fitted on."""
     T = 0.25
     norms = scale * rate ** np.arange(n)
-    traj = Trajectory(T, 0, norms[:, None, None])
+    traj = Trajectory.of_states(T, 0, norms[:, None, None])
     beta = fit_kl_envelope([traj])
     M, lam = beta.params["M"], beta.params["lam"]
     bound = M * norms[0] * np.exp(-lam * np.arange(n) * T)
@@ -403,7 +411,7 @@ def test_fit_envelope_sound(rate, scale, n):
 def test_fit_envelope_truncation_level():
     # samples below nu are exempt from the decay requirement
     norms = np.concatenate([0.5 ** np.arange(10), np.full(30, 1e-4)])
-    beta = fit_kl_envelope([Trajectory(0.5, 0, norms[:, None, None])], nu=1e-3)
+    beta = fit_kl_envelope([Trajectory.of_states(0.5, 0, norms[:, None, None])], nu=1e-3)
     M, lam = beta.params["M"], beta.params["lam"]
     k = np.arange(len(norms))
     bound = np.maximum(M * norms[0] * np.exp(-lam * k * 0.5), 1e-3)

@@ -1,5 +1,7 @@
 """Grid audits: envelope falsification, Lyapunov checks, certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,13 +191,11 @@ def test_lyapunov_lower_sandwich_violation_reported():
 
 
 def test_lyapunov_decrease_forms_differ_for_neutral_map():
-    """nu inside the bracket is strict; the conventional form tolerates it."""
+    """nu inside the bracket is strict: a neutral map does not decrease."""
     F = scalar_map(lambda T, Y: Y)
-    kwargs = dict(Delta=1.0, nu=2.0, T_list=[0.25], grid=np.array([[0.5], [1.0]]))
-    strict = audit_lyapunov(quadratic_candidate(), F, decrease_form="as-printed", **kwargs)
-    loose = audit_lyapunov(quadratic_candidate(), F, decrease_form="conventional", **kwargs)
+    strict = audit_lyapunov(quadratic_candidate(), F, Delta=1.0, nu=2.0, T_list=[0.25],
+                            grid=np.array([[0.5], [1.0]]))
     assert strict.kind == "falsified"
-    assert loose.kind == "pass"
 
 
 def test_lyapunov_margin_rows_carry_bound_minus_measured():
@@ -227,15 +227,12 @@ def test_lyapunov_margins_scale_linearly_with_candidate():
 def test_lyapunov_rejects_unknown_decrease_form():
     F = scalar_map(lambda T, Y: Y)
     with pytest.raises(ValueError):
-        audit_lyapunov(quadratic_candidate(), F, Delta=1.0, nu=0.0,
-                       T_list=[0.1], grid=4, decrease_form="typo")
-    with pytest.raises(ValueError):
         audit_lyapunov(quadratic_candidate(), F, Delta=1.0, nu=-0.1,
                        T_list=[0.1], grid=4)
 
 
 def geometric_trajectory(ratio, n, T, z0=1.0):
-    return Trajectory(T, 0, (z0 * ratio ** np.arange(n)).reshape(-1, 1, 1))
+    return Trajectory.of_states(T, 0, (z0 * ratio ** np.arange(n)).reshape(-1, 1, 1))
 
 
 def test_summability_geometric_series_meets_exact_budget():
@@ -248,7 +245,7 @@ def test_summability_geometric_series_meets_exact_budget():
 
 
 def test_summability_zero_trajectory_passes():
-    traj = Trajectory(0.1, 0, np.zeros((10, 1, 1)))
+    traj = Trajectory.of_states(0.1, 0, np.zeros((10, 1, 1)))
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
                                 ClassKFunction.linear(1.0), T=0.1)
     assert verdict.kind == "pass"
@@ -260,7 +257,7 @@ def test_summability_budget_overrun_is_falsified():
     # of the second record overruns the budget 0.05, so it is trajectory 2
     k = np.arange(200)
     runs = [geometric_trajectory(0.5, 200, T=0.01),
-            Trajectory(0.01, 4, np.stack([0.5 ** k, 0.9 ** k], axis=1)[:, :, None])]
+            Trajectory.of_states(0.01, 4, np.stack([0.5 ** k, 0.9 ** k], axis=1)[:, :, None])]
     verdict = check_summability(runs, ClassKFunction.linear(1.0),
                                 ClassKFunction.linear(0.05), T=0.01)
     assert verdict.kind == "falsified"
@@ -271,7 +268,7 @@ def test_summability_budget_overrun_is_falsified():
 
 def test_summability_harmonic_tail_is_inconclusive():
     # 1/(k+1) decays too slowly for the geometric tail certificate
-    traj = Trajectory(1.0, 0, (1.0 / np.arange(1, 301)).reshape(-1, 1, 1))
+    traj = Trajectory.of_states(1.0, 0, (1.0 / np.arange(1, 301)).reshape(-1, 1, 1))
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
                                 ClassKFunction.linear(1000.0), T=1.0)
     assert verdict.kind == "inconclusive"
@@ -368,6 +365,15 @@ def test_certificate_rejects_superlinear_growth_analytically():
                               Box((-1.0, -1.0), (1.0, 1.0)), T_list=[0.1])
 
 
+@pytest.mark.parametrize("gain", ["gamma1", "gamma2"])
+def test_certificate_rejects_nonlinear_gains(gain):
+    """mu = gamma1 + gamma2 / phi(1) is formed only for linear gains."""
+    params = replace(linear_cert_params(), **{gain: ClassKFunction.power(1.0, 2.0)})
+    with pytest.raises(PreconditionError, match="must be linear"):
+        build_ugb_certificate(norm_candidate(), driven_scalar_cascade(), params,
+                              Box((-1.0, -1.0), (1.0, 1.0)), T_list=[0.1])
+
+
 def test_certificate_rejects_wrong_domain_width():
     with pytest.raises(ValueError, match="stacked"):
         build_ugb_certificate(norm_candidate(), driven_scalar_cascade(),
@@ -425,7 +431,7 @@ def _nan_pe():
 
 
 def _nan_summability():
-    traj = Trajectory(0.1, 0, np.array([1.0, 1.0, 1.0] + [np.nan] * 20).reshape(-1, 1, 1))
+    traj = Trajectory.of_states(0.1, 0, np.array([1.0, 1.0, 1.0] + [np.nan] * 20).reshape(-1, 1, 1))
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
                                 ClassKFunction.linear(10.0), T=0.1)
     return verdict, 3, (1.0,)

@@ -1,6 +1,7 @@
-"""Every one-step audit kind falsifies a known-bad input, and its witness
-replays: `measured` is re-derived to the bit from (T, k, initial_state)
-with public calls, outside the audit that reported it."""
+"""Every audit kind falsifies a known-bad input, and its witness replays:
+`measured` is re-derived to the bit from (T, k0, initial_state, k) with
+public calls, outside the audit that reported it. Fitted gains are also
+re-audited on samples they were not fitted on."""
 
 import math
 from dataclasses import replace
@@ -8,10 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dtaudit import (Box, CertificateParams, ClassKFunction, ParameterizedMap, audit_lyapunov,
-                     audit_lyapunov_chain, build_ugb_certificate, check_interconnection_bound,
-                     closed_loop_euler_cascade, compute_case_constants, lyap_U, lyap_W,
-                     run_named, unicycle)
+from dtaudit import (Box, CertificateParams, ClassKFunction, KLBound, ParameterizedMap,
+                     audit_lyapunov, audit_lyapunov_chain, build_ugb_certificate,
+                     check_interconnection_bound, check_summability, closed_loop_euler_cascade,
+                     compute_case_constants, fit_kl_envelope, horizon_index, lyap_U, lyap_W,
+                     run_named, sample_ball, unicycle)
+from dtaudit.cascade import _stacked_step, grid_rollouts, rollout
+from dtaudit.experiments import _refs_from_spec
+from dtaudit.stability import boundedness_escape, spuas_escape
 from dtaudit.verdict import Witness, _first_violation
 
 T = 0.01
@@ -181,8 +186,161 @@ def test_theorem_interconnection_gains_on_a_held_out_sample(T_list, n_samples, e
         assert float((w.T * gamma2(xn) * zn)[0]) == w.bound
 
 
+ESCAPED = "trajectory norm escaped the claimed bound"
+
+# the drift gain d of the growth certificate and the gain kappa of the
+# boundedness check that the theorem demo fits at its default config
+HELD_OUT_D = 0.5199979273954476
+HELD_OUT_KAPPA = 1.0177814700915897
+
+
+def _certificate_points(X, Y, thetas):
+    base = np.stack([X, Y], axis=-1)
+    return np.concatenate([np.column_stack([base, np.full(len(base), th)]) for th in thetas])
+
+
+@pytest.mark.parametrize("sample, every_k, witness", [
+    ("fit", False, None),
+    ("fit", True, (185, (-0.25, -1.0, -0.25), 0.0026482994325665032, 0.0026482953063069288)),
+    ("theta-midpoints", False,
+     (154, (-0.25, -1.0, -0.375), 0.0039658228053267575, 0.003964984201464627)),
+    ("staggered", False,
+     (147, (-0.125, -1.125, -0.25), 0.0029298882358099743, 0.0029291728432249463)),
+], ids=["fit-sample", "every-k", "theta-midpoints", "staggered-grid"])
+def test_theorem_drift_gain_on_a_held_out_sample(validated, sample, every_k, witness):
+    """The default-config drift gain d passes on the sample it was fitted
+    on: the 41-grid at five headings and every seventh k of a period. At
+    every k of the period, at the midpoints of those headings, or on the
+    staggered grid (the 41-grid's cell midpoints), the input-drift bound is
+    falsified; each witness replays to the bit."""
+    refs, gains, c = validated
+    sysm = closed_loop_euler_cascade(refs, gains)
+    cand = unicycle._lyap_U_candidate(refs, gains, c)
+    X, Y = unicycle._chain_grid(41, 5.0)
+    thetas = (-0.5, -0.25, 0.0, 0.25, 0.5)
+    if sample == "theta-midpoints":
+        thetas = (-0.375, -0.125, 0.125, 0.375)
+    elif sample == "staggered":
+        X, Y = (a.ravel() for a in np.meshgrid(*[np.linspace(-4.875, 4.875, 40)] * 2,
+                                               indexing="ij"))
+    k_hi = refs.period_steps(T)
+    k_set = range(k_hi + 1) if every_k else sorted({*range(0, k_hi + 1, 7), k_hi})
+    d = ClassKFunction.linear(HELD_OUT_D)
+    params = CertificateParams(cand.alpha1, cand.alpha2, 0.0, d, d, ClassKFunction.identity())
+    _, verdict = build_ugb_certificate(cand, sysm, params, _certificate_points(X, Y, thetas),
+                                       [T], k_set=k_set)
+    if witness is None:
+        assert verdict.kind == "pass"
+        return
+    w, xz = _assert_witness(verdict, "input-drift bound violated", *witness)
+    x, z = xz[:, :2], xz[:, 2:]
+    U = lambda y: lyap_U(w.k + 1, y, refs, gains, c, w.T)[0]
+    assert U(sysm.f(w.T, w.k, x, z)) - U(sysm.f(w.T, w.k, x, np.zeros_like(z))) == w.measured
+    dz = d(np.linalg.norm(z, axis=1))
+    assert float((w.T * dz * cand.eval(w.T, w.k, x) + w.T * dz)[0]) == w.bound
+
+
+@pytest.mark.parametrize("n_ball, witness", [
+    (33, None),
+    (65, (0, (-0.46875, -1.40625, -0.78125), 112, 1.7057315384544731, 1.7053891121688247)),
+], ids=["demo-records", "65-points"])
+def test_theorem_kappa_gain_on_a_held_out_sample(n_ball, witness):
+    """The default-config kappa passes on the demo's cascade records (33
+    points of the ball); on 65 points at the same periods and start
+    indices the norm bound is falsified, and the witness replays to the bit."""
+    refs, gains = unicycle._preset("validated", T)
+    sysm = closed_loop_euler_cascade(refs, gains)
+    kappa = ClassKFunction.linear(HELD_OUT_KAPPA)
+    runs = grid_rollouts(_stacked_step(sysm), sample_ball(5.0, 3, n_ball), [0.01, 0.02, 0.05],
+                         40.0, period=sysm.period)
+    verdict = boundedness_escape(runs, kappa, 0.0)
+    if witness is None:
+        assert verdict.kind == "pass"
+        return
+    w = verdict.witness
+    assert (verdict.kind, verdict.detail) == ("falsified", ESCAPED)
+    assert (w.T, w.k0, w.initial_state, w.k, w.measured, w.bound) == (T, *witness)
+    states, _ = rollout(_stacked_step(sysm), w.T, w.k0, np.array([w.initial_state]), w.k - w.k0)
+    assert float(np.linalg.norm(states[-1, 0])) == w.measured
+    assert float(kappa(np.linalg.norm(w.initial_state))) == w.bound
+
+
 def test_held_out_gains_are_the_theorem_demos_default_fit():
     res = run_named("cascade-theorem-demo", {})
     inter = res.metrics["interconnection"]
     assert (inter["gamma1_gain"], inter["gamma2_gain"]) == HELD_OUT_GAINS
     assert inter["verdict"]["kind"] == "pass"
+    growth = res.metrics["growth_certificate"]
+    assert (growth["drift_gain"], growth["verdict"]["kind"]) == (HELD_OUT_D, "pass")
+    cascade = res.metrics["cascade"]
+    assert (cascade["kappa_gain"], cascade["bounded"]["kind"]) == (HELD_OUT_KAPPA, "pass")
+
+
+@pytest.mark.parametrize("shrunk, witness", [
+    ("M", (0, (0.3125, -4.6875), 1, 4.69686566170169, 4.696725206025708)),
+    ("lam", (0, (0.0, 5.0), 3208, 2.282859769992275, 2.282599681749898)),
+], ids=["M", "lam"])
+def test_shrunken_decay_envelope_witness_replays(shrunk, witness):
+    """The envelope fitted to the unforced closed loop (the theorem demo's
+    unforced grid) passes on its records; with M one grid step smaller, or
+    lam a quarter larger, the decay envelope is falsified."""
+    refs, gains = unicycle._preset("validated", T)
+    sysm = closed_loop_euler_cascade(refs, gains)
+    unforced = lambda TT, k, x: _unforced(sysm, TT, k, x)
+    runs = list(grid_rollouts(unforced, sample_ball(5.0, 2, 33), [0.01, 0.02, 0.05], 40.0,
+                              period=sysm.period))
+    beta = fit_kl_envelope(runs)
+    assert spuas_escape(runs, beta, 0.0).kind == "pass"
+    M, lam = beta.params["M"], beta.params["lam"]
+    shrunken = KLBound.exponential(*((M / 1.25, lam) if shrunk == "M" else (M, 1.25 * lam)))
+    verdict = spuas_escape(runs, shrunken, 0.0)
+    w = verdict.witness
+    assert (verdict.kind, verdict.detail) == ("falsified", ESCAPED)
+    assert (w.T, w.k0, w.initial_state, w.k, w.measured, w.bound) == (T, *witness)
+    states, _ = rollout(unforced, w.T, w.k0, np.array([w.initial_state]), w.k - w.k0)
+    assert float(np.linalg.norm(states[-1, 0])) == w.measured
+    assert float(shrunken(float(np.linalg.norm(w.initial_state)), (w.k - w.k0) * w.T)) == w.bound
+
+
+def test_summability_tail_overrun_witness_replays():
+    """T sum of 0.9^k is 10. A budget 3e-9 short of it holds the partial sum
+    of 200 terms (10 - 7.06e-9) but not that sum plus its geometric tail,
+    so the check is falsified through the tail; a trajectory settling on a
+    nonzero floor has no visibly decaying tail and is inconclusive."""
+    shrink = lambda TT, k, z: 0.9 * z
+    runs = list(grid_rollouts(shrink, [[1.0]], [1.0], 199.0, k0_set=[0]))
+    mu = ClassKFunction.identity()
+    verdict = check_summability(runs, mu, ClassKFunction.linear(10.0 - 3e-9), 1.0)
+    w = verdict.witness
+    assert (verdict.kind, verdict.detail) == (
+        "falsified", "partial sum plus tail exceeds the budget on trajectory 0")
+    assert (w.T, w.k0, w.initial_state, w.k) == (1.0, 0, (1.0,), 199)
+    assert (w.measured, w.bound) == (10.000000000000009, 9.999999997)
+    states, _ = rollout(shrink, w.T, w.k0, np.array([w.initial_state]), w.k - w.k0)
+    terms = np.asarray(mu(np.linalg.norm(states[:, 0], axis=1)))
+    m = len(terms) // 3  # the last third of the terms fits the tail
+    a0, a1 = terms[-m], terms[-1]
+    r = (a1 / a0) ** (1.0 / (m - 1))
+    assert float(w.T * np.cumsum(terms)[-1]) + w.T * a1 * r / (1.0 - r) == w.measured
+
+    settle = lambda TT, k, z: 0.5 * z + 0.05  # to the floor 0.1
+    runs = list(grid_rollouts(settle, [[1.0]], [1.0], 199.0, k0_set=[0]))
+    verdict = check_summability(runs, mu, ClassKFunction.linear(1000.0), 1.0)
+    assert (verdict.kind, verdict.detail) == (
+        "inconclusive", "tail of trajectory 0 is not visibly decaying")
+
+
+def test_pe_window_witness_replays():
+    """omega_r = 20 sin(t/3) has too little energy in the window [0, pi]
+    for mu = 600: `pe-check` exits 1, and the window sum replays."""
+    spec = {"vr": 1.0, "wr": {"kind": "sin", "amplitude": 20.0, "frequency": 1.0 / 3.0}}
+    res = run_named("pe-check", {"refs": spec})
+    verdict = res.metrics["verdict"]
+    assert res.status == 1
+    assert (verdict["kind"], verdict["detail"]) == (
+        "falsified", "excitation window below the required level")
+    assert verdict["witness"] == {"T": T, "k0": 0, "initial_state": [0.0], "k": 0,
+                                  "measured": 369.53330302296695, "bound": 600.0}
+    refs = _refs_from_spec(spec)
+    w2 = np.asarray(refs.omega_r(np.arange(horizon_index(math.pi, T) + 1) * T)) ** 2
+    assert T * np.cumsum(w2)[-1] == verdict["witness"]["measured"]
