@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .numerics import _CHUNK, ClassKFunction, _check_period, horizon_index
+from .numerics import _CHUNK, ClassKFunction, _check_period, _norm, horizon_index
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _ratio
 
 __all__ = [
@@ -242,7 +242,7 @@ def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = 
             states = states.reshape(len(states), len(k0s), n, dim)
             for p, (rs, cs) in enumerate(parts):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    block = np.linalg.norm(states[:, :, rs, cs], axis=-1)
+                    block = _norm(states[:, :, rs, cs])
                 for i in range(len(k0s)):
                     norms[i][p][i0:i0 + len(block)] = block[:, i]
             states = block = None  # not held while the next chunk is made
@@ -336,31 +336,42 @@ def check_interconnection_bound(sys: CascadeSystem, gamma1: ClassKFunction,
     if domain.dim != sys.dim_x + sys.dim_z:
         raise ValueError("domain must cover the stacked (x, z) state")
     pts = sample_box(domain, n_samples)
+    return _interconnection_verdict(_interconnection_terms(sys, pts, T_list, k_set), pts,
+                                    sys.dim_x, gamma1, gamma2, gamma3)
+
+
+def _interconnection_terms(sys: CascadeSystem, pts, T_list, k_set=None):
+    """Yield (T, k, f(k,x,z), f(k,x,0)) on the stacked (x, z) rows `pts`, per
+    sorted period and start index (`_k_probes` unless k_set is given)."""
     X, Z = pts[:, : sys.dim_x], pts[:, sys.dim_x:]
     Z0 = np.zeros_like(Z)
-    # the k-free bounds, formed once
-    rhs1 = np.asarray(gamma1(np.linalg.norm(pts, axis=1)), dtype=float)
-    g2 = np.asarray(gamma2(np.linalg.norm(X, axis=1)), dtype=float)
-    g3 = np.asarray(gamma3(np.linalg.norm(Z, axis=1)), dtype=float)
-
-    worst1 = worst2 = 0.0
     for T in sorted(float(t) for t in T_list):
-        rhs2 = T * g2 * g3
         for k in (_k_probes(T, sys.period) if k_set is None else k_set):
             k = int(k)
-            F = np.asarray(sys.f(T, k, X, Z), dtype=float)
-            F0 = np.asarray(sys.f(T, k, X, Z0), dtype=float)
-            lhs1 = np.linalg.norm(F, axis=1)
-            lhs2 = np.linalg.norm(F - F0, axis=1)
-            bad = _first_violation(
-                (lhs1 <= rhs1 + _SLACK, lambda _: _worst_row(T, k, pts, lhs1, rhs1),
-                 "growth bound violated"),
-                (lhs2 <= rhs2 + _SLACK, lambda _: _worst_row(T, k, pts, lhs2, rhs2),
-                 "interconnection bound violated"))
-            if bad is not None:
-                return bad
-            worst1 = max(worst1, float(np.max(_ratio(lhs1, rhs1))))
-            worst2 = max(worst2, float(np.max(_ratio(lhs2, rhs2))))
+            yield (T, k, np.asarray(sys.f(T, k, X, Z), dtype=float),
+                   np.asarray(sys.f(T, k, X, Z0), dtype=float))
+
+
+def _interconnection_verdict(terms, pts, dim_x: int, gamma1, gamma2, gamma3) -> StabilityVerdict:
+    """The verdict of `check_interconnection_bound` on the (T, k, F, F0)
+    `terms` of the rows `pts`, stopping at the first falsifying (T, k)."""
+    # the k-free bounds, formed once
+    rhs1 = np.asarray(gamma1(np.linalg.norm(pts, axis=1)), dtype=float)
+    g2 = np.asarray(gamma2(np.linalg.norm(pts[:, :dim_x], axis=1)), dtype=float)
+    g3 = np.asarray(gamma3(np.linalg.norm(pts[:, dim_x:], axis=1)), dtype=float)
+    worst1 = worst2 = 0.0
+    for T, k, F, F0 in terms:
+        rhs2 = T * g2 * g3
+        lhs1, lhs2 = _norm(F), _norm(F - F0)
+        bad = _first_violation(
+            (lhs1 <= rhs1 + _SLACK, lambda _: _worst_row(T, k, pts, lhs1, rhs1),
+             "growth bound violated"),
+            (lhs2 <= rhs2 + _SLACK, lambda _: _worst_row(T, k, pts, lhs2, rhs2),
+             "interconnection bound violated"))
+        if bad is not None:
+            return bad
+        worst1 = max(worst1, float(np.max(_ratio(lhs1, rhs1))))
+        worst2 = max(worst2, float(np.max(_ratio(lhs2, rhs2))))
     return StabilityVerdict.ok("both interconnection bounds hold on the sample",
                                worst_ratio_growth=worst1, worst_ratio_interconnection=worst2)
 

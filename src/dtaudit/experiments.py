@@ -10,24 +10,25 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import (_k_probes, _rollout_chunks, _stacked_step,
-                      check_interconnection_bound, grid_rollouts, rollout,
-                      usc_probe)
+from .cascade import (_interconnection_terms, _interconnection_verdict, _rollout_chunks,
+                      _stacked_step, grid_rollouts, rollout, usc_probe)
 from .discretize import (VectorField, consistency_order, euler_map,
                          exact_proxy_map, linear_exact_map, modified_euler_map,
                          ParameterizedMap)
-from .numerics import (_CHUNK, ClassKFunction, fit_kl_envelope, horizon_index,
+from .numerics import (_CHUNK, ClassKFunction, _norm, fit_kl_envelope, horizon_index,
                        kl_compose)
-from .stability import (CertificateParams, boundedness_escape, build_ugb_certificate,
-                        check_summability, spuas_escape)
-# perfbench/layers.py wraps the sweeps and the Lyapunov audits under these
-# names on this module
-from .stability import audit_lyapunov, check_boundedness, falsify_spuas  # noqa: F401
+from .stability import (CertificateParams, _certificate_terms, _certificate_verdict,
+                        boundedness_escape, check_summability, spuas_escape)
+# perfbench/layers.py wraps the sweeps, the Lyapunov audits and the public
+# forms of the theorem demo's two audits under these names on this module
+from .cascade import check_interconnection_bound  # noqa: F401
+from .stability import (audit_lyapunov, build_ugb_certificate,  # noqa: F401
+                        check_boundedness, falsify_spuas)
 from .unicycle import audit_lyapunov_chain  # noqa: F401
 from .unicycle import (_PRESETS, _audit_pass, _chain_grid, _gains_from_spec,
                        _lyap_U_candidate, _preset, _refs_from_spec, _score_variant,
@@ -259,7 +260,7 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     lo = norms0 = np.linalg.norm(x0_nc, axis=1)
     for i0, states, _ in _rollout_chunks(xmap.step, np.repeat(T_values, 4), 0, x0_nc,
                                          p["nonconv_steps"]):
-        lo = np.minimum(lo, np.linalg.norm(states, axis=2).min(axis=0))
+        lo = np.minimum(lo, _norm(states).min(axis=0))
     min_ratio = float(np.min(lo / norms0)) if i0 + len(states) > p["nonconv_steps"] else math.nan
     nonconv_floor = p["nonconv_floor"]
 
@@ -583,41 +584,28 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     metrics["small_inputs"] = {"mu_star": mu_star}
 
     def interconnection():
-        dom = Box((-Delta, -Delta, -Delta_z), (Delta, Delta, Delta_z))
-        pts = sample_box(dom, 2048)
-        X, Z = pts[:, :2], pts[:, 2:]
-        xi = np.linalg.norm(pts, axis=1)
-        xn = np.linalg.norm(X, axis=1)
-        zn = np.linalg.norm(Z, axis=1)
-        Z0 = np.zeros_like(Z)
+        pts = sample_box(Box((-Delta, -Delta, -Delta_z), (Delta, Delta, Delta_z)), 2048)
+        xi, xn, zn = _norm(pts), _norm(pts[:, :2]), _norm(pts[:, 2:])
+        keep_x, keep_z = xi > 0, zn > 1e-15
+        plain = list(_interconnection_terms(sysm, pts, T_list))
+        # the coupling inflated by 1/T: f(k,x,0) + (f(k,x,z) - f(k,x,0)) / T
+        doctored = [(TT, k, F0 + (F - F0) / TT, F0 + (F0 - F0) / TT) for TT, k, F, F0 in plain]
 
-        def fit(system):
+        def fit(terms):
             g1 = c = 0.0
-            for TT in T_list:
-                for k in _k_probes(TT, system.period):
-                    F = np.asarray(system.f(TT, k, X, Z), dtype=float)
-                    F0 = np.asarray(system.f(TT, k, X, Z0), dtype=float)
-                    keep = xi > 0
-                    g1 = max(g1, float(np.max(np.linalg.norm(F, axis=1)[keep] / xi[keep])))
-                    keep = zn > 1e-15
-                    gap = np.linalg.norm(F - F0, axis=1)[keep]
-                    c = max(c, float(np.max(gap / (TT * (xn[keep] + 1.0) * zn[keep]))))
+            for TT, _, F, F0 in terms:
+                g1 = max(g1, float(np.max(_norm(F)[keep_x] / xi[keep_x])))
+                gap = _norm(F - F0)[keep_z]
+                c = max(c, float(np.max(gap / (TT * (xn[keep_z] + 1.0) * zn[keep_z]))))
             return g1 * (1.0 + 1e-9), c * (1.0 + 1e-9)
 
-        g1, c = fit(sysm)
+        g1, c = fit(plain)
         gamma2 = ClassKFunction.affine_capped(c, c)
         gamma3 = ClassKFunction.identity()
-        ok = check_interconnection_bound(sysm, ClassKFunction.linear(g1), gamma2,
-                                         gamma3, dom, T_list, n_samples=2048)
-
-        def inflated(TT, k, XX, ZZ):
-            base = np.asarray(sysm.f(TT, k, XX, np.zeros_like(np.atleast_2d(ZZ))), dtype=float)
-            return base + (np.asarray(sysm.f(TT, k, XX, ZZ), dtype=float) - base) / TT
-
-        doctored = replace(sysm, f=inflated)
+        ok = _interconnection_verdict(plain, pts, 2, ClassKFunction.linear(g1), gamma2, gamma3)
         g1d, _ = fit(doctored)
-        bad = check_interconnection_bound(doctored, ClassKFunction.linear(g1d), gamma2,
-                                          gamma3, dom, T_list, n_samples=2048)
+        bad = _interconnection_verdict(doctored, pts, 2, ClassKFunction.linear(g1d), gamma2,
+                                       gamma3)
         metrics["interconnection"] = {"gamma1_gain": g1, "gamma2_gain": c,
                                       "verdict": ok.to_json(), "doctored_verdict": bad.to_json()}
         return ok, bad, c
@@ -633,15 +621,14 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         k_cert = sorted(set(range(0, k_hi + 1, p["k_stride"])) | {k_hi})
 
         cand = _lyap_U_candidate(refs, gains, consts)
-        Xs, Zs = pts[:, :2], pts[:, 2:]
-        zn = np.linalg.norm(Zs, axis=1)
+        # each step's terms are made once: the fit keeps them for the audit
+        cert_terms = list(_certificate_terms(cand, sysm, pts, [T], k_cert))
+        zn = np.linalg.norm(pts[:, 2:], axis=1)
         keep = zn > 1e-15
         d = 0.0
-        for k in k_cert:
-            v = cand.eval(T, k, Xs)
-            Fz = np.asarray(sysm.f(T, k, Xs, Zs), dtype=float)
-            F0 = np.asarray(sysm.f(T, k, Xs, np.zeros_like(Zs)), dtype=float)
-            drift = cand.eval(T, k + 1, Fz) - cand.eval(T, k + 1, F0)
+        for _, _, v, step in cert_terms:
+            v_next_z, v_next_0 = step()
+            drift = v_next_z - v_next_0
             d = max(d, float(np.max(drift[keep] / (T * zn[keep] * (v[keep] + 1.0)))))
         d *= 1.0 + 1e-9
 
@@ -653,8 +640,7 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
             gamma2=ClassKFunction.linear(d),
             phi=ClassKFunction.identity(),
         )
-        cert, verdict = build_ugb_certificate(cand, sysm, cert_params, pts, [T],
-                                              k_set=k_cert)
+        cert, verdict = _certificate_verdict(cert_params, pts, 2, cert_terms)
 
         # the driving record at (T, 0) when T is a decay period, else a run of its own
         z_run = next((run for run in z_runs if run.T == T and run.k0 == 0), None)

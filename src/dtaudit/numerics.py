@@ -183,6 +183,15 @@ _CHUNK = 128
 _BLOCK = 8192
 
 
+def _norm(x):
+    """np.linalg.norm(x, axis=-1), with its bits for a last axis shorter than 8
+    (where its sum runs in index order), without its copies of x."""
+    s = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        s += x[..., i] * x[..., i]
+    return np.sqrt(s)
+
+
 def _check_period(T: float, T_max: float) -> None:
     """Reject a sampling period outside (0, T_max]."""
     if not (0.0 < T <= T_max):

@@ -8,6 +8,7 @@ falsification and in margins that show how close a bound sits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -352,11 +353,40 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
     if pts.shape[1] != sys.dim_x + sys.dim_z:
         raise ValueError("domain must cover the stacked (x, z) state")
 
-    rho = ClassKFunction("integral-reciprocal", {"phi": p.phi})
+    return _certificate_verdict(p, pts, sys.dim_x,
+                                _certificate_terms(V, sys, pts, T_list, k_set))
+
+
+def _certificate_terms(V: LyapunovCandidate, sys: CascadeSystem, pts, T_list, k_set=None):
+    """Yield (T, k, v, step) on the stacked (x, z) rows `pts`, per sorted
+    period and start index (`_k_probes` unless k_set is given): v is V(k, x),
+    and step() gives V(k+1, f(k,x,z)) and V(k+1, f(k,x,0)), made on its first
+    call and kept for the next."""
     X, Z = pts[:, : sys.dim_x], pts[:, sys.dim_x:]
     Z0 = np.zeros_like(Z)
-    x_norm = np.linalg.norm(X, axis=1)
-    z_norm = np.linalg.norm(Z, axis=1)
+    for T in sorted(float(t) for t in T_list):
+        for k in (_k_probes(T, sys.period) if k_set is None else k_set):
+            k = int(k)
+
+            @functools.cache
+            def step(T=T, k=k):
+                Fz = np.asarray(sys.f(T, k, X, Z), dtype=float)
+                F0 = np.asarray(sys.f(T, k, X, Z0), dtype=float)
+                return (np.asarray(V.eval(T, k + 1, Fz), dtype=float),
+                        np.asarray(V.eval(T, k + 1, F0), dtype=float))
+
+            yield T, k, np.asarray(V.eval(T, k, X), dtype=float), step
+
+
+def _certificate_verdict(p: CertificateParams, pts, dim_x: int,
+                         terms) -> tuple[UGBCertificate, StabilityVerdict]:
+    """The certificate and verdict of `build_ugb_certificate` on the
+    (T, k, v, step) `terms` of the rows `pts`: a (T, k) whose sandwich fails
+    falsifies before its step() is called, and the first falsifying (T, k)
+    ends the pass."""
+    rho = ClassKFunction("integral-reciprocal", {"phi": p.phi})
+    x_norm = np.linalg.norm(pts[:, :dim_x], axis=1)
+    z_norm = np.linalg.norm(pts[:, dim_x:], axis=1)
     mu = ClassKFunction.linear(p.gamma1.params["gain"] + p.gamma2.params["gain"] / p.phi(1.0))
     cert = UGBCertificate(rho, mu)
     # the k-free bounds, formed once
@@ -366,42 +396,35 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
     zero = np.zeros(len(pts))
 
     worst = {"sandwich": 0.0, "drift": -math.inf, "unforced": -math.inf, "transformed": -math.inf}
-    for T in sorted(float(t) for t in T_list):
+    for T, k, v, step in terms:
+        bad = _first_violation(
+            _one_step(v >= lo - _SLACK, T, k, pts, v, lo, "lower sandwich bound violated"),
+            _one_step(v <= hi + _SLACK, T, k, pts, v, hi, "upper sandwich bound violated"))
+        if bad is not None:
+            return cert, bad
+
+        v_next_z, v_next_0 = step()
+        drift = v_next_z - v_next_0
+        rhs = T * g1 * np.asarray(p.phi(v), dtype=float) + T * g2
+        unforced = v_next_0 - v
         rhsW = T * mu_z
-        for k in (_k_probes(T, sys.period) if k_set is None else k_set):
-            k = int(k)
-            v = np.asarray(V.eval(T, k, X), dtype=float)
-            bad = _first_violation(
-                _one_step(v >= lo - _SLACK, T, k, pts, v, lo, "lower sandwich bound violated"),
-                _one_step(v <= hi + _SLACK, T, k, pts, v, hi, "upper sandwich bound violated"))
-            if bad is not None:
-                return cert, bad
+        dW = np.asarray(rho(v_next_z), dtype=float) - np.asarray(rho(v), dtype=float)
+        bad = _first_violation(
+            _one_step(drift <= rhs + _SLACK, T, k, pts, drift, rhs,
+                      "input-drift bound violated"),
+            _one_step(unforced <= _SLACK, T, k, pts, unforced, zero,
+                      "unforced decrease violated"),
+            _one_step(dW <= rhsW + _SLACK, T, k, pts, dW, rhsW,
+                      "transformed one-step growth violated"))
+        if bad is not None:
+            return cert, bad
 
-            Fz = np.asarray(sys.f(T, k, X, Z), dtype=float)
-            F0 = np.asarray(sys.f(T, k, X, Z0), dtype=float)
-            v_next_z = np.asarray(V.eval(T, k + 1, Fz), dtype=float)
-            v_next_0 = np.asarray(V.eval(T, k + 1, F0), dtype=float)
-            drift = v_next_z - v_next_0
-            rhs = T * g1 * np.asarray(p.phi(v), dtype=float) + T * g2
-            unforced = v_next_0 - v
-            dW = np.asarray(rho(v_next_z), dtype=float) - np.asarray(rho(v), dtype=float)
-            bad = _first_violation(
-                _one_step(drift <= rhs + _SLACK, T, k, pts, drift, rhs,
-                          "input-drift bound violated"),
-                _one_step(unforced <= _SLACK, T, k, pts, unforced, zero,
-                          "unforced decrease violated"),
-                _one_step(dW <= rhsW + _SLACK, T, k, pts, dW, rhsW,
-                          "transformed one-step growth violated"))
-            if bad is not None:
-                return cert, bad
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                worst["sandwich"] = max(worst["sandwich"],
-                                        float(np.max(np.where(hi > 0, v / hi, 0.0))))
-            worst["drift"] = max(worst["drift"], float(np.max(drift - rhs)))
-            worst["unforced"] = max(worst["unforced"], float(np.max(unforced)))
-            worst["transformed"] = max(worst["transformed"], float(np.max(dW - rhsW)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst["sandwich"] = max(worst["sandwich"],
+                                    float(np.max(np.where(hi > 0, v / hi, 0.0))))
+        worst["drift"] = max(worst["drift"], float(np.max(drift - rhs)))
+        worst["unforced"] = max(worst["unforced"], float(np.max(unforced)))
+        worst["transformed"] = max(worst["transformed"], float(np.max(dW - rhsW)))
 
     return cert, StabilityVerdict("pass", None,
                                   "certificate inequalities hold on the sample", dict(worst))
-

@@ -24,7 +24,7 @@ from .discretize import VectorField, exact_proxy_map
 # perfbench/layers.py wraps the map builder under this name on this module
 from .discretize import euler_map  # noqa: F401
 from ._integrate import IntegrationError
-from .numerics import _BLOCK, ClassKFunction, horizon_index
+from .numerics import _BLOCK, ClassKFunction, _norm, horizon_index
 from .stability import LyapunovCandidate, PreconditionError, _LyapunovChecks
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _plain
 
@@ -826,7 +826,7 @@ def _simulate_variant(refs, gains, T, x0, steps, plant, bad_norm):
     for i0, states, _ in _rollout_chunks(step, T, 0, x0, steps):
         chunks.append(states[:, 0])
         with np.errstate(over="ignore", invalid="ignore"):
-            bad = ~(np.linalg.norm(states[:, 0], axis=1) <= bad_norm)
+            bad = ~(_norm(states[:, 0]) <= bad_norm)
         if np.any(bad):
             first_bad = i0 + int(np.argmax(bad))
             return np.concatenate(chunks)[:first_bad], True, first_bad

@@ -93,6 +93,23 @@ def test_falsified_run_is_exit_1_with_report(tmp_path, capsys):
     assert dat[1].startswith("# j t window_sum")
 
 
+def test_theorem_demo_with_invalid_constants_is_exit_1_with_metrics_only(tmp_path, capsys):
+    """At grid_n 51 the fitted case constants fail their T_tilde flag (README,
+    "Known findings"), so the theorem demo stops before its audits: exit 1,
+    and a report of metrics.json alone holding the constants and the flag."""
+    params = {"T_list": [0.01, 0.02], "horizon_s": 20.0, "n_ball": 17, "grid_n": 51}
+    out = tmp_path / "out"
+    code = main(["run", "--experiment", "cascade-theorem-demo",
+                 "--config", write_config(tmp_path, params), "--out", str(out)])
+    assert code == 1
+    assert sorted(read_tree(out)) == ["metrics.json"]
+    payload = json.loads((out / "metrics.json").read_text())
+    assert payload["status"] == 1
+    assert sorted(payload["metrics"]) == ["constants", "violated_flag"]
+    assert payload["metrics"]["violated_flag"] == "T_tilde"
+    assert payload["metrics"]["constants"]["flags"]["T_tilde"] is False
+
+
 def test_passing_run_is_exit_0(tmp_path, capsys):
     cfg = write_config(tmp_path, {"mu": 600.0})
     code = main(["run", "--experiment", "pe-check", "--config", cfg,

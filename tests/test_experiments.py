@@ -438,7 +438,7 @@ def test_theorem_demo_routes_one_stacked_rollout_per_period(monkeypatch):
 
     monkeypatch.setattr(experiments, "closed_loop_euler_cascade", counted_build)
     assert run_named("cascade-theorem-demo", THEOREM_WORKLOAD).status == 0
-    assert calls == {"f": 3632, "g": 3000}
+    assert calls == {"f": 3398, "g": 3000}
 
 
 def test_lyapunov_audit_pass_keeps_blocks_small():
@@ -525,7 +525,7 @@ def test_theorem_demo_and_compare_roll_the_closed_loop_out_in_chunks(monkeypatch
     monkeypatch.setattr(experiments, "closed_loop_euler_cascade",
                         _chunk_counting(experiments.closed_loop_euler_cascade, calls))
     assert run_named("cascade-theorem-demo", THEOREM_WORKLOAD).status == 0
-    assert calls == {"chunks": 16 + 8, "chunk_steps": 3000, "f": 3632 - 3000}
+    assert calls == {"chunks": 16 + 8, "chunk_steps": 3000, "f": 3398 - 3000}
     calls.clear()
     monkeypatch.setattr(unicycle, "closed_loop_euler_cascade",
                         _chunk_counting(unicycle.closed_loop_euler_cascade, calls))

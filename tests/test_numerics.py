@@ -418,6 +418,33 @@ def test_fit_envelope_truncation_level():
     assert np.all(norms <= bound + 1e-9)
 
 
+# --- short-axis norms --------------------------------------------------------
+
+
+# entries of one scale, where the order of the sum shows in the last bit;
+# special values; and magnitudes whose squares overflow or underflow
+_NORM_ENTRIES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-160, 160)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 7), st.lists(st.integers(1, 4), max_size=2), st.data())
+def test_norm_has_the_bits_of_linalg_norm_on_short_last_axes(d, lead, data):
+    """`numerics._norm` sums the squares in index order, as
+    np.linalg.norm(x, axis=-1) does over a last axis shorter than 8: the
+    same bits, for a 1-d x too."""
+    shape = (*lead, d)
+    n = math.prod(shape)
+    x = np.array(data.draw(st.lists(_NORM_ENTRIES, min_size=n, max_size=n))).reshape(shape)
+    with np.errstate(all="ignore"):
+        want, got = np.linalg.norm(x, axis=-1), numerics._norm(x)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # --- Sobol sampler ------------------------------------------------------
 
 

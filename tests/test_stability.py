@@ -25,8 +25,11 @@ from dtaudit import (
     check_pe,
     check_summability,
     falsify_spuas,
+    sample_ball,
     sample_box,
 )
+from dtaudit.cascade import _stacked_step, grid_rollouts
+from dtaudit.stability import boundedness_escape, spuas_escape
 
 
 def scalar_map(update, T_max=np.inf):
@@ -147,6 +150,34 @@ def test_boundedness_rejects_bad_parameters():
         check_boundedness(sys, kappa, c=0.0, Delta=0.0, T_list=[0.1], grid=4, horizon=1.0)
     with pytest.raises(ValueError):
         check_boundedness(sys, kappa, c=-1.0, Delta=1.0, T_list=[0.1], grid=4, horizon=1.0)
+
+
+def test_sweeps_on_a_cascade_give_the_escape_verdicts_of_its_stacked_rollouts():
+    """`falsify_spuas` and `check_boundedness` roll a `CascadeSystem` out
+    through its stacked (x, z) step, at the start indices of its period:
+    a held and a broken claim of each give the verdicts of `spuas_escape`
+    and `boundedness_escape` on `grid_rollouts` of that step."""
+    def f(T, k, X, Z):  # k is an int or each row's own index
+        return X + T * (-X + 2.0 * (1.0 - np.reshape(np.cos(2.0 * np.pi * k * T), (-1, 1))) * Z)
+
+    sysm = CascadeSystem(1, 1, f, lambda T, k, Z: (1.0 - 0.5 * T) * Z, T_max=1.0, period=1.0)
+    grid, T_list, horizon = sample_ball(2.0, 2, 9), [0.2, 0.1], 3.0
+
+    def records():
+        return grid_rollouts(_stacked_step(sysm), grid, T_list, horizon, None, sysm.T_max,
+                             sysm.period)
+
+    kinds = []
+    for beta in (KLBound.exponential(2.0, 0.1), KLBound.exponential(1.0, 2.0)):
+        verdict = falsify_spuas(sysm, beta, 2.0, 0.0, T_list, grid, horizon)
+        assert verdict.to_json() == spuas_escape(records(), beta, 0.0).to_json()
+        kinds.append(verdict.kind)
+    for gain in (2.0, 0.5):
+        kappa = ClassKFunction.linear(gain)
+        verdict = check_boundedness(sysm, kappa, 0.0, 2.0, T_list, grid, horizon)
+        assert verdict.to_json() == boundedness_escape(records(), kappa, 0.0).to_json()
+        kinds.append(verdict.kind)
+    assert kinds == ["pass", "falsified"] * 2
 
 
 def test_lyapunov_audit_passes_for_contracting_map():

@@ -9,15 +9,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dtaudit import (Box, CertificateParams, ClassKFunction, KLBound, ParameterizedMap,
-                     audit_lyapunov, audit_lyapunov_chain, build_ugb_certificate,
-                     check_interconnection_bound, check_summability, closed_loop_euler_cascade,
-                     compute_case_constants, fit_kl_envelope, horizon_index, lyap_U, lyap_W,
-                     run_named, sample_ball, unicycle)
+from dtaudit import (Box, CascadeSystem, CertificateParams, ClassKFunction, InputSequence,
+                     KLBound, ParameterizedMap, audit_lyapunov, audit_lyapunov_chain,
+                     build_ugb_certificate, check_interconnection_bound, check_summability,
+                     closed_loop_euler_cascade, compute_case_constants, experiments,
+                     fit_kl_envelope, horizon_index, lyap_U, lyap_W, run_named, sample_ball,
+                     simulate_driven, unicycle, usc_probe)
 from dtaudit.cascade import _stacked_step, grid_rollouts, rollout
 from dtaudit.experiments import _refs_from_spec
 from dtaudit.stability import boundedness_escape, spuas_escape
-from dtaudit.verdict import Witness, _first_violation
+from dtaudit.verdict import _SLACK, Witness, _first_violation
 
 T = 0.01
 # the theorem demo at the configuration of its acceptance tests
@@ -344,3 +345,28 @@ def test_pe_window_witness_replays():
     refs = _refs_from_spec(spec)
     w2 = np.asarray(refs.omega_r(np.arange(horizon_index(math.pi, T) + 1) * T)) ** 2
     assert T * np.cumsum(w2)[-1] == verdict["witness"]["measured"]
+
+
+@pytest.mark.parametrize("gain", [100.0, 0.1])
+def test_usc_probe_breaks_a_large_input_gain_and_its_failing_row_replays(gain):
+    """The USC probe at the theorem demo's settings (its mu grid, eta, eps,
+    horizon and initial states) on x(k+1) = x + T (-x + gain z): with input
+    gain 100 no mu of the grid holds, with 0.1 the largest does. The
+    probe's first row after the zero-input reference, from its first
+    initial state under the constant input mu at the smallest mu,
+    re-simulated alone, leaves eps in the first case and not in the second."""
+    d = experiments._THEOREM_DEFAULTS
+    driven = CascadeSystem(2, 1, lambda TT, k, x, z: x + TT * (-x + gain * z),
+                           lambda TT, k, z: z, T_max=1.0)
+    mu_grid, eps, L = d["mu_grid"], d["eps"], d["usc_L"]
+    mu_star = usc_probe(driven, d["Delta"], d["eta"], eps, L, [T], mu_grid,
+                        x0_count=d["usc_x0_count"])
+    assert mu_star == (0.0 if gain > 1.0 else max(mu_grid))
+
+    ell = horizon_index(L, T)
+    x0 = sample_ball(d["eta"], 2, d["usc_x0_count"])[0]
+    unforced = simulate_driven(driven, T, 0, x0, InputSequence(0, np.zeros((ell, 1))))
+    forced = simulate_driven(driven, T, 0, x0,
+                             InputSequence(0, np.full((ell, 1), min(mu_grid))))
+    deviation = float(np.max(np.linalg.norm(forced - unforced, axis=1)))
+    assert (deviation > eps + _SLACK) == (gain > 1.0)
