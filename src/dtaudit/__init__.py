@@ -8,9 +8,9 @@ case studies behind the `dtaudit` command line tool.
 
 from ._integrate import IntegrationError, QuadratureError
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import (CascadeSystem, DivergenceError, InputSequence,
-                      Trajectory, check_interconnection_bound,
-                      simulate_cascade, simulate_driven, usc_probe)
+from .cascade import (CascadeSystem, DivergenceError, Trajectory,
+                      check_interconnection_bound, simulate_cascade,
+                      simulate_driven, usc_probe)
 from .discretize import (ConsistencyReport, ParameterizedMap, VectorField,
                          consistency_order, euler_map, exact_proxy_map,
                          linear_exact_map, modified_euler_map)

@@ -19,7 +19,6 @@ from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _ratio
 
 __all__ = [
     "CascadeSystem",
-    "InputSequence",
     "Trajectory",
     "DivergenceError",
     "rollout",
@@ -56,20 +55,6 @@ class CascadeSystem:
     g: callable
     T_max: float = math.inf
     period: float | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class InputSequence:
-    """Input samples omega(start), omega(start+1), ..."""
-
-    start: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.atleast_2d(np.asarray(self.values, dtype=float)))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,21 +271,19 @@ def simulate_cascade(sys: CascadeSystem, T: float, k0: int, x0, z0,
 
 
 def simulate_driven(sys: CascadeSystem, T: float, k0: int, x0,
-                    omega: InputSequence, steps: int | None = None) -> np.ndarray:
-    """Drive the x-subsystem from one x0 with a recorded input sequence;
-    returns the (steps+1, dim_x) states."""
+                    inputs, steps: int | None = None) -> np.ndarray:
+    """Drive the x-subsystem from one x0 with the (n, dim_z) input samples
+    z(k0), ..., z(k0+n-1) for their first `steps` (all n if None); returns
+    the (steps+1, dim_x) states."""
     _check_period(T, sys.T_max)
-    available = omega.start + len(omega) - k0
-    if steps is None:
-        steps = max(available, 0)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if steps > 0 and (omega.start > k0 or available < steps):
-        raise ValueError(f"input covers [{omega.start}, {omega.start + len(omega)}), "
-                         f"need [{k0}, {k0 + steps})")
-    inputs = omega.values[k0 - omega.start:][:steps, None]
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 2 or inputs.shape[1] != sys.dim_z:
+        raise ValueError(f"inputs must have shape (n, {sys.dim_z})")
+    steps = len(inputs) if steps is None else steps
+    if not 0 <= steps <= len(inputs):
+        raise ValueError(f"steps must lie in 0..{len(inputs)}")
     states, first_bad = rollout(sys.f, T, k0, np.asarray(x0, dtype=float).reshape(sys.dim_x),
-                                steps, inputs)
+                                steps, inputs[:steps, None])
     _raise_if_diverged(int(first_bad[0]), k0)
     return states[:, 0]
 

@@ -339,13 +339,6 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
     integral rho and W = rho(V), and audits on the same samples the growth
     W(k+1, f(k,x,z)) - W(k,x) <= T * mu(|z|), mu = gamma1 + gamma2/phi(1).
     """
-    p = cert_params
-    if not _reciprocal_integral_diverges(p.phi):
-        raise PreconditionError(
-            "growth function has a convergent reciprocal integral; "
-            "the transformed function cannot be unbounded")
-    if not p.gamma1.kind == p.gamma2.kind == "linear":
-        raise PreconditionError("the certificate gains gamma1 and gamma2 must be linear")
     if isinstance(domain, Box):
         pts = sample_box(domain, n_samples)
     else:  # an explicit (m, dim_x + dim_z) array of stacked states
@@ -353,7 +346,7 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
     if pts.shape[1] != sys.dim_x + sys.dim_z:
         raise ValueError("domain must cover the stacked (x, z) state")
 
-    return _certificate_verdict(p, pts, sys.dim_x,
+    return _certificate_verdict(cert_params, pts, sys.dim_x,
                                 _certificate_terms(V, sys, pts, T_list, k_set))
 
 
@@ -381,9 +374,16 @@ def _certificate_terms(V: LyapunovCandidate, sys: CascadeSystem, pts, T_list, k_
 def _certificate_verdict(p: CertificateParams, pts, dim_x: int,
                          terms) -> tuple[UGBCertificate, StabilityVerdict]:
     """The certificate and verdict of `build_ugb_certificate` on the
-    (T, k, v, step) `terms` of the rows `pts`: a (T, k) whose sandwich fails
-    falsifies before its step() is called, and the first falsifying (T, k)
-    ends the pass."""
+    (T, k, v, step) `terms` of the rows `pts`: a failed precondition raises
+    before `terms` is advanced, a (T, k) whose sandwich fails falsifies
+    before its step() is called, and the first falsifying (T, k) ends the
+    pass."""
+    if not _reciprocal_integral_diverges(p.phi):
+        raise PreconditionError(
+            "growth function has a convergent reciprocal integral; "
+            "the transformed function cannot be unbounded")
+    if not p.gamma1.kind == p.gamma2.kind == "linear":
+        raise PreconditionError("the certificate gains gamma1 and gamma2 must be linear")
     rho = ClassKFunction("integral-reciprocal", {"phi": p.phi})
     x_norm = np.linalg.norm(pts[:, :dim_x], axis=1)
     z_norm = np.linalg.norm(pts[:, dim_x:], axis=1)

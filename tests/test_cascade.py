@@ -13,7 +13,6 @@ from dtaudit import (
     CascadeSystem,
     ClassKFunction,
     DivergenceError,
-    InputSequence,
     Trajectory,
     check_interconnection_bound,
     closed_loop_euler_cascade,
@@ -111,7 +110,7 @@ def _check_row(sysm, T, k0, x0, u, row_states, row_bad):
     n = len(expect)
     assert np.array_equal(row_states[:n], np.array(expect), equal_nan=True)
     assert np.all(np.isnan(row_states[n:]))
-    omega = InputSequence(k0, u) if steps else InputSequence(k0, np.zeros((0, 1)))
+    omega = u
     if bad < 0:
         with np.errstate(over="ignore"):  # the norms of huge finite states overflow
             states = simulate_driven(sysm, T, k0, x0, omega, steps=steps)
@@ -497,20 +496,20 @@ def test_simulate_driven_zero_input_matches_unforced_cascade():
     steps = 20
     via_cascade, _ = simulate_cascade(sysm, 0.25, 3, [0.8], [0.0], steps)
     via_driven = simulate_driven(sysm, 0.25, 3, [0.8],
-                                 InputSequence(3, np.zeros((steps, 1))))
+                                 np.zeros((steps, 1)))
     assert np.array_equal(via_cascade, via_driven)
 
 
 def test_simulate_driven_geometric_series():
     # constant unit input at T=0.5: x(k) = 1 - 0.5^k
     sysm = linear_cascade()
-    states = simulate_driven(sysm, 0.5, 0, [0.0], InputSequence(0, np.ones((8, 1))))
+    states = simulate_driven(sysm, 0.5, 0, [0.0], np.ones((8, 1)))
     np.testing.assert_allclose(states[:, 0], 1.0 - 0.5 ** np.arange(9))
 
 
 def test_simulate_driven_zero_steps():
     states = simulate_driven(linear_cascade(), 0.5, 0, [0.7],
-                             InputSequence(0, np.zeros((0, 1))), steps=0)
+                             np.zeros((0, 1)), steps=0)
     assert states.shape == (1, 1)
     np.testing.assert_allclose(states, [[0.7]])
 
@@ -518,7 +517,18 @@ def test_simulate_driven_zero_steps():
 def test_simulate_driven_rejects_short_input():
     with pytest.raises(ValueError):
         simulate_driven(linear_cascade(), 0.5, 0, [1.0],
-                        InputSequence(0, np.zeros((3, 1))), steps=5)
+                        np.zeros((3, 1)), steps=5)
+
+
+@pytest.mark.parametrize("inputs, steps", [
+    (np.zeros(4), None),  # (n,) samples, not (n, dim_z)
+    (np.zeros((4, 2)), None),  # one input column too many
+    (np.zeros((4, 1)), -1),
+    (np.zeros((4, 1)), 5),  # more steps than samples
+])
+def test_simulate_driven_takes_k0_aligned_samples_and_steps_within_them(inputs, steps):
+    with pytest.raises(ValueError):
+        simulate_driven(linear_cascade(), 0.5, 3, [1.0], inputs, steps)
 
 
 def test_trajectory_requires_initial_state():
@@ -563,7 +573,7 @@ def test_semigroup_property_bit_exact(m, n, k0):
 def test_driven_reproduces_cascade_bit_exact():
     sysm = linear_cascade(a=2.0, b=0.7)
     tx, tz = simulate_cascade(sysm, 0.2, 1, [1.5], [-0.4], 30)
-    redo = simulate_driven(sysm, 0.2, 1, [1.5], InputSequence(1, tz[:-1]))
+    redo = simulate_driven(sysm, 0.2, 1, [1.5], tz[:-1])
     assert np.array_equal(redo, tx)
 
 
@@ -670,10 +680,10 @@ def _usc_per_row(sys, eta, eps, L, T_list, mu_grid, x0_count):
             for k0 in _k_probes(T, sys.period):
                 for x0 in x0s:
                     ref = simulate_driven(sys, T, k0, x0,
-                                          InputSequence(k0, np.zeros((ell, sys.dim_z))), ell)
+                                          np.zeros((ell, sys.dim_z)), ell)
                     for vals in _probe_inputs(sys.dim_z, mu, ell):
                         try:
-                            drv = simulate_driven(sys, T, k0, x0, InputSequence(k0, vals), ell)
+                            drv = simulate_driven(sys, T, k0, x0, vals, ell)
                         except DivergenceError:
                             holds = False
                             break
@@ -745,8 +755,8 @@ def test_usc_deviation_bound_from_constant():
     # so K = 1 is the smallest two-sided continuity constant
     K = 1.0
     T, steps, mu = 0.1, 40, 0.05
-    ref = simulate_driven(sysm, T, 0, [0.9], InputSequence(0, np.zeros((steps, 1))))
-    drv = simulate_driven(sysm, T, 0, [0.9], InputSequence(0, np.full((steps, 1), mu)))
+    ref = simulate_driven(sysm, T, 0, [0.9], np.zeros((steps, 1)))
+    drv = simulate_driven(sysm, T, 0, [0.9], np.full((steps, 1), mu))
     dev = np.linalg.norm(drv - ref, axis=1)
     k = np.arange(steps + 1)
     assert np.all(dev <= (np.exp(K * T * k) - 1.0) * mu + 1e-9)

@@ -1,8 +1,10 @@
 """Command-line contract: reports, digests, exit codes, determinism."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -325,6 +327,15 @@ def test_cli_import_defers_scipy_submodules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    """Each package module's `__all__` names only attributes it has."""
+    for info in pkgutil.iter_modules(dtaudit.__path__, "dtaudit."):
+        module = importlib.import_module(info.name)
+        missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+        assert missing == [], info.name
+    assert all(hasattr(dtaudit, n) for n in dtaudit.__all__)
 
 
 REFUSE_SCIPY = """

@@ -30,6 +30,7 @@ from dtaudit import (
 )
 from dtaudit.cascade import _stacked_step, grid_rollouts
 from dtaudit.stability import boundedness_escape, spuas_escape
+from dtaudit.stability import _certificate_verdict
 
 
 def scalar_map(update, T_max=np.inf):
@@ -403,6 +404,21 @@ def test_certificate_rejects_nonlinear_gains(gain):
     with pytest.raises(PreconditionError, match="must be linear"):
         build_ugb_certificate(norm_candidate(), driven_scalar_cascade(), params,
                               Box((-1.0, -1.0), (1.0, 1.0)), T_list=[0.1])
+
+
+def _terms_never_advanced():
+    pytest.fail("the certificate terms were advanced")
+    yield
+
+
+@pytest.mark.parametrize("bad", [{"phi": ClassKFunction.power(1.0, 2.0)},
+                                 {"gamma1": ClassKFunction.affine_capped(1.0, 1.0)}])
+def test_certificate_verdict_checks_its_preconditions_before_the_terms(bad):
+    """The body the theorem demo calls raises the public entry's
+    PreconditionError itself, before it advances its terms."""
+    params = replace(linear_cert_params(), **bad)
+    with pytest.raises(PreconditionError):
+        _certificate_verdict(params, np.array([[0.5, 0.5]]), 1, _terms_never_advanced())
 
 
 def test_certificate_rejects_wrong_domain_width():

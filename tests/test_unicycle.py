@@ -42,6 +42,7 @@ from dtaudit import (
     validated_references,
 )
 from dtaudit.cascade import _stacked_step, rollout
+from dtaudit.verdict import _SLACK
 
 
 def const_refs(vr, wr, w_M=None):
@@ -721,6 +722,54 @@ def test_direction_sweep_pins_K1_and_the_U_decrease(T, TK1, U_excess):
     U_req += c.c3_tilde
     assert (TK1_req, U_req) == (pytest.approx(TK1, abs=5e-8), pytest.approx(U_excess, abs=5e-7))
     assert TK1_req > 0.0025 and U_req <= -0.0055
+
+
+def _chain_forms(refs, gains, T, c):
+    """Per `_chain_pass` block over the period, its step indices ks and the
+    per-k coefficients (A, B, C) of the forms A x^2 + B x y + C y^2 in
+    (x_e, y_e) of the K1 and K2 numerators and of dU/T + c3_tilde |e|^2
+    (U with `c`'s eps_small), read at (1, 0), (0, 1) and (1, 1) and
+    checked at three held-out states."""
+    X = np.array([1.0, 0.0, 1.0, 1.0, 0.3, -2.0])
+    Y = np.array([0.0, 1.0, 1.0, -1.0, -0.7, 0.5])
+    for block in unicycle._chain_pass(refs, gains, T, X, Y, refs.period_steps(T)):
+        ks, w, V, Vn, _, W, Wn = block
+        forms = []
+        for q in ((Vn - V) / T + c.alpha_x * X * X + gains.alpha_y * w * w * Y * Y,
+                  (Wn - W) / T - w * w * Y * Y + c.alpha_y_tilde * Y * Y,
+                  unicycle._U_step(block, c.eps_small)[1] / T + c.c3_tilde * (X * X + Y * Y)):
+            A, C = q[:, :1], q[:, 1:2]
+            B = q[:, 2:3] - A - C
+            assert np.all(np.abs(A * X * X + B * X * Y + C * Y * Y - q) <= 1e-11 * (X * X + Y * Y))
+            forms.append((A[:, 0], B[:, 0], C[:, 0]))
+        yield ks, forms
+
+
+def test_exact_chain_sups_bound_every_grid_fit_of_K1_and_K2():
+    """At zero heading the chain's residuals are exact quadratic forms per k,
+    so the K1 and K2 ratios have exact sups over all directions: the largest
+    eigenvalue of the 2x2 form over T |e|^2, and a - b^2/(4c) over x_e^2
+    with c < 0. A grid fit is a sampled max, so no grid_n exceeds them; the
+    grid-41 U decrease holds over every direction, not only the grid's."""
+    T = 0.01
+    refs, gains = unicycle._preset("validated", T)
+    fits = {n: compute_case_constants(refs, gains, T, 2.0, grid_n=n) for n in (21, 41, 51, 81)}
+    sups = [(-math.inf, None)] * 3  # (sup, k) of K1, K2 and the U excess
+    for ks, ((a1, b1, c1), (a2, b2, c2), (a3, b3, c3)) in _chain_forms(refs, gains, T, fits[41]):
+        assert np.all(c2 < 0.0)
+        per_k = ((0.5 * (a1 + c1) + np.hypot(0.5 * (a1 - c1), 0.5 * b1)) / T,
+                 a2 - b2 * b2 / (4.0 * c2),
+                 0.5 * (a3 + c3) + np.hypot(0.5 * (a3 - c3), 0.5 * b3))
+        for j, vals in enumerate(per_k):
+            i = int(np.argmax(vals))
+            sups[j] = max(sups[j], (float(vals[i]), int(ks[i])))
+    (K1, k1), (K2, k2), (U_excess, kU) = sups
+    assert (k1, k2, kU) == (498, 137, 568)
+    assert K1 == pytest.approx(0.29261495672390, abs=1e-12)
+    assert K2 == pytest.approx(0.04293644429227, abs=1e-12)
+    assert U_excess == pytest.approx(-0.00568247819344, abs=1e-12)
+    for grid_n, c in fits.items():
+        assert c.K1 <= K1 + _SLACK and c.K2 <= K2 + _SLACK, grid_n
 
 
 def _per_k_chain_rows(refs, gains, T, X, Y, k_hi):

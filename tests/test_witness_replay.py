@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dtaudit import (Box, CascadeSystem, CertificateParams, ClassKFunction, InputSequence,
+from dtaudit import (Box, CascadeSystem, CertificateParams, ClassKFunction,
                      KLBound, ParameterizedMap, audit_lyapunov, audit_lyapunov_chain,
                      build_ugb_certificate, check_interconnection_bound, check_summability,
                      closed_loop_euler_cascade, compute_case_constants, experiments,
@@ -365,8 +365,8 @@ def test_usc_probe_breaks_a_large_input_gain_and_its_failing_row_replays(gain):
 
     ell = horizon_index(L, T)
     x0 = sample_ball(d["eta"], 2, d["usc_x0_count"])[0]
-    unforced = simulate_driven(driven, T, 0, x0, InputSequence(0, np.zeros((ell, 1))))
+    unforced = simulate_driven(driven, T, 0, x0, np.zeros((ell, 1)))
     forced = simulate_driven(driven, T, 0, x0,
-                             InputSequence(0, np.full((ell, 1), min(mu_grid))))
+                             np.full((ell, 1), min(mu_grid)))
     deviation = float(np.max(np.linalg.norm(forced - unforced, axis=1)))
     assert (deviation > eps + _SLACK) == (gain > 1.0)
