@@ -173,7 +173,7 @@ def _rollout_chunks(step, T, k0, Y0, steps: int, inputs=None):
                     states = blank(i0, n)
                     states[s0 - i0:, live] = new
                 ok = died == len(new)
-                Y = new[-1, ok]
+                Y, new = new[-1, ok], None  # not held beside a copy of it while yielded
                 if not ok.all():
                     drop(s0 + died[~ok], ok)
             else:
@@ -191,9 +191,33 @@ def _rollout_chunks(step, T, k0, Y0, steps: int, inputs=None):
                         if not len(Y):
                             break
         yield i0, states, first_bad
-        states = new = None  # not held while the next chunk is made
+        states = None  # not held while the next chunk is made
         if not len(Y):
             break
+
+
+def _staged_chunks(step, T, k0, Y0, counts):
+    """The chunks of `_rollout_chunks` for rows that each take their own
+    number of steps, `counts[r]` for row r, as (i0, states, rows, first_bad):
+    the (n, len(rows), dim) states of steps i0, ..., i0 + n - 1 of the rows
+    `rows`. The rows run in stages, each ending where some rows run out of
+    steps; a stage steps the rows with steps to go that are still finite,
+    from the states the last one ended on, which its first chunk repeats.
+    """
+    Y = np.array(Y0, dtype=float, ndmin=2)
+    counts = np.asarray(counts, dtype=int)
+    first_bad = np.full(len(Y), -1)
+    rows, start = np.arange(len(Y)), 0
+    for stop in np.unique(counts).tolist():
+        rows = rows[(counts[rows] >= stop) & (first_bad[rows] < 0)]
+        if not len(rows):
+            break
+        for i0, states, bad in _rollout_chunks(
+                step, T[rows] if isinstance(T, np.ndarray) else T,
+                (k0[rows] if isinstance(k0, np.ndarray) else k0) + start, Y[rows], stop - start):
+            first_bad[rows] = np.where(bad < 0, -1, start + bad)
+            yield start + i0, states, rows, first_bad
+        Y[rows], start = states[-1], stop
 
 
 def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf,

@@ -96,33 +96,44 @@ def _resolve_controller(controller, dim_u: int):
 
 
 def _by_distinct_k(step):
-    """Step an array k one group of equal k at a time, an int k directly.
+    """Step an array T or k one group of equal (T, k) at a time, else directly.
 
     For maps whose batch shares one time grid (RK45 step sizes, Simpson
     refinement): each group is stepped as the batch of its rows alone.
     """
 
     def split(T, k, x):
-        if not isinstance(k, np.ndarray):
+        if not isinstance(k, np.ndarray) and not isinstance(T, np.ndarray):
             return step(T, k, x)
         x = np.asarray(x, dtype=float)
+        Ts, ks = np.broadcast_arrays(T, k)
         out = np.empty_like(x)
-        for kk in np.unique(k).tolist():
-            rows = k == kk
-            out[rows] = step(T, kk, x[rows])
+        for TT, kk in sorted(set(zip(Ts.tolist(), ks.tolist()))):
+            rows = (Ts == TT) & (ks == kk)
+            out[rows] = step(TT, kk, x[rows])
         return out
 
     return split
 
 
 def euler_map(f: VectorField, controller=None, T_max: float = math.inf) -> ParameterizedMap:
-    """First-order model x + T * f(kT, x, u(k))."""
+    """First-order model x + T * f(kT, x, u(k)), for a float T or a (rows,)
+    array of per-row periods (which f and u get too). The rows are
+    independent, so the step carries a chunk stepper (`cascade._rollout_chunks`)."""
     u_of = _resolve_controller(controller, f.dim_u)
 
     def step(T, k, x):
         x = np.asarray(x, dtype=float)
-        return x + T * np.asarray(f(k * T, x, u_of(T, k, x)), dtype=float)
+        Tc = T[:, None] if isinstance(T, np.ndarray) else T
+        return x + Tc * np.asarray(f(k * T, x, u_of(T, k, x)), dtype=float)
 
+    def chunk(T, k, x, n):
+        out = np.empty((n, *np.shape(x)))
+        for i in range(n):
+            x = out[i] = step(T, k + i, x)
+        return out
+
+    step.chunk = chunk
     return ParameterizedMap(f.dim_x, T_max, step, f.period)
 
 
@@ -220,7 +231,7 @@ def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
             phi = phis[T] = E[:n, :n] + E[:n, n:] @ K
         return phi
 
-    def step(T, k, x):
+    def chunk(T, k, x, steps):
         if isinstance(T, np.ndarray):
             key = T.tobytes()
             if key not in stacks:
@@ -231,13 +242,15 @@ def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
         # products summed in index order, not a BLAS product whose fused
         # multiply-adds vary with the batch: each row gets the same bits
         # from a float T as from its own entry of an array T
-        return (np.asarray(x, dtype=float)[..., :, None] * PT).sum(axis=-2)
-
-    def chunk(T, k, x, n):
-        out = np.empty((n, *np.shape(x)))
-        for i in range(n):
-            x = out[i] = step(T, k, x)
+        out = np.empty((steps, *np.shape(x)))
+        buf = np.empty((*np.shape(x), n))
+        for i in range(steps):
+            np.multiply(x[..., :, None], PT, out=buf)
+            x = np.add.reduce(buf, axis=-2, out=out[i])
         return out
+
+    def step(T, k, x):
+        return chunk(T, k, np.asarray(x, dtype=float), 1)[0]
 
     step.chunk = chunk
     return ParameterizedMap(n, T_max, step)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import (_interconnection_terms, _interconnection_verdict, _rollout_chunks,
-                      _stacked_step, grid_rollouts, rollout, usc_probe)
+from .cascade import (Trajectory, _interconnection_terms, _interconnection_verdict,
+                      _staged_chunks, _stacked_step, grid_rollouts, usc_probe)
 from .discretize import (VectorField, consistency_order, euler_map,
                          exact_proxy_map, linear_exact_map, modified_euler_map,
                          ParameterizedMap)
@@ -243,10 +243,27 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     T_decay = T_values + [float(t) for t in rng.uniform(0.02, 0.49, p["n_random_T"])]
     x0 = rng.standard_normal((p["n_states"], 2))
     x0 = x0 * rng.uniform(0.1, 10.0, size=(len(x0), 1))
+    n, T_tab, steps_tab = len(x0), p["table_T"], p["table_steps"]
+    y = np.full((2, steps_tab + 1, 2), np.nan)  # the Euler and exact tables' states
 
-    # at most 2,000 steps per period: horizon_index(2000 T, T) is 2000
-    runs = [next(grid_rollouts(emap.step, x0, [T], min(p["decay_horizon_s"], 2000 * T),
-                               k0_set=[0])) for T in T_decay]
+    def staged(pmap, Y0, T, counts):  # Y0's rows, then the tables' row, in one rollout
+        return _staged_chunks(pmap.step, np.append(T, T_tab), 0, np.vstack([Y0, [1.0, 0.3]]),
+                              np.append(counts, steps_tab))
+
+    # every period's draws in one rollout, each row its own T and at most
+    # 2,000 steps (horizon_index(2000 T, T) is 2000); each record's norms
+    # are written as the chunks come, so no whole-horizon states are held
+    steps = [horizon_index(min(p["decay_horizon_s"], 2000 * T), T) for T in T_decay]
+    runs = [Trajectory(T, 0, x0.copy(), np.full((s + 1, n), np.nan))
+            for T, s in zip(T_decay, steps)]
+    for i0, states, rows, _ in staged(emap, np.tile(x0, (len(runs), 1)), np.repeat(T_decay, n),
+                                      np.repeat(steps, n)):
+        for j, run in enumerate(runs):
+            lo, hi = np.searchsorted(rows, (j * n, j * n + n))
+            if lo < hi:
+                run.norms[i0:i0 + len(states), rows[lo:hi] - j * n] = _norm(states[:, lo:hi])
+        if rows[-1] == len(runs) * n:
+            y[0, i0:i0 + len(states)] = states[:, -1]
     lam = p["decay_rate"]
     beta = fit_kl_envelope(runs, lam_grid=[lam])
     b = float(beta.params["M"])
@@ -254,23 +271,24 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     del runs  # the records are not needed again; the stall check reuses their memory
 
     # the integrated plant keeps a unit-circle mode: generic states stall;
-    # every period's stall states share one rollout, each row its own T, and
-    # each row keeps its smallest norm (NaN if every row died and it stopped)
+    # every period's stall states share the exact model's rollout, and each
+    # keeps its smallest norm (the ratio is NaN once one of them died)
     x0_nc = np.tile([[1.0, 0.3], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]], (len(T_values), 1))
-    lo = norms0 = np.linalg.norm(x0_nc, axis=1)
-    for i0, states, _ in _rollout_chunks(xmap.step, np.repeat(T_values, 4), 0, x0_nc,
-                                         p["nonconv_steps"]):
-        lo = np.minimum(lo, _norm(states).min(axis=0))
-    min_ratio = float(np.min(lo / norms0)) if i0 + len(states) > p["nonconv_steps"] else math.nan
+    norms0 = np.linalg.norm(x0_nc, axis=1)
+    lo = np.append(norms0, np.inf)  # the last, the tables' row, is not read
+    for i0, states, rows, first_bad in staged(xmap, x0_nc, np.repeat(T_values, 4),
+                                              np.full(len(x0_nc), p["nonconv_steps"])):
+        lo[rows] = np.minimum(lo[rows], _norm(states).min(axis=0))
+        if rows[-1] == len(x0_nc):
+            y[1, i0:i0 + len(states)] = states[:, -1]
+    min_ratio = math.nan if (first_bad[:-1] >= 0).any() else float(np.min(lo[:-1] / norms0))
     nonconv_floor = p["nonconv_floor"]
 
-    T_tab, ks = p["table_T"], np.arange(p["table_steps"] + 1)
-    tabs = {}
-    for label, pmap in (("euler", emap), ("exact", xmap)):
-        y = rollout(pmap.step, T_tab, 0, [1.0, 0.3], p["table_steps"])[0][:, 0]
-        norms = [np.linalg.norm(row) for row in y]  # axis=1 differs in the last bit
+    ks, tabs = np.arange(steps_tab + 1), {}
+    for label, states in zip(("euler", "exact"), y):
+        norms = [np.linalg.norm(row) for row in states]  # axis=1 differs in the last bit
         tabs[f"trajectory_{label}"] = (["k", "t", "x1", "x2", "norm"],
-                                       np.column_stack([ks, ks * T_tab, y, norms]))
+                                       np.column_stack([ks, ks * T_tab, states, norms]))
 
     status = 0 if (eig_dev <= 1e-10 and radius_dev <= 1e-6
                    and worst <= b * (1.0 + 1e-6) and min_ratio >= nonconv_floor) else 1

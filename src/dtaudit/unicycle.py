@@ -251,6 +251,8 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
 
     def table(T, k, steps=1):
         """The table of period T, built or doubled until it covers k + steps - 1."""
+        if isinstance(T, np.ndarray):
+            raise ValueError("the closed loop's f, g and chunk stepper need a float T")
         lo, hi = (k.min(initial=0), k.max(initial=0)) if isinstance(k, np.ndarray) else (k, k)
         hi = hi + steps - 1
         if lo < 0:

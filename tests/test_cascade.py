@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dtaudit import (
     Box,
@@ -14,12 +14,14 @@ from dtaudit import (
     ClassKFunction,
     DivergenceError,
     Trajectory,
+    VectorField,
     check_interconnection_bound,
     closed_loop_euler_cascade,
     controller_callable,
     demo_gains,
     demo_references,
     error_dynamics_field,
+    euler_map,
     exact_proxy_map,
     experiments,
     linear_exact_map,
@@ -31,8 +33,8 @@ from dtaudit import (
     validated_gains,
     validated_references,
 )
-from dtaudit.cascade import (_CHUNK, _k_probes, _probe_inputs, _rollout_chunks, _stacked_step,
-                             grid_rollouts, rollout)
+from dtaudit.cascade import (_CHUNK, _k_probes, _probe_inputs, _rollout_chunks, _staged_chunks,
+                             _stacked_step, grid_rollouts, rollout)
 from dtaudit.numerics import horizon_index
 
 
@@ -410,9 +412,106 @@ def test_linear_exact_chunk_path_equals_the_step_path(steps, per_row_T, seed):
     T = rng.uniform(0.05, 1.0, size=rows) if per_row_T else float(rng.uniform(0.05, 1.0))
     Y0 = rng.standard_normal((rows, 2)) * 10.0 ** rng.uniform(0.0, 300.0, size=(rows, 1))
     Y0[0] = [1e306, -1e306]  # overflows within 12 steps
+    Y0[1] = -0.0  # both sums start at +0.0, so this row reads +0.0 after step 0
     got = rollout(pmap.step, T, 0, Y0, steps)
     _assert_same_rollout(got, rollout(_per_step(pmap.step), T, 0, Y0, steps))
     assert got[1][0] >= 0 or steps < 12
+    assert not np.signbit(got[0][1:, 1]).any()
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 3 * _CHUNK + 2), st.booleans(), st.integers(0, 2 ** 31 - 1))
+def test_euler_chunk_path_equals_the_step_path(steps, per_row_T, seed):
+    """`euler_map` steps a chunk per call with the bits of one call per
+    step, for a float or a per-row T read by the field and the controller,
+    per-row start indices read by the field, and rows that overflow inside
+    a chunk, at a chunk boundary or never."""
+    rng = np.random.default_rng(seed)
+    field = VectorField(2, 1, lambda t, x, u: np.stack(
+        [x[..., 1] + np.sin(t), 2.0 * x[..., 0] + u[..., 0]], axis=-1))
+    # the closed loop grows by at least a factor 3 per step
+    emap = euler_map(field, lambda T, k, x: ((x[..., 0] + 2.0 * x[..., 1]) / T)[..., None])
+    assert hasattr(emap.step, "chunk")
+    rows = 12
+    T = rng.uniform(0.05, 1.0, size=rows) if per_row_T else float(rng.uniform(0.05, 1.0))
+    k0 = rng.integers(0, 50, size=rows)
+    Y0 = rng.standard_normal((rows, 2)) * 10.0 ** rng.uniform(0.0, 300.0, size=(rows, 1))
+    Y0[0] = [1e306, -1e306]  # overflows within 12 steps
+    got = rollout(emap.step, T, k0, Y0, steps)
+    _assert_same_rollout(got, rollout(_per_step(emap.step), T, k0, Y0, steps))
+    assert got[1][0] >= 0 or steps < 12
+
+
+# --- staged rollouts: each row its own step count --------------------------------
+
+_ROW_K0 = 10_000  # row r starts at index r * _ROW_K0 + a small offset
+
+
+def _count_guarded(step, k0, counts):
+    """`step`, and its chunk stepper if it has one, failing the test when
+    handed a row (read off its step index) at or past its own count."""
+    counts = np.asarray(counts)
+
+    def past(k, n):
+        r = k // _ROW_K0
+        return (k - k0[r] + n > counts[r]).any()
+
+    def guarded(T, k, Y):
+        if past(k, 1):
+            pytest.fail("a row was stepped past its count")
+        return step(T, k, Y)
+
+    if hasattr(step, "chunk"):
+        def chunk(T, k, Y, n):
+            if past(k, n):
+                pytest.fail("a row was chunk-stepped past its count")
+            return step.chunk(T, k, Y, n)
+        guarded.chunk = chunk
+    return guarded
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(0, 3 * _CHUNK + 2), min_size=1, max_size=len(_DEATHS) + 2),
+       st.booleans(), st.integers(0, 2 ** 31 - 1))
+@example([3 * _CHUNK, 2 * _CHUNK, 5, 0, 2 * _CHUNK + 2, 3 * _CHUNK + 2, _CHUNK, 2 * _CHUNK],
+         True, 0)
+@example([3 * _CHUNK, 2 * _CHUNK, 5, 0, 2 * _CHUNK + 2, 3 * _CHUNK + 2, _CHUNK, 2 * _CHUNK],
+         False, 0)
+def test_staged_chunks_step_each_row_alone_for_its_own_count(counts, chunked, seed):
+    """Each row's states from `_staged_chunks`, laid end to end, are those
+    of the row rolled out alone for its own count, bit for bit, with its
+    first non-finite step, for a chunk-stepping and a per-step map. No row
+    is stepped past its count or after it died (`_doubling_step` raises on a
+    non-finite row); a row that dies in an early stage keeps its first
+    non-finite step and reads NaN to its count."""
+    rng = np.random.default_rng(seed)
+    Y0 = _dying_rows()[:len(counts)]  # row r < 6 turns inf at step _DEATHS[r]
+    T = rng.uniform(0.1, 0.9, size=len(counts))
+    k0 = _ROW_K0 * np.arange(len(counts)) + rng.integers(0, 50, size=len(counts))
+    base = _chunked_doubling_step if chunked else _doubling_step
+    step = _count_guarded(base, k0, counts)
+    got = [np.full((c + 1, 2), np.nan) for c in counts]
+    for i0, states, rows, first_bad in _staged_chunks(step, T, k0, Y0, counts):
+        for j, r in enumerate(rows.tolist()):
+            got[r][i0:i0 + len(states)] = states[:, j]
+    for r, c in enumerate(counts):
+        alone, bad = rollout(base, T[r], k0[r], Y0[r], c)
+        assert got[r].tobytes() == alone[:, 0].tobytes()
+        assert first_bad[r] == bad[0]
+    if counts[0] == 3 * _CHUNK and counts[1] == 2 * _CHUNK:  # the explicit examples
+        # row 0 died at state _CHUNK - 1, three stages before its count 3 * _CHUNK
+        assert first_bad[0] == _DEATHS[0] and np.isnan(got[0][_DEATHS[0] + 1:]).all()
+
+
+def test_closed_loop_maps_name_their_float_T():
+    """The closed loop's per-period tables take a float T: its f, g and
+    chunk stepper reject a per-row array with a ValueError that says so."""
+    sysm = closed_loop_euler_cascade(validated_references(), validated_gains())
+    T, Y = np.full(2, 0.01), np.zeros((2, 3))
+    for call in (lambda: sysm.f(T, 0, Y[:, :2], Y[:, 2:]), lambda: sysm.g(T, 0, Y[:, 2:]),
+                 lambda: sysm.f.stacked_chunk(T, 0, Y, 3)):
+        with pytest.raises(ValueError, match="float T"):
+            call()
 
 
 @settings(deadline=None, max_examples=30)

@@ -207,6 +207,33 @@ def test_linear_exact_batches_rows_and_rejects_bad_shapes():
         bad_gain.step(0.1, 0, [1.0, 0.0])
 
 
+def _time_varying_field():
+    """A field whose explicit time dependence makes RK45 and Simpson work."""
+    return VectorField(2, 1, lambda t, x, u: np.stack(
+        [np.asarray(x, dtype=float)[..., 1] + np.sin(t),
+         np.cos(3.0 * t) * np.asarray(x, dtype=float)[..., 0] + np.asarray(u, dtype=float)[..., 0]],
+        axis=-1), period=2.0 * math.pi)
+
+
+@pytest.mark.parametrize("make", [euler_map, modified_euler_map, exact_proxy_map])
+@pytest.mark.parametrize("per_row_k", [False, True])
+def test_model_maps_step_per_row_periods_as_their_float_groups(make, per_row_k):
+    """A (rows,) T is stepped one group of equal (T, k) at a time where the
+    batch shares a time grid (RK45, Simpson), and row by row in the Euler
+    step: every row gets the bits of its own group stepped alone, with the
+    group's T a float."""
+    pmap = make(_time_varying_field(), example1_feedback())
+    rng = np.random.default_rng(5)
+    T = rng.choice([0.02, 0.1, 0.3], size=12)
+    k = rng.choice([0, 3, 40], size=12) if per_row_k else 7
+    X = rng.standard_normal((12, 2))
+    got = pmap.step(T, k, X)
+    ks = np.broadcast_to(k, T.shape)
+    for TT, kk in {(float(a), int(b)) for a, b in zip(T, ks)}:
+        rows = (T == TT) & (ks == kk)
+        assert got[rows].tobytes() == np.asarray(pmap.step(TT, kk, X[rows])).tobytes()
+
+
 def test_exact_proxy_global_error_against_closed_form():
     """The RK45 proxy at tol 1e-10 tracks the closed form over thousands of
     steps from the four stall states of example1 (measured: 7.4e-13)."""

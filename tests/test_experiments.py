@@ -441,6 +441,39 @@ def test_theorem_demo_routes_one_stacked_rollout_per_period(monkeypatch):
     assert calls == {"f": 3398, "g": 3000}
 
 
+def test_example1_routes_one_staged_rollout_per_model(monkeypatch):
+    """example1 steps every decay period's draws and the Euler table's row
+    in one rollout, chunk by chunk: the Euler map is driven for 2,000
+    sequential steps (the longest period's), where one rollout per period
+    and one for the table made 4,191 step calls. The only other step calls
+    are the spectrum's 12 matrix columns."""
+    calls = {"step": 0, "chunks": 0, "chunk_steps": 0}
+    build = experiments.euler_map
+
+    def counted_build(*args):
+        pmap = build(*args)
+
+        def step(*a):
+            calls["step"] += 1
+            return pmap.step(*a)
+
+        def chunk(T, k, x, n):
+            calls["chunks"] += 1
+            calls["chunk_steps"] += n
+            return pmap.step.chunk(T, k, x, n)
+
+        step.chunk = chunk
+        return dataclasses.replace(pmap, step=step)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("example1 called grid_rollouts")
+
+    monkeypatch.setattr(experiments, "euler_map", counted_build)
+    monkeypatch.setattr(experiments, "grid_rollouts", no_grid)
+    assert run_named("example1", None, 0).status == 0
+    assert calls == {"step": 12, "chunks": 23, "chunk_steps": 2000}
+
+
 def test_lyapunov_audit_pass_keeps_blocks_small():
     """Tooling guard: the audit pass of `lyapunov-audit` at its defaults
     steps four step indices of the 1,680-state grid per block; its traced
