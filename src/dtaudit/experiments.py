@@ -275,13 +275,14 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     # keeps its smallest norm (the ratio is NaN once one of them died)
     x0_nc = np.tile([[1.0, 0.3], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]], (len(T_values), 1))
     norms0 = np.linalg.norm(x0_nc, axis=1)
-    lo = np.append(norms0, np.inf)  # the last, the tables' row, is not read
+    smallest = np.append(norms0, np.inf)  # the last, the tables' row, is not read
     for i0, states, rows, first_bad in staged(xmap, x0_nc, np.repeat(T_values, 4),
                                               np.full(len(x0_nc), p["nonconv_steps"])):
-        lo[rows] = np.minimum(lo[rows], _norm(states).min(axis=0))
+        smallest[rows] = np.minimum(smallest[rows], _norm(states).min(axis=0))
         if rows[-1] == len(x0_nc):
             y[1, i0:i0 + len(states)] = states[:, -1]
-    min_ratio = math.nan if (first_bad[:-1] >= 0).any() else float(np.min(lo[:-1] / norms0))
+    died = (first_bad[:-1] >= 0).any()
+    min_ratio = math.nan if died else float(np.min(smallest[:-1] / norms0))
     nonconv_floor = p["nonconv_floor"]
 
     ks, tabs = np.arange(steps_tab + 1), {}
