@@ -102,33 +102,38 @@ def rollout(step, T, k0, Y0, steps: int, inputs=None):
     first turned non-finite (-1 if never); that row is not stepped again
     and reads NaN after i.
     """
-    for i0, states, first_bad in _rollout_chunks(step, T, k0, Y0, steps, inputs):
-        if i0 == 0:
-            out = np.full((steps + 1, *states.shape[1:]), np.nan)
-        out[i0:i0 + len(states)] = states
+    Y0 = np.array(Y0, dtype=float, ndmin=2)
+    out = np.full((max(steps, 0) + 1, *Y0.shape), np.nan)
+    first_bad = np.full(len(Y0), -1)
+    for i0, states, rows, first_bad in _rollout_chunks(step, T, k0, Y0, steps, inputs):
+        out[i0:i0 + len(states), rows] = states
     return out, first_bad
 
 
-def _rollout_chunks(step, T, k0, Y0, steps: int, inputs=None):
-    """The states of `rollout`, made and yielded in chunks.
+def _rollout_chunks(step, T, k0, Y0, steps, inputs=None):
+    """The states of `rollout`, made and yielded in chunks, for `steps` an
+    int or a (batch,) array of each row's own count.
 
-    Yields (i0, states, first_bad) per chunk: the (n, batch, dim) states
-    of steps i0, ..., i0 + n - 1, n at most `_CHUNK` (the first chunk
-    starts with the initial states), and each row's first non-finite step
-    so far (-1 if none), one array that later chunks update in place. A
-    row that turned non-finite is never stepped again and reads NaN after;
-    once no row is left the chunks stop, and the steps after them read
-    NaN too.
+    Yields (i0, states, rows, first_bad) per chunk: the (n, len(rows), dim)
+    states of steps i0, ..., i0 + n - 1 of the rows `rows` that were live
+    when it began (the first chunk starts with the initial states), and
+    each row's first non-finite step so far (-1 if none), one array that
+    later chunks update in place. A chunk holds at most `_CHUNK` states and
+    ends where some row makes its last step; after it, the rows that made
+    their last step or turned non-finite (reading NaN after that state)
+    leave, and once none is left the chunks stop.
 
-    Without `inputs`, a step carrying a chunk stepper `step.chunk(T, k, Y, n)`,
-    the (n, rows, dim) states of n steps from the rows Y at indices k, makes
-    each chunk in one call. Only a map whose rows are independent carries
-    one: a row that dies is stepped to the end of its chunk, then reads NaN.
+    Each chunk is one call: without `inputs`, a step carrying a chunk
+    stepper `step.chunk(T, k, Y, out)`, which fills `out` with the
+    (n, rows, dim) states of n steps from the rows Y at indices k and
+    returns it, else `_stepwise`. Only a map whose rows are independent
+    carries one: a row that dies is stepped to the end of its chunk.
     """
     Y = np.array(Y0, dtype=float, ndmin=2)
     batch, dim = Y.shape
-    if steps < 0:
+    if np.any(np.asarray(steps) < 0):
         raise ValueError("steps must be nonnegative")
+    counts = np.broadcast_to(np.asarray(steps, dtype=int), (batch,))
     if isinstance(k0, np.ndarray):
         if k0.shape != (batch,):
             raise ValueError(f"per-row k0 must have shape ({batch},)")
@@ -137,87 +142,64 @@ def _rollout_chunks(step, T, k0, Y0, steps: int, inputs=None):
         raise ValueError(f"per-row T must have shape ({batch},)")
     if inputs is not None:
         inputs = np.asarray(inputs, dtype=float)
-        if inputs.shape[:2] != (steps, batch):
-            raise ValueError(f"inputs must have shape ({steps}, {batch}, dim_z)")
+        if inputs.shape[:2] != (np.max(steps, initial=0), batch):
+            raise ValueError(f"inputs must have shape ({np.max(steps, initial=0)}, {batch}, dim_z)")
     chunk = getattr(step, "chunk", None) if inputs is None else None
     first_bad = np.full(batch, -1)
-    live = slice(None)
-
-    def blank(i0, n):
-        states = np.full((n, batch, dim), np.nan)
-        if i0 == 0:
-            states[0] = Y
-        return states
-
-    def drop(s, ok):  # the live rows that are not `ok` died at state(s) s
-        nonlocal live, k0, T
-        rows = np.arange(batch)[live]
-        first_bad[rows[~ok]], live = s, rows[ok]
-        k0 = k0[ok] if isinstance(k0, np.ndarray) else k0
-        T = T[ok] if isinstance(T, np.ndarray) else T
-
-    for i0 in range(0, steps + 1, _CHUNK):
-        n = min(_CHUNK, steps + 1 - i0)
-        s0 = max(i0, 1)  # state s is made by step s - 1
+    rows, i0 = np.arange(batch), 0
+    while len(rows):
+        n = min(_CHUNK, int(counts[rows].min()) + 1 - i0)
+        states = np.empty((n, len(rows), dim))
+        s0 = int(i0 == 0)  # state i0 + s is made by step i0 + s - 1
+        states[:s0] = Y
+        new, k = states[s0:], k0 + (i0 + s0 - 1)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if chunk is not None and s0 < i0 + n:
-                new = np.asarray(chunk(T, k0 + (s0 - 1), Y, i0 + n - s0), dtype=float)
-                died = np.full(len(Y), len(new))
-                if not np.isfinite(new).all():
-                    finite = np.isfinite(new).all(axis=2)
-                    died = np.where(finite.all(axis=0), died, np.argmin(finite, axis=0))
-                    new[np.arange(len(new))[:, None] > died] = np.nan
-                if s0 == i0 and isinstance(live, slice):
-                    states = new  # every row live: the chunk's states are the chunk
-                else:
-                    states = blank(i0, n)
-                    states[s0 - i0:, live] = new
-                ok = died == len(new)
-                Y, new = new[-1, ok], None  # not held beside a copy of it while yielded
-                if not ok.all():
-                    drop(s0 + died[~ok], ok)
-            else:
-                states = blank(i0, n)
-                for s in range(s0, i0 + n):
-                    i = s - 1
-                    args = (T, k0 + i, Y) if inputs is None else (T, k0 + i, Y, inputs[i, live])
-                    Y = np.asarray(step(*args), dtype=float).reshape(len(Y), dim)
-                    states[s - i0, live] = Y
-                    finite = np.isfinite(Y)
-                    if not finite.all():
-                        ok = finite.all(axis=1)
-                        drop(s, ok)
-                        Y = Y[ok]
-                        if not len(Y):
-                            break
-        yield i0, states, first_bad
-        states = None  # not held while the next chunk is made
-        if not len(Y):
-            break
+            if len(new) and chunk is not None:
+                chunk(T, k, Y, new)
+            elif len(new):
+                _stepwise(step, T, k, Y, new,
+                          None if inputs is None else inputs[i0 + s0 - 1:i0 + n - 1])
+            if not np.isfinite(new).all():
+                finite = np.isfinite(new).all(axis=2)
+                died = np.where(finite.all(axis=0), len(new), np.argmin(finite, axis=0))
+                new[np.arange(len(new))[:, None] > died] = np.nan
+                first_bad[rows[died < len(new)]] = i0 + s0 + died[died < len(new)]
+        yield i0, states, rows, first_bad
+        i0 += n
+        keep = (counts[rows] >= i0) & (first_bad[rows] < 0)
+        Y, states = states[-1, keep], None  # not held while the next chunk is made
+        if not keep.all():
+            rows, inputs = rows[keep], None if inputs is None else inputs[:, keep]
+            k0, T = (a[keep] if isinstance(a, np.ndarray) else a for a in (k0, T))
 
 
-def _staged_chunks(step, T, k0, Y0, counts):
-    """The chunks of `_rollout_chunks` for rows that each take their own
-    number of steps, `counts[r]` for row r, as (i0, states, rows, first_bad):
-    the (n, len(rows), dim) states of steps i0, ..., i0 + n - 1 of the rows
-    `rows`. The rows run in stages, each ending where some rows run out of
-    steps; a stage steps the rows with steps to go that are still finite,
-    from the states the last one ended on, which its first chunk repeats.
-    """
-    Y = np.array(Y0, dtype=float, ndmin=2)
-    counts = np.asarray(counts, dtype=int)
-    first_bad = np.full(len(Y), -1)
-    rows, start = np.arange(len(Y)), 0
-    for stop in np.unique(counts).tolist():
-        rows = rows[(counts[rows] >= stop) & (first_bad[rows] < 0)]
-        if not len(rows):
-            break
-        for i0, states, bad in _rollout_chunks(
-                step, T[rows] if isinstance(T, np.ndarray) else T,
-                (k0[rows] if isinstance(k0, np.ndarray) else k0) + start, Y[rows], stop - start):
-            first_bad[rows] = np.where(bad < 0, -1, start + bad)
-            yield start + i0, states, rows, first_bad
-        Y[rows], start = states[-1], stop
+def _stepwise(step, T, k, Y, out, U=None):
+    """Fill the (n, rows, dim) `out` with n steps of `step` from the rows Y
+    at indices k, one call per step; with the rows' (n, rows, dim_z) inputs
+    U, step i is `step(T, k + i, Y, U[i])`. A row that turns non-finite is
+    not stepped again, so a map whose rows are coupled never sees it; its
+    later states are left for `_rollout_chunks` to overwrite with NaN."""
+    live = slice(None)
+    for i in range(len(out)):
+        args = (T, k + i, Y) if U is None else (T, k + i, Y, U[i, live])
+        Y = np.asarray(step(*args), dtype=float).reshape(len(Y), out.shape[2])
+        out[i, live] = Y
+        if not np.isfinite(Y).all():
+            ok = np.isfinite(Y).all(axis=1)
+            live, Y = np.arange(out.shape[1])[live][ok], Y[ok]
+            k, T = (a[ok] if isinstance(a, np.ndarray) else a for a in (k, T))
+            if not len(Y):
+                break
+    return out
+
+
+def _full_width(states, rows, batch):
+    """A chunk's states of the rows `rows` among `batch`, the others reading NaN."""
+    if len(rows) == batch:
+        return states
+    full = np.full((len(states), batch, states.shape[2]), np.nan)
+    full[:, rows] = states
+    return full
 
 
 def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf,
@@ -247,8 +229,8 @@ def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = 
         steps = horizon_index(horizon, T)
         norms = [[np.full((steps + 1, w), np.nan) for w in widths] for _ in k0s]
         chunks = _rollout_chunks(step, T, np.repeat(k0s, n), np.tile(Y0, (len(k0s), 1)), steps)
-        for i0, states, _ in chunks:
-            states = states.reshape(len(states), len(k0s), n, dim)
+        for i0, states, rows, _ in chunks:
+            states = _full_width(states, rows, len(k0s) * n).reshape(len(states), len(k0s), n, dim)
             for p, (rs, cs) in enumerate(parts):
                 with np.errstate(over="ignore", invalid="ignore"):
                     block = _norm(states[:, :, rs, cs])
@@ -445,9 +427,10 @@ def _usc_holds(sys, eps, L, T_list, mu, x0s) -> bool:
         X0 = np.tile(np.repeat(x0s, m, axis=0), (len(k0s), 1))
         # each row's largest deviation from its reference row (NaN once either is NaN)
         dev = np.zeros((len(k0s) * n, m))
-        for _, states, first_bad in _rollout_chunks(sys.f, T, np.repeat(k0s, per_k0), X0,
-                                                    ell, U):
-            states = states.reshape(len(states), len(k0s) * n, m, sys.dim_x)
+        for _, states, rows, first_bad in _rollout_chunks(sys.f, T, np.repeat(k0s, per_k0), X0,
+                                                          ell, U):
+            states = _full_width(states, rows, len(X0)).reshape(len(states), len(k0s) * n, m,
+                                                                sys.dim_x)
             with np.errstate(over="ignore", invalid="ignore"):
                 d = states - states[:, :, :1]
                 sq = np.multiply(d, d, out=d).sum(axis=-1)  # the norm's sums, with no copy of d

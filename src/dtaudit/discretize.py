@@ -127,9 +127,8 @@ def euler_map(f: VectorField, controller=None, T_max: float = math.inf) -> Param
         Tc = T[:, None] if isinstance(T, np.ndarray) else T
         return x + Tc * np.asarray(f(k * T, x, u_of(T, k, x)), dtype=float)
 
-    def chunk(T, k, x, n):
-        out = np.empty((n, *np.shape(x)))
-        for i in range(n):
+    def chunk(T, k, x, out):
+        for i in range(len(out)):
             x = out[i] = step(T, k + i, x)
         return out
 
@@ -231,7 +230,7 @@ def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
             phi = phis[T] = E[:n, :n] + E[:n, n:] @ K
         return phi
 
-    def chunk(T, k, x, steps):
+    def chunk(T, k, x, out):
         if isinstance(T, np.ndarray):
             key = T.tobytes()
             if key not in stacks:
@@ -242,15 +241,15 @@ def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
         # products summed in index order, not a BLAS product whose fused
         # multiply-adds vary with the batch: each row gets the same bits
         # from a float T as from its own entry of an array T
-        out = np.empty((steps, *np.shape(x)))
         buf = np.empty((*np.shape(x), n))
-        for i in range(steps):
+        for i in range(len(out)):
             np.multiply(x[..., :, None], PT, out=buf)
             x = np.add.reduce(buf, axis=-2, out=out[i])
         return out
 
     def step(T, k, x):
-        return chunk(T, k, np.asarray(x, dtype=float), 1)[0]
+        x = np.asarray(x, dtype=float)
+        return chunk(T, k, x, np.empty((1, *x.shape)))[0]
 
     step.chunk = chunk
     return ParameterizedMap(n, T_max, step)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
 from .cascade import (Trajectory, _interconnection_terms, _interconnection_verdict,
-                      _staged_chunks, _stacked_step, grid_rollouts, usc_probe)
+                      _rollout_chunks, _stacked_step, grid_rollouts, usc_probe)
 from .discretize import (VectorField, consistency_order, euler_map,
                          exact_proxy_map, linear_exact_map, modified_euler_map,
                          ParameterizedMap)
@@ -246,9 +246,9 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     n, T_tab, steps_tab = len(x0), p["table_T"], p["table_steps"]
     y = np.full((2, steps_tab + 1, 2), np.nan)  # the Euler and exact tables' states
 
-    def staged(pmap, Y0, T, counts):  # Y0's rows, then the tables' row, in one rollout
-        return _staged_chunks(pmap.step, np.append(T, T_tab), 0, np.vstack([Y0, [1.0, 0.3]]),
-                              np.append(counts, steps_tab))
+    def chunks(pmap, Y0, T, counts):  # Y0's rows, then the tables' row, in one rollout
+        return _rollout_chunks(pmap.step, np.append(T, T_tab), 0, np.vstack([Y0, [1.0, 0.3]]),
+                               np.append(counts, steps_tab))
 
     # every period's draws in one rollout, each row its own T and at most
     # 2,000 steps (horizon_index(2000 T, T) is 2000); each record's norms
@@ -256,7 +256,7 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     steps = [horizon_index(min(p["decay_horizon_s"], 2000 * T), T) for T in T_decay]
     runs = [Trajectory(T, 0, x0.copy(), np.full((s + 1, n), np.nan))
             for T, s in zip(T_decay, steps)]
-    for i0, states, rows, _ in staged(emap, np.tile(x0, (len(runs), 1)), np.repeat(T_decay, n),
+    for i0, states, rows, _ in chunks(emap, np.tile(x0, (len(runs), 1)), np.repeat(T_decay, n),
                                       np.repeat(steps, n)):
         for j, run in enumerate(runs):
             lo, hi = np.searchsorted(rows, (j * n, j * n + n))
@@ -276,7 +276,7 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     x0_nc = np.tile([[1.0, 0.3], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]], (len(T_values), 1))
     norms0 = np.linalg.norm(x0_nc, axis=1)
     smallest = np.append(norms0, np.inf)  # the last, the tables' row, is not read
-    for i0, states, rows, first_bad in staged(xmap, x0_nc, np.repeat(T_values, 4),
+    for i0, states, rows, first_bad in chunks(xmap, x0_nc, np.repeat(T_values, 4),
                                               np.full(len(x0_nc), p["nonconv_steps"])):
         smallest[rows] = np.minimum(smallest[rows], _norm(states).min(axis=0))
         if rows[-1] == len(x0_nc):

@@ -192,10 +192,12 @@ def _norm(x):
     return np.sqrt(s)
 
 
-def _check_period(T: float, T_max: float) -> None:
-    """Reject a sampling period outside (0, T_max]."""
-    if not (0.0 < T <= T_max):
-        raise ValueError(f"T={T} outside admissible range (0, {T_max}]")
+def _check_period(T, T_max: float) -> None:
+    """Reject a sampling period, or an entry of a (rows,) array of them,
+    outside (0, T_max] (NaN included)."""
+    for t in np.ravel(T).tolist():
+        if not (0.0 < t <= T_max):
+            raise ValueError(f"T={t} outside admissible range (0, {T_max}]")
 
 
 def kl_shift(beta: KLBound, c: float) -> KLBound:

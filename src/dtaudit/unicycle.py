@@ -297,13 +297,12 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
         th = np.asarray(z, dtype=float)[..., 0]
         return heading(T, table(T, k)[0].take(k), th)[0][..., None]
 
-    def chunk(T, k, Y, n):
-        k = np.broadcast_to(k, len(Y))
+    def chunk(T, k, Y, out):
+        n, k = len(out), np.broadcast_to(k, len(Y))
         w, vr, cx, cy, den = table(T, k, n).take(np.arange(n)[:, None] + k, axis=1)
         th = np.repeat(Y[None, :, 2], n + 1, axis=0)
         for i in range(n):  # g, leaving w where omega_r was
             th[i + 1], w[i] = heading(T, w[i], th[i])
-        out = np.empty((n, len(Y), 3))
         out[:, :, 2] = th[1:]
         vc = vr * np.cos(th[:-1])
         vs = np.multiply(vr, np.sin(th[:-1], out=th[:-1]), out=th[:-1])
@@ -825,7 +824,7 @@ def _simulate_variant(refs, gains, T, x0, steps, plant, bad_norm):
     # the states after the first divergent step are dropped, so the
     # rollout stops after the chunk that holds it
     chunks = []
-    for i0, states, _ in _rollout_chunks(step, T, 0, x0, steps):
+    for i0, states, _, _ in _rollout_chunks(step, T, 0, x0, steps):
         chunks.append(states[:, 0])
         with np.errstate(over="ignore", invalid="ignore"):
             bad = ~(_norm(states[:, 0]) <= bad_norm)

@@ -72,6 +72,17 @@ def test_map_rejects_bad_period_and_index():
         emap(0.5, -1, [0.0, 0.0])
 
 
+def test_map_checks_each_entry_of_a_per_row_period():
+    """The checked call takes a per-row T like `.step` does, and names the
+    first entry outside (0, T_max]: NaN, zero, negative or too large."""
+    emap = euler_map(double_integrator(), example1_feedback(), T_max=0.5)
+    T, x = np.array([0.1, 0.2, 0.5]), np.ones((3, 2))
+    assert np.array_equal(emap(T, 0, x), emap.step(T, 0, x))
+    for bad in (math.nan, 0.0, -0.1, 0.6):
+        with pytest.raises(ValueError, match=rf"T={bad} outside admissible range \(0, 0.5\]"):
+            emap(np.array([0.1, bad, 0.2]), 0, x)
+
+
 def test_model_maps_inherit_the_field_period():
     f = VectorField(1, 0, lambda t, x, u: np.sin(t) * np.asarray(x, dtype=float), math.tau)
     for build in (euler_map, modified_euler_map, exact_proxy_map):

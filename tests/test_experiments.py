@@ -457,10 +457,10 @@ def test_example1_routes_one_staged_rollout_per_model(monkeypatch):
             calls["step"] += 1
             return pmap.step(*a)
 
-        def chunk(T, k, x, n):
+        def chunk(T, k, x, out):
             calls["chunks"] += 1
-            calls["chunk_steps"] += n
-            return pmap.step.chunk(T, k, x, n)
+            calls["chunk_steps"] += len(out)
+            return pmap.step.chunk(T, k, x, out)
 
         step.chunk = chunk
         return dataclasses.replace(pmap, step=step)
@@ -471,7 +471,7 @@ def test_example1_routes_one_staged_rollout_per_model(monkeypatch):
     monkeypatch.setattr(experiments, "euler_map", counted_build)
     monkeypatch.setattr(experiments, "grid_rollouts", no_grid)
     assert run_named("example1", None, 0).status == 0
-    assert calls == {"step": 12, "chunks": 23, "chunk_steps": 2000}
+    assert calls == {"step": 12, "chunks": 22, "chunk_steps": 2000}
 
 
 def test_lyapunov_audit_pass_keeps_blocks_small():
@@ -538,10 +538,10 @@ def _chunk_counting(build, calls):
             calls["g"] += 1
             return sysm.g(*a)
 
-        def counted_chunk(T, k, Y, n):
+        def counted_chunk(T, k, Y, out):
             calls["chunks"] += 1
-            calls["chunk_steps"] += n
-            return chunk(T, k, Y, n)
+            calls["chunk_steps"] += len(out)
+            return chunk(T, k, Y, out)
 
         f.stacked_chunk = g.stacked_chunk = counted_chunk
         return dataclasses.replace(sysm, f=f, g=g)
