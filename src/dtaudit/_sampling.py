@@ -44,8 +44,8 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    def corners(self, cap: int = 4096) -> np.ndarray:
-        if 2 ** self.dim > cap:
+    def corners(self) -> np.ndarray:
+        if 2 ** self.dim > 4096:
             raise ValueError("too many corners for this dimension")
         pts = list(itertools.product(*zip(self.lo, self.hi)))
         return np.array(pts, dtype=float)

@@ -205,9 +205,8 @@ def _full_width(states, rows, batch):
 def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = math.inf,
                   period: float | None = None, parts=None):
     """Yield `Trajectory` records of the rows of Y0 rolled out over `horizon`
-    seconds, per sorted period and start index (`_k_probes(T, period)`
-    unless k0_set is given, `period` being that of the step's time
-    variation).
+    seconds, per sorted period and start index (`_schedule`, `period` being
+    that of the step's time variation).
 
     `parts` is a sequence of (row slice, column slice) pairs of Y0, all
     rows and all columns by default; every (T, k0) gives one record per
@@ -221,11 +220,7 @@ def grid_rollouts(step, Y0, T_list, horizon: float, k0_set=None, T_max: float = 
     n, dim = Y0.shape
     parts = [(slice(None), slice(None))] if parts is None else list(parts)
     widths = [len(range(n)[rs]) for rs, _ in parts]
-    for T in sorted(float(t) for t in T_list):
-        _check_period(T, T_max)
-        k0s = [int(k0) for k0 in (_k_probes(T, period) if k0_set is None else k0_set)]
-        if not k0s:
-            continue
+    for T, k0s in _schedule(T_list, T_max, period, k0_set):
         steps = horizon_index(horizon, T)
         norms = [[np.full((steps + 1, w), np.nan) for w in widths] for _ in k0s]
         chunks = _rollout_chunks(step, T, np.repeat(k0s, n), np.tile(Y0, (len(k0s), 1)), steps)
@@ -304,6 +299,22 @@ def _k_probes(T: float, period: float | None):
     return sorted({0, 1, P // 2, P - 1})
 
 
+def _schedule(T_list, T_max: float, period: float | None, k_set=None):
+    """The (T, ks) pairs an audit visits: its periods sorted, each with the
+    ints of `k_set`, or else `_k_probes(T, period)`. Rejects an empty
+    `T_list`, a period outside (0, T_max] and an empty or negative index
+    set, all before the caller makes its first map call."""
+    Ts = sorted(float(t) for t in T_list)
+    if not Ts:
+        raise ValueError("T_list must be nonempty")
+    _check_period(Ts, T_max)
+    if k_set is not None:
+        ks = [int(k) for k in k_set]
+        if not ks or min(ks) < 0:
+            raise ValueError("k_set must be a nonempty set of nonnegative indices")
+    return [(T, _k_probes(T, period) if k_set is None else ks) for T in Ts]
+
+
 def _worst_row(T, k, pts, lhs, rhs) -> Witness:
     """The witness at the worst row, argmax(lhs - rhs), not the first failing
     one (the theorem demo reports it); argmax returns a NaN row first."""
@@ -331,12 +342,11 @@ def check_interconnection_bound(sys: CascadeSystem, gamma1: ClassKFunction,
 
 def _interconnection_terms(sys: CascadeSystem, pts, T_list, k_set=None):
     """Yield (T, k, f(k,x,z), f(k,x,0)) on the stacked (x, z) rows `pts`, per
-    sorted period and start index (`_k_probes` unless k_set is given)."""
+    period and start index of the `_schedule`."""
     X, Z = pts[:, : sys.dim_x], pts[:, sys.dim_x:]
     Z0 = np.zeros_like(Z)
-    for T in sorted(float(t) for t in T_list):
-        for k in (_k_probes(T, sys.period) if k_set is None else k_set):
-            k = int(k)
+    for T, ks in _schedule(T_list, sys.T_max, sys.period, k_set):
+        for k in ks:
             yield (T, k, np.asarray(sys.f(T, k, X, Z), dtype=float),
                    np.asarray(sys.f(T, k, X, Z0), dtype=float))
 
@@ -405,22 +415,21 @@ def usc_probe(sys: CascadeSystem, Delta: float, eta: float, eps: float, L: float
         raise ValueError("need eps > 0 and L > 0")
     if any(not float(m) > 0.0 for m in mu_grid):  # NaN included
         raise ValueError("mu grid must be positive")
+    schedule = _schedule(T_list, sys.T_max, sys.period)
     x0s = sample_ball(eta, sys.dim_x, x0_count)
     for mu in sorted((float(m) for m in mu_grid), reverse=True):
-        if _usc_holds(sys, eps, L, T_list, mu, x0s):
+        if _usc_holds(sys, eps, L, schedule, mu, x0s):
             return mu
     return 0.0
 
 
-def _usc_holds(sys, eps, L, T_list, mu, x0s) -> bool:
+def _usc_holds(sys, eps, L, schedule, mu, x0s) -> bool:
     # one rollout per T, rows ordered (k0, x0, input): for each k0 and x0
     # the zero-input reference row, then one row per input family; the
     # first failing row in that order decides
     n = len(x0s)
-    for T in sorted(float(t) for t in T_list):
-        _check_period(T, sys.T_max)
+    for T, k0s in schedule:
         ell = horizon_index(L, T)
-        k0s = _k_probes(T, sys.period)
         inputs = [np.zeros((ell, sys.dim_z))] + _probe_inputs(sys.dim_z, mu, ell)
         m, per_k0 = len(inputs), n * len(inputs)
         U = np.tile(np.stack(inputs, axis=1), (1, n * len(k0s), 1))

@@ -18,8 +18,7 @@ from ._sampling import Box, sample_ball, sample_box
 from .cascade import (Trajectory, _interconnection_terms, _interconnection_verdict,
                       _rollout_chunks, _stacked_step, grid_rollouts, usc_probe)
 from .discretize import (VectorField, consistency_order, euler_map,
-                         exact_proxy_map, linear_exact_map, modified_euler_map,
-                         ParameterizedMap)
+                         exact_proxy_map, linear_exact_map, modified_euler_map)
 from .numerics import (_CHUNK, ClassKFunction, _norm, fit_kl_envelope, horizon_index,
                        kl_compose)
 from .stability import (CertificateParams, _certificate_terms, _certificate_verdict,
@@ -189,14 +188,6 @@ def period_scaled_feedback():
     return ctrl
 
 
-def _map_matrix(pmap: ParameterizedMap, T: float, k: int, dim: int) -> np.ndarray:
-    """Matrix of a linear one-step map, column by column."""
-    base = np.asarray(pmap.step(T, k, np.zeros(dim)), dtype=float)
-    eye = np.eye(dim)
-    cols = [np.asarray(pmap.step(T, k, eye[i]), dtype=float) - base for i in range(dim)]
-    return np.column_stack(cols)
-
-
 _EXAMPLE1_DEFAULTS = {
     "T": None,
     "T_values": (0.01, 0.1, 0.19, 0.3),
@@ -226,12 +217,11 @@ def _run_example1(params: dict, seed: int) -> ExperimentResult:
     xmap = linear_exact_map([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
                             lambda T: ctrl(T, 0, np.eye(2)).T)
 
-    def spectrum(T):
-        A = _map_matrix(emap, T, 0, 2)
-        ev = np.sort_complex(np.linalg.eigvals(A))
+    def spectrum(T):  # each map's matrix: its steps of the basis, one row each
+        ev = np.sort_complex(np.linalg.eigvals(emap.step(T, 0, np.eye(2)).T))
         expect = np.array([-math.sqrt(1.0 - T), math.sqrt(1.0 - T)])
         dev = float(np.max(np.abs(ev - expect)))
-        radius = float(np.max(np.abs(np.linalg.eigvals(_map_matrix(xmap, T, 0, 2)))))
+        radius = float(np.max(np.abs(np.linalg.eigvals(xmap.step(T, 0, np.eye(2)).T))))
         return T, dev, radius, float(ev[0].real), float(ev[1].real)
 
     spectra = [spectrum(T) for T in T_values]

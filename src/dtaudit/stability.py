@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import CascadeSystem, _k_probes, _stacked_step, grid_rollouts
+from .cascade import CascadeSystem, _schedule, _stacked_step, grid_rollouts
 from .discretize import ParameterizedMap
 from .numerics import ClassKFunction, KLBound
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _ratio
@@ -103,10 +103,10 @@ def _system_stepper(system):
     raise TypeError("system must be a CascadeSystem or a ParameterizedMap")
 
 
-def _grid_rollouts(system, Delta, T_list, grid, horizon, k0_set=None):
+def _grid_rollouts(system, Delta, T_list, grid, horizon):
     step, dim, T_max = _system_stepper(system)
-    return grid_rollouts(step, _resolve_grid(grid, Delta, dim), T_list, horizon, k0_set, T_max,
-                         system.period)
+    return grid_rollouts(step, _resolve_grid(grid, Delta, dim), T_list, horizon, T_max=T_max,
+                         period=system.period)
 
 
 def _first_escape(runs, bound_fn, detail_pass):
@@ -150,8 +150,7 @@ def boundedness_escape(runs, kappa: ClassKFunction, c: float) -> StabilityVerdic
 
 
 def falsify_spuas(system, beta: KLBound, Delta: float, nu: float, T_list, grid,
-                  horizon: float, comparator: str = "max",
-                  k0_set=None) -> StabilityVerdict:
+                  horizon: float, comparator: str = "max") -> StabilityVerdict:
     """Try to break the claimed practical-stability envelope by simulation.
 
     Simulates every grid initial condition with |y0| <= Delta for each
@@ -162,16 +161,16 @@ def falsify_spuas(system, beta: KLBound, Delta: float, nu: float, T_list, grid,
     """
     if not (Delta > nu >= 0.0):
         raise ValueError("need Delta > nu >= 0")
-    return spuas_escape(_grid_rollouts(system, Delta, T_list, grid, horizon, k0_set),
+    return spuas_escape(_grid_rollouts(system, Delta, T_list, grid, horizon),
                         beta, nu, comparator)
 
 
 def check_boundedness(system, kappa: ClassKFunction, c: float, Delta: float,
-                      T_list, grid, horizon: float, k0_set=None) -> StabilityVerdict:
+                      T_list, grid, horizon: float) -> StabilityVerdict:
     """Check |y(k)| <= kappa(|y0|) + c along all sampled trajectories."""
     if not (Delta > 0.0 and c >= 0.0):
         raise ValueError("need Delta > 0 and c >= 0")
-    return boundedness_escape(_grid_rollouts(system, Delta, T_list, grid, horizon, k0_set),
+    return boundedness_escape(_grid_rollouts(system, Delta, T_list, grid, horizon),
                               kappa, c)
 
 
@@ -255,9 +254,8 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
         raise ValueError("need Delta > 0 and nu >= 0")
     Y = _resolve_grid(grid, Delta, F.dim)
     checks = _LyapunovChecks(V, Y, nu, collect_margins)
-    for T in sorted(float(t) for t in T_list):
-        for k in (_k_probes(T, F.period) if k_set is None else k_set):
-            k = int(k)
+    for T, ks in _schedule(T_list, F.T_max, F.period, k_set):
+        for k in ks:
             v = np.asarray(V.eval(T, k, Y), dtype=float)[None]  # a block of one k
             checks.check(T, (k,), v, lambda: np.asarray(
                 V.eval(T, k + 1, np.asarray(F.step(T, k, Y), dtype=float)), dtype=float) - v)
@@ -351,15 +349,14 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
 
 
 def _certificate_terms(V: LyapunovCandidate, sys: CascadeSystem, pts, T_list, k_set=None):
-    """Yield (T, k, v, step) on the stacked (x, z) rows `pts`, per sorted
-    period and start index (`_k_probes` unless k_set is given): v is V(k, x),
-    and step() gives V(k+1, f(k,x,z)) and V(k+1, f(k,x,0)), made on its first
-    call and kept for the next."""
+    """Yield (T, k, v, step) on the stacked (x, z) rows `pts`, per period and
+    start index of the `_schedule`: v is V(k, x), and step() gives
+    V(k+1, f(k,x,z)) and V(k+1, f(k,x,0)), made on its first call and kept
+    for the next."""
     X, Z = pts[:, : sys.dim_x], pts[:, sys.dim_x:]
     Z0 = np.zeros_like(Z)
-    for T in sorted(float(t) for t in T_list):
-        for k in (_k_probes(T, sys.period) if k_set is None else k_set):
-            k = int(k)
+    for T, ks in _schedule(T_list, sys.T_max, sys.period, k_set):
+        for k in ks:
 
             @functools.cache
             def step(T=T, k=k):

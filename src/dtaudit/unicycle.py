@@ -341,8 +341,8 @@ def check_pe(refs: ReferenceSignal, L: float, mu: float, T_list) -> StabilityVer
     T * sum_{k=j}^{j+ell} omega_r(kT)^2 >= mu. The witness initial state
     holds the start time of the failing window.
     """
-    if not (L > 0.0 and mu > 0.0):
-        raise ValueError("need L > 0 and mu > 0")
+    if not (L > 0.0 and mu > 0.0 and len(T_list)):
+        raise ValueError("need L > 0, mu > 0 and a nonempty T_list")
     worst = math.inf
     for T in sorted(float(t) for t in T_list):
         P = refs.period_steps(T)

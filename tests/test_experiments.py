@@ -446,7 +446,7 @@ def test_example1_routes_one_staged_rollout_per_model(monkeypatch):
     in one rollout, chunk by chunk: the Euler map is driven for 2,000
     sequential steps (the longest period's), where one rollout per period
     and one for the table made 4,191 step calls. The only other step calls
-    are the spectrum's 12 matrix columns."""
+    are the spectrum's, one batched step of the basis per period."""
     calls = {"step": 0, "chunks": 0, "chunk_steps": 0}
     build = experiments.euler_map
 
@@ -471,7 +471,7 @@ def test_example1_routes_one_staged_rollout_per_model(monkeypatch):
     monkeypatch.setattr(experiments, "euler_map", counted_build)
     monkeypatch.setattr(experiments, "grid_rollouts", no_grid)
     assert run_named("example1", None, 0).status == 0
-    assert calls == {"step": 12, "chunks": 22, "chunk_steps": 2000}
+    assert calls == {"step": 4, "chunks": 22, "chunk_steps": 2000}
 
 
 def test_lyapunov_audit_pass_keeps_blocks_small():

@@ -27,6 +27,7 @@ from dtaudit import (
     falsify_spuas,
     sample_ball,
     sample_box,
+    usc_probe,
 )
 from dtaudit.cascade import _stacked_step, grid_rollouts
 from dtaudit.stability import boundedness_escape, spuas_escape
@@ -591,3 +592,67 @@ def test_certificate_names_the_smaller_k():
                                        T_list=[0.1], k_set=[0, 1])
     assert verdict.detail == "input-drift bound violated"
     assert verdict.witness.k == 0
+
+
+# --- the admissible schedule ------------------------------------------------
+
+
+def _schedule_entry(name, T_list, k_set, calls):
+    """Run the audit `name` on maps with T_max = 0.2 and period 1 that log
+    every call of f, g, a map step and V's eval into `calls`."""
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(args[:2])
+            return fn(*args)
+        return wrapped
+
+    sysm = CascadeSystem(1, 1, counted(lambda T, k, X, Z: 0.5 * X + T * Z),
+                         counted(lambda T, k, Z: 0.5 * Z), T_max=0.2, period=1.0)
+    F = ParameterizedMap(1, 0.2, counted(lambda T, k, Y: 0.5 * np.asarray(Y)), 1.0)
+    V = replace(quadratic_candidate(), eval=counted(quadratic_candidate().eval))
+    lin = ClassKFunction.linear(1.0)
+    box = Box.centered(1.0, 2)
+    kw = {} if k_set is None else {"k_set": k_set}
+    if name == "check_interconnection_bound":
+        return check_interconnection_bound(sysm, lin, lin, lin, box, T_list, n_samples=8, **kw)
+    if name == "build_ugb_certificate":
+        params = CertificateParams(lin, lin, 0.0, lin, lin, ClassKFunction.identity())
+        return build_ugb_certificate(V, sysm, params, box, T_list, n_samples=8, **kw)
+    if name == "audit_lyapunov":
+        return audit_lyapunov(V, F, 1.0, 0.0, T_list, 5, **kw)
+    if name == "falsify_spuas":
+        return falsify_spuas(F, KLBound.exponential(1.0, 100.0), 1.0, 0.0, T_list, 5, 1.0)
+    return usc_probe(sysm, 1.0, 0.5, 0.1, 1.0, T_list, [0.1], x0_count=2)
+
+
+_WITH_K_SET = ("check_interconnection_bound", "build_ugb_certificate", "audit_lyapunov")
+_ENTRIES = (*_WITH_K_SET, "falsify_spuas", "usc_probe")
+_BAD_PERIODS = {"above_T_max": [0.5], "one_above_T_max": [0.1, 0.5], "zero": [0.0],
+                "negative": [-0.01], "nan": [float("nan")], "empty": []}
+_BAD_K_SETS = {"k_negative": [-1], "k_one_negative": [0, -3], "k_empty": []}
+
+
+@pytest.mark.parametrize("name, T_list, k_set, match", [
+    *(pytest.param(name, T_list, None, "nonempty" if not T_list else "admissible",
+                   id=f"{name}-{label}")
+      for name in _ENTRIES for label, T_list in _BAD_PERIODS.items()),
+    *(pytest.param(name, [0.1], k_set, "k_set", id=f"{name}-{label}")
+      for name in _WITH_K_SET for label, k_set in _BAD_K_SETS.items()),
+])
+def test_audits_reject_an_inadmissible_schedule_before_any_map_call(name, T_list, k_set, match):
+    """A period outside (0, T_max] (NaN included), an empty period list and
+    an empty or negative index set say nothing about the model family the
+    claim is made for: each audit raises before its first map call, not a
+    pass, a falsification at that period or a NaN-to-int error."""
+    calls = []
+    with pytest.raises(ValueError, match=match):
+        _schedule_entry(name, T_list, k_set, calls)
+    assert calls == []
+
+
+def test_audits_run_the_counted_maps_on_an_admissible_schedule():
+    """The same entries run, and call the maps, at an admissible schedule."""
+    for name in _ENTRIES:
+        calls = []
+        _schedule_entry(name, [0.1], [0, 2] if name in _WITH_K_SET else None, calls)
+        assert calls, name

@@ -256,6 +256,13 @@ def test_pe_rejects_bad_parameters():
         check_pe(refs, L=1.0, mu=0.0, T_list=[0.01])
 
 
+def test_pe_rejects_an_empty_period_list():
+    """With no period there is no window to check: an empty T_list is an
+    error, not a pass reporting an infinite smallest window sum."""
+    with pytest.raises(ValueError, match="nonempty T_list"):
+        check_pe(demo_references(), L=1.0, mu=1e9, T_list=[])
+
+
 def test_exact_proxy_single_state_step_equals_its_batch_row():
     """The feedback returns one input row for a 1-d state, which the
     integrator lifts to a batch of one; the field broadcasts the heading
