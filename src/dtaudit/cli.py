@@ -30,6 +30,8 @@ from .verdict import _plain
 _NUMERIC_ERRORS = (IntegrationError, QuadratureError, DivergenceError,
                    EnvelopeFalsified, FloatingPointError, ZeroDivisionError)
 
+_BLOCK_ROWS = 512  # table rows per write: the writer holds one block, not the file
+
 
 def config_digest(experiment: str, params: dict, seed: int) -> str:
     """12-hex digest of the canonical (sorted, compact) configuration."""
@@ -40,7 +42,7 @@ def config_digest(experiment: str, params: dict, seed: int) -> str:
 
 
 def emit_report(result: ExperimentResult, out_dir, digest: str, seed: int) -> list:
-    """Write metrics.json plus all CSV tables and .dat plot series."""
+    """Write metrics.json plus all CSV tables and .dat plot series, `_BLOCK_ROWS` rows a write."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = f"# config={digest} seed={int(seed)}"
@@ -61,13 +63,15 @@ def emit_report(result: ExperimentResult, out_dir, digest: str, seed: int) -> li
                                         (result.plots, "dat", " ", "# ")):
         for stem in sorted(series):
             cols, rows = series[stem]
+            # Python floats print as numpy floats do; an int column as 1.0.
+            # Converted before the file opens: a non-numeric table makes no file.
+            table = np.asarray(rows, dtype=float)
             path = out / f"{stem}.{suffix}"
-            lines = [header, prefix + sep.join(cols)]
-            if rows.size:
-                # Python floats print as numpy floats do; an int column as 1.0
-                lines.extend(sep.join(map(repr, row))
-                             for row in np.asarray(rows, dtype=float).tolist())
-            path.write_text("\n".join(lines) + "\n")
+            with path.open("w") as fh:
+                fh.write(f"{header}\n{prefix}{sep.join(cols)}\n")
+                for start in range(0, len(table), _BLOCK_ROWS):
+                    fh.write("".join(sep.join(map(repr, row)) + "\n" for row
+                                     in table[start:start + _BLOCK_ROWS].tolist()))
             written.append(path)
     return written
 

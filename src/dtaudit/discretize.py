@@ -286,12 +286,17 @@ def consistency_order(F_ref: ParameterizedMap, F_apx: ParameterizedMap, domain: 
     k = 0..floor(period / T) of one period of F_ref, or k = 0 alone for a
     map whose step ignores k. The slope is the least-squares order of
     max_error against T in log-log coordinates, reported as None when the
-    gaps are at rounding level.
+    gaps are at rounding level. Raises ValueError on an empty `T_list` and
+    on an empty or negative `k_set`.
     """
     if F_ref.dim != F_apx.dim:
         raise ValueError("maps must share a state dimension")
     if len(T_list) == 0:
         raise ValueError("T_list must be a nonempty list of periods")
+    if k_set is not None:
+        k_set = [int(k) for k in k_set]
+        if not k_set or min(k_set) < 0:
+            raise ValueError("k_set must be a nonempty set of nonnegative indices")
     Ts = sorted((float(T) for T in T_list), reverse=True)
     pts = sample_box(domain, n_samples)
 

@@ -75,7 +75,7 @@ _RANGES = {
     "divergence_norm": "positive", "proxy_tol": "positive", "radius": "positive",
     "Delta": "positive", "Delta_z": "positive", "eta": "positive", "eps": "positive",
     "n_random_T": "nonnegative", "nonconv_steps": "nonnegative", "table_steps": "nonnegative",
-    "n_samples": "nonnegative", "box_halfwidth": "nonnegative", "k_set": "nonnegative",
+    "n_samples": "nonnegative", "box_halfwidth": "nonnegative", "k_set": "nonempty, nonnegative",
     "n_ball": "nonnegative", "usc_x0_count": "nonnegative", "n_states": "at least 1",
     "grid_n": "at least 1", "k_stride": "at least 1", "regime": "'demo' or 'validated'",
     "plant": "'euler' or 'exact-proxy'", "held_input": "a pair",

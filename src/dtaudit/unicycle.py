@@ -15,6 +15,7 @@ is positive and all audits run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from .discretize import VectorField, exact_proxy_map
 # perfbench/layers.py wraps the map builder under this name on this module
 from .discretize import euler_map  # noqa: F401
 from ._integrate import IntegrationError
-from .numerics import _BLOCK, ClassKFunction, _norm, horizon_index
+from .numerics import _BLOCK, ClassKFunction, _check_period, _norm, horizon_index
 from .stability import LyapunovCandidate, PreconditionError, _LyapunovChecks
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _plain
 
@@ -339,12 +340,15 @@ def check_pe(refs: ReferenceSignal, L: float, mu: float, T_list) -> StabilityVer
 
     Passes when every window start j = 0..ceil(period / T) satisfies
     T * sum_{k=j}^{j+ell} omega_r(kT)^2 >= mu. The witness initial state
-    holds the start time of the failing window.
+    holds the start time of the failing window. A period that is not a
+    finite positive number raises ValueError before any reference is read.
     """
     if not (L > 0.0 and mu > 0.0 and len(T_list)):
         raise ValueError("need L > 0, mu > 0 and a nonempty T_list")
+    Ts = sorted(float(t) for t in T_list)
+    _check_period(Ts, sys.float_info.max)  # a finite bound, so T = inf fails too
     worst = math.inf
-    for T in sorted(float(t) for t in T_list):
+    for T in Ts:
         P = refs.period_steps(T)
         vals = pe_window_sums(refs, T, L, P)
         worst = min(worst, float(np.min(vals)))

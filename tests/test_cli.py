@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,7 @@ def test_every_numeric_error_is_exit_3(tmp_path, capsys, monkeypatch, error):
     ("lyapunov-audit", {"T": 0.5}, "T_max"),  # above the validated closed loop's T_max
     ("lyapunov-audit", {"T": 0.25}, "T_max"),
     ("cascade-theorem-demo", {"T": 0.5}, "T_max"),
+    ("consistency-sweep", {"k_set": []}, "consistency-sweep.k_set must be nonempty"),
 ], ids=["compare-cos", "compare-rk4", "compare-T0", "compare-T-negative",
         "compare-T-above-T_max", "compare-negative-gain", "lyapunov-T0",
         "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0",
@@ -233,7 +235,7 @@ def test_every_numeric_error_is_exit_3(tmp_path, capsys, monkeypatch, error):
         "consistency-short-held_input", "example1-negative-T", "compare-infinite-horizon_s",
         "pe-infinite-L", "lyapunov-infinite-L_pe", "example1-nan-nonconv_floor",
         "compare-int-beyond-float-horizon_s", "lyapunov-T-above-T_max",
-        "lyapunov-T0.25-above-T_max", "theorem-T-above-T_max"])
+        "lyapunov-T0.25-above-T_max", "theorem-T-above-T_max", "consistency-empty-k_set"])
 def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params, key):
     out = tmp_path / "out"
     code = main(["run", "--experiment", experiment,
@@ -298,6 +300,61 @@ def test_emit_report_handles_empty_tables(tmp_path):
     assert ints[-2:] == ["1.0 -2.0", "0.0 3.0"]
     payload = json.loads((tmp_path / "r" / "metrics.json").read_text())
     assert payload["metrics"] == {"answer": 42}
+
+
+def _joined_table(header, cols, rows, sep, prefix):
+    """A table file's text as the writer made it whole in memory: the
+    reference for the block writer's bytes."""
+    lines = [header, prefix + sep.join(cols)]
+    if rows.size:
+        lines.extend(sep.join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist())
+    return "\n".join(lines) + "\n"
+
+
+_B = cli._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_emit_report_blocks_write_the_joined_bytes(tmp_path, n_rows):
+    """Rows written a block at a time give the bytes of the whole table
+    joined at once, on either side of every block boundary, for a CSV
+    table and a `# `-prefixed .dat plot alike."""
+    special = [-0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324, 0.1, -2.5e-300]
+    floats = np.resize(np.array(special), (n_rows, 3))
+    floats[:, 2] = np.arange(n_rows) * 1e-3
+    ints = np.arange(n_rows, dtype=np.int64)[:, None] - 7
+    rows, plot = np.hstack([floats, ints]), np.hstack([ints, floats])
+    cols = ["a", "b", "c", "k"]
+    result = ExperimentResult("toy", 0, {}, {"t": (cols, rows)}, {"p": (cols, plot)})
+    emit_report(result, tmp_path, "abcdef012345", 5)
+    header = "# config=abcdef012345 seed=5"
+    assert (tmp_path / "t.csv").read_bytes() == _joined_table(
+        header, cols, rows, ",", "").encode()
+    assert (tmp_path / "p.dat").read_bytes() == _joined_table(
+        header, cols, plot, " ", "# ").encode()
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 2 + n_rows
+
+
+def test_emit_report_rejects_a_non_numeric_table_before_its_file(tmp_path):
+    result = ExperimentResult("toy", 0, {}, {"bad": (["a"], np.array([["x"]]))}, {})
+    with pytest.raises(ValueError):
+        emit_report(result, tmp_path, "abcdef012345", 0)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_emit_report_memory_is_one_block(tmp_path):
+    """Writing a 60,000 x 8 table (about 9.4 MB of text) peaks at one
+    block's strings, not at the whole file's lines, text and bytes."""
+    rows = np.random.default_rng(0).standard_normal((60_000, 8))
+    result = ExperimentResult("toy", 0, {}, {"big": ([f"c{i}" for i in range(8)], rows)}, {})
+    tracemalloc.start()
+    try:
+        emit_report(result, tmp_path, "abcdef012345", 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").stat().st_size > 9_000_000
+    assert peak < 1_000_000, peak
 
 
 def test_unicycle_compare_report_is_strict_json(tmp_path):

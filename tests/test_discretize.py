@@ -1,6 +1,7 @@
 """Model families: Euler, modified Euler, exact proxy, consistency orders."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,3 +295,22 @@ def test_consistency_rejects_empty_domain():
     emap = euler_map(double_integrator(), np.array([1.0]))
     with pytest.raises(ValueError):
         consistency_order(emap, emap, Box.centered(1.0, 2), T_list=[])
+
+
+@pytest.mark.parametrize("k_set", [[], (), range(0), [0, -1]],
+                         ids=["list", "tuple", "range", "negative"])
+def test_consistency_rejects_an_empty_or_negative_index_set(k_set):
+    """No index means no gap measured: an empty k_set is an error, not a
+    report of zero errors, and it is raised before any map call."""
+    emap = euler_map(double_integrator(), np.array([1.0]))
+    calls = []
+
+    def counted(T, k, x):
+        calls.append(k)
+        return emap(T, k, x)
+
+    counting = replace(emap, step=counted)
+    with pytest.raises(ValueError, match="k_set must be a nonempty set of nonnegative indices"):
+        consistency_order(counting, counting, Box.centered(1.0, 2), k_set=k_set,
+                          T_list=[0.01, 0.02])
+    assert calls == []

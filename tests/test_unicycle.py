@@ -256,6 +256,21 @@ def test_pe_rejects_bad_parameters():
         check_pe(refs, L=1.0, mu=0.0, T_list=[0.01])
 
 
+@pytest.mark.parametrize("T", [0.0, -0.1, math.nan, math.inf])
+def test_pe_rejects_an_inadmissible_period(T):
+    """A period that is not a finite positive number is the audits'
+    admissible-range error, raised before any reference is read: not a
+    division by zero, a NaN step count or a verdict at T = inf."""
+    def unread(t):
+        raise AssertionError("reference read")
+
+    refs = ReferenceSignal(unread, unread, 20.0)
+    with pytest.raises(ValueError, match=rf"T={T} outside admissible range"):
+        check_pe(refs, L=1.0, mu=0.1, T_list=[0.01, T])
+    with pytest.raises(ValueError, match="outside admissible range"):
+        check_pe(demo_references(), L=1.0, mu=0.1, T_list=[T])
+
+
 def test_pe_rejects_an_empty_period_list():
     """With no period there is no window to check: an empty T_list is an
     error, not a pass reporting an infinite smallest window sum."""
