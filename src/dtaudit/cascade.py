@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .numerics import _CHUNK, ClassKFunction, _check_period, _norm, horizon_index
+from .numerics import _CHUNK, ClassKFunction, _check_period, _norm, _schedule, horizon_index
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _ratio
 
 __all__ = [
@@ -287,32 +287,6 @@ def simulate_driven(sys: CascadeSystem, T: float, k0: int, x0,
                                 steps, inputs[:steps, None])
     _raise_if_diverged(int(first_bad[0]), k0)
     return states[:, 0]
-
-
-def _k_probes(T: float, period: float | None):
-    """Start indices spanning one period (in seconds) of a system's time
-    variation: 0, 1, P // 2 and P - 1 with P = floor(period / T), or just 0
-    for a system whose step ignores k (period None)."""
-    if period is None:
-        return [0]
-    P = max(1, int(math.floor(period / T)))
-    return sorted({0, 1, P // 2, P - 1})
-
-
-def _schedule(T_list, T_max: float, period: float | None, k_set=None):
-    """The (T, ks) pairs an audit visits: its periods sorted, each with the
-    ints of `k_set`, or else `_k_probes(T, period)`. Rejects an empty
-    `T_list`, a period outside (0, T_max] and an empty or negative index
-    set, all before the caller makes its first map call."""
-    Ts = sorted(float(t) for t in T_list)
-    if not Ts:
-        raise ValueError("T_list must be nonempty")
-    _check_period(Ts, T_max)
-    if k_set is not None:
-        ks = [int(k) for k in k_set]
-        if not ks or min(ks) < 0:
-            raise ValueError("k_set must be a nonempty set of nonnegative indices")
-    return [(T, _k_probes(T, period) if k_set is None else ks) for T in Ts]
 
 
 def _worst_row(T, k, pts, lhs, rhs) -> Witness:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._integrate import adaptive_simpson, rk45_integrate
 from ._sampling import Box, sample_box
-from .numerics import _check_period
+from .numerics import _check_period, _schedule
 
 __all__ = [
     "VectorField",
@@ -286,29 +286,23 @@ def consistency_order(F_ref: ParameterizedMap, F_apx: ParameterizedMap, domain: 
     k = 0..floor(period / T) of one period of F_ref, or k = 0 alone for a
     map whose step ignores k. The slope is the least-squares order of
     max_error against T in log-log coordinates, reported as None when the
-    gaps are at rounding level. Raises ValueError on an empty `T_list` and
-    on an empty or negative `k_set`.
+    gaps are at rounding level. The periods, in decreasing order, and index
+    sets are the `_schedule`'s against both maps' T_max.
     """
     if F_ref.dim != F_apx.dim:
         raise ValueError("maps must share a state dimension")
-    if len(T_list) == 0:
-        raise ValueError("T_list must be a nonempty list of periods")
-    if k_set is not None:
-        k_set = [int(k) for k in k_set]
-        if not k_set or min(k_set) < 0:
-            raise ValueError("k_set must be a nonempty set of nonnegative indices")
-    Ts = sorted((float(T) for T in T_list), reverse=True)
+    if k_set is None and F_ref.period is not None:
+        k_set = lambda T: range(int(math.floor(F_ref.period / T)) + 1)
+    schedule = _schedule(T_list, min(F_ref.T_max, F_apx.T_max), F_ref.period, k_set)[::-1]
     pts = sample_box(domain, n_samples)
 
     max_errors = []
-    for T in Ts:
-        ks = k_set
-        if ks is None:
-            ks = (0,) if F_ref.period is None else range(int(math.floor(F_ref.period / T)) + 1)
+    for T, ks in schedule:
         worst = 0.0
         for k in ks:
-            gap = np.asarray(F_ref(T, int(k), pts)) - np.asarray(F_apx(T, int(k), pts))
+            gap = np.asarray(F_ref(T, k, pts)) - np.asarray(F_apx(T, k, pts))
             worst = max(worst, float(np.max(np.linalg.norm(gap, axis=-1))))
         max_errors.append(worst)
 
+    Ts = [T for T, _ in schedule]
     return ConsistencyReport(tuple(Ts), tuple(max_errors), _fit_loglog_slope(Ts, max_errors))

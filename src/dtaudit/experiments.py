@@ -494,6 +494,8 @@ def _run_pe_check(params: dict, seed: int) -> ExperimentResult:
         refs = _refs_from_spec(p["refs"])
     except ValueError as err:  # a bad reference
         raise ConfigError(str(err)) from err
+    if max(T_list) > refs.period:  # outside check_pe's schedule
+        raise ConfigError(f"pe-check.T_list must not exceed the reference period {refs.period}")
 
     verdict = check_pe(refs, L, mu, T_list)
     sums = pe_window_sums(refs, T0, L, refs.period_steps(T0))

@@ -200,6 +200,33 @@ def _check_period(T, T_max: float) -> None:
             raise ValueError(f"T={t} outside admissible range (0, {T_max}]")
 
 
+def _k_probes(T: float, period: float | None):
+    """Start indices spanning one period (in seconds) of a system's time
+    variation: 0, 1, P // 2 and P - 1 with P = floor(period / T), or just 0
+    for a system whose step ignores k (period None)."""
+    if period is None:
+        return [0]
+    P = max(1, int(math.floor(period / T)))
+    return sorted({0, 1, P // 2, P - 1})
+
+
+def _schedule(T_list, T_max: float, period: float | None, k_set=None):
+    """The (T, ks) pairs an audit visits: its periods sorted, each with the
+    ints of `k_set`, of `k_set(T)` for a function of the period, or else
+    `_k_probes(T, period)`. Rejects an empty `T_list`, a period outside
+    (0, T_max] and an empty or negative index set, all before the caller
+    makes its first map call."""
+    Ts = sorted(float(t) for t in T_list)
+    if not Ts:
+        raise ValueError("need a nonempty T_list")
+    _check_period(Ts, T_max)
+    rule = k_set if callable(k_set) else lambda T: _k_probes(T, period) if k_set is None else k_set
+    schedule = [(T, [int(k) for k in rule(T)]) for T in Ts]
+    if not all(ks and min(ks) >= 0 for _, ks in schedule):
+        raise ValueError("k_set must be a nonempty set of nonnegative indices")
+    return schedule
+
+
 def kl_shift(beta: KLBound, c: float) -> KLBound:
     """Return beta_tilde with beta(s, t) <= beta_tilde(s, t + c) for all s, t >= 0,
     for an exp-form beta; a composite raises ValueError, as in `KLBound.to_json`."""
@@ -270,7 +297,7 @@ def fit_kl_envelope(trajectories, nu: float = 0.0, M_grid=None, lam_grid=None) -
     then steps. A NaN sample satisfies no envelope, so a trajectory that
     turns NaN is always falsified.
     """
-    runs = list(trajectories)
+    runs = [run for run in trajectories if run.norms.shape[1]]
     if not runs:
         raise ValueError("need at least one trajectory")
     M_grid = np.asarray(_DEFAULT_M_GRID if M_grid is None else M_grid, dtype=float)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import CascadeSystem, _schedule, _stacked_step, grid_rollouts
+from .cascade import CascadeSystem, _stacked_step, grid_rollouts
 from .discretize import ParameterizedMap
-from .numerics import ClassKFunction, KLBound
+from .numerics import ClassKFunction, KLBound, _schedule
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _ratio
 
 __all__ = [
@@ -114,9 +114,9 @@ def _first_escape(runs, bound_fn, detail_pass):
 
     `runs` yields `cascade.Trajectory` records; bound_fn(norms0, t_rel)
     gives each trajectory's admissible norm at elapsed time t_rel.
-    Non-finite states count as violations.
+    Non-finite states count as violations; no trajectory is a ValueError.
     """
-    worst = 0.0
+    worst, n = 0.0, 0
     for run in runs:
         T, k0, x0, norms = run.T, run.k0, run.x0, run.norms
         t_rel = (np.arange(len(norms)) * T)[:, None]
@@ -128,7 +128,10 @@ def _first_escape(runs, bound_fn, detail_pass):
             "trajectory norm escaped the claimed bound"))
         if bad is not None:
             return bad
-        worst = max(worst, float(np.max(_ratio(norms, bound))))
+        n += norms.shape[1]
+        worst = max(worst, float(np.max(_ratio(norms, bound), initial=0.0)))
+    if not n:
+        raise ValueError("need at least one trajectory")
     return StabilityVerdict.ok(detail_pass, worst_ratio=worst)
 
 
@@ -274,13 +277,13 @@ def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
     truncated at the recorded horizon; the tail is bounded by a geometric
     fit on the last third of the terms. A non-decaying or non-negligible
     tail yields an inconclusive verdict unless the partial sum alone
-    already exceeds the budget.
+    already exceeds the budget. No trajectory is a ValueError.
     """
     columns = ((run, terms, budget, z0) for run in z_runs
                for terms, budget, z0 in zip(np.asarray(mu_fn(run.norms), dtype=float).T,
                                             np.asarray(rho(run.norms[0]), dtype=float),
                                             run.x0))
-    worst = 0.0
+    worst, ti = 0.0, -1
     for ti, (run, terms, budget, z0) in enumerate(columns):
         partial = T * np.cumsum(terms)
         budget = float(budget)
@@ -316,6 +319,8 @@ def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
             return bad
         if budget > 0.0:
             worst = max(worst, (total + tail) / budget)
+    if ti < 0:
+        raise ValueError("need at least one trajectory")
     return StabilityVerdict.ok("summability budget holds on the ensemble", worst_ratio=worst)
 
 

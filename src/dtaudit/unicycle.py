@@ -15,17 +15,16 @@ is positive and all audits run.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .cascade import CascadeSystem, _k_probes, _rollout_chunks, _stacked_step
+from .cascade import CascadeSystem, _rollout_chunks, _stacked_step
 from .discretize import VectorField, exact_proxy_map
 # perfbench/layers.py wraps the map builder under this name on this module
 from .discretize import euler_map  # noqa: F401
 from ._integrate import IntegrationError
-from .numerics import _BLOCK, ClassKFunction, _check_period, _norm, horizon_index
+from .numerics import _BLOCK, ClassKFunction, _k_probes, _norm, _schedule, horizon_index
 from .stability import LyapunovCandidate, PreconditionError, _LyapunovChecks
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _plain
 
@@ -340,17 +339,16 @@ def check_pe(refs: ReferenceSignal, L: float, mu: float, T_list) -> StabilityVer
 
     Passes when every window start j = 0..ceil(period / T) satisfies
     T * sum_{k=j}^{j+ell} omega_r(kT)^2 >= mu. The witness initial state
-    holds the start time of the failing window. A period that is not a
-    finite positive number raises ValueError before any reference is read.
+    holds the start time of the failing window. The periods and window
+    starts are those of the `_schedule` against the reference period, which
+    raises ValueError before any reference is read.
     """
-    if not (L > 0.0 and mu > 0.0 and len(T_list)):
-        raise ValueError("need L > 0, mu > 0 and a nonempty T_list")
-    Ts = sorted(float(t) for t in T_list)
-    _check_period(Ts, sys.float_info.max)  # a finite bound, so T = inf fails too
+    if not (L > 0.0 and mu > 0.0):
+        raise ValueError("need L > 0 and mu > 0")
     worst = math.inf
-    for T in Ts:
-        P = refs.period_steps(T)
-        vals = pe_window_sums(refs, T, L, P)
+    for T, js in _schedule(T_list, refs.period, refs.period,
+                           lambda T: range(refs.period_steps(T) + 1)):
+        vals = pe_window_sums(refs, T, L, js[-1])
         worst = min(worst, float(np.min(vals)))
         bad = _first_violation((vals >= mu - _SLACK,
                                 lambda j: Witness.of(T, j, (j * T,), j, vals[j], mu),
@@ -485,6 +483,15 @@ def _chain_grid(grid_n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     return X[keep], Y[keep]
 
 
+def _chain_k_hi(refs, gains, T: float, k_max: int | None = None) -> int:
+    """The last step index of a chain pass at T, k_max or else period_steps(T),
+    from the `_schedule` of T against the closed loop's T_max."""
+    last = refs.period_steps if k_max is None else lambda T: int(k_max)
+    [(_, ks)] = _schedule([T], closed_loop_euler_cascade(refs, gains).T_max, refs.period,
+                          lambda T: range(last(T) + 1))
+    return ks[-1]
+
+
 def _chain_pass(refs: ReferenceSignal, gains: ControllerGains, T: float, X, Y, k_hi: int):
     """One pass over the chain: step the full-correction closed loop from
     the grid (X, Y) at zero heading error for k = 0..k_hi, one block of
@@ -523,16 +530,15 @@ def compute_case_constants(refs: ReferenceSignal, gains: ControllerGains, T_star
     constant as computed-and-positive or violated; T_tilde's flag records
     whether T_star itself is admissible.
     """
+    k_hi = _chain_k_hi(refs, gains, T_star, k_max)
     eps = gains.alpha_y + T_star
     c1, c2, c1_ok = lyap_V_bounds(gains, refs.w_M, T_star)
     alpha_x = gains.a2 - eps * refs.w_M ** 2 - 0.5 * eps ** 2 * refs.w_M ** 2 * (1.0 + gains.a2) ** 2
 
-    P = refs.period_steps(T_star)
-    mu_pe = float(np.min(pe_window_sums(refs, T_star, L_pe, P)))
+    mu_pe = float(np.min(pe_window_sums(refs, T_star, L_pe, refs.period_steps(T_star))))
     c3, c4, _, _ = lyap_W_bounds(mu_pe, L_pe, refs.w_M)
     alpha_y_tilde = c4 / 2.0
 
-    k_hi = P if k_max is None else int(k_max)
     X, Y = _chain_grid(grid_n, radius)
     n2 = X * X + Y * Y
     T = T_star
@@ -682,9 +688,9 @@ def audit_lyapunov_chain(refs: ReferenceSignal, gains: ControllerGains,
     the fitted K2, the U sandwich, and the U-decrease at rate c3_tilde.
     Any violation falsifies with the exact sample.
     """
+    k_hi = _chain_k_hi(refs, gains, T, k_max)
     X, Y = _chain_grid(grid_n, radius)
     checks = _ChainChecks(gains, constants, T, X, Y)
-    k_hi = refs.period_steps(T) if k_max is None else int(k_max)
     for block in _chain_pass(refs, gains, T, X, Y, k_hi):
         checks.check(block, *_U_step(block, constants.eps_small))
         if checks.falsified is not None:
@@ -721,9 +727,8 @@ def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
     chain = _ChainChecks(gains, consts, T, X, Y)
     definition = _LyapunovChecks(cand, pts, 0.0)
     probe = _LyapunovChecks(cand, pts, 0.0, collect_margins=True)
-    k_hi = refs.period_steps(T)
-    is_probe = np.zeros(k_hi + 1, dtype=bool)
-    is_probe[_k_probes(T, refs.period) if margin_rows else []] = True
+    k_hi = _chain_k_hi(refs, gains, T)
+    probes = _k_probes(T, refs.period) if margin_rows else []
     rate = -consts.c3_tilde * np.sum(pts ** 2, axis=-1)
     prof = []
     for block in _chain_pass(refs, gains, T, X, Y, k_hi):
@@ -731,7 +736,7 @@ def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
         U, dU = _U_step(block, consts.eps_small)
         chain.check(block, U, dU)
         definition.check(T, ks, U, lambda: dU)
-        at = is_probe[ks]
+        at = np.isin(ks, probes)
         if at.any():
             probe.check(T, ks[at], U[at], lambda: dU[at])
         at = ks % 7 == 0

@@ -41,8 +41,9 @@ from dtaudit import (
     validated_gains,
     validated_references,
 )
-from dtaudit.cascade import CascadeSystem, _k_probes
+from dtaudit.cascade import CascadeSystem
 from dtaudit.cli import config_digest, emit_report
+from dtaudit.numerics import _k_probes
 from dtaudit.unicycle import _chain_grid
 
 

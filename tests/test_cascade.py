@@ -33,9 +33,9 @@ from dtaudit import (
     validated_gains,
     validated_references,
 )
-from dtaudit.cascade import (_CHUNK, _k_probes, _probe_inputs, _rollout_chunks, _stacked_step,
-                             grid_rollouts, rollout)
-from dtaudit.numerics import horizon_index
+from dtaudit.cascade import (_CHUNK, _probe_inputs, _rollout_chunks, _stacked_step, grid_rollouts,
+                             rollout)
+from dtaudit.numerics import _k_probes, horizon_index
 
 
 def linear_cascade(a=1.0, b=1.0):

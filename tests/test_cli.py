@@ -218,6 +218,8 @@ def test_every_numeric_error_is_exit_3(tmp_path, capsys, monkeypatch, error):
     ("lyapunov-audit", {"T": 0.25}, "T_max"),
     ("cascade-theorem-demo", {"T": 0.5}, "T_max"),
     ("consistency-sweep", {"k_set": []}, "consistency-sweep.k_set must be nonempty"),
+    ("pe-check", {"T_list": [7.0]},  # above the demo reference's period 2 pi
+     "pe-check.T_list must not exceed the reference period"),
 ], ids=["compare-cos", "compare-rk4", "compare-T0", "compare-T-negative",
         "compare-T-above-T_max", "compare-negative-gain", "lyapunov-T0",
         "theorem-T0", "pe-T0", "pe-T-negative", "pe-frequency0",
@@ -235,7 +237,8 @@ def test_every_numeric_error_is_exit_3(tmp_path, capsys, monkeypatch, error):
         "consistency-short-held_input", "example1-negative-T", "compare-infinite-horizon_s",
         "pe-infinite-L", "lyapunov-infinite-L_pe", "example1-nan-nonconv_floor",
         "compare-int-beyond-float-horizon_s", "lyapunov-T-above-T_max",
-        "lyapunov-T0.25-above-T_max", "theorem-T-above-T_max", "consistency-empty-k_set"])
+        "lyapunov-T0.25-above-T_max", "theorem-T-above-T_max", "consistency-empty-k_set",
+        "pe-T-above-reference-period"])
 def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params, key):
     out = tmp_path / "out"
     code = main(["run", "--experiment", experiment,

@@ -91,6 +91,25 @@ def test_integral_reciprocal_of_a_power_matches_the_closed_form(gain, exponent):
         assert rho(5.0) == pytest.approx(1.8, rel=1e-15)  # 1 + (1 - 1/5)
 
 
+def test_integral_reciprocal_of_an_affine_capped_phi_matches_the_closed_form():
+    """phi = min(1 + 2 tau, 9) has no closed form in the evaluator, so rho
+    above 1 comes from adaptive Simpson: 1/3 + ln((1 + 2s)/3) / 2 below the
+    cap at tau = 4, and 1/3 + ln(3) / 2 + (s - 4) / 9 above it."""
+    rho = ClassKFunction("integral-reciprocal",
+                         {"phi": ClassKFunction.affine_capped(1.0, 2.0, cap=9.0)})
+
+    def closed(s):
+        if s <= 1.0:
+            return s / 3.0
+        if s <= 4.0:
+            return 1.0 / 3.0 + 0.5 * math.log((1.0 + 2.0 * s) / 3.0)
+        return 1.0 / 3.0 + 0.5 * math.log(3.0) + (s - 4.0) / 9.0
+
+    s = [0.0, 0.5, 1.0, 1.5, 3.0, 4.0, 4.5, 10.0, 50.0]
+    assert rho(np.array(s)) == pytest.approx([closed(v) for v in s], rel=1e-12)
+    assert rho(10.0) == pytest.approx(closed(10.0), rel=1e-12)
+
+
 # --- KL bounds and shifting ------------------------------------------------
 
 

@@ -19,15 +19,21 @@ from dtaudit import (
     ReferenceSignal,
     Trajectory,
     audit_lyapunov,
+    audit_lyapunov_chain,
     build_ugb_certificate,
     check_boundedness,
     check_interconnection_bound,
     check_pe,
     check_summability,
+    compute_case_constants,
+    consistency_order,
     falsify_spuas,
+    fit_kl_envelope,
     sample_ball,
     sample_box,
     usc_probe,
+    validated_gains,
+    validated_references,
 )
 from dtaudit.cascade import _stacked_step, grid_rollouts
 from dtaudit.stability import boundedness_escape, spuas_escape
@@ -283,6 +289,43 @@ def test_summability_zero_trajectory_passes():
                                 ClassKFunction.linear(1.0), T=0.1)
     assert verdict.kind == "pass"
     assert verdict.margins["worst_ratio"] == 0.0
+
+
+_NO_COLUMN = Trajectory(0.1, 0, np.zeros((0, 1)), np.zeros((11, 0)))
+_LIN = ClassKFunction.linear(1.0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda runs: spuas_escape(runs, KLBound.exponential(1.0, 1.0), 0.0),
+    lambda runs: boundedness_escape(runs, _LIN, 0.0),
+    lambda runs: check_summability(runs, _LIN, _LIN, T=0.1),
+    fit_kl_envelope,
+], ids=["spuas_escape", "boundedness_escape", "check_summability", "fit_kl_envelope"])
+@pytest.mark.parametrize("runs", [[], [_NO_COLUMN], [_NO_COLUMN, _NO_COLUMN]],
+                         ids=["no_record", "no_column", "two_records_no_column"])
+def test_record_checks_reject_no_trajectory(check, runs):
+    """A check over no trajectory says nothing: it is an error, not a pass
+    with worst ratio 0 or numpy's zero-size reduction error."""
+    with pytest.raises(ValueError, match="need at least one trajectory"):
+        check(runs)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda F, grid: falsify_spuas(F, KLBound.exponential(1.0, 1.0), 1.0, 0.0, [0.1], grid, 1.0),
+    lambda F, grid: check_boundedness(F, _LIN, 0.0, 1.0, [0.1], grid, 1.0),
+], ids=["falsify_spuas", "check_boundedness"])
+def test_sweeps_reject_an_empty_grid(sweep):
+    with pytest.raises(ValueError, match="need at least one trajectory"):
+        sweep(contraction(1.0), np.zeros((0, 1)))
+
+
+def test_a_record_with_no_column_leaves_the_others_judged():
+    """An empty record among others is skipped: the checks judge the rest."""
+    traj = Trajectory.of_states(0.1, 0, 0.5 ** np.arange(60.0)[:, None, None])
+    runs = [_NO_COLUMN, traj]
+    assert spuas_escape(runs, KLBound.exponential(1.0, 1.0), 0.0).kind == "pass"
+    assert check_summability(runs, _LIN, _LIN, T=0.1).kind == "pass"
+    assert fit_kl_envelope(runs) == fit_kl_envelope([traj])
 
 
 def test_summability_budget_overrun_is_falsified():
@@ -597,9 +640,19 @@ def test_certificate_names_the_smaller_k():
 # --- the admissible schedule ------------------------------------------------
 
 
+def _short_references(wrap=lambda fn: fn):
+    """The validated references with a period of 0.2, each read through `wrap`."""
+    v = validated_references()
+    return ReferenceSignal(wrap(v.v_r), wrap(v.omega_r), v.w_M, 0.2)
+
+
 def _schedule_entry(name, T_list, k_set, calls):
     """Run the audit `name` on maps with T_max = 0.2 and period 1 that log
-    every call of f, g, a map step and V's eval into `calls`."""
+    every call of f, g, a map step, V's eval and a reference into `calls`.
+    `consistency_order` compares F with an unbounded copy of it, so only
+    F's T_max bounds the schedule. `check_pe`'s T_max is the references'
+    period, 0.2, and the chain audits' the validated closed loop's, just
+    below 0.2; they take the one period of T_list and k_set as k_max."""
     def counted(fn):
         def wrapped(*args):
             calls.append(args[:2])
@@ -612,7 +665,19 @@ def _schedule_entry(name, T_list, k_set, calls):
     V = replace(quadratic_candidate(), eval=counted(quadratic_candidate().eval))
     lin = ClassKFunction.linear(1.0)
     box = Box.centered(1.0, 2)
+    refs, gains = _short_references(counted), validated_gains()
     kw = {} if k_set is None else {"k_set": k_set}
+    if name == "consistency_order":
+        return consistency_order(replace(F, T_max=np.inf), F, box, T_list=T_list, n_samples=8,
+                                 **kw)
+    if name == "check_pe":
+        return check_pe(refs, 1.0, 0.1, T_list)
+    if name in _CHAIN:
+        (T,), kw = T_list, {} if k_set is None else {"k_max": k_set}
+        if name == "compute_case_constants":
+            return compute_case_constants(refs, gains, T, 2.0, grid_n=5, radius=1.0, **kw)
+        consts = compute_case_constants(_short_references(), gains, 0.1, 2.0, grid_n=5, radius=1.0)
+        return audit_lyapunov_chain(refs, gains, consts, T, grid_n=5, radius=1.0, **kw)
     if name == "check_interconnection_bound":
         return check_interconnection_bound(sysm, lin, lin, lin, box, T_list, n_samples=8, **kw)
     if name == "build_ugb_certificate":
@@ -625,10 +690,12 @@ def _schedule_entry(name, T_list, k_set, calls):
     return usc_probe(sysm, 1.0, 0.5, 0.1, 1.0, T_list, [0.1], x0_count=2)
 
 
-_WITH_K_SET = ("check_interconnection_bound", "build_ugb_certificate", "audit_lyapunov")
-_ENTRIES = (*_WITH_K_SET, "falsify_spuas", "usc_probe")
+_WITH_K_SET = ("check_interconnection_bound", "build_ugb_certificate", "audit_lyapunov",
+               "consistency_order")
+_ENTRIES = (*_WITH_K_SET, "falsify_spuas", "usc_probe", "check_pe")
+_CHAIN = ("compute_case_constants", "audit_lyapunov_chain")
 _BAD_PERIODS = {"above_T_max": [0.5], "one_above_T_max": [0.1, 0.5], "zero": [0.0],
-                "negative": [-0.01], "nan": [float("nan")], "empty": []}
+                "negative": [-0.01], "nan": [float("nan")], "empty": [], "inf": [float("inf")]}
 _BAD_K_SETS = {"k_negative": [-1], "k_one_negative": [0, -3], "k_empty": []}
 
 
@@ -638,12 +705,16 @@ _BAD_K_SETS = {"k_negative": [-1], "k_one_negative": [0, -3], "k_empty": []}
       for name in _ENTRIES for label, T_list in _BAD_PERIODS.items()),
     *(pytest.param(name, [0.1], k_set, "k_set", id=f"{name}-{label}")
       for name in _WITH_K_SET for label, k_set in _BAD_K_SETS.items()),
+    *(pytest.param(name, T_list, None, "admissible", id=f"{name}-{label}")
+      for name in _CHAIN for label, T_list in _BAD_PERIODS.items() if len(T_list) == 1),
+    *(pytest.param(name, [0.1], -1, "k_set", id=f"{name}-k_max_negative") for name in _CHAIN),
 ])
 def test_audits_reject_an_inadmissible_schedule_before_any_map_call(name, T_list, k_set, match):
     """A period outside (0, T_max] (NaN included), an empty period list and
     an empty or negative index set say nothing about the model family the
-    claim is made for: each audit raises before its first map call, not a
-    pass, a falsification at that period or a NaN-to-int error."""
+    claim is made for: each audit raises before its first map call or
+    reference read, not a pass, a falsification at that period, a fit from
+    no index or a NaN-to-int error."""
     calls = []
     with pytest.raises(ValueError, match=match):
         _schedule_entry(name, T_list, k_set, calls)
@@ -652,7 +723,7 @@ def test_audits_reject_an_inadmissible_schedule_before_any_map_call(name, T_list
 
 def test_audits_run_the_counted_maps_on_an_admissible_schedule():
     """The same entries run, and call the maps, at an admissible schedule."""
-    for name in _ENTRIES:
+    for name in (*_ENTRIES, *_CHAIN):
         calls = []
         _schedule_entry(name, [0.1], [0, 2] if name in _WITH_K_SET else None, calls)
         assert calls, name
