@@ -99,12 +99,12 @@ def _load_params(path_str: str | None) -> dict:
     if path_str is None:
         return {}
     try:
-        raw = Path(path_str).read_text()
+        raw = Path(path_str).read_bytes()
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from err
     try:
-        params = json.loads(raw)
-    except json.JSONDecodeError as err:
+        params = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"config file is not valid JSON: {err}") from err
     if not isinstance(params, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -121,8 +121,10 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-        if Path(args.out).exists() and not Path(args.out).is_dir():
-            raise ConfigError(f"--out {args.out} is a file, not a directory")
+        out = Path(args.out)
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"--out {args.out}: {nearest} is not a directory")
         params = _load_params(args.config)
         result = run_named(args.experiment, params, args.seed)
     except ConfigError as err:

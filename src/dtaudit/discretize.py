@@ -9,6 +9,7 @@ two model families relate on a box.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -218,17 +219,14 @@ def linear_exact_map(A, B, gain, T_max: float = math.inf) -> ParameterizedMap:
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = A
     aug[:n, n:] = B
-    phis = {}
 
+    @functools.cache
     def closed_loop(T):
-        phi = phis.get(T)
-        if phi is None:
-            K = np.asarray(gain(T), dtype=float)
-            if K.shape != (m, n):
-                raise ValueError(f"gain(T) must have shape ({m}, {n})")
-            E = _expm(aug * T)
-            phi = phis[T] = E[:n, :n] + E[:n, n:] @ K
-        return phi
+        K = np.asarray(gain(T), dtype=float)
+        if K.shape != (m, n):
+            raise ValueError(f"gain(T) must have shape ({m}, {n})")
+        E = _expm(aug * T)
+        return E[:n, :n] + E[:n, n:] @ K
 
     def chunk(T, k, x, out):
         if isinstance(T, np.ndarray):
@@ -300,7 +298,7 @@ def consistency_order(F_ref: ParameterizedMap, F_apx: ParameterizedMap, domain: 
     for T, ks in schedule:
         worst = 0.0
         for k in ks:
-            gap = np.asarray(F_ref(T, k, pts)) - np.asarray(F_apx(T, k, pts))
+            gap = np.asarray(F_ref.step(T, k, pts)) - np.asarray(F_apx.step(T, k, pts))
             worst = max(worst, float(np.max(np.linalg.norm(gap, axis=-1))))
         max_errors.append(worst)
 

@@ -552,7 +552,7 @@ def _decay_records(sysm, z_grid, x_grid, grid, T_list, horizon_s):
     parts = ((slice(nz), slice(dx, None)), (slice(nz, nz + nx), slice(dx)),
              (slice(nz + nx, None), slice(None)))
     records = list(grid_rollouts(_stacked_step(sysm), rows, T_list, horizon_s,
-                                 period=sysm.period, parts=parts))
+                                 T_max=sysm.T_max, period=sysm.period, parts=parts))
     return records[0::3], records[1::3], records[2::3]
 
 
@@ -656,7 +656,7 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         # the driving record at (T, 0) when T is a decay period, else a run of its own
         z_run = next((run for run in z_runs if run.T == T and run.k0 == 0), None)
         if z_run is None:
-            (z_run,) = grid_rollouts(sysm.g, z_grid, [T], horizon_s, k0_set=[0])
+            (z_run,) = grid_rollouts(sysm.g, z_grid, [T], horizon_s, [0], sysm.T_max)
         s0 = z_run.norms[0]
         # one contiguous row per trajectory: an axis-0 sum would add in another order
         terms = np.ascontiguousarray(np.asarray(cert.mu_fn(z_run.norms), dtype=float).T)

@@ -79,7 +79,7 @@ class ReferenceSignal:
     period of their time variation.
 
     The decay-weighted excitation S(k) of each period is summed once, into
-    a table that `_energy_profile` extends and serves.
+    the `_period_table` that `_energy_profile` serves.
     """
 
     v_r: callable
@@ -229,6 +229,22 @@ def error_dynamics_field(refs: ReferenceSignal) -> VectorField:
     return VectorField(3, 2, rhs, refs.period)
 
 
+def _period_table(store: dict, T: float, lo, hi, rows) -> np.ndarray:
+    """The table of period T in `store`, step index k = 0, 1, ... on its last
+    axis, grown to cover k = lo..hi: `rows(ks)` makes the columns of the
+    indices ks. A table starts at 64 columns and gets only its missing
+    columns appended, at least doubling it; a built column is never written."""
+    if lo < 0:
+        raise ValueError("step index must be nonnegative")
+    tab = store.get(T)
+    n = 0 if tab is None else tab.shape[-1]
+    if n <= hi:
+        new = rows(np.arange(n, max(hi + 1, 2 * n, 64)))
+        tab = store[T] = new if tab is None else np.concatenate([tab, new], axis=-1)
+        tab.flags.writeable = False
+    return tab
+
+
 def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> CascadeSystem:
     """First-order closed loop as a cascade: position errors driven by heading.
 
@@ -237,10 +253,9 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
     refs, gains))` restricted to (x_e, y_e), in the same operation order and
     so bit-identical to it. Every quantity that depends only on (T, k) --
     omega_r(kT), v_r(kT) and the correction coefficients -- is read from a
-    per-period table built on first use and rebuilt at double the size when
-    a larger k arrives; a built table is never written to. The heading
-    recursion `g` reads only theta, which makes the autonomous driver
-    exact: theta(k+1) = (1 - T*a1) * theta(k). `f` and `g` carry the chunk
+    `_period_table` of period T. The heading recursion `g` reads only
+    theta, which makes the autonomous driver exact:
+    theta(k+1) = (1 - T*a1) * theta(k). `f` and `g` carry the chunk
     stepper of the stacked (x, z) state as `stacked_chunk`: per chunk it
     reads the table and runs `g` with its w, cos and sin, and per step it
     makes only `f`'s (x_e, y_e) update.
@@ -249,26 +264,17 @@ def closed_loop_euler_cascade(refs: ReferenceSignal, gains: ControllerGains) -> 
     factor = gains.correction_factor
     tables = {}  # T -> (5, n) rows omega_r, v_r, cx, cy, den at k = 0..n-1
 
+    def columns(T, ks):
+        wr = _ref(refs.omega_r, ks * T)
+        rows = (wr, _ref(refs.v_r, ks * T), *_correction_coefficients(wr, gains, T))
+        return np.stack([np.broadcast_to(r, ks.shape) for r in rows])
+
     def table(T, k, steps=1):
-        """The table of period T, built or doubled until it covers k + steps - 1."""
+        """The table of period T, covering k + steps - 1."""
         if isinstance(T, np.ndarray):
             raise ValueError("the closed loop's f, g and chunk stepper need a float T")
         lo, hi = (k.min(initial=0), k.max(initial=0)) if isinstance(k, np.ndarray) else (k, k)
-        hi = hi + steps - 1
-        if lo < 0:
-            raise ValueError("step index must be nonnegative")
-        tab = tables.get(T)
-        if tab is None or tab.shape[1] <= hi:
-            n = 64 if tab is None else tab.shape[1]
-            while n <= hi:
-                n *= 2
-            ks = np.arange(n)
-            wr = _ref(refs.omega_r, ks * T)
-            rows = (wr, _ref(refs.v_r, ks * T), *_correction_coefficients(wr, gains, T))
-            tab = np.stack([np.broadcast_to(r, ks.shape) for r in rows])
-            tab.flags.writeable = False
-            tables[T] = tab
-        return tab
+        return _period_table(tables, T, lo, hi + steps - 1, lambda ks: columns(T, ks))
 
     def heading(T, wr, th):
         """theta at k + 1 and w = omega_r + a1 theta at k, from omega_r(kT)."""
@@ -389,26 +395,20 @@ _TAIL_TOL = 1e-12
 
 def _energy_profile(refs: ReferenceSignal, T: float, k_lo: int, k_hi: int) -> np.ndarray:
     """S(k) = sum_{i=k}^{k+N} e^{(k-i)T} omega_r(iT)^2 for k = k_lo..k_hi,
-    read from the reference's table for period T.
+    read from the reference's `_period_table` for period T.
 
     N is set by `_TAIL_TOL`. Every S(k) sums the same N + 1 products in the
-    same order, so its bits do not depend on the range it is summed in: the
-    table sums only the new range, at least doubling it, when a larger k
-    arrives, and a summed range is never written to.
+    same order, so its bits do not depend on the range it is summed in.
     """
-    if k_lo < 0:
-        raise ValueError("step index must be nonnegative")
-    tab = refs._energy.get(T, np.empty(0))
-    if len(tab) <= k_hi:
-        lo, hi = len(tab), max(k_hi, 2 * len(tab), 63)
+
+    def sums(ks):
         N = int(math.ceil(math.log(2.0 * refs.w_M * refs.w_M / _TAIL_TOL) / T))
-        i = np.arange(lo, hi + N + 1)
-        decay = np.exp((lo - i[:N + 1]) * T)
+        i = np.arange(ks[0], ks[-1] + N + 1)
+        decay = np.exp((ks[0] - i[:N + 1]) * T)
         w2 = np.asarray(refs.omega_r(i * T), dtype=float) ** 2
-        tab = np.concatenate([tab, [np.sum(decay * w2[j:j + N + 1]) for j in range(hi - lo + 1)]])
-        tab.flags.writeable = False
-        refs._energy[T] = tab
-    return tab[k_lo:k_hi + 1]
+        return np.array([np.sum(decay * w2[j:j + N + 1]) for j in range(len(ks))])
+
+    return _period_table(refs._energy, T, k_lo, k_hi, sums)[k_lo:k_hi + 1]
 
 
 def lyap_W(k: int, y_e, refs: ReferenceSignal, T: float):
@@ -722,14 +722,12 @@ def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
     probe index fails its checks) and the profile rows (k, t, min margin).
     """
     X, Y = _chain_grid(grid_n, radius)
-    pts = np.stack([X, Y], axis=-1)
     cand = _lyap_U_candidate(refs, gains, consts)
     chain = _ChainChecks(gains, consts, T, X, Y)
-    definition = _LyapunovChecks(cand, pts, 0.0)
-    probe = _LyapunovChecks(cand, pts, 0.0, collect_margins=True)
+    definition = _LyapunovChecks(cand, chain.pts, 0.0)
+    probe = _LyapunovChecks(cand, chain.pts, 0.0, collect_margins=True)
     k_hi = _chain_k_hi(refs, gains, T)
     probes = _k_probes(T, refs.period) if margin_rows else []
-    rate = -consts.c3_tilde * np.sum(pts ** 2, axis=-1)
     prof = []
     for block in _chain_pass(refs, gains, T, X, Y, k_hi):
         ks = block[0]
@@ -741,7 +739,7 @@ def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
             probe.check(T, ks[at], U[at], lambda: dU[at])
         at = ks % 7 == 0
         prof += [(k, k * T, m) for k, m in zip(ks[at].tolist(),
-                                               np.min(rate - dU[at] / T, axis=1).tolist())]
+                                               np.min(chain.rhsU - dU[at] / T, axis=1).tolist())]
     return chain.result(), definition.result(), probe.result().margins.get("rows", []), prof
 
 

@@ -71,6 +71,11 @@ def test_malformed_config_is_exit_2(tmp_path, capsys):
     code = main(["run", "--experiment", "pe-check", "--config", str(bad),
                  "--out", str(tmp_path / "out")])
     assert code == 2
+    bad.write_bytes(b'{"mu": "\xe9"}')  # Latin-1, not UTF-8
+    code = main(["run", "--experiment", "pe-check", "--config", str(bad),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config file is not valid JSON" in capsys.readouterr().err
 
 
 def test_unknown_experiment_is_exit_2(tmp_path, capsys):
@@ -251,13 +256,16 @@ def test_config_errors_are_exit_2(tmp_path, capsys, experiment, params, key):
 
 
 def test_bad_command_line_values_are_exit_2(tmp_path, capsys):
-    """Both are rejected before the experiment runs."""
+    """Each is rejected before the experiment runs: an --out that is a file
+    or lies below one, and a negative --seed."""
     taken = tmp_path / "taken"
     taken.write_text("")
     cfg = write_config(tmp_path, FAST_EXAMPLE1)
-    assert main(["run", "--experiment", "example1", "--config", cfg,
-                 "--out", str(taken)]) == 2
-    assert "--out" in capsys.readouterr().err
+    for out in (taken, taken / "sub" / "deeper"):
+        assert main(["run", "--experiment", "example1", "--config", cfg,
+                     "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+    assert taken.read_text() == ""
     out = tmp_path / "out"
     assert main(["run", "--experiment", "example1", "--config", cfg,
                  "--seed", "-1", "--out", str(out)]) == 2

@@ -12,6 +12,7 @@ from dtaudit import (
     ConsistencyReport,
     VectorField,
     consistency_order,
+    discretize,
     euler_map,
     exact_proxy_map,
     linear_exact_map,
@@ -314,3 +315,20 @@ def test_consistency_rejects_an_empty_or_negative_index_set(k_set):
         consistency_order(counting, counting, Box.centered(1.0, 2), k_set=k_set,
                           T_list=[0.01, 0.02])
     assert calls == []
+
+
+def test_consistency_order_steps_the_pairs_its_schedule_admitted(monkeypatch):
+    """Tooling guard: `_schedule` checks the periods and indices once, so
+    the sweep steps the maps without re-checking each period. Calling the
+    maps instead made 8 period checks in this 2-period, 2-index, 2-map
+    sweep."""
+    calls = []
+    check = discretize._check_period
+    monkeypatch.setattr(discretize, "_check_period",
+                        lambda T, T_max: calls.append(T) or check(T, T_max))
+    emap = euler_map(double_integrator(), np.array([1.0]))
+    consistency_order(emap, emap, Box.centered(1.0, 2), k_set=[0, 3], T_list=[0.1, 0.05],
+                      n_samples=16)
+    assert calls == []
+    emap(0.1, 0, np.zeros(2))  # a map call is still checked, and counted here
+    assert calls == [0.1]

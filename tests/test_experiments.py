@@ -507,6 +507,22 @@ def test_decay_records_hold_norms_not_whole_horizon_states():
     assert peak < 14e6
 
 
+def test_decay_records_check_periods_against_the_closed_loop_T_max():
+    """A decay period above the closed loop's T_max (about 0.2 on the
+    validated loop) is rejected by `_schedule` before any map call."""
+    sysm = closed_loop_euler_cascade(validated_references(0.01), validated_gains("full"))
+    calls = []
+
+    def counting(fn):
+        return lambda T, *args: calls.append(T) or fn(T, *args)
+
+    sysm = dataclasses.replace(sysm, f=counting(sysm.f), g=counting(sysm.g))
+    grids = (sample_ball(2.0, 1, 3), sample_ball(5.0, 2, 3), sample_ball(5.0, 3, 3))
+    with pytest.raises(ValueError, match="outside admissible range"):
+        experiments._decay_records(sysm, *grids, [0.3], 0.6)
+    assert calls == []
+
+
 def test_example1_keeps_norms_not_whole_horizon_states():
     """Tooling guard: example1 takes its decay records' norms and its stall
     check's smallest norms chunk by chunk. With the stall check's
