@@ -63,14 +63,15 @@ _KINDS = {dict: "an object", tuple: "a list", bool: "true or false", float: "a f
 _LIMITS = {"positive": lambda v: v > 0.0, "nonnegative": lambda v: v >= 0.0,
            "at least 1": lambda v: v >= 1, "'demo' or 'validated'": lambda v: v in _PRESETS,
            "'euler' or 'exact-proxy'": lambda v: v in ("euler", "exact-proxy"), "nonempty": len,
-           "a pair": lambda v: len(v) == 2, "three numbers": lambda v: len(v) == 3}
-_WHOLE = ("nonempty", "a pair", "three numbers")
+           "a pair": lambda v: len(v) == 2, "three numbers": lambda v: len(v) == 3,
+           "distinct": lambda v: len(set(v)) == len(v)}
+_WHOLE = ("nonempty", "a pair", "three numbers", "distinct")
 
 # option name -> its range, in every experiment that has the option
 _RANGES = {
     "T": "positive", "T_list": "nonempty, positive", "table_T": "positive", "L": "positive",
     "T_values": "nonempty", "mu_grid": "nonempty, positive", "theta_values": "nonempty",
-    "variants": "nonempty", "horizon_s": "positive", "decay_horizon_s": "positive",
+    "variants": "nonempty, distinct", "horizon_s": "positive", "decay_horizon_s": "positive",
     "L_pe": "positive", "usc_L": "positive", "decay_rate": "positive", "mu": "positive",
     "divergence_norm": "positive", "proxy_tol": "positive", "radius": "positive",
     "Delta": "positive", "Delta_z": "positive", "eta": "positive", "eps": "positive",
@@ -606,8 +607,8 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
             g1 = c = 0.0
             for TT, _, F, F0 in terms:
                 g1 = max(g1, float(np.max(_norm(F)[keep_x] / xi[keep_x])))
-                gap = _norm(F - F0)[keep_z]
-                c = max(c, float(np.max(gap / (TT * (xn[keep_z] + 1.0) * zn[keep_z]))))
+                ratio = _norm(F - F0)[keep_z] / (TT * (xn[keep_z] + 1.0) * zn[keep_z])
+                c = max(c, float(np.max(ratio, initial=0.0)))
             return g1 * (1.0 + 1e-9), c * (1.0 + 1e-9)
 
         g1, c = fit(plain)
@@ -637,10 +638,9 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         zn = np.linalg.norm(pts[:, 2:], axis=1)
         keep = zn > 1e-15
         d = 0.0
-        for _, _, v, step in cert_terms:
-            v_next_z, v_next_0 = step()
+        for _, _, v, v_next_z, v_next_0 in cert_terms:
             drift = v_next_z - v_next_0
-            d = max(d, float(np.max(drift[keep] / (T * zn[keep] * (v[keep] + 1.0)))))
+            d = max(d, float(np.max(drift[keep] / (T * zn[keep] * (v[keep] + 1.0)), initial=0.0)))
         d *= 1.0 + 1e-9
 
         cert_params = CertificateParams(
@@ -660,9 +660,8 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
         s0 = z_run.norms[0]
         # one contiguous row per trajectory: an axis-0 sum would add in another order
         terms = np.ascontiguousarray(np.asarray(cert.mu_fn(z_run.norms), dtype=float).T)
-        budget = float(np.max(T * np.sum(terms[s0 > 0.0], axis=1) / s0[s0 > 0.0], initial=0.0))
-        summable = check_summability([z_run], cert.mu_fn,
-                                     ClassKFunction.linear(budget * 1.05), T)
+        budget = float(np.max(z_run.T * np.sum(terms[s0 > 0], axis=1) / s0[s0 > 0], initial=0.0))
+        summable = check_summability([z_run], cert.mu_fn, ClassKFunction.linear(budget * 1.05))
         metrics["growth_certificate"] = {
             "drift_gain": d, "mu_gain": float(cert.mu_fn.params["gain"]),
             "summability_budget_gain": budget * 1.05,
@@ -674,9 +673,9 @@ def _run_theorem_demo(params: dict, seed: int) -> ExperimentResult:
     cert_verdict, summable = growth_certificate()
 
     beta_c, cascade_verdict = decay("cascade", runs)
-    kappa = _largest_ratio(runs, 0.0)
-    bounded = boundedness_escape(runs, ClassKFunction.linear(kappa * (1.0 + 1e-9)), 0.0)
-    metrics["cascade"].update(kappa_gain=kappa * (1.0 + 1e-9), bounded=bounded.to_json())
+    kappa = _largest_ratio(runs, 0.0) * (1.0 + 1e-9)
+    bounded = boundedness_escape(runs, ClassKFunction.linear(kappa), 0.0)
+    metrics["cascade"].update(kappa_gain=kappa, bounded=bounded.to_json())
 
     composed = kl_compose(beta_x, beta_z, beta_c, ClassKFunction.linear(c_gain))
     t_grid = np.linspace(0.0, horizon_s, 81)

@@ -8,14 +8,13 @@ falsification and in margins that show how close a bound sits.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._sampling import Box, sample_ball, sample_box
-from .cascade import CascadeSystem, _stacked_step, grid_rollouts
+from .cascade import CascadeSystem, _interconnection_terms, _stacked_step, grid_rollouts
 from .discretize import ParameterizedMap
 from .numerics import ClassKFunction, KLBound, _schedule
 from .verdict import _SLACK, StabilityVerdict, Witness, _first_violation, _one_step, _ratio
@@ -201,23 +200,21 @@ class _LyapunovChecks:
         self.falsified = None
 
     def check(self, T: float, ks, v, dv) -> None:
-        """Check V's values `v` (a row per step index of `ks`) on the grid;
-        `dv()` gives V at k + 1 on the grid's step minus `v`, and is called
-        unless the sandwich fails at the first index. The witness is that of
-        the first index at which a check fails (see `_first_violation`)."""
+        """Check V's values `v` (a row per step index of `ks`) on the grid,
+        with `dv` V at k + 1 on the grid's step minus `v`. The witness is
+        that of the first index at which a check fails (see
+        `_first_violation`)."""
         if self.falsified is not None:
             return
         Y, lo, hi, lip, worst = self.Y, self.lo, self.hi, self.lip, self.worst
-        v = np.asarray(v, dtype=float)
+        v, dv = np.asarray(v, dtype=float), np.asarray(dv, dtype=float)
         rhs = -T * self.rate
-        checks = [(v >= lo - _SLACK, v, lo, "lower sandwich bound violated"),
-                  (v <= hi + _SLACK, v, hi, "upper sandwich bound violated")]
-        if all(ok[0].all() for ok, *_ in checks):
-            dv = np.asarray(dv(), dtype=float)
-            lhs = np.abs(v[:, :-1] - v[:, 1:])
-            checks += [(dv <= rhs + _SLACK, dv, rhs, "decrease condition violated"),
-                       (lhs <= lip + _SLACK, lhs, lip, "Lipschitz modulus violated")]
-        self.falsified = _first_violation(*(_one_step(ok, T, ks, Y, *rest) for ok, *rest in checks))
+        lhs = np.abs(v[:, :-1] - v[:, 1:])
+        self.falsified = _first_violation(*(_one_step(ok, T, ks, Y, *rest) for ok, *rest in (
+            (v >= lo - _SLACK, v, lo, "lower sandwich bound violated"),
+            (v <= hi + _SLACK, v, hi, "upper sandwich bound violated"),
+            (dv <= rhs + _SLACK, dv, rhs, "decrease condition violated"),
+            (lhs <= lip + _SLACK, lhs, lip, "Lipschitz modulus violated"))))
         if self.falsified is not None:
             return
         if self.rows is not None:
@@ -260,24 +257,24 @@ def audit_lyapunov(V: LyapunovCandidate, F: ParameterizedMap, Delta: float, nu: 
     for T, ks in _schedule(T_list, F.T_max, F.period, k_set):
         for k in ks:
             v = np.asarray(V.eval(T, k, Y), dtype=float)[None]  # a block of one k
-            checks.check(T, (k,), v, lambda: np.asarray(
-                V.eval(T, k + 1, np.asarray(F.step(T, k, Y), dtype=float)), dtype=float) - v)
+            v_next = V.eval(T, k + 1, np.asarray(F.step(T, k, Y), dtype=float))
+            checks.check(T, (k,), v, np.asarray(v_next, dtype=float) - v)
             if checks.falsified is not None:
                 return checks.falsified
     return checks.result()
 
 
-def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
-                      T: float) -> StabilityVerdict:
+def check_summability(z_runs, mu_fn: ClassKFunction,
+                      rho: ClassKFunction) -> StabilityVerdict:
     """Check T * sum of mu(|z(k)|) <= rho(|z0|) with a geometric tail certificate.
 
-    `z_runs` yields `cascade.Trajectory` records, each column one
-    trajectory; verdicts name a trajectory by its flat (record, column)
-    index and judge the trajectories in that order. The infinite sum is
-    truncated at the recorded horizon; the tail is bounded by a geometric
-    fit on the last third of the terms. A non-decaying or non-negligible
-    tail yields an inconclusive verdict unless the partial sum alone
-    already exceeds the budget. No trajectory is a ValueError.
+    `z_runs` yields `cascade.Trajectory` records, each column one trajectory
+    summed at its record's period T; verdicts name a trajectory by its flat
+    (record, column) index and judge the trajectories in that order. The
+    infinite sum is truncated at the recorded horizon; the tail is bounded by
+    a geometric fit on the last third of the terms. A non-decaying or
+    non-negligible tail yields an inconclusive verdict unless the partial sum
+    alone already exceeds the budget. No trajectory is a ValueError.
     """
     columns = ((run, terms, budget, z0) for run in z_runs
                for terms, budget, z0 in zip(np.asarray(mu_fn(run.norms), dtype=float).T,
@@ -285,7 +282,7 @@ def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
                                             run.x0))
     worst, ti = 0.0, -1
     for ti, (run, terms, budget, z0) in enumerate(columns):
-        partial = T * np.cumsum(terms)
+        partial = run.T * np.cumsum(terms)
         budget = float(budget)
         bad = _first_violation((
             partial <= budget + _SLACK,
@@ -307,7 +304,7 @@ def check_summability(z_runs, mu_fn: ClassKFunction, rho: ClassKFunction,
                 return StabilityVerdict.unknown(
                     f"tail of trajectory {ti} is not visibly decaying")
             r = (a1 / a0) ** (1.0 / (len(tail_terms) - 1))
-            tail = T * a1 * r / (1.0 - r)
+            tail = run.T * a1 * r / (1.0 - r)
             if total > 0.0 and tail > 1e-6 * total:
                 return StabilityVerdict.unknown(
                     f"tail estimate of trajectory {ti} not below 1e-6 of the partial sum")
@@ -354,32 +351,21 @@ def build_ugb_certificate(V: LyapunovCandidate, sys: CascadeSystem,
 
 
 def _certificate_terms(V: LyapunovCandidate, sys: CascadeSystem, pts, T_list, k_set=None):
-    """Yield (T, k, v, step) on the stacked (x, z) rows `pts`, per period and
-    start index of the `_schedule`: v is V(k, x), and step() gives
-    V(k+1, f(k,x,z)) and V(k+1, f(k,x,0)), made on its first call and kept
-    for the next."""
-    X, Z = pts[:, : sys.dim_x], pts[:, sys.dim_x:]
-    Z0 = np.zeros_like(Z)
-    for T, ks in _schedule(T_list, sys.T_max, sys.period, k_set):
-        for k in ks:
-
-            @functools.cache
-            def step(T=T, k=k):
-                Fz = np.asarray(sys.f(T, k, X, Z), dtype=float)
-                F0 = np.asarray(sys.f(T, k, X, Z0), dtype=float)
-                return (np.asarray(V.eval(T, k + 1, Fz), dtype=float),
-                        np.asarray(V.eval(T, k + 1, F0), dtype=float))
-
-            yield T, k, np.asarray(V.eval(T, k, X), dtype=float), step
+    """Yield (T, k, V(k,x), V(k+1, f(k,x,z)), V(k+1, f(k,x,0))) on the stacked
+    (x, z) rows `pts`, over the f-pairs of `cascade._interconnection_terms`."""
+    X = pts[:, : sys.dim_x]
+    for T, k, Fz, F0 in _interconnection_terms(sys, pts, T_list, k_set):
+        yield T, k, *(np.asarray(V.eval(T, kk, Y), dtype=float)
+                      for kk, Y in ((k, X), (k + 1, Fz), (k + 1, F0)))
 
 
 def _certificate_verdict(p: CertificateParams, pts, dim_x: int,
                          terms) -> tuple[UGBCertificate, StabilityVerdict]:
     """The certificate and verdict of `build_ugb_certificate` on the
-    (T, k, v, step) `terms` of the rows `pts`: a failed precondition raises
-    before `terms` is advanced, a (T, k) whose sandwich fails falsifies
-    before its step() is called, and the first falsifying (T, k) ends the
-    pass."""
+    (T, k, v, v_next_z, v_next_0) `terms` of the rows `pts`: a failed
+    precondition raises before `terms` is advanced, a (T, k) whose sandwich
+    fails falsifies before its other checks, and the first falsifying
+    (T, k) ends the pass."""
     if not _reciprocal_integral_diverges(p.phi):
         raise PreconditionError(
             "growth function has a convergent reciprocal integral; "
@@ -398,14 +384,13 @@ def _certificate_verdict(p: CertificateParams, pts, dim_x: int,
     zero = np.zeros(len(pts))
 
     worst = {"sandwich": 0.0, "drift": -math.inf, "unforced": -math.inf, "transformed": -math.inf}
-    for T, k, v, step in terms:
+    for T, k, v, v_next_z, v_next_0 in terms:
         bad = _first_violation(
             _one_step(v >= lo - _SLACK, T, k, pts, v, lo, "lower sandwich bound violated"),
             _one_step(v <= hi + _SLACK, T, k, pts, v, hi, "upper sandwich bound violated"))
         if bad is not None:
             return cert, bad
 
-        v_next_z, v_next_0 = step()
         drift = v_next_z - v_next_0
         rhs = T * g1 * np.asarray(p.phi(v), dtype=float) + T * g2
         unforced = v_next_0 - v

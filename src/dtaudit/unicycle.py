@@ -733,10 +733,10 @@ def _audit_pass(refs, gains, consts, T, grid_n, radius, margin_rows):
         ks = block[0]
         U, dU = _U_step(block, consts.eps_small)
         chain.check(block, U, dU)
-        definition.check(T, ks, U, lambda: dU)
+        definition.check(T, ks, U, dU)
         at = np.isin(ks, probes)
         if at.any():
-            probe.check(T, ks[at], U[at], lambda: dU[at])
+            probe.check(T, ks[at], U[at], dU[at])
         at = ks % 7 == 0
         prof += [(k, k * T, m) for k, m in zip(ks[at].tolist(),
                                                np.min(chain.rhsU - dU[at] / T, axis=1).tolist())]

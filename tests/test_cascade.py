@@ -130,6 +130,8 @@ def test_rollout_rejects_mismatched_inputs():
         rollout(linear_cascade().f, 0.1, np.zeros(2, dtype=int), np.zeros((3, 1)), 4)
     with pytest.raises(ValueError, match="per-row T"):
         rollout(linear_cascade().f, np.full(2, 0.1), 0, np.zeros((3, 1)), 4)
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        rollout(linear_cascade().f, 0.1, 0, np.zeros((3, 1)), -1)
 
 
 def test_rollout_keeps_each_live_rows_period_after_another_row_overflows():

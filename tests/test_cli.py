@@ -205,6 +205,8 @@ def test_every_numeric_error_is_exit_3(tmp_path, capsys, monkeypatch, error):
      "cascade-theorem-demo.eta must be below cascade-theorem-demo.Delta"),
     ("consistency-sweep", {"T_list": [0.01, 0.01]},
      "consistency-sweep.T_list must hold distinct periods"),
+    ("unicycle-compare", {"variants": ["full", "full"]},
+     "unicycle-compare.variants must be distinct"),
     ("lyapunov-audit", {"regime": "bogus"}, "lyapunov-audit.regime must be 'demo' or 'validated'"),
     ("example1", {"T": True}, "example1.T"),
     ("unicycle-compare", {"gains": {"alpha_y": "x"}}, "unicycle-compare.gains.alpha_y"),
@@ -237,8 +239,9 @@ def test_every_numeric_error_is_exit_3(tmp_path, capsys, monkeypatch, error):
         "example1-negative-table_steps", "consistency-empty-T_list",
         "consistency-negative-n_samples", "consistency-negative-k", "lyapunov-grid_n0",
         "theorem-empty-theta_values", "theorem-negative-n_ball", "pe-negative-L",
-        "theorem-eta-not-below-Delta", "consistency-repeated-T", "lyapunov-unknown-regime",
-        "example1-bool-T", "compare-str-alpha_y", "consistency-short-euler_slope_window",
+        "theorem-eta-not-below-Delta", "consistency-repeated-T", "compare-repeated-variant",
+        "lyapunov-unknown-regime", "example1-bool-T", "compare-str-alpha_y",
+        "consistency-short-euler_slope_window",
         "consistency-short-held_input", "example1-negative-T", "compare-infinite-horizon_s",
         "pe-infinite-L", "lyapunov-infinite-L_pe", "example1-nan-nonconv_floor",
         "compare-int-beyond-float-horizon_s", "lyapunov-T-above-T_max",

@@ -416,6 +416,22 @@ THEOREM_WORKLOAD = {"T_list": [0.01, 0.02], "horizon_s": 20.0, "n_ball": 17, "gr
 THEOREM_FALLBACK = {"T": 0.01, "T_list": [0.02], "horizon_s": 10.0, "n_ball": 9, "grid_n": 11}
 
 
+@pytest.mark.parametrize("extra, status, fit, gain, summability", [
+    ({"theta_values": [0.0]}, 0, "growth_certificate", "drift_gain", "pass"),
+    ({"Delta_z": 1e-16}, 1, "interconnection", "gamma2_gain", "inconclusive"),
+], ids=["theta-zero", "tiny-Delta_z"])
+def test_theorem_demo_fits_a_zero_gain_when_no_sample_carries_an_input(extra, status, fit, gain,
+                                                                       summability):
+    """Where no sample has |z| above 1e-15, the drift-gain or coupling fit
+    has no ratio to take: its gain is 0.0, not numpy's zero-size reduction
+    error (a traceback with exit 1). With driving states of norm 1e-16 the
+    summability tail is not negligible, so that claim is inconclusive."""
+    res = run_named("cascade-theorem-demo", {**THEOREM_WORKLOAD, **extra})
+    assert res.status == status
+    assert res.metrics[fit][gain] == 0.0
+    assert res.metrics["growth_certificate"]["summability"]["kind"] == summability
+
+
 def test_theorem_demo_routes_one_stacked_rollout_per_period(monkeypatch):
     """The driving, unforced and cascade grids share each step, and the
     summability check reuses the driving run: the closed loop's f and g

@@ -483,6 +483,10 @@ def test_sampler_rejects_unsupported_dim_and_negative_n():
     box = Box.centered(1.0, 2)
     with pytest.raises(ValueError, match="nonnegative"):
         sample_box(box, -1)
+    with pytest.raises(ValueError, match="1-d and of equal length"):
+        Box((0.0,), (1.0, 1.0))
+    with pytest.raises(ValueError, match="too many corners"):
+        Box.centered(1.0, 13).corners()
     with pytest.raises(ValueError, match="nonnegative"):
         sample_ball(1.0, 2, -1)
     # no interior points: the corners and the center, plus the axis points of a ball

@@ -1,5 +1,6 @@
 """Grid audits: envelope falsification, Lyapunov checks, certificates."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,9 @@ from dtaudit import (
     ParameterizedMap,
     PreconditionError,
     ReferenceSignal,
+    StabilityVerdict,
     Trajectory,
+    VectorField,
     audit_lyapunov,
     audit_lyapunov_chain,
     build_ugb_certificate,
@@ -27,14 +30,17 @@ from dtaudit import (
     check_summability,
     compute_case_constants,
     consistency_order,
+    euler_map,
     falsify_spuas,
     fit_kl_envelope,
+    kl_shift,
     sample_ball,
     sample_box,
     usc_probe,
     validated_gains,
     validated_references,
 )
+from dtaudit._integrate import rk45_integrate
 from dtaudit.cascade import _stacked_step, grid_rollouts
 from dtaudit.stability import boundedness_escape, spuas_escape
 from dtaudit.stability import _certificate_verdict
@@ -278,7 +284,7 @@ def test_summability_geometric_series_meets_exact_budget():
     """T sum of 0.9^k with T = 0.01 totals exactly 0.1, the budget s/10 at s=1."""
     traj = geometric_trajectory(0.9, 200, T=0.01)
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
-                                ClassKFunction.linear(0.1), T=0.01)
+                                ClassKFunction.linear(0.1))
     assert verdict.kind == "pass"
     assert verdict.margins["worst_ratio"] == pytest.approx(1.0, abs=1e-6)
 
@@ -286,7 +292,7 @@ def test_summability_geometric_series_meets_exact_budget():
 def test_summability_zero_trajectory_passes():
     traj = Trajectory.of_states(0.1, 0, np.zeros((10, 1, 1)))
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
-                                ClassKFunction.linear(1.0), T=0.1)
+                                ClassKFunction.linear(1.0))
     assert verdict.kind == "pass"
     assert verdict.margins["worst_ratio"] == 0.0
 
@@ -298,7 +304,7 @@ _LIN = ClassKFunction.linear(1.0)
 @pytest.mark.parametrize("check", [
     lambda runs: spuas_escape(runs, KLBound.exponential(1.0, 1.0), 0.0),
     lambda runs: boundedness_escape(runs, _LIN, 0.0),
-    lambda runs: check_summability(runs, _LIN, _LIN, T=0.1),
+    lambda runs: check_summability(runs, _LIN, _LIN),
     fit_kl_envelope,
 ], ids=["spuas_escape", "boundedness_escape", "check_summability", "fit_kl_envelope"])
 @pytest.mark.parametrize("runs", [[], [_NO_COLUMN], [_NO_COLUMN, _NO_COLUMN]],
@@ -324,7 +330,7 @@ def test_a_record_with_no_column_leaves_the_others_judged():
     traj = Trajectory.of_states(0.1, 0, 0.5 ** np.arange(60.0)[:, None, None])
     runs = [_NO_COLUMN, traj]
     assert spuas_escape(runs, KLBound.exponential(1.0, 1.0), 0.0).kind == "pass"
-    assert check_summability(runs, _LIN, _LIN, T=0.1).kind == "pass"
+    assert check_summability(runs, _LIN, _LIN).kind == "pass"
     assert fit_kl_envelope(runs) == fit_kl_envelope([traj])
 
 
@@ -335,7 +341,7 @@ def test_summability_budget_overrun_is_falsified():
     runs = [geometric_trajectory(0.5, 200, T=0.01),
             Trajectory.of_states(0.01, 4, np.stack([0.5 ** k, 0.9 ** k], axis=1)[:, :, None])]
     verdict = check_summability(runs, ClassKFunction.linear(1.0),
-                                ClassKFunction.linear(0.05), T=0.01)
+                                ClassKFunction.linear(0.05))
     assert verdict.kind == "falsified"
     assert "trajectory 2" in verdict.detail
     assert verdict.witness.k0 == 4 and verdict.witness.initial_state == (1.0,)
@@ -346,7 +352,7 @@ def test_summability_harmonic_tail_is_inconclusive():
     # 1/(k+1) decays too slowly for the geometric tail certificate
     traj = Trajectory.of_states(1.0, 0, (1.0 / np.arange(1, 301)).reshape(-1, 1, 1))
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
-                                ClassKFunction.linear(1000.0), T=1.0)
+                                ClassKFunction.linear(1000.0))
     assert verdict.kind == "inconclusive"
     assert not verdict
 
@@ -354,7 +360,7 @@ def test_summability_harmonic_tail_is_inconclusive():
 def test_summability_short_trajectory_is_inconclusive():
     traj = geometric_trajectory(0.5, 4, T=0.1)
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
-                                ClassKFunction.linear(10.0), T=0.1)
+                                ClassKFunction.linear(10.0))
     assert verdict.kind == "inconclusive"
     assert "too short" in verdict.detail
 
@@ -366,8 +372,8 @@ def test_summability_geometric_budget_is_sharp(r):
     traj = geometric_trajectory(r, 150, T=1.0)
     mu = ClassKFunction.linear(1.0)
     exact = 1.0 / (1.0 - r)
-    assert check_summability([traj], mu, ClassKFunction.linear(exact), T=1.0).kind == "pass"
-    short = check_summability([traj], mu, ClassKFunction.linear(0.9 * exact), T=1.0)
+    assert check_summability([traj], mu, ClassKFunction.linear(exact)).kind == "pass"
+    short = check_summability([traj], mu, ClassKFunction.linear(0.9 * exact))
     assert short.kind == "falsified"
 
 
@@ -469,6 +475,9 @@ def test_certificate_rejects_wrong_domain_width():
     with pytest.raises(ValueError, match="stacked"):
         build_ugb_certificate(norm_candidate(), driven_scalar_cascade(),
                               linear_cert_params(), np.array([[0.5]]), T_list=[0.1])
+    with pytest.raises(ValueError, match="stacked"):
+        check_interconnection_bound(driven_scalar_cascade(), _LIN, _LIN, _LIN,
+                                    Box.centered(1.0, 3), T_list=[0.1])
 
 
 def test_certificate_flags_drift_without_period_factor():
@@ -524,7 +533,7 @@ def _nan_pe():
 def _nan_summability():
     traj = Trajectory.of_states(0.1, 0, np.array([1.0, 1.0, 1.0] + [np.nan] * 20).reshape(-1, 1, 1))
     verdict = check_summability([traj], ClassKFunction.linear(1.0),
-                                ClassKFunction.linear(10.0), T=0.1)
+                                ClassKFunction.linear(10.0))
     return verdict, 3, (1.0,)
 
 
@@ -727,3 +736,70 @@ def test_audits_run_the_counted_maps_on_an_admissible_schedule():
         calls = []
         _schedule_entry(name, [0.1], [0, 2] if name in _WITH_K_SET else None, calls)
         assert calls, name
+
+
+@pytest.mark.parametrize("audit", ["check_interconnection_bound", "build_ugb_certificate"])
+def test_one_step_audits_step_each_scheduled_sample_once(audit):
+    """Tooling guard: a passing one-step audit calls f twice per scheduled
+    (T, k), at z and at z = 0, and the certificate evaluates V three times
+    per (T, k), at k on the samples and at k + 1 on both steps. No audit
+    steps a sample twice."""
+    calls = {"f": [], "V": []}
+    base, cand = driven_scalar_cascade(), norm_candidate()
+    sysm = replace(base, f=lambda T, k, X, Z: calls["f"].append((T, k)) or base.f(T, k, X, Z))
+    V = replace(cand, eval=lambda T, k, X: calls["V"].append((T, k)) or cand.eval(T, k, X))
+    box, T_list, k_set = Box((-1.0, -1.0), (1.0, 1.0)), [0.1, 0.3], [0, 2, 5]
+    if audit == "check_interconnection_bound":
+        verdict = check_interconnection_bound(
+            sysm, ClassKFunction.linear(1.0), ClassKFunction.affine_capped(1.0, 1.0),
+            ClassKFunction.identity(), box, T_list, n_samples=64, k_set=k_set)
+    else:
+        _, verdict = build_ugb_certificate(V, sysm, linear_cert_params(), box, T_list,
+                                           n_samples=64, k_set=k_set)
+    assert verdict.kind == "pass"
+    scheduled = [(T, k) for T in T_list for k in k_set]
+    assert Counter(calls["f"]) == Counter(scheduled * 2)
+    V_at = [(T, k + step) for T, k in scheduled for step in (0, 1, 1)]
+    assert Counter(calls["V"]) == (Counter(V_at) if audit == "build_ugb_certificate" else {})
+
+
+# --- input checks -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: usc_probe(driven_scalar_cascade(), 1.0, 1.0, 0.1, 1.0, [0.1], [0.1]),
+     (ValueError, r"need eta in \(0, Delta\)")),
+    (lambda: usc_probe(driven_scalar_cascade(), 1.0, 0.5, 0.0, 1.0, [0.1], [0.1]),
+     (ValueError, "need eps > 0 and L > 0")),
+    (lambda: euler_map(VectorField(1, 1, lambda t, x, u: u), [1.0, 2.0]),
+     (ValueError, r"held input must have shape \(1,\)")),
+    (lambda: consistency_order(contraction(1.0), ParameterizedMap(2, 1.0, lambda T, k, Y: Y),
+                               Box.centered(1.0, 1), T_list=[0.1]),
+     (ValueError, "maps must share a state dimension")),
+    (lambda: ClassKFunction("cubic"), (ValueError, "unknown kind 'cubic'")),
+    (lambda: KLBound("poly"), (ValueError, "unknown form 'poly'")),
+    (lambda: kl_shift(KLBound.exponential(1.0, 1.0), -0.5),
+     (ValueError, "shift must be nonnegative")),
+    (lambda: audit_lyapunov(quadratic_candidate(), contraction(1.0), 1.0, 0.0, [0.1],
+                            np.zeros((2, 2))),
+     (ValueError, "grid states must have dimension 1")),
+    (lambda: falsify_spuas(object(), KLBound.exponential(1.0, 1.0), 1.0, 0.0, [0.1], 4, 1.0),
+     (TypeError, "must be a CascadeSystem or a ParameterizedMap")),
+    (lambda: StabilityVerdict("maybe"), (ValueError, "unknown verdict kind 'maybe'")),
+    (lambda: StabilityVerdict("falsified"), (ValueError, "requires a witness")),
+    (lambda: type(StabilityVerdict.ok(ratio=np.float64(0.5)).to_json()["margins"]["ratio"]),
+     float),
+    (lambda: rk45_integrate(lambda t, x: 1 / 0, 1.0, 1.0, np.ones((1, 2))).tolist(),
+     [[1.0, 1.0]]),
+], ids=["usc-eta", "usc-eps", "held-input-shape", "consistency-dims", "class-k-kind",
+        "kl-form", "kl-shift-negative", "lyapunov-grid-dim", "sweep-system-type",
+        "verdict-kind", "falsified-without-witness", "numpy-scalar-margin", "rk45-zero-span"])
+def test_safety_branches_match_their_message_or_value(call, outcome):
+    """Kept safety branches: a malformed argument raises its own message, a
+    numpy scalar margin is written as a Python float, and a zero-length
+    span returns its initial state without calling the right-hand side."""
+    if isinstance(outcome, tuple):
+        with pytest.raises(outcome[0], match=outcome[1]):
+            call()
+    else:
+        assert call() == outcome

@@ -311,7 +311,7 @@ def test_summability_tail_overrun_witness_replays():
     shrink = lambda TT, k, z: 0.9 * z
     runs = list(grid_rollouts(shrink, [[1.0]], [1.0], 199.0, k0_set=[0]))
     mu = ClassKFunction.identity()
-    verdict = check_summability(runs, mu, ClassKFunction.linear(10.0 - 3e-9), 1.0)
+    verdict = check_summability(runs, mu, ClassKFunction.linear(10.0 - 3e-9))
     w = verdict.witness
     assert (verdict.kind, verdict.detail) == (
         "falsified", "partial sum plus tail exceeds the budget on trajectory 0")
@@ -326,9 +326,27 @@ def test_summability_tail_overrun_witness_replays():
 
     settle = lambda TT, k, z: 0.5 * z + 0.05  # to the floor 0.1
     runs = list(grid_rollouts(settle, [[1.0]], [1.0], 199.0, k0_set=[0]))
-    verdict = check_summability(runs, mu, ClassKFunction.linear(1000.0), 1.0)
+    verdict = check_summability(runs, mu, ClassKFunction.linear(1000.0))
     assert (verdict.kind, verdict.detail) == (
         "inconclusive", "tail of trajectory 0 is not visibly decaying")
+
+
+def test_summability_sums_each_record_at_its_own_period():
+    """T sum of 0.5^k is 2T: 0.02 at T = 0.01 holds the budget 0.03, and
+    0.04 at T = 0.02 does not. Each record is summed at its own period, so
+    trajectory 1 overruns at k = 2 (0.02 * 1.75), and its witness replays."""
+    half = lambda TT, k, z: 0.5 * z
+    runs = list(grid_rollouts(half, [[1.0]], [0.01, 0.02], 1.0, k0_set=[0]))
+    mu = ClassKFunction.identity()
+    verdict = check_summability(runs, mu, ClassKFunction.linear(0.03))
+    w = verdict.witness
+    assert (verdict.kind, verdict.detail) == (
+        "falsified", "partial sum exceeds the budget on trajectory 1")
+    assert (w.T, w.k0, w.initial_state, w.k, w.measured, w.bound) == (0.02, 0, (1.0,), 2,
+                                                                      0.035, 0.03)
+    states, _ = rollout(half, w.T, w.k0, np.array([w.initial_state]), w.k - w.k0)
+    terms = np.asarray(mu(np.linalg.norm(states[:, 0], axis=1)))
+    assert float((w.T * np.cumsum(terms))[-1]) == w.measured
 
 
 def test_pe_window_witness_replays():
